@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast test-stacked test-async test-concurrent test-capture lint bench bench-smoke
+.PHONY: test test-fast test-stacked test-async test-concurrent test-capture test-bench-harness lint bench bench-smoke bench-e2e
 
 test: lint
 	$(PYTHON) -m pytest -x -q
@@ -23,10 +23,15 @@ test-async:
 test-concurrent:
 	$(PYTHON) -m pytest -x -q -m concurrent
 
-# Just the capture-engine optimizer: arena planner, dead-op elimination,
-# optimizer-on/off bitwise differentials, and the build cache.
+# Just the capture-engine optimizer: arena planner, constant interning,
+# optimized-vs-eager bitwise differentials, and the build cache.
 test-capture:
 	$(PYTHON) -m pytest -x -q -m capture
+
+# The end-to-end benchmark harness's self-test (not part of tier-1: it
+# runs every workload at reduced size in fresh interpreters, < 60 s).
+test-bench-harness:
+	$(PYTHON) -m pytest benchmarks/e2e -q
 
 # Uses ruff or pyflakes when installed; otherwise a stdlib AST fallback.
 lint:
@@ -40,3 +45,8 @@ bench:
 # Also guards the hot-path wall times against the committed baseline.
 bench-smoke:
 	$(PYTHON) -m repro.experiments.bench --smoke --output BENCH_smoke.json --check-baseline BENCH_core.json
+
+# The end-to-end benchmark of BENCHMARK.json: four paper workloads, each
+# in a fresh interpreter, end-to-end metrics plus a per-layer trace.
+bench-e2e:
+	python3 benchmarks/e2e/run.py

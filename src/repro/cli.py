@@ -32,8 +32,9 @@ from repro.experiments import run_spec, run_trials
 from repro.experiments.decision_tree import recommend_algorithm
 from repro.experiments.scale import PRESETS
 from repro.federated.algorithms import ALGORITHM_NAMES
+from repro.federated.algorithms.fedprox import DEFAULT_MU
 from repro.partition import parse_strategy, stats
-from repro.spec import RunSpec
+from repro.spec import RunSpec, overridable_names
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,216 +112,193 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_experiment_args(parser: argparse.ArgumentParser) -> None:
+    """Flags of the experiment commands.
+
+    A knob flag contributes its spelling and help text only: it parses
+    to ``None`` when absent and is stored under the flat override name
+    it feeds (``dest``), so defaults live on the :mod:`repro.spec`
+    sections alone and :func:`_build_kwargs` needs no per-knob line.
+    """
     parser.add_argument(
         "--spec", default=None, metavar="FILE",
         help="load the full RunSpec from this JSON file instead of flags "
              "(--dataset/--partition/--alg are then not required)",
     )
-    parser.add_argument("--dataset", default=None, choices=DATASET_NAMES)
-    parser.add_argument("--partition", default=None, help='e.g. "iid", "#C=2", "dir(0.5)"')
-    parser.add_argument("--alg", default=None, choices=ALGORITHM_NAMES)
-    parser.add_argument("--model", default="default")
-    parser.add_argument("--n-parties", type=int, default=None)
-    parser.add_argument("--comm-round", type=int, default=None, help="rounds T")
-    parser.add_argument("--epochs", type=int, default=None, help="local epochs E")
-    parser.add_argument("--batch-size", type=int, default=None)
-    parser.add_argument("--lr", type=float, default=None)
-    parser.add_argument("--mu", type=float, default=0.01, help="FedProx mu")
     parser.add_argument(
-        "--optimizer", default="sgd", choices=("sgd", "adam", "amsgrad"),
-        help="local optimizer (NIID-Bench's --optimizer)",
-    )
-    parser.add_argument("--sample", type=float, default=1.0, help="party fraction per round")
-    parser.add_argument(
-        "--num-workers", type=int, default=0,
-        help="worker processes for client training (0 = serial)",
-    )
-    parser.add_argument(
-        "--executor", default="auto",
-        choices=("auto", "serial", "parallel", "stacked"),
-        help="client-execution backend (results are identical either way)",
-    )
-    parser.add_argument(
-        "--stack-size", type=int, default=16,
-        help="clients per batched replay stack for --executor=stacked",
-    )
-    parser.add_argument(
-        "--stacked-tolerance", type=float, default=0.0,
-        help="max drift the stacked executor's serial-vs-stacked check "
-        "accepts (0 = bitwise)",
-    )
-    parser.add_argument(
-        "--party-sampler", default="uniform", choices=("uniform", "stratified"),
-        help="party sampling policy under partial participation",
-    )
-    parser.add_argument(
-        "--codec", default="identity", choices=CODEC_NAMES,
-        help="update-compression codec for both transport directions",
-    )
-    parser.add_argument(
-        "--codec-bits", type=int, default=8,
-        help="bit width for the qsgd codec (1-16)",
-    )
-    parser.add_argument(
-        "--codec-k", type=float, default=0.1,
-        help="kept fraction in (0, 1] for the topk/randk codecs",
-    )
-    parser.add_argument(
-        "--dropout-prob", type=float, default=0.0,
-        help="per-party per-round probability of dropping out",
-    )
-    parser.add_argument(
-        "--straggler-prob", type=float, default=0.0,
-        help="per-party per-round probability of running slow",
-    )
-    parser.add_argument(
-        "--straggler-factor", type=float, default=1.0,
-        help="straggler slowdown multiple (>= 1; fault-free round = 1.0)",
-    )
-    parser.add_argument(
-        "--crash-prob", type=float, default=0.0,
-        help="per-party per-round probability of crashing mid-training",
-    )
-    parser.add_argument(
-        "--deadline", type=float, default=None,
-        help="round deadline in fault-free-round units; stragglers "
-             "slower than this are dropped before dispatch",
-    )
-    parser.add_argument(
-        "--checkpoint-every", type=int, default=0,
-        help="write a run checkpoint every k rounds (0 = never)",
-    )
-    parser.add_argument(
-        "--checkpoint-path", default=None,
-        help="where periodic checkpoints are written",
+        "--preset", choices=sorted(PRESETS),
+        help="scale preset for sizes/rounds; individual flags win",
     )
     parser.add_argument(
         "--resume", default=None, metavar="CHECKPOINT",
         help="resume a run from this checkpoint file",
     )
     parser.add_argument(
-        "--compile", action=argparse.BooleanOptionalAction, default=False,
+        "--plot", action="store_true", help="render an ASCII accuracy chart"
+    )
+
+    parser.add_argument("--dataset", choices=DATASET_NAMES)
+    parser.add_argument("--partition", help='e.g. "iid", "#C=2", "dir(0.5)"')
+    parser.add_argument("--alg", dest="algorithm", choices=ALGORITHM_NAMES)
+    parser.add_argument("--model")
+    parser.add_argument("--n-parties", dest="num_parties", type=int)
+    parser.add_argument("--comm-round", dest="num_rounds", type=int, help="rounds T")
+    parser.add_argument("--epochs", dest="local_epochs", type=int, help="local epochs E")
+    parser.add_argument("--batch-size", type=int)
+    parser.add_argument("--lr", type=float)
+    parser.add_argument(
+        "--mu", type=float, default=DEFAULT_MU, help="FedProx mu (fedprox only)"
+    )
+    parser.add_argument(
+        "--optimizer", choices=("sgd", "adam", "amsgrad"),
+        help="local optimizer (NIID-Bench's --optimizer)",
+    )
+    parser.add_argument(
+        "--sample", dest="sample_fraction", type=float,
+        help="party fraction per round",
+    )
+    parser.add_argument(
+        "--num-workers", type=int,
+        help="worker processes for client training (0 = serial)",
+    )
+    parser.add_argument(
+        "--executor", choices=("auto", "serial", "parallel", "stacked"),
+        help="client-execution backend (results are identical either way)",
+    )
+    parser.add_argument(
+        "--stack-size", type=int,
+        help="clients per batched replay stack for --executor=stacked",
+    )
+    parser.add_argument(
+        "--stacked-tolerance", type=float,
+        help="max drift the stacked executor's serial-vs-stacked check "
+        "accepts (0 = bitwise)",
+    )
+    parser.add_argument(
+        "--party-sampler", dest="sampler", choices=("uniform", "stratified"),
+        help="party sampling policy under partial participation",
+    )
+    parser.add_argument(
+        "--codec", choices=CODEC_NAMES,
+        help="update-compression codec for both transport directions",
+    )
+    parser.add_argument(
+        "--codec-bits", type=int, help="bit width for the qsgd codec (1-16)"
+    )
+    parser.add_argument(
+        "--codec-k", type=float,
+        help="kept fraction in (0, 1] for the topk/randk codecs",
+    )
+    parser.add_argument(
+        "--dropout-prob", type=float,
+        help="per-party per-round probability of dropping out",
+    )
+    parser.add_argument(
+        "--straggler-prob", type=float,
+        help="per-party per-round probability of running slow",
+    )
+    parser.add_argument(
+        "--straggler-factor", type=float,
+        help="straggler slowdown multiple (>= 1; fault-free round = 1.0)",
+    )
+    parser.add_argument(
+        "--crash-prob", type=float,
+        help="per-party per-round probability of crashing mid-training",
+    )
+    parser.add_argument(
+        "--deadline", type=float,
+        help="round deadline in fault-free-round units; stragglers "
+             "slower than this are dropped before dispatch",
+    )
+    parser.add_argument(
+        "--checkpoint-every", type=int,
+        help="write a run checkpoint every k rounds (0 = never)",
+    )
+    parser.add_argument(
+        "--checkpoint-path", help="where periodic checkpoints are written"
+    )
+    parser.add_argument(
+        "--compile", action=argparse.BooleanOptionalAction,
         help="capture & replay training steps (bitwise-identical, faster)",
     )
     parser.add_argument(
-        "--optimize", action=argparse.BooleanOptionalAction, default=True,
-        help="program optimizer for captured steps (arena planning, "
-             "dead-op elimination; bitwise-identical, on by default — "
-             "--no-optimize replays the unoptimized programs)",
-    )
-    parser.add_argument(
-        "--population", type=int, default=None, metavar="N",
+        "--population", type=int, metavar="N",
         help="virtual federation of N lazily-derived parties (flat memory; "
              "--partition is then ignored; --dataset/--alg default to "
              "mnist/fedavg)",
     )
     parser.add_argument(
-        "--sample-per-round", type=int, default=None, metavar="K",
+        "--sample-per-round", type=int, metavar="K",
         help="cohort size: parties concurrently in flight per round "
              "(default: --sample fraction of the population)",
     )
     parser.add_argument(
-        "--samples-per-client", type=int, default=64,
+        "--samples-per-client", type=int,
         help="local dataset size per virtual party",
     )
     parser.add_argument(
-        "--population-skew-beta", type=float, default=None,
+        "--population-skew-beta", type=float,
         help="Dirichlet(beta) label skew for virtual parties (default iid)",
     )
     parser.add_argument(
-        "--aggregation", default="sync", choices=("sync", "async"),
+        "--aggregation", choices=("sync", "async"),
         help="sync barrier rounds, or FedBuff-style buffered async over "
              "the virtual clock",
     )
     parser.add_argument(
-        "--buffer-size", type=int, default=None, metavar="M",
+        "--buffer-size", type=int, metavar="M",
         help="async buffer: aggregate after M arrivals (default: the "
              "cohort, i.e. an exact synchronous barrier)",
     )
     parser.add_argument(
-        "--staleness-exponent", type=float, default=0.0,
+        "--staleness-exponent", type=float,
         help="discount stale async updates by (1+staleness)^-a",
     )
-    parser.add_argument("--preset", default="bench", choices=sorted(PRESETS))
-    parser.add_argument("--init-seed", type=int, default=0)
-    parser.add_argument(
-        "--plot", action="store_true", help="render an ASCII accuracy chart"
-    )
+    parser.add_argument("--init-seed", dest="seed", type=int)
 
 
 def _build_kwargs(args) -> dict:
-    """Flags -> ``RunSpec.build`` keyword arguments (sans the cell key)."""
-    algorithm_kwargs = {"mu": args.mu} if args.alg == "fedprox" else None
-    return dict(
-        model=args.model,
-        num_parties=args.n_parties,
-        preset=PRESETS[args.preset],
-        num_rounds=args.comm_round,
-        local_epochs=args.epochs,
-        batch_size=args.batch_size,
-        lr=args.lr,
-        sample_fraction=args.sample,
-        sampler=args.party_sampler,
-        optimizer=args.optimizer,
-        executor=args.executor,
-        num_workers=args.num_workers,
-        stack_size=args.stack_size,
-        stacked_tolerance=args.stacked_tolerance,
-        codec=args.codec,
-        codec_bits=args.codec_bits,
-        codec_k=args.codec_k,
-        dropout_prob=args.dropout_prob,
-        straggler_prob=args.straggler_prob,
-        straggler_factor=args.straggler_factor,
-        crash_prob=args.crash_prob,
-        deadline=args.deadline,
-        checkpoint_every=args.checkpoint_every,
-        checkpoint_path=args.checkpoint_path,
-        compile=args.compile,
-        optimize=args.optimize,
-        population=args.population,
-        sample_per_round=args.sample_per_round,
-        samples_per_client=args.samples_per_client,
-        population_skew_beta=args.population_skew_beta,
-        aggregation=args.aggregation,
-        buffer_size=args.buffer_size,
-        staleness_exponent=args.staleness_exponent,
-        algorithm_kwargs=algorithm_kwargs,
-    )
+    """Flags -> ``RunSpec.build`` keywords: every knob flag the user gave.
+
+    A parsed attribute is a knob when its name is a flat override name.
+    """
+    names = overridable_names()
+    kwargs = {
+        name: value
+        for name, value in vars(args).items()
+        if name in names and value is not None
+    }
+    if kwargs.get("algorithm") != "fedprox":
+        kwargs.pop("mu", None)
+    return kwargs
 
 
 def _spec_from_args(args) -> RunSpec:
-    """Resolve an experiment command's arguments into a RunSpec."""
+    """Resolve an experiment command's arguments into a validated RunSpec."""
     if args.spec is not None:
         with open(args.spec) as handle:
             return RunSpec.from_dict(json.load(handle)).validate()
+    kwargs = _build_kwargs(args)
     if args.population is not None:
         # A virtual population derives party data itself, so the bare
         # `repro run --population N --aggregation async` works: default
         # the cell key instead of demanding flags the run ignores.
-        args.dataset = args.dataset or "mnist"
-        args.partition = args.partition or "iid"
-        args.alg = args.alg or "fedavg"
+        kwargs = {
+            "dataset": "mnist", "partition": "iid", "algorithm": "fedavg", **kwargs
+        }
     missing = [
         flag
-        for flag, value in (
-            ("--dataset", args.dataset),
-            ("--partition", args.partition),
-            ("--alg", args.alg),
+        for flag, name in (
+            ("--dataset", "dataset"),
+            ("--partition", "partition"),
+            ("--alg", "algorithm"),
         )
-        if value is None
+        if name not in kwargs
     ]
     if missing:
         raise SystemExit(
             f"error: {' / '.join(missing)} required (or pass --spec FILE)"
         )
-    return RunSpec.build(
-        args.dataset,
-        args.partition,
-        args.alg,
-        seed=args.init_seed,
-        **_build_kwargs(args),
-    )
+    return RunSpec.build(preset=PRESETS.get(args.preset), **kwargs).validate()
 
 
 def cmd_run(args) -> int:
@@ -367,7 +345,7 @@ def cmd_trials(args) -> int:
         store = ResultStore(args.store)
     summary = run_trials(
         num_trials=args.num_trials,
-        base_seed=args.init_seed if args.spec is None else spec.seed,
+        base_seed=spec.seed,
         store=store,
         spec=spec,
         jobs=args.jobs,

@@ -331,7 +331,7 @@ def bench_arena_plan(seed: int = 0, stack: int = 16) -> list[dict]:
     planner's own accounting (see
     :class:`~repro.grad.capture.ArenaPlanStats`): peak planned arena
     bytes vs the unplanned one-buffer-per-op arena, slot counts, and
-    dead ops eliminated.  ``reduction`` is the headline number — the
+    constants interned.  ``reduction`` is the headline number — the
     fraction of managed arena bytes the liveness coloring removed.
     """
     from repro.grad.capture import CaptureError, stacked_engine

@@ -2,9 +2,9 @@
 
 :func:`run_spec` executes one fully-resolved :class:`~repro.spec.RunSpec`
 — a single (dataset, partition, algorithm, ...) cell of the experimental
-matrix.  :func:`run_federated_experiment` is the stable keyword facade
-over it (flags in, spec out, run); ``run_trials`` repeats a cell over
-seeds and reports mean +- std, the paper's three-trial protocol.
+matrix.  :func:`run_federated_experiment` is the keyword door to it
+(knobs in, spec out, run); ``run_trials`` repeats a cell over seeds and
+reports mean +- std, the paper's three-trial protocol.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from repro.models import build_model
 from repro.partition import Partition, parse_strategy
 from repro.partition.base import Partitioner
 from repro.spec import RunSpec
-from repro.experiments.scale import BENCH, ScalePreset
 
 #: the paper tunes lr from {0.1, 0.01, 0.001}; rcv1 uses 0.1, the rest 0.01
 PAPER_LEARNING_RATES = {"rcv1": 0.1}
@@ -52,8 +51,8 @@ class ExperimentOutcome:
     info: DatasetInfo
     config: FederatedConfig
     #: the resolved spec this outcome was produced from (content address
-    #: via ``spec.run_id()``); None only on outcomes built by hand.
-    spec: RunSpec | None = None
+    #: via ``spec.run_id()``; the key :class:`ResultStore` saves it under)
+    spec: RunSpec
 
     @property
     def final_accuracy(self) -> float:
@@ -111,109 +110,21 @@ def run_spec(spec: RunSpec, resume: str | None = None) -> ExperimentOutcome:
     identical, and so are two specs differing only in ``spec.exec``.
     """
     spec.validate()
-    if spec.population.size is not None or spec.population.aggregation == "async":
-        return _run_population_spec(spec, resume)
-    partitioner = parse_strategy(spec.partition.strategy)
-
-    dataset_kwargs = dict(spec.data.kwargs)
-    if spec.data.n_train is not None:
-        dataset_kwargs["n_train"] = spec.data.n_train
-    if spec.data.n_test is not None:
-        dataset_kwargs["n_test"] = spec.data.n_test
-    train, test, info = load_dataset(
-        spec.data.name, seed=spec.seed, cache=True, **dataset_kwargs
+    # Population/async specs run on the event engine.  Its seed
+    # derivations mirror the sync server's exactly (dataset ``seed``,
+    # partition ``seed + 17``, clients ``seed + 29``, config ``seed + 41``,
+    # model ``seed + 53``), so an async-barrier run over materialized
+    # clients reproduces the sync server bit for bit.
+    on_event_engine = (
+        spec.population.size is not None or spec.population.aggregation == "async"
     )
-
-    # The partition draw is a pure function of (dataset, strategy, seed),
-    # so it shares the build cache; a cache hit skips the rng draw but is
-    # bitwise-identical to it by determinism.
-    partition_result = build_cache.cached_partition(
-        build_cache.partition_key(
-            build_cache.dataset_key(spec.data.name, spec.seed, dataset_kwargs),
-            spec.partition.strategy,
-            spec.partition.num_parties,
-            spec.seed + 17,
-        ),
-        lambda: partitioner.partition(
-            train, spec.partition.num_parties, np.random.default_rng(spec.seed + 17)
-        ),
-    )
-    clients = make_clients(partition_result, train, seed=spec.seed + 29, drop_empty=True)
-
-    config = _config_from_spec(spec)
-    net = build_model(spec.model.name, info, seed=spec.seed + 53, **spec.model.kwargs)
-    algo = make_algorithm(spec.algorithm.name, **spec.algorithm.kwargs)
-    with FederatedServer(net, algo, clients, config, test_dataset=test) as server:
-        if resume is not None:
-            server.resume(resume)
-            remaining = max(0, config.num_rounds - len(server.history))
-            history = server.fit(remaining)
-        else:
-            history = server.fit()
-
-    return ExperimentOutcome(
-        dataset=info.name,
-        partition=partition_result.strategy,
-        algorithm=spec.algorithm.name,
-        model=spec.model.name,
-        seed=spec.seed,
-        history=history,
-        partition_result=partition_result,
-        info=info,
-        config=config,
-        spec=spec,
-    )
-
-
-def _config_from_spec(spec: RunSpec) -> FederatedConfig:
-    """Resolve a spec's train/comm/faults/exec/population sections into a config."""
-    return FederatedConfig(
-        num_rounds=spec.train.num_rounds,
-        local_epochs=spec.train.local_epochs,
-        batch_size=spec.train.batch_size,
-        lr=spec.train.lr,
-        sample_fraction=spec.train.sample_fraction,
-        sampler=spec.train.sampler,
-        optimizer=spec.train.optimizer,
-        bn_policy=spec.train.bn_policy,
-        executor=spec.exec.executor,
-        num_workers=spec.exec.num_workers,
-        stack_size=spec.exec.stack_size,
-        stacked_tolerance=spec.exec.stacked_tolerance,
-        codec=spec.comm.codec,
-        codec_bits=spec.comm.bits,
-        codec_k=spec.comm.k,
-        dropout_prob=spec.faults.dropout_prob,
-        straggler_prob=spec.faults.straggler_prob,
-        straggler_factor=spec.faults.straggler_factor,
-        crash_prob=spec.faults.crash_prob,
-        deadline=spec.faults.deadline,
-        checkpoint_every=spec.exec.checkpoint_every,
-        checkpoint_path=spec.exec.checkpoint_path,
-        compile=spec.exec.compile,
-        optimize=spec.exec.optimize,
-        eval_every=spec.train.eval_every,
-        aggregation=spec.population.aggregation,
-        sample_per_round=spec.population.sample_per_round,
-        buffer_size=spec.population.buffer_size,
-        staleness_exponent=spec.population.staleness_exponent,
-        seed=spec.seed + 41,
-    )
-
-
-def _run_population_spec(spec: RunSpec, resume: str | None) -> ExperimentOutcome:
-    """Run a population/async spec through :class:`AsyncFederation`.
-
-    Seed derivations mirror the sync path exactly (dataset ``seed``,
-    clients ``seed + 29``, config ``seed + 41``, model ``seed + 53``) so
-    an async-barrier run over materialized clients reproduces the sync
-    server bit for bit.
-    """
-    if resume is not None:
+    if on_event_engine and (resume is not None or spec.exec.checkpoint_every > 0):
         raise ValueError(
-            "resume is not supported for async/population runs: the event "
-            "loop replays deterministically from the spec seed instead"
+            "resume and checkpoint_every are not supported for async/population "
+            "runs: AsyncFederation writes no checkpoints — the event loop "
+            "replays deterministically from the spec seed instead"
         )
+
     dataset_kwargs = dict(spec.data.kwargs)
     if spec.data.n_train is not None:
         dataset_kwargs["n_train"] = spec.data.n_train
@@ -239,6 +150,9 @@ def _run_population_spec(spec: RunSpec, resume: str | None) -> ExperimentOutcome
         )
     else:
         partitioner = parse_strategy(spec.partition.strategy)
+        # The partition draw is a pure function of (dataset, strategy,
+        # seed), so it shares the build cache; a cache hit skips the rng
+        # draw but is bitwise-identical to it by determinism.
         partition_result = build_cache.cached_partition(
             build_cache.partition_key(
                 build_cache.dataset_key(spec.data.name, spec.seed, dataset_kwargs),
@@ -247,22 +161,29 @@ def _run_population_spec(spec: RunSpec, resume: str | None) -> ExperimentOutcome
                 spec.seed + 17,
             ),
             lambda: partitioner.partition(
-                train,
-                spec.partition.num_parties,
-                np.random.default_rng(spec.seed + 17),
+                train, spec.partition.num_parties, np.random.default_rng(spec.seed + 17)
             ),
         )
         clients = make_clients(
             partition_result, train, seed=spec.seed + 29, drop_empty=True
         )
-        population = MaterializedPopulation(clients)
+        population = MaterializedPopulation(clients) if on_event_engine else None
         partition_label = partition_result.strategy
 
-    config = _config_from_spec(spec)
+    config = FederatedConfig.from_spec(spec)
     net = build_model(spec.model.name, info, seed=spec.seed + 53, **spec.model.kwargs)
     algo = make_algorithm(spec.algorithm.name, **spec.algorithm.kwargs)
-    with AsyncFederation(net, algo, population, config, test_dataset=test) as engine:
-        history = engine.fit()
+    if on_event_engine:
+        with AsyncFederation(net, algo, population, config, test_dataset=test) as engine:
+            history = engine.fit()
+    else:
+        with FederatedServer(net, algo, clients, config, test_dataset=test) as server:
+            if resume is not None:
+                server.resume(resume)
+                remaining = max(0, config.num_rounds - len(server.history))
+                history = server.fit(remaining)
+            else:
+                history = server.fit()
 
     return ExperimentOutcome(
         dataset=info.name,
@@ -283,118 +204,20 @@ def run_federated_experiment(
     partition: str | Partitioner,
     algorithm: str,
     *,
-    model: str = "default",
-    num_parties: int | None = None,
-    preset: ScalePreset = BENCH,
-    num_rounds: int | None = None,
-    local_epochs: int | None = None,
-    batch_size: int | None = None,
-    lr: float | None = None,
-    sample_fraction: float = 1.0,
-    sampler: str = "uniform",
-    optimizer: str = "sgd",
-    bn_policy: str = "average",
-    executor: str = "auto",
-    num_workers: int = 0,
-    codec: str = "identity",
-    codec_bits: int = 8,
-    codec_k: float = 0.1,
-    dropout_prob: float = 0.0,
-    straggler_prob: float = 0.0,
-    straggler_factor: float = 1.0,
-    crash_prob: float = 0.0,
-    deadline: float | None = None,
-    checkpoint_every: int = 0,
-    checkpoint_path: str | None = None,
-    compile: bool = False,
     resume: str | None = None,
-    seed: int = 0,
-    algorithm_kwargs: dict | None = None,
-    dataset_kwargs: dict | None = None,
-    eval_every: int = 1,
+    **knobs,
 ) -> ExperimentOutcome:
-    """Run one federated experiment cell (keyword facade over :func:`run_spec`).
+    """Run one federated experiment cell (keyword door to :func:`run_spec`).
 
-    This signature is frozen: only ``dataset``, ``partition`` and
-    ``algorithm`` are positional, and ``tools/lint.py`` rejects growth —
-    new axes are added as :class:`~repro.spec.RunSpec` fields, not here.
-    The call builds a spec with :meth:`RunSpec.build` and executes it, so
-    ``run_federated_experiment(**kw)`` and
-    ``run_spec(RunSpec.build(**kw))`` produce bitwise-identical
-    histories.
-
-    Parameters
-    ----------
-    dataset:
-        Paper dataset name (``mnist``, ``cifar10``, ``adult``, ...).
-    partition:
-        Strategy spec (``"#C=2"``, ``"dir(0.5)"``, ``"iid"``, ...) or a
-        :class:`Partitioner` instance.
-    algorithm:
-        ``fedavg`` / ``fedprox`` / ``scaffold`` / ``fednova`` / ``fedopt``.
-    model:
-        Model name, or ``"default"`` for the paper's per-modality choice.
-    num_parties:
-        Defaults to the paper's 10 (4 for FCUBE).
-    preset:
-        Scale preset for sizes/rounds; individual overrides win.
-    executor / num_workers:
-        Client-execution backend (see :mod:`repro.federated.executor`).
-        ``num_workers >= 2`` trains sampled parties in parallel worker
-        processes; results are bitwise identical to serial execution.
-    codec / codec_bits / codec_k:
-        Update-compression codec for both transport directions (see
-        :mod:`repro.comm`); the default ``identity`` is the paper's
-        uncompressed float32 wire.
-    dropout_prob / straggler_prob / straggler_factor / crash_prob / deadline:
-        Fault model knobs (see :mod:`repro.federated.faults`); all zero /
-        ``None`` by default, i.e. the fault-free synchronous protocol.
-    checkpoint_every / checkpoint_path:
-        Write a full run checkpoint to ``checkpoint_path`` every k rounds.
-    compile:
-        Capture & replay training/inference steps through preallocated
-        buffers (see :mod:`repro.grad.capture`); bitwise-identical to
-        eager execution, purely a speed knob.
-    resume:
-        Path of a checkpoint to load before training; the run continues
-        from the checkpointed round and only executes the remaining ones.
-    seed:
-        Controls dataset generation, partition draw, model init, sampling
-        and local shuffling — two runs with equal arguments are identical.
+    ``dataset`` / ``partition`` / ``algorithm`` name the cell; ``knobs``
+    are :meth:`RunSpec.build <repro.spec.RunSpec.build>` keywords —
+    ``preset``, ``num_parties`` and any flat override name
+    (:func:`repro.spec.overridable_names`); a misspelt one raises
+    ``KeyError`` listing them.  ``resume`` is the path of a checkpoint to
+    continue from.  ``run_federated_experiment(**kw)`` and
+    ``run_spec(RunSpec.build(**kw))`` produce bitwise-identical histories.
     """
-    spec = RunSpec.build(
-        dataset,
-        partition,
-        algorithm,
-        model=model,
-        num_parties=num_parties,
-        preset=preset,
-        num_rounds=num_rounds,
-        local_epochs=local_epochs,
-        batch_size=batch_size,
-        lr=lr,
-        sample_fraction=sample_fraction,
-        sampler=sampler,
-        optimizer=optimizer,
-        bn_policy=bn_policy,
-        executor=executor,
-        num_workers=num_workers,
-        codec=codec,
-        codec_bits=codec_bits,
-        codec_k=codec_k,
-        dropout_prob=dropout_prob,
-        straggler_prob=straggler_prob,
-        straggler_factor=straggler_factor,
-        crash_prob=crash_prob,
-        deadline=deadline,
-        checkpoint_every=checkpoint_every,
-        checkpoint_path=checkpoint_path,
-        compile=compile,
-        seed=seed,
-        algorithm_kwargs=algorithm_kwargs,
-        dataset_kwargs=dataset_kwargs,
-        eval_every=eval_every,
-    )
+    spec = RunSpec.build(dataset, partition, algorithm, **knobs)
     return run_spec(spec, resume=resume)
 
 

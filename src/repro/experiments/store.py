@@ -8,10 +8,6 @@ files.  Each record embeds the full resolved spec, which makes the store
 self-describing: ``completed(spec)`` answers "has this exact experiment
 been run?" and lets sweeps and the Table 3 driver resume a half-finished
 matrix without re-running a single cell.
-
-Files written before content addressing existed (named
-``dataset__partition__algorithm__seed.json``, no embedded spec) still
-load: every read path treats ``spec``/``run_id`` as optional.
 """
 
 from __future__ import annotations
@@ -19,7 +15,6 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-import re
 import warnings
 
 from repro.federated.history import History
@@ -30,7 +25,7 @@ from repro.experiments.runner import ExperimentOutcome, TrialSummary
 
 def outcome_to_dict(outcome: ExperimentOutcome) -> dict:
     """Serialize an outcome to plain JSON-compatible data."""
-    data = {
+    return {
         "dataset": outcome.dataset,
         "partition": outcome.partition,
         "algorithm": outcome.algorithm,
@@ -59,29 +54,13 @@ def outcome_to_dict(outcome: ExperimentOutcome) -> dict:
             "codec_bits": outcome.config.codec_bits,
             "codec_k": outcome.config.codec_k,
         },
+        "spec": outcome.spec.to_dict(),
+        "run_id": outcome.spec.run_id(),
     }
-    if outcome.spec is not None:
-        data["spec"] = outcome.spec.to_dict()
-        data["run_id"] = outcome.spec.run_id()
-    return data
-
-
-def _normalize_record(record: dict) -> dict:
-    """Legacy loader shim: older records carry no spec/run_id keys."""
-    record.setdefault("spec", None)
-    record.setdefault("run_id", None)
-    return record
 
 
 class StoreWarning(UserWarning):
     """A store file could not be read; the record was skipped, not raised."""
-
-
-#: filename shape of content-addressed records: ``<prefix>__<run_id>.json``.
-#: Files named this way embed the run_id their name carries, so a
-#: run_id lookup never needs to open them — only legacy or hand-renamed
-#: files (which don't match) can hide a hash inside.
-_CANONICAL_NAME = re.compile(r"^.+__[0-9a-f]{16}\.json$")
 
 
 class ResultStore:
@@ -91,27 +70,11 @@ class ResultStore:
         self.root = pathlib.Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
 
-    def _path(self, outcome: ExperimentOutcome) -> pathlib.Path:
-        if outcome.spec is not None:
-            return self._spec_path(outcome.spec)
-        return self._legacy_path(
-            outcome.dataset, outcome.partition, outcome.algorithm, outcome.seed
-        )
-
     def _spec_path(self, spec: RunSpec) -> pathlib.Path:
         # Readable prefix for humans; the run_id suffix is the key.
         return self.root / (
             f"{spec.data.name}__{spec.algorithm.name}__{spec.run_id()}.json"
         )
-
-    def _legacy_path(
-        self, dataset: str, partition: str, algorithm: str, seed: int
-    ) -> pathlib.Path:
-        safe_partition = (
-            partition.replace("/", "_").replace("(", "_").replace(")", "")
-            .replace("#", "C").replace("~", "-").replace("=", "-").replace(",", "_")
-        )
-        return self.root / f"{dataset}__{safe_partition}__{algorithm}__{seed}.json"
 
     def save(self, outcome: ExperimentOutcome) -> pathlib.Path:
         """Write a record atomically: a reader never sees a partial file.
@@ -121,9 +84,10 @@ class ResultStore:
         leaves at most an orphaned temp file (invisible to the
         ``*.json`` globs every read path uses) and two processes racing
         on the same run_id end with one intact record — last writer
-        wins whole, never interleaved.
+        wins whole, never interleaved.  The record is keyed by
+        ``outcome.spec``, which every runner-produced outcome carries.
         """
-        path = self._path(outcome)
+        path = self._spec_path(outcome.spec)
         payload = json.dumps(outcome_to_dict(outcome), indent=2)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         tmp.write_text(payload)
@@ -133,7 +97,7 @@ class ResultStore:
     def _load(self, path: pathlib.Path) -> dict | None:
         """Parse one record file; warn and return None if unreadable."""
         try:
-            return _normalize_record(json.loads(path.read_text()))
+            return json.loads(path.read_text())
         except (json.JSONDecodeError, UnicodeDecodeError, OSError) as error:
             warnings.warn(
                 f"skipping unreadable result file {path}: {error}",
@@ -147,13 +111,10 @@ class ResultStore:
 
         Matches on ``run_id``, so the lookup is insensitive to the
         ``exec`` section (a serially-computed result satisfies a
-        parallel run's query) and blind to legacy records, which carry
-        no content hash.  The lookup is O(1)-ish in the store size: the
-        run_id is in the filename, so a miss globs for the
-        ``*__{run_id}.json`` suffix and only falls back to opening the
-        handful of legacy/renamed files whose names carry no hash —
-        it never re-parses every canonical record the way the old full
-        scan did (which made a fresh N-cell matrix O(N²) in JSON loads).
+        parallel run's query).  The lookup is O(1)-ish in the store
+        size: the run_id is the filename's suffix, so a miss is one
+        ``*__{run_id}.json`` glob that opens nothing — a fresh N-cell
+        matrix costs O(N) lookups, never O(N²) JSON loads.
         """
         run_id = spec.run_id()
         path = self._spec_path(spec)
@@ -165,14 +126,7 @@ class ResultStore:
         # from another store; any canonical name carries the hash.
         for candidate in sorted(self.root.glob(f"*__{run_id}.json")):
             record = self._load(candidate)
-            if record is not None and record["run_id"] == run_id:
-                return record
-        # Legacy or hand-renamed files hide their hash (if any) inside.
-        for candidate in sorted(self.root.glob("*.json")):
-            if _CANONICAL_NAME.match(candidate.name):
-                continue
-            record = self._load(candidate)
-            if record is not None and record["run_id"] == run_id:
+            if record is not None and record.get("run_id") == run_id:
                 return record
         return None
 
@@ -220,11 +174,11 @@ class ResultStore:
         return out
 
     def specs(self) -> list[RunSpec]:
-        """The resolved specs of every content-addressed record."""
+        """The resolved specs of every record that embeds one."""
         return [
             RunSpec.from_dict(record["spec"])
             for record in self.records()
-            if record["spec"] is not None
+            if "spec" in record
         ]
 
     def histories(

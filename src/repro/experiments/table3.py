@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from repro.federated.algorithms.fedprox import DEFAULT_MU
 from repro.spec import RunSpec
 from repro.experiments.leaderboard import Leaderboard
 from repro.experiments.runner import TrialSummary, run_trials
@@ -67,7 +68,7 @@ def table3_specs(
     preset: ScalePreset = BENCH,
     num_trials: int = 1,
     base_seed: int = 0,
-    fedprox_mu: float = 0.01,
+    fedprox_mu: float = DEFAULT_MU,
 ) -> dict[tuple[str, str, str], list[RunSpec]]:
     """Enumerate the selected matrix as specs, without running anything.
 
@@ -100,7 +101,7 @@ def run_table3(
     preset: ScalePreset = BENCH,
     num_trials: int = 1,
     base_seed: int = 0,
-    fedprox_mu: float = 0.01,
+    fedprox_mu: float = DEFAULT_MU,
     store=None,
     progress=None,
     jobs: int = 1,
@@ -173,7 +174,9 @@ def _run_table3_scheduled(
     one flat list of trial specs, so a 3-trial cell does not serialize
     behind a barrier.  The leaderboard regenerates live from the store:
     as the last trial of a cell lands, the cell's summary is read back
-    from saved records and streamed to ``progress``.
+    from saved records and streamed to ``progress``.  Cells join the
+    board in matrix order, not completion order, so tied cells rank the
+    same on every invocation (and the same as a ``jobs=1`` run).
     """
     import tempfile
 
@@ -196,8 +199,7 @@ def _run_table3_scheduled(
             for key, specs in cells.items()
             for spec in specs
         }
-        board = Leaderboard()
-        announced = set()
+        summaries: dict[tuple[str, str, str], TrialSummary] = {}
 
         def finish_cell(key) -> None:
             dataset, partition, algorithm = key
@@ -208,8 +210,7 @@ def _run_table3_scheduled(
                 summary.accuracies.append(
                     float(store.get(spec)["final_accuracy"])
                 )
-            board.add(summary)
-            announced.add(key)
+            summaries[key] = summary
             if progress is not None:
                 progress(dataset, partition, algorithm, summary)
 
@@ -219,7 +220,7 @@ def _run_table3_scheduled(
             key = cell_of[event.run_id]
             remaining = trials_left[key]
             remaining.discard(event.run_id)
-            if not remaining and key not in announced:
+            if not remaining and key not in summaries:
                 finish_cell(key)
 
         all_specs = [spec for specs in cells.values() for spec in specs]
@@ -228,7 +229,9 @@ def _run_table3_scheduled(
         ).raise_on_failure()
         # Belt and braces: a cell whose events were lost with a killed
         # worker is still complete in the store.
+        board = Leaderboard()
         for key in cells:
-            if key not in announced:
+            if key not in summaries:
                 finish_cell(key)
+            board.add(summaries[key])
     return board

@@ -21,12 +21,16 @@ from repro.federated.config import FederatedConfig
 from repro.federated.trainer import run_local_training
 
 
+#: the proximal weight used when none is given (also the CLI's ``--mu``)
+DEFAULT_MU = 0.01
+
+
 class FedProx(FedAvg):
     """FedAvg plus a proximal term of weight ``mu`` in the local objective."""
 
     name = "fedprox"
 
-    def __init__(self, mu: float = 0.01):
+    def __init__(self, mu: float = DEFAULT_MU):
         if mu < 0:
             raise ValueError(f"mu must be non-negative, got {mu}")
         self.mu = mu

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -137,12 +137,6 @@ class FederatedConfig:
         :mod:`repro.grad.capture`).  Replays are bitwise identical to
         eager execution, so this is purely a speed knob; models using
         unsupported ops (e.g. dropout) transparently stay eager.
-    optimize:
-        Run the program optimizer on captured steps (liveness-planned
-        buffer arena, dead-op elimination, constant interning).  On by
-        default and bitwise-identical by construction; set False to
-        reproduce unoptimized programs exactly.  No effect unless
-        ``compile`` is on.
     aggregation:
         ``"sync"`` — the classic barrier round (Algorithm 1, the paper's
         protocol); ``"async"`` — FedBuff-style buffered aggregation on
@@ -202,12 +196,30 @@ class FederatedConfig:
     checkpoint_every: int = 0
     checkpoint_path: str | None = None
     compile: bool = False
-    optimize: bool = True
     aggregation: str = "sync"
     sample_per_round: int | None = None
     buffer_size: int | None = None
     staleness_exponent: float = 0.0
-    extra: dict = field(default_factory=dict)
+
+    @classmethod
+    def from_spec(cls, spec) -> "FederatedConfig":
+        """The config a :class:`~repro.spec.RunSpec` runs under.
+
+        Every config field whose name is a flat override name
+        (:data:`repro.spec.OVERRIDE_PATHS`) is read from the spec section
+        that declares it; the rest keep their defaults.  The one
+        derivation is the seed: sampling and local shuffling draw from
+        ``spec.seed + 41`` so they stay independent of the dataset,
+        partition and model streams.
+        """
+        from repro.spec import OVERRIDE_PATHS
+
+        values = {}
+        for f in fields(cls):
+            section, attr = OVERRIDE_PATHS.get(f.name, (None, None))
+            if section is not None:
+                values[f.name] = getattr(getattr(spec, section), attr)
+        return cls(seed=spec.seed + 41, **values)
 
     def __post_init__(self):
         if self.num_rounds <= 0:
@@ -266,7 +278,7 @@ class FederatedConfig:
 
         if self.codec not in CODEC_NAMES:
             raise ValueError(
-                f"codec must be one of {CODEC_NAMES}, got {self.codec!r}"
+                f"unknown codec {self.codec!r}; available: {list(CODEC_NAMES)}"
             )
         if not 1 <= self.codec_bits <= 16:
             raise ValueError(

@@ -40,12 +40,12 @@ def _cross_entropy_sum(logits: np.ndarray, targets: np.ndarray) -> float:
 
 
 def _evaluate_inner(
-    model: Module, dataset, batch_size: int, compiled: bool, optimize: bool = True
+    model: Module, dataset, batch_size: int, compiled: bool
 ) -> EvalResult:
     """Single-pass accuracy+loss; assumes eval mode is already set."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    engine = inference_engine(model, optimize=optimize) if compiled else None
+    engine = inference_engine(model) if compiled else None
     correct = 0
     total = 0.0
     with no_grad():
@@ -64,19 +64,17 @@ def evaluate(
     dataset,
     batch_size: int = 256,
     compiled: bool = False,
-    optimize: bool = True,
 ) -> EvalResult:
     """Accuracy and mean cross-entropy from one forward pass per batch.
 
     With ``compiled=True`` the forward is replayed through the model's
     cached inference program (captured on first use and reused across
     rounds); odd-shaped final batches transparently run eagerly.
-    ``optimize=False`` replays the unoptimized program (same bits).
     """
     was_training = model.training
     model.eval()
     try:
-        return _evaluate_inner(model, dataset, batch_size, compiled, optimize)
+        return _evaluate_inner(model, dataset, batch_size, compiled)
     finally:
         if was_training:
             model.train()

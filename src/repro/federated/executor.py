@@ -840,7 +840,7 @@ class StackedExecutor(SerialExecutor):
         features = first_client.dataset.features
         labels = first_client.dataset.labels
         batch = config.batch_size
-        program = stacked_engine(model, optimize=config.optimize).program(
+        program = stacked_engine(model).program(
             stack,
             np.zeros((batch,) + features.shape[1:], features.dtype),
             np.zeros((batch,), labels.dtype),

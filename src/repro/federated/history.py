@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -14,7 +14,7 @@ class RoundRecord:
     round_index: int
     test_accuracy: float | None
     train_loss: float
-    participants: list[int]
+    participants: list[int] = field(default_factory=list)
     #: total bytes shipped this round (both directions, all participants),
     #: measured from the encoded payloads of the run's codec
     #: (:mod:`repro.comm`) — the paper's communication-cost axis.
@@ -62,49 +62,31 @@ class RoundRecord:
     buffer_flush: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "round": self.round_index,
-            "test_accuracy": self.test_accuracy,
-            "train_loss": self.train_loss,
-            "participants": list(self.participants),
-            "bytes_communicated": self.bytes_communicated,
-            "client_steps": list(self.client_steps),
-            "bytes_down": self.bytes_down,
-            "bytes_up": self.bytes_up,
-            "client_bytes_up": list(self.client_bytes_up),
-            "sampled": list(self.sampled),
-            "dropped": list(self.dropped),
-            "drop_reasons": list(self.drop_reasons),
-            "slowdowns": list(self.slowdowns),
-            "fallback": self.fallback,
-            "virtual_time": self.virtual_time,
-            "staleness": list(self.staleness),
-            "buffer_flush": self.buffer_flush,
-        }
+        """Every field in declaration order (lists copied); the one
+        rename is ``round_index``, persisted as ``"round"``."""
+        out = {}
+        for name, key in _RECORD_KEYS:
+            value = getattr(self, name)
+            out[key] = list(value) if isinstance(value, list) else value
+        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "RoundRecord":
-        """Inverse of :meth:`to_dict`; tolerant of older persisted records."""
-        accuracy = data.get("test_accuracy")
-        return cls(
-            round_index=int(data["round"]),
-            test_accuracy=None if accuracy is None else float(accuracy),
-            train_loss=float(data["train_loss"]),
-            participants=[int(p) for p in data.get("participants", [])],
-            bytes_communicated=int(data.get("bytes_communicated", 0)),
-            client_steps=[int(s) for s in data.get("client_steps", [])],
-            bytes_down=int(data.get("bytes_down", 0)),
-            bytes_up=int(data.get("bytes_up", 0)),
-            client_bytes_up=[int(b) for b in data.get("client_bytes_up", [])],
-            sampled=[int(p) for p in data.get("sampled", [])],
-            dropped=[int(p) for p in data.get("dropped", [])],
-            drop_reasons=[str(r) for r in data.get("drop_reasons", [])],
-            slowdowns=[float(s) for s in data.get("slowdowns", [])],
-            fallback=data.get("fallback"),
-            virtual_time=float(data.get("virtual_time", 0.0)),
-            staleness=[int(s) for s in data.get("staleness", [])],
-            buffer_flush=int(data.get("buffer_flush", 0)),
-        )
+        """Inverse of :meth:`to_dict`; a field an older persisted record
+        lacks keeps its default."""
+        values = {}
+        for name, key in _RECORD_KEYS:
+            if key in data:
+                value = data[key]
+                values[name] = list(value) if isinstance(value, list) else value
+        return cls(**values)
+
+
+#: (field name, persisted key) of every RoundRecord field, in field order
+_RECORD_KEYS = tuple(
+    (f.name, "round" if f.name == "round_index" else f.name)
+    for f in fields(RoundRecord)
+)
 
 
 @dataclass

@@ -375,7 +375,6 @@ class FederatedServer:
             target,
             self.config.eval_batch_size,
             compiled=self.config.compile,
-            optimize=self.config.optimize,
         )
         return result.accuracy
 

@@ -131,11 +131,7 @@ def run_local_training(
     # Step capture & replay (see repro.grad.capture): the engine replays
     # full-size batches bitwise-identically and returns None for any other
     # shape (the ragged last batch), which then runs the eager path below.
-    engine = (
-        training_engine(model, optimize=config.optimize)
-        if config.compile
-        else None
-    )
+    engine = training_engine(model) if config.compile else None
     steps = 0
     total_loss = 0.0
     epochs = client.local_epochs if client.local_epochs is not None else config.local_epochs

@@ -31,12 +31,10 @@ Program optimizer
 Between compile and first replay an optimizer pass (on by default)
 plans the buffer arena: liveness analysis plus interval-graph coloring
 lets compile-time output buffers share storage once their last reader
-has run, backward ops whose gradients never reach a trainable
-parameter are dropped, and identical small constants are interned
-across programs.  Optimized programs run the same kernels in the same
-order on identically-laid-out buffers, so replay stays bitwise
-identical; ``optimize=False`` reproduces the unplanned programs
-exactly.
+has run, and identical small constants are interned across programs.
+Optimized programs run the same kernels in the same order on
+identically-laid-out buffers, so replay stays bitwise identical;
+``optimize=False`` reproduces the unplanned programs exactly.
 
 Fallback
 --------
@@ -217,7 +215,6 @@ class ArenaPlanStats:
         "unplanned_bytes",
         "slots_before",
         "slots_after",
-        "ops_eliminated",
         "constants_interned",
     )
 
@@ -228,14 +225,12 @@ class ArenaPlanStats:
         unplanned_bytes,
         slots_before,
         slots_after,
-        ops_eliminated,
         constants_interned,
     ):
         self.peak_bytes = peak_bytes
         self.unplanned_bytes = unplanned_bytes
         self.slots_before = slots_before
         self.slots_after = slots_after
-        self.ops_eliminated = ops_eliminated
         self.constants_interned = constants_interned
 
     @property
@@ -252,7 +247,6 @@ class ArenaPlanStats:
             "reduction": round(self.reduction, 4),
             "slots_before": int(self.slots_before),
             "slots_after": int(self.slots_after),
-            "ops_eliminated": int(self.ops_eliminated),
             "constants_interned": int(self.constants_interned),
         }
 
@@ -527,7 +521,6 @@ class _Compiler:
         self.labels = labels
         self.optimize = optimize
         self._planner: _ArenaPlanner | None = None
-        self._eliminated = 0
         self._interned = 0
         self._raw_slots = 0
         self._raw_bytes = 0
@@ -547,7 +540,6 @@ class _Compiler:
             for t, module, name, shape in tape.buffer_leaves
         }
         self._records = [rec for kind, rec in tape.entries if kind == "op"]
-        self._outs = {id(rec.out) for rec in self._records}
         self._recmap = {id(rec.out): rec for rec in self._records}
         consumers: dict[int, int] = {}
         for rec in self._records:
@@ -697,17 +689,11 @@ class _Compiler:
 
     # -- optimizer passes ------------------------------------------------
     def _schedule_backward(self) -> list:
-        """The backward records in execution order, minus dead ops.
+        """The backward records in execution order.
 
-        The order replicates the eager reverse-topological pass exactly;
-        with the optimizer on, ops whose gradients never transitively
-        reach a trainable Parameter (input-gradient chains, probes
-        through constants) are dropped before any buffer is planned.
-        Dropping them is bitwise-safe: the live/dead split is closed
-        under consumption — every consumer of a live node is itself live
-        — so no surviving accumulation loses a contributor.
+        The order replicates the eager reverse-topological pass exactly,
+        so replayed gradient accumulation matches it bit for bit.
         """
-        matters = self._grad_consumers() if self.optimize else None
         sched: list = []
         for node in reversed(self._toposort()):
             if node._backward is None:
@@ -715,36 +701,8 @@ class _Compiler:
             rec = self._recmap.get(id(node))
             if rec is None:
                 raise CaptureError("graph node missing from the tape")
-            if matters is not None and not matters.get(id(rec.out), False):
-                self._eliminated += 1
-                continue
             sched.append(rec)
         return sched
-
-    def _grad_consumers(self) -> dict[int, bool]:
-        """``id(out) -> does this op's gradient reach a trainable param``.
-
-        Computed in forward topological order: an op's gradient matters
-        iff some parent both requires grad and either is a trainable
-        Parameter or is an earlier op whose gradient matters.  Gradients
-        of non-parameter leaves are never surfaced by a replay, so
-        chains that only feed them are dead weight.
-        """
-        matters: dict[int, bool] = {}
-        for rec in self._records:
-            m = False
-            for p in rec.parents:
-                if not p.requires_grad:
-                    continue
-                if id(p) in self._outs:
-                    if matters.get(id(p)):
-                        m = True
-                        break
-                elif isinstance(p, Parameter):
-                    m = True
-                    break
-            matters[id(rec.out)] = m
-        return matters
 
     def _plan_arena(self, sched: list) -> None:
         """Collect liveness events in program order and color the arena."""
@@ -877,7 +835,6 @@ class _Compiler:
                 unplanned_bytes=self._raw_bytes,
                 slots_before=self._raw_slots,
                 slots_after=self._raw_slots,
-                ops_eliminated=0,
                 constants_interned=self._interned,
             )
         return ArenaPlanStats(
@@ -885,7 +842,6 @@ class _Compiler:
             unplanned_bytes=planner.dedicated_bytes,
             slots_before=len(planner.allocs),
             slots_after=len(planner.blocks),
-            ops_eliminated=self._eliminated,
             constants_interned=self._interned,
         )
 
@@ -2822,7 +2778,7 @@ def training_engine(model, optimize: bool = True) -> TrainingEngine:
     """The model's cached :class:`TrainingEngine` (created on first use).
 
     ``optimize=False`` compiles programs without the arena planner and
-    dead-op elimination (the ``--no-optimize`` escape hatch); optimized
+    constant interning (the planner's test reference); optimized
     and raw engines are cached independently.
     """
     cache = _engine_cache(model)

@@ -179,10 +179,6 @@ class ExecSpec:
     #: capture & replay training/inference steps (bitwise-identical to
     #: eager by contract, hence exec-section; see repro.grad.capture)
     compile: bool = False
-    #: run the program optimizer on captured steps (arena planning,
-    #: dead-op elimination, constant interning — bitwise-identical by
-    #: construction; ``--no-optimize`` is the escape hatch)
-    optimize: bool = True
 
 
 #: RunSpec section name -> section dataclass (the order of to_dict output)
@@ -198,54 +194,43 @@ SECTIONS = {
     "exec": ExecSpec,
 }
 
-#: flat override name -> (section, field) accepted by ``with_overrides``.
-#: ``seed`` lives on the RunSpec itself; ``mu`` is an algorithm-kwargs
-#: convenience alias registered separately below.
-OVERRIDE_PATHS: dict[str, tuple[str | None, str]] = {
+#: flat override names that are not simply the field's own name.  ``seed``
+#: lives on the RunSpec itself; ``mu`` (an algorithm-kwargs convenience)
+#: is handled by ``with_overrides`` directly.
+_ALIASES: dict[str, tuple[str | None, str]] = {
     "dataset": ("data", "name"),
-    "n_train": ("data", "n_train"),
-    "n_test": ("data", "n_test"),
     "dataset_kwargs": ("data", "kwargs"),
     "partition": ("partition", "strategy"),
-    "num_parties": ("partition", "num_parties"),
     "model": ("model", "name"),
     "model_kwargs": ("model", "kwargs"),
     "algorithm": ("algorithm", "name"),
     "algorithm_kwargs": ("algorithm", "kwargs"),
-    "num_rounds": ("train", "num_rounds"),
-    "local_epochs": ("train", "local_epochs"),
-    "batch_size": ("train", "batch_size"),
-    "lr": ("train", "lr"),
-    "optimizer": ("train", "optimizer"),
-    "sample_fraction": ("train", "sample_fraction"),
-    "sampler": ("train", "sampler"),
-    "bn_policy": ("train", "bn_policy"),
-    "eval_every": ("train", "eval_every"),
-    "codec": ("comm", "codec"),
     "codec_bits": ("comm", "bits"),
     "codec_k": ("comm", "k"),
-    "dropout_prob": ("faults", "dropout_prob"),
-    "straggler_prob": ("faults", "straggler_prob"),
-    "straggler_factor": ("faults", "straggler_factor"),
-    "crash_prob": ("faults", "crash_prob"),
-    "deadline": ("faults", "deadline"),
     "population": ("population", "size"),
-    "sample_per_round": ("population", "sample_per_round"),
-    "samples_per_client": ("population", "samples_per_client"),
     "population_skew_beta": ("population", "skew_beta"),
-    "aggregation": ("population", "aggregation"),
-    "buffer_size": ("population", "buffer_size"),
-    "staleness_exponent": ("population", "staleness_exponent"),
-    "executor": ("exec", "executor"),
-    "num_workers": ("exec", "num_workers"),
-    "stack_size": ("exec", "stack_size"),
-    "stacked_tolerance": ("exec", "stacked_tolerance"),
-    "checkpoint_every": ("exec", "checkpoint_every"),
-    "checkpoint_path": ("exec", "checkpoint_path"),
-    "compile": ("exec", "compile"),
-    "optimize": ("exec", "optimize"),
     "seed": (None, "seed"),
 }
+
+#: flat override name -> (section, field) accepted by ``with_overrides``:
+#: every section field under its own name unless :data:`_ALIASES` renames
+#: it.  A section field is the one declaration of a knob; this table,
+#: ``RunSpec.build``, ``FederatedConfig.from_spec`` and the CLI follow it.
+OVERRIDE_PATHS: dict[str, tuple[str | None, str]] = {
+    **{
+        f.name: (section, f.name)
+        for section, section_cls in SECTIONS.items()
+        for f in dataclasses.fields(section_cls)
+        if (section, f.name) not in _ALIASES.values()
+    },
+    **_ALIASES,
+}
+# Two sections declaring the same un-aliased field name would shadow one
+# another above; every field plus ``seed`` must stay individually reachable.
+assert len(OVERRIDE_PATHS) == 1 + sum(
+    len(dataclasses.fields(section_cls)) for section_cls in SECTIONS.values()
+), "ambiguous flat override name: add an _ALIASES entry"
+_FIELD_PATHS = frozenset(OVERRIDE_PATHS.values())
 
 
 def overridable_names() -> tuple[str, ...]:
@@ -296,52 +281,19 @@ class RunSpec:
         partition,
         algorithm: str,
         *,
-        model: str = "default",
-        num_parties: int | None = None,
         preset=None,
-        num_rounds: int | None = None,
-        local_epochs: int | None = None,
-        batch_size: int | None = None,
-        lr: float | None = None,
-        sample_fraction: float = 1.0,
-        sampler: str = "uniform",
-        optimizer: str = "sgd",
-        bn_policy: str = "average",
-        executor: str = "auto",
-        num_workers: int = 0,
-        stack_size: int = 16,
-        stacked_tolerance: float = 0.0,
-        codec: str = "identity",
-        codec_bits: int = 8,
-        codec_k: float = 0.1,
-        dropout_prob: float = 0.0,
-        straggler_prob: float = 0.0,
-        straggler_factor: float = 1.0,
-        crash_prob: float = 0.0,
-        deadline: float | None = None,
-        population: int | None = None,
-        sample_per_round: int | None = None,
-        samples_per_client: int = 64,
-        population_skew_beta: float | None = None,
-        aggregation: str = "sync",
-        buffer_size: int | None = None,
-        staleness_exponent: float = 0.0,
-        checkpoint_every: int = 0,
-        checkpoint_path: str | None = None,
-        compile: bool = False,
-        optimize: bool = True,
-        seed: int = 0,
-        algorithm_kwargs: dict | None = None,
-        model_kwargs: dict | None = None,
-        dataset_kwargs: dict | None = None,
-        eval_every: int = 1,
+        num_parties: int | None = None,
+        **overrides,
     ) -> "RunSpec":
-        """Resolve runner-style keyword arguments into a concrete spec.
+        """Resolve a cell key plus flat knob overrides into a concrete spec.
 
         This is the single place preset defaults, the per-dataset paper
         learning rate, and the partitioner's default party count are
         applied — the spec that comes out holds only concrete values, so
-        its :meth:`run_id` does not depend on how it was phrased.
+        its :meth:`run_id` does not depend on how it was phrased.  Every
+        other knob is a literal :meth:`with_overrides` name (``None``
+        means "keep the default"); an unknown name raises ``KeyError``
+        listing the valid ones.
 
         ``partition`` may be a strategy string or a
         :class:`~repro.partition.base.Partitioner` instance (recorded
@@ -362,14 +314,14 @@ class RunSpec:
         if num_parties is None:
             num_parties = partitioner.default_num_parties
 
-        dataset_kwargs = dict(dataset_kwargs or {})
+        dataset_kwargs = dict(overrides.pop("dataset_kwargs", None) or {})
         n_train = dataset_kwargs.pop("n_train", preset.n_train)
         n_test = dataset_kwargs.pop("n_test", preset.n_test)
         if dataset.lower().replace("-", "") == "fcube":
             # FCUBE is defined at its paper size; keep it unless asked.
             n_train = n_test = None
 
-        return cls(
+        base = cls(
             data=DataSpec(
                 name=dataset,
                 n_train=n_train,
@@ -377,51 +329,16 @@ class RunSpec:
                 kwargs=_freeze_kwargs(dataset_kwargs),
             ),
             partition=PartitionSpec(strategy=strategy, num_parties=num_parties),
-            model=ModelSpec(name=model, kwargs=_freeze_kwargs(model_kwargs)),
-            algorithm=AlgorithmSpec(
-                name=algorithm, kwargs=_freeze_kwargs(algorithm_kwargs)
-            ),
+            algorithm=AlgorithmSpec(name=algorithm),
             train=TrainSpec(
-                num_rounds=num_rounds if num_rounds is not None else preset.num_rounds,
-                local_epochs=(
-                    local_epochs if local_epochs is not None else preset.local_epochs
-                ),
-                batch_size=batch_size if batch_size is not None else preset.batch_size,
-                lr=lr if lr is not None else paper_lr_for(dataset),
-                optimizer=optimizer,
-                sample_fraction=sample_fraction,
-                sampler=sampler,
-                bn_policy=bn_policy,
-                eval_every=eval_every,
+                num_rounds=preset.num_rounds,
+                local_epochs=preset.local_epochs,
+                batch_size=preset.batch_size,
+                lr=paper_lr_for(dataset),
             ),
-            comm=CommSpec(codec=codec, bits=codec_bits, k=codec_k),
-            faults=FaultSpec(
-                dropout_prob=dropout_prob,
-                straggler_prob=straggler_prob,
-                straggler_factor=straggler_factor,
-                crash_prob=crash_prob,
-                deadline=deadline,
-            ),
-            population=PopulationSpec(
-                size=population,
-                sample_per_round=sample_per_round,
-                samples_per_client=samples_per_client,
-                skew_beta=population_skew_beta,
-                aggregation=aggregation,
-                buffer_size=buffer_size,
-                staleness_exponent=staleness_exponent,
-            ),
-            exec=ExecSpec(
-                executor=executor,
-                num_workers=num_workers,
-                stack_size=stack_size,
-                stacked_tolerance=stacked_tolerance,
-                checkpoint_every=checkpoint_every,
-                checkpoint_path=checkpoint_path,
-                compile=compile,
-                optimize=optimize,
-            ),
-            seed=seed,
+        )
+        return base.with_overrides(
+            **{name: value for name, value in overrides.items() if value is not None}
         )
 
     # -- serialization --------------------------------------------------
@@ -495,30 +412,26 @@ class RunSpec:
         flat: dict[str, Any] = {}
         for name, value in overrides.items():
             if name == "mu":
-                merged = dict(self.algorithm.kwargs)
-                merged["mu"] = value
-                per_section.setdefault("algorithm", {})["kwargs"] = merged
-                continue
-            if "." in name:
-                section, attr = name.split(".", 1)
-                if section not in SECTIONS or attr not in {
-                    f.name for f in dataclasses.fields(SECTIONS[section])
-                }:
-                    raise KeyError(
-                        f"cannot override {name!r}; overridable: "
-                        f"{list(overridable_names())} or section.field paths"
-                    )
-            elif name in OVERRIDE_PATHS:
-                section, attr = OVERRIDE_PATHS[name]
-            else:
+                continue  # merged into algorithm.kwargs below
+            path = OVERRIDE_PATHS.get(name) or tuple(name.split(".", 1))
+            if path not in _FIELD_PATHS:
                 raise KeyError(
                     f"cannot override {name!r}; overridable: "
                     f"{list(overridable_names())} or section.field paths"
                 )
+            section, attr = path
             if section is None:
                 flat[attr] = value
             else:
+                if attr == "kwargs":
+                    value = _freeze_kwargs(value)
                 per_section.setdefault(section, {})[attr] = value
+        if "mu" in overrides:
+            pending = per_section.setdefault("algorithm", {})
+            pending["kwargs"] = {
+                **pending.get("kwargs", self.algorithm.kwargs),
+                "mu": overrides["mu"],
+            }
         replacements: dict[str, Any] = dict(flat)
         for section, attrs in per_section.items():
             replacements[section] = dataclasses.replace(
@@ -547,16 +460,18 @@ class RunSpec:
     # -- validation ------------------------------------------------------
 
     def validate(self) -> "RunSpec":
-        """Check names against the component registries and basic ranges.
+        """Check names against the component registries, then every range.
 
         Returns ``self`` so call sites can chain
-        ``RunSpec.from_dict(...).validate()``.  Deeper numeric checks
-        (codec bit ranges, fault probabilities, ...) happen in
-        :class:`repro.federated.config.FederatedConfig` at run time.
+        ``RunSpec.from_dict(...).validate()``.  Only the checks a spec
+        alone can make live here (registry names, the partition string,
+        the population's shape); numeric ranges are declared once, in
+        :class:`repro.federated.config.FederatedConfig`, and surface here
+        by building the config the run would use.
         """
-        from repro.comm.codecs import CODECS
         from repro.data.registry import DATASETS
         from repro.federated.algorithms import ALGORITHMS
+        from repro.federated.config import FederatedConfig
         from repro.models.registry import MODELS
         from repro.partition import parse_strategy
 
@@ -576,11 +491,6 @@ class RunSpec:
                 f"unknown algorithm {self.algorithm.name!r}; "
                 f"available: {list(ALGORITHMS.names())}"
             )
-        if self.comm.codec not in CODECS:
-            problems.append(
-                f"unknown codec {self.comm.codec!r}; "
-                f"available: {list(CODECS.names())}"
-            )
         try:
             parse_strategy(self.partition.strategy)
         except ValueError as error:
@@ -589,40 +499,21 @@ class RunSpec:
             problems.append(
                 f"num_parties must be positive, got {self.partition.num_parties}"
             )
-        for attr in ("num_rounds", "local_epochs", "batch_size"):
-            if getattr(self.train, attr) <= 0:
-                problems.append(
-                    f"train.{attr} must be positive, got {getattr(self.train, attr)}"
-                )
-        if self.train.lr <= 0:
-            problems.append(f"train.lr must be positive, got {self.train.lr}")
-        if not 0.0 < self.train.sample_fraction <= 1.0:
-            problems.append(
-                "train.sample_fraction must be in (0, 1], "
-                f"got {self.train.sample_fraction}"
-            )
         pop = self.population
-        if pop.aggregation not in ("sync", "async"):
-            problems.append(
-                "population.aggregation must be 'sync' or 'async', "
-                f"got {pop.aggregation!r}"
-            )
         if pop.size is not None and pop.size <= 0:
             problems.append(
                 f"population.size must be positive, got {pop.size}"
             )
-        if pop.sample_per_round is not None:
-            if pop.sample_per_round <= 0:
-                problems.append(
-                    "population.sample_per_round must be positive, "
-                    f"got {pop.sample_per_round}"
-                )
-            elif pop.size is not None and pop.sample_per_round > pop.size:
-                problems.append(
-                    f"population.sample_per_round ({pop.sample_per_round}) "
-                    f"exceeds population.size ({pop.size}): cannot sample "
-                    "more clients per round than the population holds"
-                )
+        if (
+            pop.size is not None
+            and pop.sample_per_round is not None
+            and pop.sample_per_round > pop.size
+        ):
+            problems.append(
+                f"population.sample_per_round ({pop.sample_per_round}) "
+                f"exceeds population.size ({pop.size}): cannot sample "
+                "more clients per round than the population holds"
+            )
         if pop.samples_per_client <= 0:
             problems.append(
                 "population.samples_per_client must be positive, "
@@ -632,24 +523,10 @@ class RunSpec:
             problems.append(
                 f"population.skew_beta must be positive, got {pop.skew_beta}"
             )
-        if pop.buffer_size is not None:
-            if pop.buffer_size <= 0:
-                problems.append(
-                    f"population.buffer_size must be positive, got {pop.buffer_size}"
-                )
-            elif (
-                pop.sample_per_round is not None
-                and pop.buffer_size > pop.sample_per_round
-            ):
-                problems.append(
-                    f"population.buffer_size ({pop.buffer_size}) exceeds the "
-                    f"cohort (sample_per_round={pop.sample_per_round})"
-                )
-        if pop.staleness_exponent < 0:
-            problems.append(
-                "population.staleness_exponent must be non-negative, "
-                f"got {pop.staleness_exponent}"
-            )
+        try:
+            FederatedConfig.from_spec(self)
+        except ValueError as error:
+            problems.append(str(error))
         if problems:
             raise ValueError("invalid RunSpec:\n  " + "\n  ".join(problems))
         return self

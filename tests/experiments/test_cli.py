@@ -170,6 +170,34 @@ class TestNewCommands:
         with pytest.raises(SystemExit):
             main(["run", "--preset", "smoke"])
 
+    def test_bad_exec_knob_fails_at_print_spec_time(self):
+        # Range checks live once, on FederatedConfig; validate() surfaces
+        # them before any compute — even when only printing the spec.
+        argv = [
+            "run", "--dataset", "adult", "--partition", "iid", "--alg", "fedavg",
+            "--preset", "smoke", "--print-spec",
+        ]
+        with pytest.raises(ValueError, match="invalid RunSpec:\n.*stack_size"):
+            main([*argv, "--stack-size", "1"])
+        with pytest.raises(ValueError, match="invalid RunSpec:\n.*num_workers >= 2"):
+            main([*argv, "--executor", "parallel"])
+
+    def test_population_run_rejects_checkpointing(self, tmp_path):
+        """AsyncFederation has no checkpoint path: asking for one must fail
+        loudly, not exit 0 having written nothing."""
+        checkpoint = tmp_path / "x"
+        with pytest.raises(ValueError, match="checkpoint_every.*not supported"):
+            main(
+                [
+                    "run",
+                    "--population", "1000",
+                    "--aggregation", "async",
+                    "--checkpoint-every", "5",
+                    "--checkpoint-path", str(checkpoint),
+                ]
+            )
+        assert not checkpoint.exists()
+
     def test_trials_store_resume(self, capsys, tmp_path):
         argv = [
             "trials",

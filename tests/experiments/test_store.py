@@ -131,10 +131,30 @@ class TestContentAddressing:
         assert store.completed(parallel)
 
     def test_get_falls_back_to_embedded_run_id(self, outcome, tmp_path):
+        # A record copied in under another prefix is still found by its
+        # run_id suffix, and accepted on the run_id it embeds.
+        store = ResultStore(tmp_path)
+        path = store.save(outcome)
+        run_id = outcome.spec.run_id()
+        copied = path.with_name(f"copied__elsewhere__{run_id}.json")
+        path.rename(copied)
+        assert store.completed(outcome.spec)
+        # The suffix alone is not trusted: the embedded run_id must agree.
+        record = json.loads(copied.read_text())
+        record["run_id"] = "0" * 16
+        copied.write_text(json.dumps(record))
+        assert not store.completed(outcome.spec)
+
+    def test_record_without_run_id_suffix_is_invisible_to_get(
+        self, outcome, tmp_path
+    ):
+        # Lookups go by the filename's run_id suffix alone: they never
+        # open a file whose name does not end in the run_id.
         store = ResultStore(tmp_path)
         path = store.save(outcome)
         path.rename(path.with_name("renamed-by-hand.json"))
-        assert store.completed(outcome.spec)
+        assert not store.completed(outcome.spec)
+        assert len(store.records()) == 1  # analysis surfaces still see it
 
     def test_history_reloads(self, outcome, tmp_path):
         store = ResultStore(tmp_path)
@@ -188,15 +208,14 @@ class TestRobustness:
         assert store.completed(outcome.spec)
 
     def test_miss_never_parses_canonical_records(self, outcome, tmp_path):
-        """The resume path is O(legacy files), not O(store size): a miss
-        globs for the run_id suffix and only opens files whose names
-        carry no hash — re-checking a fresh N-cell matrix stays O(N),
-        not O(N²) JSON loads."""
+        """The resume path is O(1), not O(store size): a miss globs for
+        the run_id suffix and opens nothing — re-checking a fresh N-cell
+        matrix stays O(N), not O(N²) JSON loads."""
         store = ResultStore(tmp_path)
         store.save(outcome)
-        legacy = outcome_to_dict(outcome)
-        del legacy["spec"], legacy["run_id"]
-        (tmp_path / "legacy__by__hand__1.json").write_text(json.dumps(legacy))
+        (tmp_path / "named__by__hand__1.json").write_text(
+            json.dumps(outcome_to_dict(outcome))
+        )
 
         opened = []
         original = ResultStore._load
@@ -211,13 +230,14 @@ class TestRobustness:
             assert store.get(miss) is None
         finally:
             ResultStore._load = original
-        assert opened == ["legacy__by__hand__1.json"]
+        assert opened == []
 
 
 class TestLegacyRecords:
     def test_pre_spec_files_still_load(self, outcome, tmp_path):
-        import json
-
+        """A record written before content addressing (no embedded spec,
+        no run_id in its name) is never a cache hit, but the analysis
+        surfaces still read it."""
         store = ResultStore(tmp_path)
         legacy = outcome_to_dict(outcome)
         del legacy["spec"]
@@ -226,12 +246,8 @@ class TestLegacyRecords:
             json.dumps(legacy)
         )
         (record,) = store.records()
-        assert record["spec"] is None
-        assert record["run_id"] is None
         assert record["final_accuracy"] == outcome.final_accuracy
-        # Legacy records carry no hash, so they never satisfy completed().
         assert not store.completed(outcome.spec)
         assert store.specs() == []
-        # But analysis surfaces still see them.
         assert len(store.histories(dataset="adult")) == 1
         assert store.leaderboard().settings == [("adult", "homogeneous")]

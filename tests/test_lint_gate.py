@@ -1,4 +1,4 @@
-"""Tests for the facade-freeze check in ``tools/lint.py``."""
+"""Tests for the structural gates in ``tools/lint.py``."""
 
 import importlib.util
 from pathlib import Path
@@ -8,45 +8,6 @@ REPO = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("lint_gate", REPO / "tools" / "lint.py")
 lint = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(lint)
-
-
-class TestFacadeFreeze:
-    def test_current_facade_passes(self):
-        assert lint.check_facade_frozen(REPO / lint.FACADE_FILE) == []
-
-    def test_positional_growth_rejected(self, tmp_path):
-        bad = tmp_path / "runner.py"
-        bad.write_text(
-            "def run_federated_experiment(dataset, partition, algorithm, model):\n"
-            "    pass\n"
-        )
-        problems = lint.check_facade_frozen(bad)
-        assert len(problems) == 1
-        assert "positional" in problems[0]
-
-    def test_var_positional_rejected(self, tmp_path):
-        bad = tmp_path / "runner.py"
-        bad.write_text(
-            "def run_federated_experiment(dataset, partition, algorithm, *args):\n"
-            "    pass\n"
-        )
-        (problem,) = lint.check_facade_frozen(bad)
-        assert "*args" in problem
-
-    def test_keyword_only_growth_allowed(self, tmp_path):
-        good = tmp_path / "runner.py"
-        good.write_text(
-            "def run_federated_experiment(dataset, partition, algorithm, *,\n"
-            "                             model='default', new_axis=None):\n"
-            "    pass\n"
-        )
-        assert lint.check_facade_frozen(good) == []
-
-    def test_missing_facade_reported(self, tmp_path):
-        empty = tmp_path / "runner.py"
-        empty.write_text("x = 1\n")
-        (problem,) = lint.check_facade_frozen(empty)
-        assert "not found" in problem
 
 
 class TestEventRegistry:
@@ -99,60 +60,6 @@ class TestEventRegistry:
             "        pass\n"
         )
         assert lint.check_event_registry(good) == []
-
-
-class TestRoundRecordDicts:
-    def test_current_record_passes(self):
-        assert lint.check_round_record_dicts(REPO / lint.HISTORY_FILE) == []
-
-    def test_field_missing_from_to_dict_rejected(self, tmp_path):
-        bad = tmp_path / "history.py"
-        bad.write_text(
-            "class RoundRecord:\n"
-            "    round_index: int\n"
-            "    new_field: int = 0\n"
-            "    def to_dict(self):\n"
-            "        return {'round': self.round_index}\n"
-            "    @classmethod\n"
-            "    def from_dict(cls, data):\n"
-            "        return cls(round_index=data['round'], new_field=0)\n"
-        )
-        problems = lint.check_round_record_dicts(bad)
-        assert any("new_field" in p and "to_dict" in p for p in problems)
-
-    def test_field_missing_from_from_dict_rejected(self, tmp_path):
-        bad = tmp_path / "history.py"
-        bad.write_text(
-            "class RoundRecord:\n"
-            "    round_index: int\n"
-            "    new_field: int = 0\n"
-            "    def to_dict(self):\n"
-            "        return {'round': self.round_index, 'new': self.new_field}\n"
-            "    @classmethod\n"
-            "    def from_dict(cls, data):\n"
-            "        return cls(round_index=data['round'])\n"
-        )
-        problems = lint.check_round_record_dicts(bad)
-        assert any("new_field" in p and "from_dict" in p for p in problems)
-
-    def test_complete_record_passes(self, tmp_path):
-        good = tmp_path / "history.py"
-        good.write_text(
-            "class RoundRecord:\n"
-            "    round_index: int\n"
-            "    def to_dict(self):\n"
-            "        return {'round': self.round_index}\n"
-            "    @classmethod\n"
-            "    def from_dict(cls, data):\n"
-            "        return cls(round_index=data['round'])\n"
-        )
-        assert lint.check_round_record_dicts(good) == []
-
-    def test_missing_serializers_reported(self, tmp_path):
-        bad = tmp_path / "history.py"
-        bad.write_text("class RoundRecord:\n    round_index: int\n")
-        problems = lint.check_round_record_dicts(bad)
-        assert len(problems) == 2
 
 
 class TestTrackedArtifacts:

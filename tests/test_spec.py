@@ -20,6 +20,87 @@ from repro.spec import (
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
+#: One row per flat override name: a valid non-default value, the CLI
+#: flag that sets it (None = no flag), and companion knobs the value
+#: needs to be a valid run.  ``TestKnobLockstep`` drives every row
+#: through build / FederatedConfig.from_spec / the CLI / both run doors;
+#: ``TestRunId`` reads the same rows.  A new knob fails the suite until
+#: it has a row.
+KNOBS = {
+    "dataset": ("covtype", "--dataset", {}),
+    "n_train": (120, None, {}),
+    "n_test": (60, None, {}),
+    "dataset_kwargs": ({"mix": 0.3}, None, {}),
+    "partition": ("dir(0.5)", "--partition", {}),
+    "num_parties": (5, "--n-parties", {}),
+    "model": ("logistic", "--model", {}),
+    "model_kwargs": ({"hidden": [8, 4]}, None, {}),
+    "algorithm": ("fednova", "--alg", {}),
+    "algorithm_kwargs": ({"mu": 0.2}, None, {"algorithm": "fedprox"}),
+    "mu": (0.3, "--mu", {"algorithm": "fedprox"}),
+    "num_rounds": (3, "--comm-round", {}),
+    "local_epochs": (1, "--epochs", {}),
+    "batch_size": (16, "--batch-size", {}),
+    "lr": (0.05, "--lr", {}),
+    "optimizer": ("adam", "--optimizer", {}),
+    "sample_fraction": (0.5, "--sample", {}),
+    "sampler": ("stratified", "--party-sampler", {}),
+    "bn_policy": ("local", None, {}),
+    "eval_every": (2, None, {}),
+    "codec": ("qsgd", "--codec", {}),
+    "codec_bits": (4, "--codec-bits", {}),
+    "codec_k": (0.25, "--codec-k", {}),
+    "dropout_prob": (0.2, "--dropout-prob", {}),
+    "straggler_prob": (0.2, "--straggler-prob", {}),
+    "straggler_factor": (2.0, "--straggler-factor", {}),
+    "crash_prob": (0.1, "--crash-prob", {}),
+    "deadline": (1.5, "--deadline", {}),
+    "population": (20, "--population", {}),
+    "sample_per_round": (4, "--sample-per-round", {}),
+    "samples_per_client": (32, "--samples-per-client", {}),
+    "population_skew_beta": (0.5, "--population-skew-beta", {}),
+    "aggregation": ("async", "--aggregation", {}),
+    "buffer_size": (3, "--buffer-size", {}),
+    "staleness_exponent": (0.5, "--staleness-exponent", {}),
+    "executor": ("serial", "--executor", {}),
+    "num_workers": (2, "--num-workers", {}),
+    "stack_size": (8, "--stack-size", {}),
+    "stacked_tolerance": (1e-6, "--stacked-tolerance", {}),
+    "checkpoint_every": (2, "--checkpoint-every", {"checkpoint_path": "run.ckpt"}),
+    "checkpoint_path": ("run.ckpt", "--checkpoint-path", {}),
+    "compile": (True, "--compile", {}),
+    "seed": (7, "--init-seed", {}),
+}
+
+
+BASE_CELL = {"dataset": "adult", "partition": "iid", "algorithm": "fedavg"}
+
+
+def knob_cell(name=None) -> dict:
+    """Build keywords of the lockstep base cell, with knob ``name`` set."""
+    if name is None:
+        return dict(BASE_CELL)
+    value, _, needs = KNOBS[name]
+    return {**BASE_CELL, **needs, name: value}
+
+
+def knob_spec(name=None) -> RunSpec:
+    from repro.experiments.scale import SMOKE
+
+    return RunSpec.build(preset=SMOKE, **knob_cell(name))
+
+
+def knob_path(name) -> tuple:
+    """(section, field) behind a flat knob; ``mu`` lives in algorithm.kwargs."""
+    return ("algorithm", "kwargs") if name == "mu" else OVERRIDE_PATHS[name]
+
+
+def knob_value(spec: RunSpec, name):
+    """What ``spec`` holds for flat knob ``name``."""
+    section, attr = knob_path(name)
+    value = getattr(spec if section is None else getattr(spec, section), attr)
+    return value.get("mu") if name == "mu" else value
+
 
 def make_spec(**build_kwargs) -> RunSpec:
     from repro.experiments.scale import SMOKE
@@ -81,49 +162,17 @@ class TestRunId:
         int(run_id, 16)
 
     def test_every_scientific_override_changes_it(self):
-        spec = make_spec()
-        base = spec.run_id()
-        changed = {
-            "dataset": "mnist",
-            "n_train": 999,
-            "n_test": 111,
-            "partition": "#C=2",
-            "num_parties": 7,
-            "model": "mlp",
-            "algorithm": "scaffold",
-            "num_rounds": 99,
-            "local_epochs": 9,
-            "batch_size": 16,
-            "lr": 0.5,
-            "optimizer": "sgd_momentum",
-            "sample_fraction": 0.5,
-            "sampler": "weighted",
-            "bn_policy": "fedbn",
-            "eval_every": 5,
-            "codec": "qsgd",
-            "codec_bits": 4,
-            "codec_k": 0.25,
-            "dropout_prob": 0.3,
-            "straggler_prob": 0.2,
-            "straggler_factor": 0.5,
-            "crash_prob": 0.1,
-            "deadline": 1.5,
-            "seed": 12345,
-            "mu": 0.9,
-        }
-        for name, value in changed.items():
-            assert spec.with_overrides(**{name: value}).run_id() != base, name
+        base = knob_spec().run_id()
+        for name in KNOBS:
+            if knob_path(name)[0] != "exec":
+                assert knob_spec(name).run_id() != base, name
 
     def test_exec_fields_do_not_change_it(self):
-        spec = make_spec()
-        base = spec.run_id()
-        for name, value in {
-            "executor": "process",
-            "num_workers": 4,
-            "checkpoint_every": 2,
-            "checkpoint_path": "ckpt.npz",
-        }.items():
-            assert spec.with_overrides(**{name: value}).run_id() == base, name
+        base = knob_spec().run_id()
+        exec_knobs = [name for name in KNOBS if knob_path(name)[0] == "exec"]
+        assert len(exec_knobs) >= 7
+        for name in exec_knobs:
+            assert knob_spec(name).run_id() == base, name
 
     def test_stable_across_hash_seeds(self):
         """run_id survives process boundaries and PYTHONHASHSEED changes."""
@@ -183,6 +232,83 @@ class TestWithOverrides:
             fields = {f.name for f in dataclasses.fields(SECTIONS[section])}
             assert attr in fields, name
         assert "mu" in overridable_names()
+
+
+class TestKnobLockstep:
+    """One declaration per knob: every door reads the section field."""
+
+    def test_every_knob_has_a_row(self):
+        assert sorted(KNOBS) == list(overridable_names())
+
+    @pytest.mark.parametrize("name", sorted(KNOBS))
+    def test_build_lands_on_the_section_field(self, name):
+        value = KNOBS[name][0]
+        assert knob_value(knob_spec(), name) != value, "row value must be non-default"
+        assert knob_value(knob_spec(name), name) == value
+
+    @pytest.mark.parametrize("name", sorted(KNOBS))
+    def test_config_carries_every_field_it_shares(self, name):
+        import dataclasses
+
+        from repro.federated import FederatedConfig
+
+        spec = knob_spec(name)
+        config = FederatedConfig.from_spec(spec)
+        if name == "seed":
+            assert config.seed == spec.seed + 41
+        elif name in {f.name for f in dataclasses.fields(FederatedConfig)}:
+            assert getattr(config, name) == KNOBS[name][0]
+
+    def test_cli_restates_no_default(self):
+        from repro.cli import build_parser
+        from repro.federated.algorithms.fedprox import DEFAULT_MU
+
+        parsed = vars(build_parser().parse_args(["run"]))
+        flagged = {name for name in parsed if name in overridable_names()}
+        assert flagged == {name for name, row in KNOBS.items() if row[1]}
+        assert parsed.pop("mu") == DEFAULT_MU  # FedProx's own declaration
+        assert all(parsed[name] is None for name in flagged - {"mu"})
+
+    @pytest.mark.parametrize(
+        "name", sorted(name for name, row in KNOBS.items() if row[1])
+    )
+    def test_cli_flag_round_trips_through_print_spec(self, name, capsys):
+        from repro.cli import main
+
+        argv = ["run", "--preset", "smoke", "--print-spec"]
+        for knob, value in knob_cell(name).items():
+            argv.append(KNOBS[knob][1])
+            if value is not True:
+                argv.append(str(value))
+        assert main(argv) == 0
+        printed = RunSpec.from_dict(json.loads(capsys.readouterr().out))
+        assert printed == knob_spec(name)
+
+    @pytest.mark.parametrize("name", sorted(KNOBS))
+    def test_facade_and_run_spec_agree_bitwise(self, name, tmp_path, monkeypatch):
+        from repro.experiments import run_federated_experiment, run_spec
+        from repro.experiments.scale import SMOKE
+
+        monkeypatch.chdir(tmp_path)  # the checkpoint rows write run.ckpt
+        via_facade = run_federated_experiment(preset=SMOKE, **knob_cell(name))
+        via_spec = run_spec(knob_spec(name))
+        assert via_facade.spec == via_spec.spec
+        assert [r.to_dict() for r in via_facade.history.records] == [
+            r.to_dict() for r in via_spec.history.records
+        ]
+
+    @pytest.mark.parametrize("door", ["build", "facade", "with_overrides"])
+    def test_unknown_knob_lists_the_valid_names(self, door):
+        from repro.experiments import run_federated_experiment
+
+        with pytest.raises(KeyError, match="dropout_prob") as excinfo:
+            if door == "build":
+                RunSpec.build("adult", "iid", "fedavg", dropout=0.1)
+            elif door == "facade":
+                run_federated_experiment("adult", "iid", "fedavg", dropout=0.1)
+            else:
+                knob_spec().with_overrides(dropout=0.1)
+        assert "'dropout'" in str(excinfo.value)
 
 
 class TestBuild:

@@ -143,49 +143,6 @@ def _fallback(roots: list[str]) -> int:
     return 1 if problems else 0
 
 
-#: the frozen facade: only these parameters may be positional; every other
-#: parameter must be keyword-only.  New experiment axes belong on RunSpec.
-FACADE_FILE = Path("src/repro/experiments/runner.py")
-FACADE_NAME = "run_federated_experiment"
-FACADE_POSITIONAL = ("dataset", "partition", "algorithm")
-
-
-def check_facade_frozen(path: Path = FACADE_FILE) -> list[str]:
-    """Reject positional-parameter growth on the runner facade.
-
-    ``run_federated_experiment`` is the stable public entry point; adding
-    positional parameters would silently shift every existing call site.
-    This check pins the signature shape: exactly ``dataset, partition,
-    algorithm`` before the ``*``, everything else keyword-only.
-    """
-    if not path.is_file():
-        return [f"{path}: missing (facade-freeze check expects it here)"]
-    try:
-        tree = ast.parse(path.read_text(), filename=str(path))
-    except SyntaxError:
-        return []  # the syntax error is reported by the main lint pass
-    for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and node.name == FACADE_NAME:
-            positional = tuple(
-                arg.arg for arg in node.args.posonlyargs + node.args.args
-            )
-            if positional != FACADE_POSITIONAL:
-                return [
-                    f"{path}:{node.lineno}: {FACADE_NAME} must keep exactly "
-                    f"{FACADE_POSITIONAL} as positional parameters "
-                    f"(got {positional}); add new axes as keyword-only "
-                    "arguments backed by RunSpec fields instead"
-                ]
-            if node.args.vararg is not None:
-                return [
-                    f"{path}:{node.lineno}: {FACADE_NAME} must not grow "
-                    "*args; add new axes as keyword-only arguments backed "
-                    "by RunSpec fields instead"
-                ]
-            return []
-    return [f"{path}: {FACADE_NAME} not found (facade-freeze check)"]
-
-
 #: the executor registry: every concrete ClientExecutor must be buildable
 #: through make_executor, and must implement execute_round itself.
 EXECUTOR_FILE = Path("src/repro/federated/executor.py")
@@ -349,85 +306,6 @@ def check_event_registry(path: Path = ASYNC_ENGINE_FILE) -> list[str]:
     return problems
 
 
-#: the History round record: every dataclass field must survive the
-#: to_dict/from_dict persistence round trip, or stored runs silently lose
-#: that column.
-HISTORY_FILE = Path("src/repro/federated/history.py")
-RECORD_CLASS = "RoundRecord"
-
-
-def check_round_record_dicts(path: Path = HISTORY_FILE) -> list[str]:
-    """Every RoundRecord field must appear in to_dict and from_dict.
-
-    A field added to the dataclass but not threaded through both
-    serializers round-trips to its default, which corrupts persisted
-    histories without any error.  The check is syntactic: to_dict must
-    read ``self.<field>`` and from_dict must pass ``<field>=`` to the
-    constructor.
-    """
-    if not path.is_file():
-        return [f"{path}: missing (round-record check expects it here)"]
-    try:
-        tree = ast.parse(path.read_text(), filename=str(path))
-    except SyntaxError:
-        return []  # the syntax error is reported by the main lint pass
-    record = next(
-        (
-            node
-            for node in ast.walk(tree)
-            if isinstance(node, ast.ClassDef) and node.name == RECORD_CLASS
-        ),
-        None,
-    )
-    if record is None:
-        return [f"{path}: {RECORD_CLASS} not found (round-record check)"]
-    fields = [
-        item.target.id
-        for item in record.body
-        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
-    ]
-    methods = {
-        item.name: item
-        for item in record.body
-        if isinstance(item, ast.FunctionDef)
-    }
-    problems = []
-    for name in ("to_dict", "from_dict"):
-        if name not in methods:
-            problems.append(
-                f"{path}:{record.lineno}: {RECORD_CLASS}.{name} missing "
-                "(round-record check)"
-            )
-    if problems:
-        return problems
-    to_dict_reads = {
-        node.attr
-        for node in ast.walk(methods["to_dict"])
-        if isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    }
-    from_dict_kwargs = {
-        keyword.arg
-        for node in ast.walk(methods["from_dict"])
-        if isinstance(node, ast.Call)
-        for keyword in node.keywords
-        if keyword.arg is not None
-    }
-    for field in fields:
-        if field not in to_dict_reads:
-            problems.append(
-                f"{path}: {RECORD_CLASS}.{field} is never read in to_dict; "
-                "the field would not persist"
-            )
-        if field not in from_dict_kwargs:
-            problems.append(
-                f"{path}: {RECORD_CLASS}.{field} is never passed in "
-                "from_dict; reloaded histories would reset it to the default"
-            )
-    return problems
-
-
 #: the capture engine's optimizer rule table: the arena planner consults
 #: ``OP_RULES[kind]`` for liveness/aliasing facts, so a kernel kind the
 #: compiler handles but the table omits silently gets the conservative
@@ -577,10 +455,8 @@ def main(argv: list[str] | None = None) -> int:
     if code is None:
         code = _fallback(roots)
     structural_problems = (
-        check_facade_frozen()
-        + check_executor_registry()
+        check_executor_registry()
         + check_event_registry()
-        + check_round_record_dicts()
         + check_capture_rules()
         + check_tracked_artifacts()
     )
