@@ -548,9 +548,11 @@ def bench_round_bytes(seed: int = 0) -> list[dict]:
 #: population sizes for the flat-memory scaling column (fixed cohort)
 BENCH_POPULATION_SIZES = (1_000, 100_000, 1_000_000)
 
-#: the child process measuring one population point's peak RSS; its own
-#: ru_maxrss is the honest number — measuring in-process would fold every
-#: previously-run benchmark's allocations into the peak.
+#: the child process measuring one population point's peak RSS —
+#: measuring in-process would fold every previously-run benchmark's
+#: allocations into the peak.  It reads its own VmHWM: on Linux
+#: ru_maxrss survives fork+exec, so it would report the bench parent's
+#: peak instead (ru_maxrss is the fallback where /proc is absent).
 _ASYNC_CHILD = """
 import json, resource, sys, time
 from repro.spec import RunSpec
@@ -566,9 +568,15 @@ spec = RunSpec.build(
 start = time.perf_counter()
 outcome = run_spec(spec)
 wall = time.perf_counter() - start
+try:
+    with open("/proc/self/status") as status:
+        (hwm,) = (line for line in status if line.startswith("VmHWM:"))
+    peak_kb = int(hwm.split()[1])
+except (OSError, ValueError):
+    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 print(json.dumps({
     "wall_seconds": wall,
-    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+    "peak_rss_mb": peak_kb / 1024.0,
     "final_accuracy": outcome.final_accuracy,
 }))
 """
@@ -587,7 +595,7 @@ def bench_async_engine(
 
     - ``scaling`` — wall time and peak RSS of a full async run at a fixed
       cohort while the population grows 1k -> 100k -> 1M.  Each point runs
-      in a fresh subprocess so its ``ru_maxrss`` reflects that run alone;
+      in a fresh subprocess so its peak RSS reflects that run alone;
       the flat-memory claim is RSS staying put while the population grows
       three orders of magnitude.
     - ``buffer_sweep`` — wall time, virtual time, mean staleness and final

@@ -640,7 +640,7 @@ class StackedExecutor(SerialExecutor):
     first stacked group serially (:class:`StackedDriftError` on
     violation).  Parties that do not fit the stacking contract (ragged
     batches, armed crash faults, non-SGD optimizer, DP noise, models the
-    stacked compiler rejects) fall back to the serial path per party or
+    stacked compile rejects) fall back to the serial path per party or
     per group.
     """
 

@@ -17,7 +17,7 @@ kernel runs the *same NumPy calls on arrays of the same memory layout*:
   outputs (layout-preserving), filled with the same ufunc/``matmul``/
   reduction calls via ``out=``;
 * composite kernels (conv, pooling, cross-entropy) lazily warm their
-  scratch buffers on the first replay by evaluating the literal eager
+  product buffers on the first replay by evaluating the literal eager
   expression, then reuse those buffers with ``out=`` — so reductions see
   the same strides and produce the same pairwise-summation bits;
 * gradient accumulation mirrors :meth:`Tensor._accumulate`: the first
@@ -36,15 +36,31 @@ Optimized programs run the same kernels in the same order on
 identically-laid-out buffers, so replay stays bitwise identical;
 ``optimize=False`` reproduces the unplanned programs exactly.
 
+One op table, one compiler
+--------------------------
+Every op kind is one :func:`_op`-decorated builder that returns its
+forward and backward replay closures and declares its planner facts.
+Builders are written over ``lead``, the compiler's leading axes: ``()``
+for a serial :class:`CapturedStep`, ``(K,)`` for a :class:`StackedStep`
+that runs K clients' steps as single ``(K, ...)`` NumPy ops.  They
+index from the right or offset by ``len(lead)``, so a serial program
+issues exactly the single-client NumPy calls (there is no ``K = 1``
+axis: a batched GEMM need not match the 2-D one bit for bit, see
+:func:`stacked_matmul_is_exact`).
+
 Fallback
 --------
 Capture is best-effort.  Ops without a capture kernel (``abs``, ``clip``,
-``max``, indexing, ...), dropout (fresh mask per step), or a batch shape
-other than the first one seen simply invalidate the tape and the step
-runs eagerly — correctness never depends on capture succeeding.
+``max``, indexing, ...) or dropout (fresh mask per step) invalidate the
+tape, and a batch with fewer rows than the engine's program is never
+captured: those steps run eagerly — correctness never depends on
+capture succeeding.
 """
 
 from __future__ import annotations
+
+import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -87,7 +103,7 @@ class Tape:
     def record(self, kind, out, parents, meta) -> None:
         if self.failed is not None:
             return
-        if kind is None:
+        if kind not in _OPS:
             self.failed = "op without a capture kernel"
             return
         self.entries.append(("op", _OpRecord(kind, out, parents, meta)))
@@ -117,9 +133,13 @@ class _Cell:
 
 
 def _binout(cell: _Cell, fn, x, y):
-    """``fn(x, y)`` into a reused buffer; first call allocates eagerly."""
+    """``fn(x, y)`` into a reused buffer; first call allocates eagerly.
+
+    ``asarray`` because ufuncs return 0-d results as NumPy scalars,
+    which no later call could write through ``out=``.
+    """
     if cell.value is None:
-        cell.value = fn(x, y)
+        cell.value = np.asarray(fn(x, y))
     else:
         fn(x, y, out=cell.value)
     return cell.value
@@ -127,86 +147,15 @@ def _binout(cell: _Cell, fn, x, y):
 
 def _unout(cell: _Cell, fn, x):
     if cell.value is None:
-        cell.value = fn(x)
+        cell.value = np.asarray(fn(x))
     else:
         fn(x, out=cell.value)
     return cell.value
 
 
-_BINARY_UFUNCS = {
-    "add": np.add,
-    "sub": np.subtract,
-    "mul": np.multiply,
-    "div": np.divide,
-}
-_UNARY_UFUNCS = {
-    "neg": np.negative,
-    "exp": np.exp,
-    "log": np.log,
-    "sqrt": np.sqrt,
-    "tanh": np.tanh,
-}
-
-
 # ----------------------------------------------------------------------
-# Program optimizer: liveness rules, arena planner, constant interning
+# Program optimizer: arena planner, constant interning
 # ----------------------------------------------------------------------
-class _OpRule:
-    """Planner contract for one op kind.
-
-    ``may_alias`` asserts the forward kernel never reads any input
-    element after writing the corresponding output element, so the
-    planner may overlay ``out`` onto an input buffer whose last reader
-    is this very op (an exact same-shape/dtype in-place write).
-    ``bwd_reads`` lists which arena buffers the backward kernel still
-    needs at backward time: ``"in"`` = the parent slots, ``"out"`` = the
-    op's own output slot.  ``view`` marks ops whose output is a view of
-    the input's storage rather than a buffer of its own.
-    """
-
-    __slots__ = ("may_alias", "bwd_reads", "view")
-
-    def __init__(self, *, may_alias, bwd_reads=(), view=False):
-        self.may_alias = may_alias
-        self.bwd_reads = bwd_reads
-        self.view = view
-
-
-# One liveness rule per op kind the compilers handle; tools/lint.py
-# enforces that this table and the kernel tables never drift apart.
-OP_RULES = {
-    "add": _OpRule(may_alias=True, bwd_reads=()),
-    "sub": _OpRule(may_alias=True, bwd_reads=()),
-    "mul": _OpRule(may_alias=True, bwd_reads=("in",)),
-    "div": _OpRule(may_alias=True, bwd_reads=("in",)),
-    "neg": _OpRule(may_alias=True, bwd_reads=()),
-    "exp": _OpRule(may_alias=True, bwd_reads=("out",)),
-    "log": _OpRule(may_alias=True, bwd_reads=("in",)),
-    "sqrt": _OpRule(may_alias=True, bwd_reads=("out",)),
-    "tanh": _OpRule(may_alias=True, bwd_reads=("out",)),
-    "sigmoid": _OpRule(may_alias=True, bwd_reads=("out",)),
-    "relu": _OpRule(may_alias=True, bwd_reads=("in",)),
-    "pow": _OpRule(may_alias=False, bwd_reads=("in",)),
-    "sum": _OpRule(may_alias=False, bwd_reads=()),
-    "reshape": _OpRule(may_alias=False, bwd_reads=(), view=True),
-    "transpose": _OpRule(may_alias=False, bwd_reads=(), view=True),
-    "matmul": _OpRule(may_alias=False, bwd_reads=("in",)),
-    "conv2d": _OpRule(may_alias=False, bwd_reads=("in",)),
-    "max_pool2d": _OpRule(may_alias=False, bwd_reads=()),
-    "avg_pool2d": _OpRule(may_alias=False, bwd_reads=()),
-    "cross_entropy": _OpRule(may_alias=False, bwd_reads=()),
-}
-
-# Kinds whose forward kernel allocates its output buffer at compile time
-# (the only allocations the planner can color).  Composites bind views of
-# private scratch, ``pow`` rebinds per step, views alias their input.
-_PLANNED_KINDS = frozenset(
-    set(_BINARY_UFUNCS)
-    | set(_UNARY_UFUNCS)
-    | {"sigmoid", "sum", "matmul", "relu"}
-)
-
-
 class ArenaPlanStats:
     """What the program optimizer did to one compiled program."""
 
@@ -504,1099 +453,9 @@ class CapturedStep:
         return loss
 
 
-class _Compiler:
-    """Turns a :class:`Tape` into a :class:`CapturedStep`."""
-
-    def __init__(
-        self,
-        tape: Tape,
-        input_tensor: Tensor,
-        output: Tensor,
-        labels,
-        optimize: bool = True,
-    ):
-        self.tape = tape
-        self.input_tensor = input_tensor
-        self.output = output
-        self.labels = labels
-        self.optimize = optimize
-        self._planner: _ArenaPlanner | None = None
-        self._interned = 0
-        self._raw_slots = 0
-        self._raw_bytes = 0
-        self.slots: dict[int, int] = {}
-        self.arena: list = []
-        self.shapes: list = []
-        self.dtypes: list = []
-        self.gbufs: list = []
-        self.param_refresh: list = []
-        self.buffer_refresh: list = []
-        self.param_binds: list = []
-        self.input_slot: int | None = None
-        self.labels_slot: int | None = None
-        self._composite_bwd: dict[int, object] = {}
-        self._buffer_leaf_map = {
-            id(t): (module, name, shape)
-            for t, module, name, shape in tape.buffer_leaves
-        }
-        self._records = [rec for kind, rec in tape.entries if kind == "op"]
-        self._recmap = {id(rec.out): rec for rec in self._records}
-        consumers: dict[int, int] = {}
-        for rec in self._records:
-            for parent in rec.parents:
-                key = id(parent)
-                consumers[key] = consumers.get(key, 0) + 1
-        self._consumers = consumers
-        self.acc = self._make_acc()
-
-    # -- slots ----------------------------------------------------------
-    def _new_slot(self, shape, dtype) -> int:
-        slot = len(self.arena)
-        self.arena.append(None)
-        self.shapes.append(shape)
-        self.dtypes.append(dtype)
-        self.gbufs.append(None)
-        return slot
-
-    def slot(self, t: Tensor) -> int:
-        return self.slots[id(t)]
-
-    def _ensure_slot(self, t: Tensor, is_out: bool) -> int:
-        existing = self.slots.get(id(t))
-        if existing is not None:
-            return existing
-        slot = self._new_slot(t.data.shape, t.data.dtype)
-        self.slots[id(t)] = slot
-        if not is_out:
-            self._classify_leaf(t, slot)
-        return slot
-
-    def _classify_leaf(self, t: Tensor, slot: int) -> None:
-        if isinstance(t, Parameter):
-            self.param_refresh.append((slot, t))
-            self.param_binds.append((t, slot))
-        elif t is self.input_tensor:
-            self.input_slot = slot
-        elif id(t) in self._buffer_leaf_map:
-            module, name, shape = self._buffer_leaf_map[id(t)]
-            self.buffer_refresh.append((slot, module, name, shape))
-        else:
-            # Constant (coerced scalar, eps, 1/count, ...): snapshot once.
-            if self.optimize:
-                value, shared = _intern_constant(t.data)
-                self._interned += 1 if shared else 0
-                self.arena[slot] = value
-            else:
-                self.arena[slot] = np.array(t.data, copy=True)
-
-    def _make_acc(self):
-        shapes, dtypes, gbufs = self.shapes, self.dtypes, self.gbufs
-        # Plain-list flags: scalar indexing is measurably cheaper than on
-        # an ndarray in this per-gradient hot path.  Sized at compile end.
-        seen: list = []
-
-        def acc(slot, value, fresh=False):
-            if value.shape != shapes[slot]:
-                value = _unbroadcast(np.asarray(value), shapes[slot])
-            if seen[slot]:
-                gbufs[slot] += value
-            else:
-                # ``fresh`` marks values the kernel owns outright (a private
-                # cell or a per-step allocation, never a view of another
-                # slot's gradient): those are bound directly, skipping a
-                # full copy pass — same arithmetic, one less memory sweep.
-                # Later ``+=`` hits mutate the cell, which the owning kernel
-                # fully rewrites on its next execution anyway.
-                if (
-                    fresh
-                    and value.dtype == dtypes[slot]
-                    and value.flags.writeable
-                ):
-                    gbufs[slot] = value
-                else:
-                    buf = gbufs[slot]
-                    if buf is None:
-                        gbufs[slot] = value.astype(dtypes[slot], copy=True)
-                    else:
-                        np.copyto(buf, value)
-                seen[slot] = True
-
-        self._acc_seen = seen
-        return acc
-
-    # -- compile --------------------------------------------------------
-    def compile(self, with_backward: bool) -> CapturedStep:
-        if self.labels is not None:
-            self.labels_slot = self._new_slot(self.labels.shape, self.labels.dtype)
-
-        # Slot assignment precedes kernel construction so the planner can
-        # see the whole program (including the backward schedule) before
-        # any kernel closes over a concrete buffer.
-        for kind, entry in self.tape.entries:
-            if kind == "op":
-                for parent in entry.parents:
-                    self._ensure_slot(parent, is_out=False)
-                self._ensure_slot(entry.out, is_out=True)
-
-        if id(self.output) not in self.slots:
-            raise CaptureError("model output is not an op of the tape")
-
-        sched: list = []
-        seed = None
-        if with_backward:
-            if not self.output.requires_grad:
-                raise CaptureError("output does not require grad")
-            if self.output.data.size != 1:
-                raise CaptureError("backward capture needs a scalar loss")
-            seed = np.ones_like(self.output.data)
-            sched = self._schedule_backward()
-
-        if self.optimize:
-            self._plan_arena(sched)
-
-        forward_ops: list = []
-        for kind, entry in self.tape.entries:
-            if kind == "op":
-                forward_ops.append(self._forward_op(entry))
-            else:
-                forward_ops.append(self._bn_op(entry))
-
-        backward_ops: list = []
-        for rec in sched:
-            kernel = self._backward_op(rec)
-            if kernel is not None:
-                backward_ops.append(kernel)
-
-        self._acc_seen.extend([False] * len(self.arena))
-        gseen = self._acc_seen
-        return CapturedStep(
-            arena=self.arena,
-            forward_ops=forward_ops,
-            backward_ops=backward_ops,
-            param_refresh=self.param_refresh,
-            buffer_refresh=self.buffer_refresh,
-            param_binds=self.param_binds,
-            input_slot=self.input_slot,
-            labels_slot=self.labels_slot,
-            out_slot=self.slot(self.output),
-            gbufs=self.gbufs,
-            gseen=gseen,
-            gseen_false=[False] * len(self.arena),
-            seed=seed,
-            acc=self.acc,
-            stats=self._plan_stats(),
-        )
-
-    # -- optimizer passes ------------------------------------------------
-    def _schedule_backward(self) -> list:
-        """The backward records in execution order.
-
-        The order replicates the eager reverse-topological pass exactly,
-        so replayed gradient accumulation matches it bit for bit.
-        """
-        sched: list = []
-        for node in reversed(self._toposort()):
-            if node._backward is None:
-                continue
-            rec = self._recmap.get(id(node))
-            if rec is None:
-                raise CaptureError("graph node missing from the tape")
-            sched.append(rec)
-        return sched
-
-    def _plan_arena(self, sched: list) -> None:
-        """Collect liveness events in program order and color the arena."""
-        planner = _ArenaPlanner()
-        step = 0
-        for kind, entry in self.tape.entries:
-            if kind == "op":
-                rec = entry
-                for p in rec.parents:
-                    planner.read(self.slot(p), step)
-                o = self.slot(rec.out)
-                rule = OP_RULES.get(rec.kind)
-                if rule is not None and rule.view:
-                    planner.view(o, self.slot(rec.parents[0]))
-                elif self._peephole_src(rec) is not None:
-                    planner.alias(o, self.slot(rec.parents[0]), step)
-                else:
-                    spec = self._managed_spec(rec)
-                    if spec is not None and rule is not None:
-                        shape, dtype, strides = spec
-                        planner.define(
-                            o, shape, dtype, step, rule.may_alias, strides=strides
-                        )
-            else:
-                _, mean_t, var_t, _ = entry
-                sm = self.slots.get(id(mean_t))
-                sv = self.slots.get(id(var_t))
-                if sm is not None:
-                    planner.read(sm, step)
-                if sv is not None:
-                    planner.read(sv, step)
-            step += 1
-        for rec in sched:
-            rule = OP_RULES.get(rec.kind)
-            reads = rule.bwd_reads if rule is not None else ("in", "out")
-            if "out" in reads:
-                planner.read(self.slot(rec.out), step)
-            if "in" in reads:
-                for p in rec.parents:
-                    planner.read(self.slot(p), step)
-            if rec.kind == "relu":
-                # The bool mask lives only inside the backward kernel.
-                planner.define_keyed(
-                    id(rec), self._mask_shape(rec), bool, step, may_alias=False
-                )
-            step += 1
-        # The program output is handed to the caller after replay (the
-        # loss read, inference logits, stacked per-client losses), so its
-        # storage must survive the whole program.
-        planner.read(self.slot(self.output), step)
-        planner.plan()
-        self._planner = planner
-
-    def _peephole_src(self, rec: _OpRecord):
-        """The matmul record whose buffer a bias-add overwrites, or None.
-
-        Decided on static facts only (record kinds, consumer counts,
-        eager shapes), so the planner and the kernel builder always
-        agree on whether the peephole fires.
-        """
-        if rec.kind != "add":
-            return None
-        src_rec = self._recmap.get(id(rec.parents[0]))
-        if (
-            src_rec is not None
-            and src_rec.kind == "matmul"
-            and self._consumers.get(id(rec.parents[0])) == 1
-            and rec.parents[0] is not self.output
-            and src_rec.out.data.shape == rec.out.data.shape
-            and src_rec.out.data.dtype == rec.out.data.dtype
-        ):
-            return src_rec
-        return None
-
-    def _managed_spec(self, rec: _OpRecord):
-        """(shape, dtype, strides) of a colorable output buffer, or None.
-
-        The carved block view must be byte-for-byte the layout a
-        dedicated ``np.empty_like`` would produce: C-contiguous outputs
-        reshape straight out of the block (strides None), dense permuted
-        layouts (e.g. the NCHW view of a conv output flowing through
-        relu) are re-strided to the probed ``np.empty_like`` strides,
-        and anything non-dense stays unmanaged.
-        """
-        if rec.kind not in _PLANNED_KINDS:
-            return None
-        out = rec.out.data
-        if out.flags["C_CONTIGUOUS"]:
-            return out.shape, out.dtype, None
-        strides = _dense_layout(np.empty_like(out))
-        if strides is False:
-            return None
-        return out.shape, out.dtype, strides
-
-    def _mask_shape(self, rec: _OpRecord) -> tuple:
-        return rec.parents[0].data.shape
-
-    def _fresh_buf(self, rec: _OpRecord) -> np.ndarray:
-        return np.empty_like(rec.out.data)
-
-    def _out_buf(self, rec: _OpRecord) -> np.ndarray:
-        planner = self._planner
-        if planner is not None:
-            buf = planner.buffer(self.slot(rec.out))
-            if buf is not None:
-                return buf
-        buf = self._fresh_buf(rec)
-        if planner is None and self._managed_spec(rec) is not None:
-            self._raw_slots += 1
-            self._raw_bytes += buf.nbytes
-        return buf
-
-    def _mask_buf(self, rec: _OpRecord) -> np.ndarray:
-        planner = self._planner
-        if planner is not None:
-            buf = planner.keyed_buffer(id(rec))
-            if buf is not None:
-                return buf
-        mask = np.empty(self._mask_shape(rec), dtype=bool)
-        if planner is None:
-            self._raw_slots += 1
-            self._raw_bytes += mask.nbytes
-        return mask
-
-    def _plan_stats(self) -> ArenaPlanStats:
-        planner = self._planner
-        if planner is None:
-            return ArenaPlanStats(
-                peak_bytes=self._raw_bytes,
-                unplanned_bytes=self._raw_bytes,
-                slots_before=self._raw_slots,
-                slots_after=self._raw_slots,
-                constants_interned=self._interned,
-            )
-        return ArenaPlanStats(
-            peak_bytes=planner.planned_bytes,
-            unplanned_bytes=planner.dedicated_bytes,
-            slots_before=len(planner.allocs),
-            slots_after=len(planner.blocks),
-            constants_interned=self._interned,
-        )
-
-    def _toposort(self) -> list[Tensor]:
-        # Replicates Tensor.backward's DFS exactly, so the replayed
-        # accumulation order matches the eager one bit for bit.
-        ordered: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self.output, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                ordered.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in seen:
-                    stack.append((parent, False))
-        return ordered
-
-    # -- forward kernels ------------------------------------------------
-    def _forward_op(self, rec: _OpRecord):
-        kind = rec.kind
-        arena = self.arena
-        o = self.slot(rec.out)
-        srcs = [self.slot(p) for p in rec.parents]
-
-        if kind in _BINARY_UFUNCS:
-            fn = _BINARY_UFUNCS[kind]
-            a, b = srcs
-            buf = None
-            if kind == "add" and self._peephole_src(rec) is not None:
-                # Bias-add peephole: when the left operand is a matmul
-                # whose only reader is this add, the sum is written back
-                # into the matmul's buffer (the cachelines are still hot,
-                # and no backward kernel reads the pre-add values).  The
-                # matmul kernel was built earlier in program order, so
-                # its buffer is already bound.
-                buf = arena[a]
-            if buf is None:
-                buf = self._out_buf(rec)
-            arena[o] = buf
-
-            def run():
-                fn(arena[a], arena[b], out=buf)
-
-            return run
-
-        if kind in _UNARY_UFUNCS:
-            fn = _UNARY_UFUNCS[kind]
-            buf = self._out_buf(rec)
-            arena[o] = buf
-            (a,) = srcs
-
-            def run():
-                fn(arena[a], out=buf)
-
-            return run
-
-        if kind == "relu":
-            return self._relu(rec)
-
-        if kind == "sigmoid":
-            buf = self._out_buf(rec)
-            arena[o] = buf
-            (a,) = srcs
-            st: dict = {}
-
-            def run():
-                xv = arena[a]
-                t = st.get("t")
-                if t is None:
-                    t = np.exp(-xv)
-                    st["t"] = t
-                else:
-                    np.negative(xv, out=t)
-                    np.exp(t, out=t)
-                np.add(1.0, t, out=t)
-                np.divide(1.0, t, out=buf)
-
-            return run
-
-        if kind == "pow":
-            exponent = rec.meta["exponent"]
-            (a,) = srcs
-
-            def run():
-                # `x ** e` has ufunc fast paths `np.power` lacks; rerun
-                # the literal expression so the bits can never differ.
-                arena[o] = arena[a] ** exponent
-
-            return run
-
-        if kind == "sum":
-            axis = rec.meta["axis"]
-            keepdims = rec.meta["keepdims"]
-            buf = self._out_buf(rec)
-            arena[o] = buf
-            (a,) = srcs
-
-            def run():
-                arena[a].sum(axis=axis, keepdims=keepdims, out=buf)
-
-            return run
-
-        if kind == "reshape":
-            shape = rec.meta["shape"]
-            (a,) = srcs
-
-            def run():
-                arena[o] = arena[a].reshape(shape)
-
-            return run
-
-        if kind == "transpose":
-            axes = rec.meta["axes"]
-            (a,) = srcs
-
-            def run():
-                arena[o] = arena[a].transpose(axes)
-
-            return run
-
-        if kind == "matmul":
-            buf = self._out_buf(rec)
-            arena[o] = buf
-            a, b = srcs
-
-            def run():
-                np.matmul(arena[a], arena[b], out=buf)
-
-            return run
-
-        if kind == "conv2d":
-            return self._conv2d(rec)
-        if kind == "max_pool2d":
-            return self._max_pool2d(rec)
-        if kind == "avg_pool2d":
-            return self._avg_pool2d(rec)
-        if kind == "cross_entropy":
-            return self._cross_entropy(rec)
-
-        raise CaptureError(f"no forward kernel for op kind {kind!r}")
-
-    def _bn_op(self, entry):
-        module, mean_t, var_t, count = entry
-        if id(mean_t) not in self.slots or id(var_t) not in self.slots:
-            raise CaptureError("batch-norm stats missing from the tape")
-        sm = self.slot(mean_t)
-        sv = self.slot(var_t)
-        arena = self.arena
-
-        def run():
-            m = module.momentum
-            mean_arr = arena[sm]
-            var_arr = arena[sv]
-            unbiased = var_arr * (count / max(count - 1, 1))
-            module._set_buffer(
-                "running_mean",
-                (1 - m) * module.running_mean + m * mean_arr.reshape(-1),
-            )
-            module._set_buffer(
-                "running_var",
-                (1 - m) * module.running_var + m * unbiased.reshape(-1),
-            )
-            module._set_buffer(
-                "num_batches_tracked",
-                np.asarray(int(module.num_batches_tracked) + 1),
-            )
-
-        return run
-
-    # -- composite kernels ----------------------------------------------
-    def _register_bwd(self, rec, bwd, grad_needed: bool):
-        self._composite_bwd[id(rec)] = bwd if grad_needed else None
-
-    def _relu(self, rec: _OpRecord):
-        arena, acc, gbufs = self.arena, self.acc, self.gbufs
-        x_t = rec.parents[0]
-        a = self.slot(x_t)
-        o = self.slot(rec.out)
-        buf = self._out_buf(rec)
-        arena[o] = buf
-        mask = self._mask_buf(rec)
-        cell = _Cell()
-
-        def fwd():
-            # Bit-identical to np.where(x > 0, x, 0.0): for x <= 0 both
-            # pick the +0.0 operand, and positives pass through untouched.
-            np.maximum(arena[a], 0.0, out=buf)
-
-        def bwd():
-            # The input buffer is still intact at backward time, so the
-            # mask is derived here and skipped entirely in inference runs.
-            np.greater(arena[a], 0, out=mask)
-            acc(a, _binout(cell, np.multiply, gbufs[o], mask), fresh=True)
-
-        self._register_bwd(rec, bwd, x_t.requires_grad)
-        return fwd
-
-    def _conv2d(self, rec: _OpRecord):
-        arena, acc, gbufs = self.arena, self.acc, self.gbufs
-        meta = rec.meta
-        n, c, h, w = meta["image_shape"]
-        _, oc, oh, ow = meta["out_shape"]
-        kernel, stride, padding = meta["kernel"], meta["stride"], meta["padding"]
-        has_bias = meta["has_bias"]
-        x_t, w_t = rec.parents[0], rec.parents[1]
-        b_t = rec.parents[2] if has_bias else None
-        sx, sw = self.slot(x_t), self.slot(w_t)
-        sb = self.slot(b_t) if has_bias else None
-        o = self.slot(rec.out)
-        weight_shape = w_t.data.shape
-        st: dict = {}
-        gw_cell, gc_cell = _Cell(), _Cell()
-
-        def fwd():
-            x = arena[sx]
-            flat_weight = arena[sw].reshape(oc, -1)
-            img = x
-            if padding > 0:
-                padded = st.get("padded")
-                if padded is None:
-                    padded = np.zeros(
-                        (n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype
-                    )
-                    st["padded"] = padded
-                padded[:, :, padding : padding + h, padding : padding + w] = x
-                img = padded
-            strides = img.strides
-            windows = as_strided(
-                img,
-                shape=(n, c, oh, ow, kernel, kernel),
-                strides=(
-                    strides[0],
-                    strides[1],
-                    strides[2] * stride,
-                    strides[3] * stride,
-                    strides[2],
-                    strides[3],
-                ),
-                writeable=False,
-            )
-            cols6 = st.get("cols6")
-            if cols6 is None:
-                cols6 = np.empty((n, oh, ow, c, kernel, kernel), dtype=x.dtype)
-                st["cols6"] = cols6
-                st["cols2"] = cols6.reshape(n * oh * ow, c * kernel * kernel)
-            np.copyto(cols6, windows.transpose(0, 2, 3, 1, 4, 5))
-            cols2 = st["cols2"]
-            mm = st.get("mm")
-            if mm is None:
-                mm = cols2 @ flat_weight.T
-                st["mm"] = mm
-            else:
-                np.matmul(cols2, flat_weight.T, out=mm)
-            out_flat = mm
-            if has_bias:
-                bout = st.get("bout")
-                if bout is None:
-                    bout = out_flat + arena[sb]
-                    st["bout"] = bout
-                else:
-                    np.add(out_flat, arena[sb], out=bout)
-                out_flat = bout
-            arena[o] = out_flat.reshape(n, oh, ow, oc).transpose(0, 3, 1, 2)
-
-        x_req = x_t.requires_grad
-        w_req = w_t.requires_grad
-        b_req = has_bias and b_t.requires_grad
-
-        def col2im_replay(gc):
-            # Same slice-add sequence as F.col2im, but the columns are first
-            # rearranged into a (k, k, n, c, oh, ow)-contiguous scratch so
-            # each of the k*k adds streams over contiguous memory instead of
-            # stride-k*k gathers.  Contribution order per output element is
-            # unchanged, so the result is bit-identical.
-            gcT = st.get("gcT")
-            if gcT is None:
-                gcT = np.empty((kernel, kernel, n, c, oh, ow), dtype=gc.dtype)
-                st["gcT"] = gcT
-                st["gpad"] = np.zeros(
-                    (n, c, h + 2 * padding, w + 2 * padding), dtype=gc.dtype
-                )
-            np.copyto(
-                gcT,
-                gc.reshape(n, oh, ow, c, kernel, kernel).transpose(
-                    4, 5, 0, 3, 1, 2
-                ),
-            )
-            gpad = st["gpad"]
-            gpad.fill(0.0)
-            for ki in range(kernel):
-                h_stop = ki + stride * oh
-                for kj in range(kernel):
-                    w_stop = kj + stride * ow
-                    gpad[:, :, ki:h_stop:stride, kj:w_stop:stride] += gcT[ki, kj]
-            if padding > 0:
-                return gpad[:, :, padding:-padding, padding:-padding]
-            return gpad
-
-        def bwd():
-            g = gbufs[o]
-            grad_flat = g.transpose(0, 2, 3, 1).reshape(-1, oc)
-            cols2 = st["cols2"]
-            flat_weight = arena[sw].reshape(oc, -1)
-            if w_req:
-                gw = _binout(gw_cell, np.matmul, grad_flat.T, cols2)
-                acc(sw, gw.reshape(weight_shape), fresh=True)
-            if b_req:
-                acc(sb, grad_flat.sum(axis=0), fresh=True)
-            if x_req:
-                gc = _binout(gc_cell, np.matmul, grad_flat, flat_weight)
-                acc(sx, col2im_replay(gc), fresh=True)
-
-        self._register_bwd(rec, bwd, x_req or w_req or b_req)
-        return fwd
-
-    def _max_pool2d(self, rec: _OpRecord):
-        arena, acc, gbufs = self.arena, self.acc, self.gbufs
-        meta = rec.meta
-        kernel, stride = meta["kernel"], meta["stride"]
-        n, c, h, w = meta["image_shape"]
-        _, _, oh, ow = meta["out_shape"]
-        nc = n * c
-        x_t = rec.parents[0]
-        sx = self.slot(x_t)
-        o = self.slot(rec.out)
-        window = kernel * kernel
-        count = nc * oh * ow
-        rows = np.arange(count)
-        # Flat base of each patch row, and a static map from column-flat
-        # index to image-flat index (both depend only on the geometry).
-        flat_base = rows * window
-        ki, kj = np.divmod(np.arange(window), kernel)
-        b, rem = np.divmod(rows, oh * ow)
-        a_h, a_w = np.divmod(rem, ow)
-        col_to_img = (
-            b[:, None] * (h * w)
-            + (a_h[:, None] * stride + ki[None, :]) * w
-            + (a_w[:, None] * stride + kj[None, :])
-        ).ravel()
-        nonoverlap = stride >= kernel
-        st: dict = {}
-
-        def fwd():
-            as_batch = arena[sx].reshape(nc, 1, h, w)
-            strides = as_batch.strides
-            windows = as_strided(
-                as_batch,
-                shape=(nc, 1, oh, ow, kernel, kernel),
-                strides=(
-                    strides[0],
-                    strides[1],
-                    strides[2] * stride,
-                    strides[3] * stride,
-                    strides[2],
-                    strides[3],
-                ),
-                writeable=False,
-            )
-            cols6 = st.get("cols6")
-            if cols6 is None:
-                cols6 = np.empty((nc, oh, ow, 1, kernel, kernel), dtype=as_batch.dtype)
-                st["cols6"] = cols6
-                st["cols2"] = cols6.reshape(count, window)
-                st["arg"] = np.empty(count, dtype=np.intp)
-                st["idx"] = np.empty(count, dtype=np.intp)
-                st["out"] = np.empty((n, c, oh, ow), dtype=as_batch.dtype)
-            np.copyto(cols6, windows.transpose(0, 2, 3, 1, 4, 5))
-            cols2 = st["cols2"]
-            arg = np.argmax(cols2, axis=1, out=st["arg"])
-            # Single flat take instead of a two-array fancy gather.
-            idx = np.add(flat_base, arg, out=st["idx"])
-            out = st["out"]
-            np.take(cols2.reshape(-1), idx, out=out.reshape(-1))
-            arena[o] = out
-
-        def bwd():
-            g = gbufs[o]
-            if nonoverlap:
-                # Windows are disjoint, so col2im's scatter-add places each
-                # gradient exactly once: route it straight into the image.
-                # The explicit `+ 0.0` mirrors the `0.0 + v` of the add,
-                # which flushes a -0.0 gradient to +0.0.
-                gimg = st.get("gimg")
-                if gimg is None:
-                    gimg = np.empty(nc * h * w, dtype=g.dtype)
-                    st["gimg"] = gimg
-                    st["imgidx"] = np.empty(count, dtype=np.intp)
-                    st["gtmp"] = np.empty(count, dtype=g.dtype)
-                gimg.fill(0.0)
-                imgidx = np.take(col_to_img, st["idx"], out=st["imgidx"])
-                gtmp = np.add(g.reshape(-1), 0.0, out=st["gtmp"])
-                gimg[imgidx] = gtmp
-                acc(sx, gimg.reshape(n, c, h, w), fresh=True)
-                return
-            cols2 = st["cols2"]
-            gc = st.get("gc")
-            if gc is None:
-                gc = np.zeros_like(cols2)
-                st["gc"] = gc
-            else:
-                gc.fill(0.0)
-            gc[rows, st["arg"]] = g.reshape(-1)
-            grad_images = F.col2im(gc, (nc, 1, h, w), kernel, stride, 0)
-            acc(sx, grad_images.reshape(n, c, h, w), fresh=True)
-
-        self._register_bwd(rec, bwd, x_t.requires_grad)
-        return fwd
-
-    def _avg_pool2d(self, rec: _OpRecord):
-        arena, acc, gbufs = self.arena, self.acc, self.gbufs
-        meta = rec.meta
-        kernel, stride = meta["kernel"], meta["stride"]
-        n, c, h, w = meta["image_shape"]
-        _, _, oh, ow = meta["out_shape"]
-        nc = n * c
-        window = kernel * kernel
-        x_t = rec.parents[0]
-        sx = self.slot(x_t)
-        o = self.slot(rec.out)
-        st: dict = {}
-
-        def fwd():
-            as_batch = arena[sx].reshape(nc, 1, h, w)
-            strides = as_batch.strides
-            windows = as_strided(
-                as_batch,
-                shape=(nc, 1, oh, ow, kernel, kernel),
-                strides=(
-                    strides[0],
-                    strides[1],
-                    strides[2] * stride,
-                    strides[3] * stride,
-                    strides[2],
-                    strides[3],
-                ),
-                writeable=False,
-            )
-            cols6 = st.get("cols6")
-            if cols6 is None:
-                cols6 = np.empty((nc, oh, ow, 1, kernel, kernel), dtype=as_batch.dtype)
-                st["cols6"] = cols6
-                st["cols2"] = cols6.reshape(nc * oh * ow, window)
-            np.copyto(cols6, windows.transpose(0, 2, 3, 1, 4, 5))
-            cols2 = st["cols2"]
-            mean = st.get("mean")
-            if mean is None:
-                mean = cols2.mean(axis=1)
-                st["mean"] = mean
-            else:
-                cols2.mean(axis=1, out=mean)
-            arena[o] = mean.reshape(n, c, oh, ow)
-
-        def bwd():
-            g = gbufs[o]
-            grad_cols = np.repeat(g.reshape(-1, 1), window, axis=1) / window
-            grad_images = F.col2im(grad_cols, (nc, 1, h, w), kernel, stride, 0)
-            acc(sx, grad_images.reshape(n, c, h, w), fresh=True)
-
-        self._register_bwd(rec, bwd, x_t.requires_grad)
-        return fwd
-
-    def _cross_entropy(self, rec: _OpRecord):
-        arena, acc, gbufs = self.arena, self.acc, self.gbufs
-        reduction = rec.meta["reduction"]
-        targets = rec.meta["targets"]
-        if self.labels is None or targets is not self.labels:
-            raise CaptureError("cross_entropy targets are not the step labels")
-        logits_t = rec.parents[0]
-        n = logits_t.data.shape[0]
-        sl = self.slot(logits_t)
-        lt = self.labels_slot
-        o = self.slot(rec.out)
-        rows = np.arange(n)
-        st: dict = {}
-        gl_cell = _Cell()
-
-        def fwd():
-            logits = arena[sl]
-            tgt = arena[lt]
-            if "max" not in st:
-                st["max"] = logits.max(axis=1, keepdims=True)
-                st["shifted"] = logits - st["max"]
-                st["exp"] = np.exp(st["shifted"])
-                st["sumexp"] = st["exp"].sum(axis=1, keepdims=True)
-                st["ln"] = np.log(st["sumexp"][:, 0])
-                losses = st["ln"] - st["shifted"][rows, tgt]
-                st["losses"] = losses
-            else:
-                logits.max(axis=1, keepdims=True, out=st["max"])
-                np.subtract(logits, st["max"], out=st["shifted"])
-                np.exp(st["shifted"], out=st["exp"])
-                st["exp"].sum(axis=1, keepdims=True, out=st["sumexp"])
-                np.log(st["sumexp"][:, 0], out=st["ln"])
-                np.subtract(st["ln"], st["shifted"][rows, tgt], out=st["losses"])
-                losses = st["losses"]
-            if reduction == "none":
-                arena[o] = losses
-            elif reduction == "sum":
-                arena[o] = losses.sum()
-            else:
-                arena[o] = losses.mean()
-
-        def bwd():
-            g = gbufs[o]
-            tgt = arena[lt]
-            if reduction == "none":
-                scale = np.asarray(g).reshape(n, 1)
-            elif reduction == "mean":
-                scale = np.asarray(g) / n
-            else:
-                scale = np.asarray(g)
-            # exp is rewritten by the next forward replay, so the in-place
-            # softmax matches the eager closure exactly.
-            softmax = np.divide(st["exp"], st["sumexp"], out=st["exp"])
-            gl = _binout(gl_cell, np.multiply, softmax, scale)
-            if reduction == "none":
-                gl[rows, tgt] -= scale[:, 0]
-            else:
-                gl[rows, tgt] -= scale
-            acc(sl, gl, fresh=True)
-
-        self._register_bwd(rec, bwd, logits_t.requires_grad)
-        return fwd
-
-    # -- backward kernels ------------------------------------------------
-    def _backward_op(self, rec: _OpRecord):
-        if id(rec) in self._composite_bwd:
-            return self._composite_bwd[id(rec)]
-        kind = rec.kind
-        arena, acc, gbufs = self.arena, self.acc, self.gbufs
-        o = self.slot(rec.out)
-        srcs = [self.slot(p) for p in rec.parents]
-        reqs = [p.requires_grad for p in rec.parents]
-
-        if kind == "add":
-            a, b = srcs
-            ra, rb = reqs
-
-            def run():
-                g = gbufs[o]
-                if ra:
-                    acc(a, g)
-                if rb:
-                    acc(b, g)
-
-            return run
-
-        if kind == "neg":
-            (a,) = srcs
-            cell = _Cell()
-
-            def run():
-                acc(a, _unout(cell, np.negative, gbufs[o]), fresh=True)
-
-            return run
-
-        if kind == "sub":
-            a, b = srcs
-            ra, rb = reqs
-            cell = _Cell()
-
-            def run():
-                g = gbufs[o]
-                if ra:
-                    acc(a, g)
-                if rb:
-                    acc(b, _unout(cell, np.negative, g), fresh=True)
-
-            return run
-
-        if kind == "mul":
-            a, b = srcs
-            ra, rb = reqs
-            cell_a, cell_b = _Cell(), _Cell()
-
-            def run():
-                g = gbufs[o]
-                if ra:
-                    acc(a, _binout(cell_a, np.multiply, g, arena[b]), fresh=True)
-                if rb:
-                    acc(b, _binout(cell_b, np.multiply, g, arena[a]), fresh=True)
-
-            return run
-
-        if kind == "div":
-            a, b = srcs
-            ra, rb = reqs
-            cell = _Cell()
-
-            def run():
-                g = gbufs[o]
-                if ra:
-                    acc(a, _binout(cell, np.divide, g, arena[b]), fresh=True)
-                if rb:
-                    acc(b, -g * arena[a] / (arena[b] ** 2), fresh=True)
-
-            return run
-
-        if kind == "pow":
-            exponent = rec.meta["exponent"]
-            (a,) = srcs
-
-            def run():
-                acc(a, gbufs[o] * exponent * arena[a] ** (exponent - 1), fresh=True)
-
-            return run
-
-        if kind == "exp":
-            (a,) = srcs
-            cell = _Cell()
-
-            def run():
-                acc(a, _binout(cell, np.multiply, gbufs[o], arena[o]), fresh=True)
-
-            return run
-
-        if kind == "log":
-            (a,) = srcs
-            cell = _Cell()
-
-            def run():
-                acc(a, _binout(cell, np.divide, gbufs[o], arena[a]), fresh=True)
-
-            return run
-
-        if kind == "sqrt":
-            (a,) = srcs
-
-            def run():
-                acc(a, gbufs[o] / (2.0 * arena[o]), fresh=True)
-
-            return run
-
-        if kind == "tanh":
-            (a,) = srcs
-
-            def run():
-                acc(a, gbufs[o] * (1.0 - arena[o] ** 2), fresh=True)
-
-            return run
-
-        if kind == "sigmoid":
-            (a,) = srcs
-
-            def run():
-                out = arena[o]
-                acc(a, gbufs[o] * out * (1.0 - out), fresh=True)
-
-            return run
-
-        if kind == "sum":
-            axis = rec.meta["axis"]
-            keepdims = rec.meta["keepdims"]
-            in_shape = rec.parents[0].data.shape
-            (a,) = srcs
-
-            def run():
-                g = gbufs[o]
-                if axis is not None and not keepdims:
-                    g = np.expand_dims(g, axis=axis)
-                acc(a, np.broadcast_to(g, in_shape))
-
-            return run
-
-        if kind == "reshape":
-            in_shape = rec.parents[0].data.shape
-            (a,) = srcs
-
-            def run():
-                acc(a, gbufs[o].reshape(in_shape))
-
-            return run
-
-        if kind == "transpose":
-            inverse = np.argsort(rec.meta["axes"])
-            (a,) = srcs
-
-            def run():
-                acc(a, gbufs[o].transpose(inverse))
-
-            return run
-
-        if kind == "matmul":
-            a, b = srcs
-            ra, rb = reqs
-            a_nd = rec.parents[0].data.ndim
-            b_nd = rec.parents[1].data.ndim
-            cell_a, cell_b = _Cell(), _Cell()
-
-            def run():
-                g = gbufs[o]
-                if ra:
-                    if b_nd == 1:
-                        acc(
-                            a,
-                            np.outer(g, arena[b]) if g.ndim else g * arena[b],
-                            fresh=True,
-                        )
-                    else:
-                        acc(
-                            a,
-                            _binout(cell_a, np.matmul, g, _swap_last(arena[b])),
-                            fresh=True,
-                        )
-                if rb:
-                    if a_nd == 1:
-                        acc(
-                            b,
-                            np.outer(arena[a], g) if g.ndim else g * arena[a],
-                            fresh=True,
-                        )
-                    else:
-                        acc(
-                            b,
-                            _binout(cell_b, np.matmul, _swap_last(arena[a]), g),
-                            fresh=True,
-                        )
-
-            return run
-
-        raise CaptureError(f"no backward kernel for op kind {kind!r}")
-
-
 # ----------------------------------------------------------------------
 # Stacked-client replay
 # ----------------------------------------------------------------------
-def _stacked_unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Reduce ``grad`` to the stacked target ``shape`` = (K,) + base.
-
-    The client axis is *leading*, so broadcast dimensions live between it
-    and the base shape; this mirrors :func:`repro.grad.tensor._unbroadcast`
-    with every reduction shifted one axis right, which keeps the per-slice
-    summation pattern identical to the eager single-client pass.
-    """
-    if grad.shape == shape:
-        return grad
-    extra_dims = grad.ndim - len(shape)
-    if extra_dims > 0:
-        grad = grad.sum(axis=tuple(range(1, 1 + extra_dims)))
-    stretched = tuple(
-        axis
-        for axis in range(1, len(shape))
-        if shape[axis] == 1 and grad.shape[axis] != 1
-    )
-    if stretched:
-        grad = grad.sum(axis=stretched, keepdims=True)
-    return grad.reshape(shape)
-
-
 _STACKED_EXACT: bool | None = None
 
 
@@ -1682,8 +541,8 @@ class StackedStep:
     def step(self) -> np.ndarray:
         """One batched SGD step's forward+backward; returns (K,) losses.
 
-        Gradients are left in :meth:`grads`; the returned array is an
-        arena buffer overwritten by the next call.
+        Gradients are left in :meth:`grads`; the returned array belongs
+        to the program — consume it before the next call.
         """
         for op in self.forward_ops:
             op()
@@ -1702,88 +561,778 @@ class StackedStep:
         ]
 
 
-class _StackedCompiler(_Compiler):
-    """Compiles a tape into a :class:`StackedStep` over K clients.
+# ----------------------------------------------------------------------
+# Op table: one entry per op kind, written once over the lead axes
+# ----------------------------------------------------------------------
+class _OpSpec(NamedTuple):
+    """Everything the compiler knows about one op kind.
 
-    Slot layout: op outputs, parameters, the input batch and the labels
-    become ``(K,) + base`` buffers; non-parameter constants stay unstacked
-    and broadcast (NumPy's right-alignment handles them untouched).  A
-    stacked operand whose base rank is *below* the output's base rank
-    must be viewed as ``(K, 1, ..., base)`` before any broadcasting op —
-    naive right-alignment would smear the client axis across a data
-    dimension — which is what :meth:`_reader` provides.
+    ``build(c, rec, o, *srcs)`` returns the ``(forward, backward)``
+    replay closures of one tape record for compiler ``c`` (``o`` and
+    ``srcs`` are the output and parent slots); the backward closure is
+    only scheduled when some parent requires grad.  Kernels index from
+    the right (ellipsis, negative axes) or offset by ``len(c.lead)``,
+    so the same builder serves ``lead = ()`` and ``lead = (K,)``.
+
+    The other fields are the planner's contract.  ``may_alias`` asserts
+    the forward kernel never reads any input element after writing the
+    corresponding output element, so the planner may overlay ``out``
+    onto an input buffer whose last reader is this very op (an exact
+    same-shape/dtype in-place write).  ``bwd_reads`` lists which arena
+    buffers the backward kernel still needs at backward time: ``"in"`` =
+    the parent slots, ``"out"`` = the op's own output slot.  ``planned``
+    marks kinds whose forward writes a compile-time ``c.out_buf`` (the
+    only allocations the planner can color: composites bind views of
+    private scratch, ``pow`` rebinds per step).  ``view`` marks ops
+    whose output is a view of the input's storage, and ``bwd_mask``
+    ones whose backward borrows an input-shaped bool ``c.mask_buf``.
+    """
+
+    build: Callable
+    may_alias: bool
+    bwd_reads: tuple
+    planned: bool
+    view: bool
+    bwd_mask: bool
+
+
+_OPS: dict[str, _OpSpec] = {}
+
+
+def _op(kind, *, may_alias, bwd_reads, planned, view=False, bwd_mask=False):
+    """Register the decorated builder as *the* entry for op ``kind``."""
+
+    def register(build):
+        if kind in _OPS:
+            raise ValueError(f"op kind {kind!r} registered twice")
+        _OPS[kind] = _OpSpec(build, may_alias, bwd_reads, planned, view, bwd_mask)
+        return build
+
+    return register
+
+
+def _perm(n_lead: int, *axes: int) -> tuple:
+    """A transpose of the base ``axes`` that leaves the lead axes in place."""
+    return tuple(range(n_lead)) + tuple(n_lead + ax for ax in axes)
+
+
+def _unary_fwd(c, rec, a, fn):
+    arena, buf = c.arena, c.out_buf(rec)
+
+    def fwd():
+        fn(arena[a], out=buf)
+
+    return fwd
+
+
+def _binary_fwd(c, rec, fn):
+    read_a, read_b = c.readers(rec)
+    buf = c.out_buf(rec)
+
+    def fwd():
+        fn(read_a(), read_b(), out=buf)
+
+    return fwd
+
+
+@_op("add", may_alias=True, bwd_reads=(), planned=True)
+def _add(c, rec, o, a, b):
+    acc, gbufs = c.acc, c.gbufs
+    need_a, need_b = (p.requires_grad for p in rec.parents)
+
+    def bwd():
+        g = gbufs[o]
+        if need_a:
+            acc(a, g)
+        if need_b:
+            acc(b, g)
+
+    return _binary_fwd(c, rec, np.add), bwd
+
+
+@_op("sub", may_alias=True, bwd_reads=(), planned=True)
+def _sub(c, rec, o, a, b):
+    acc, gbufs, cell = c.acc, c.gbufs, _Cell()
+    need_a, need_b = (p.requires_grad for p in rec.parents)
+
+    def bwd():
+        g = gbufs[o]
+        if need_a:
+            acc(a, g)
+        if need_b:
+            acc(b, _unout(cell, np.negative, g), fresh=True)
+
+    return _binary_fwd(c, rec, np.subtract), bwd
+
+
+@_op("mul", may_alias=True, bwd_reads=("in",), planned=True)
+def _mul(c, rec, o, a, b):
+    acc, gbufs = c.acc, c.gbufs
+    need_a, need_b = (p.requires_grad for p in rec.parents)
+    read_a, read_b = c.readers(rec)
+    cell_a, cell_b = _Cell(), _Cell()
+
+    def bwd():
+        g = gbufs[o]
+        if need_a:
+            acc(a, _binout(cell_a, np.multiply, g, read_b()), fresh=True)
+        if need_b:
+            acc(b, _binout(cell_b, np.multiply, g, read_a()), fresh=True)
+
+    return _binary_fwd(c, rec, np.multiply), bwd
+
+
+@_op("div", may_alias=True, bwd_reads=("in",), planned=True)
+def _div(c, rec, o, a, b):
+    acc, gbufs, cell = c.acc, c.gbufs, _Cell()
+    need_a, need_b = (p.requires_grad for p in rec.parents)
+    read_a, read_b = c.readers(rec)
+
+    def bwd():
+        g = gbufs[o]
+        if need_a:
+            acc(a, _binout(cell, np.divide, g, read_b()), fresh=True)
+        if need_b:
+            acc(b, -g * read_a() / (read_b() ** 2), fresh=True)
+
+    return _binary_fwd(c, rec, np.divide), bwd
+
+
+@_op("neg", may_alias=True, bwd_reads=(), planned=True)
+def _neg(c, rec, o, a):
+    acc, gbufs, cell = c.acc, c.gbufs, _Cell()
+
+    def bwd():
+        acc(a, _unout(cell, np.negative, gbufs[o]), fresh=True)
+
+    return _unary_fwd(c, rec, a, np.negative), bwd
+
+
+@_op("exp", may_alias=True, bwd_reads=("out",), planned=True)
+def _exp(c, rec, o, a):
+    arena, acc, gbufs, cell = c.arena, c.acc, c.gbufs, _Cell()
+
+    def bwd():
+        acc(a, _binout(cell, np.multiply, gbufs[o], arena[o]), fresh=True)
+
+    return _unary_fwd(c, rec, a, np.exp), bwd
+
+
+@_op("log", may_alias=True, bwd_reads=("in",), planned=True)
+def _log(c, rec, o, a):
+    arena, acc, gbufs, cell = c.arena, c.acc, c.gbufs, _Cell()
+
+    def bwd():
+        acc(a, _binout(cell, np.divide, gbufs[o], arena[a]), fresh=True)
+
+    return _unary_fwd(c, rec, a, np.log), bwd
+
+
+@_op("sqrt", may_alias=True, bwd_reads=("out",), planned=True)
+def _sqrt(c, rec, o, a):
+    arena, acc, gbufs = c.arena, c.acc, c.gbufs
+
+    def bwd():
+        acc(a, gbufs[o] / (2.0 * arena[o]), fresh=True)
+
+    return _unary_fwd(c, rec, a, np.sqrt), bwd
+
+
+@_op("tanh", may_alias=True, bwd_reads=("out",), planned=True)
+def _tanh(c, rec, o, a):
+    arena, acc, gbufs = c.arena, c.acc, c.gbufs
+
+    def bwd():
+        acc(a, gbufs[o] * (1.0 - arena[o] ** 2), fresh=True)
+
+    return _unary_fwd(c, rec, a, np.tanh), bwd
+
+
+@_op("sigmoid", may_alias=True, bwd_reads=("out",), planned=True)
+def _sigmoid(c, rec, o, a):
+    arena, acc, gbufs = c.arena, c.acc, c.gbufs
+    buf, cell = c.out_buf(rec), _Cell()
+
+    def fwd():
+        t = _unout(cell, np.negative, arena[a])
+        np.exp(t, out=t)
+        np.add(1.0, t, out=t)
+        np.divide(1.0, t, out=buf)
+
+    def bwd():
+        out = arena[o]
+        acc(a, gbufs[o] * out * (1.0 - out), fresh=True)
+
+    return fwd, bwd
+
+
+@_op("relu", may_alias=True, bwd_reads=("in",), planned=True, bwd_mask=True)
+def _relu(c, rec, o, a):
+    arena, acc, gbufs = c.arena, c.acc, c.gbufs
+    buf, mask, cell = c.out_buf(rec), c.mask_buf(rec), _Cell()
+
+    def fwd():
+        # Bit-identical to np.where(x > 0, x, 0.0): for x <= 0 both
+        # pick the +0.0 operand, and positives pass through untouched.
+        np.maximum(arena[a], 0.0, out=buf)
+
+    def bwd():
+        # The input buffer is still intact at backward time, so the
+        # mask is derived here and skipped entirely in inference runs.
+        np.greater(arena[a], 0, out=mask)
+        acc(a, _binout(cell, np.multiply, gbufs[o], mask), fresh=True)
+
+    return fwd, bwd
+
+
+@_op("pow", may_alias=False, bwd_reads=("in",), planned=False)
+def _pow(c, rec, o, a):
+    arena, acc, gbufs = c.arena, c.acc, c.gbufs
+    exponent = rec.meta["exponent"]
+
+    def fwd():
+        # `x ** e` has ufunc fast paths `np.power` lacks; rerun the
+        # literal expression so the bits can never differ.
+        arena[o] = arena[a] ** exponent
+
+    def bwd():
+        acc(a, gbufs[o] * exponent * arena[a] ** (exponent - 1), fresh=True)
+
+    return fwd, bwd
+
+
+@_op("sum", may_alias=False, bwd_reads=(), planned=True)
+def _sum(c, rec, o, a):
+    arena, acc, gbufs = c.arena, c.acc, c.gbufs
+    lead, n_lead = c.lead, len(c.lead)
+    axis, keepdims = rec.meta["axis"], rec.meta["keepdims"]
+    in_base = rec.parents[0].data.shape
+    in_shape = lead + in_base
+    buf = c.out_buf(rec)
+    if axis is None and lead:
+        # A full reduce must not cross the client axis: it becomes a
+        # per-client reduce over the flattened base, whose C-order
+        # element sequence matches the eager one slice for slice.
+        flat_in, flat_out = lead + (-1,), buf.reshape(lead)
+        grad_view = lead + (1,) * len(in_base)
+
+        def fwd():
+            arena[a].reshape(flat_in).sum(axis=-1, out=flat_out)
+
+        def bwd():
+            acc(a, np.broadcast_to(gbufs[o].reshape(grad_view), in_shape))
+
+        return fwd, bwd
+
+    def shift(ax):
+        return ax + n_lead if ax >= 0 else ax
+
+    if axis is not None:
+        axis = tuple(map(shift, axis)) if isinstance(axis, tuple) else shift(axis)
+    expand = axis is not None and not keepdims
+
+    def fwd():
+        arena[a].sum(axis=axis, keepdims=keepdims, out=buf)
+
+    def bwd():
+        g = gbufs[o]
+        if expand:
+            g = np.expand_dims(g, axis=axis)
+        acc(a, np.broadcast_to(g, in_shape))
+
+    return fwd, bwd
+
+
+@_op("reshape", may_alias=False, bwd_reads=(), planned=False, view=True)
+def _reshape(c, rec, o, a):
+    arena, acc, gbufs = c.arena, c.acc, c.gbufs
+    shape = c.lead + tuple(rec.meta["shape"])
+    in_shape = c.lead + rec.parents[0].data.shape
+
+    def fwd():
+        arena[o] = arena[a].reshape(shape)
+
+    def bwd():
+        acc(a, gbufs[o].reshape(in_shape))
+
+    return fwd, bwd
+
+
+@_op("transpose", may_alias=False, bwd_reads=(), planned=False, view=True)
+def _transpose(c, rec, o, a):
+    arena, acc, gbufs = c.arena, c.acc, c.gbufs
+    n_lead, in_ndim = len(c.lead), rec.parents[0].data.ndim
+    base_axes = [ax % in_ndim for ax in rec.meta["axes"]]
+    axes = _perm(n_lead, *base_axes)
+    inverse = _perm(n_lead, *(int(ax) for ax in np.argsort(base_axes)))
+
+    def fwd():
+        arena[o] = arena[a].transpose(axes)
+
+    def bwd():
+        acc(a, gbufs[o].transpose(inverse))
+
+    return fwd, bwd
+
+
+@_op("matmul", may_alias=False, bwd_reads=("in",), planned=True)
+def _matmul(c, rec, o, a, b):
+    acc, gbufs = c.acc, c.gbufs
+    a_nd, b_nd = (p.data.ndim for p in rec.parents)
+    if c.lead and min(a_nd, b_nd) < 2:
+        raise CaptureError("stacked matmul needs >= 2-D operands")
+    need_a, need_b = (p.requires_grad for p in rec.parents)
+    read_a, read_b = c.readers(rec)
+    cell_a, cell_b = _Cell(), _Cell()
+
+    def bwd():
+        g = gbufs[o]
+        if need_a:
+            if b_nd == 1:
+                value = np.outer(g, read_b()) if g.ndim else g * read_b()
+            else:
+                value = _binout(cell_a, np.matmul, g, _swap_last(read_b()))
+            acc(a, value, fresh=True)
+        if need_b:
+            if a_nd == 1:
+                value = np.outer(read_a(), g) if g.ndim else g * read_a()
+            else:
+                value = _binout(cell_b, np.matmul, _swap_last(read_a()), g)
+            acc(b, value, fresh=True)
+
+    return _binary_fwd(c, rec, np.matmul), bwd
+
+
+def _im2col(lead, n, ch, oh, ow, kernel, stride, dtype):
+    """``(fill, cols2)`` for one sliding-window geometry.
+
+    ``fill(img)`` copies the windows of a ``lead + (n, ch, H, W)`` image
+    into a reused column scratch; ``cols2`` is that scratch's
+    ``lead + (n*oh*ow, ch*kernel*kernel)`` matrix view.
+    """
+    cols = np.empty(lead + (n, oh, ow, ch, kernel, kernel), dtype=dtype)
+    cols2 = cols.reshape(lead + (n * oh * ow, ch * kernel * kernel))
+    shape = lead + (n, ch, oh, ow, kernel, kernel)
+    perm = _perm(len(lead), 0, 2, 3, 1, 4, 5)
+
+    def fill(img):
+        s = img.strides
+        windows = as_strided(
+            img,
+            shape=shape,
+            strides=s[:-2] + (s[-2] * stride, s[-1] * stride, s[-2], s[-1]),
+            writeable=False,
+        )
+        np.copyto(cols, windows.transpose(perm))
+
+    return fill, cols2
+
+
+@_op("conv2d", may_alias=False, bwd_reads=("in",), planned=False)
+def _conv2d(c, rec, o, sx, sw, sb=None):
+    arena, acc, gbufs = c.arena, c.acc, c.gbufs
+    lead, n_lead = c.lead, len(c.lead)
+    meta = rec.meta
+    n, ch, h, w = meta["image_shape"]
+    _, oc, oh, ow = meta["out_shape"]
+    kernel, stride, padding = meta["kernel"], meta["stride"], meta["padding"]
+    x_req, w_req = rec.parents[0].requires_grad, rec.parents[1].requires_grad
+    b_req = sb is not None and rec.parents[2].requires_grad
+    read_bias = None if sb is None else c.reader(rec.parents[2], 2)
+    dtype = rec.parents[0].data.dtype
+    flat_weight_shape = (lead if sw in c.stacked else ()) + (oc, ch * kernel * kernel)
+    weight_shape = lead + rec.parents[1].data.shape
+    padded_shape = lead + (n, ch, h + 2 * padding, w + 2 * padding)
+    to_nchw, to_nhwc = _perm(n_lead, 0, 3, 1, 2), _perm(n_lead, 0, 2, 3, 1)
+    cols_to_taps = (n_lead + 4, n_lead + 5) + to_nchw
+    fill_cols, cols2 = _im2col(lead, n, ch, oh, ow, kernel, stride, dtype)
+    mm_cell, bias_cell, gw_cell, gc_cell = _Cell(), _Cell(), _Cell(), _Cell()
+    st: dict = {}
+
+    def fwd():
+        img = arena[sx]
+        if padding > 0:
+            padded = st.get("padded")
+            if padded is None:
+                padded = st["padded"] = np.zeros(padded_shape, dtype=dtype)
+            padded[..., padding : padding + h, padding : padding + w] = img
+            img = padded
+        fill_cols(img)
+        flat_weight = arena[sw].reshape(flat_weight_shape)
+        out_flat = _binout(mm_cell, np.matmul, cols2, _swap_last(flat_weight))
+        if sb is not None:
+            out_flat = _binout(bias_cell, np.add, out_flat, read_bias())
+        arena[o] = out_flat.reshape(lead + (n, oh, ow, oc)).transpose(to_nchw)
+
+    def col2im_replay(gc):
+        # Same slice-add sequence as F.col2im, but the columns are first
+        # rearranged into a (k, k, ..., n, c, oh, ow)-contiguous scratch
+        # so each of the k*k adds streams over contiguous memory instead
+        # of stride-k*k gathers.  Contribution order per output element
+        # is unchanged, so the result is bit-identical.
+        taps = st.get("taps")
+        if taps is None:
+            taps = st["taps"] = np.empty(
+                (kernel, kernel) + lead + (n, ch, oh, ow), dtype=gc.dtype
+            )
+            st["gpad"] = np.zeros(padded_shape, dtype=gc.dtype)
+        np.copyto(
+            taps,
+            gc.reshape(lead + (n, oh, ow, ch, kernel, kernel)).transpose(cols_to_taps),
+        )
+        gpad = st["gpad"]
+        gpad.fill(0.0)
+        for ki in range(kernel):
+            h_stop = ki + stride * oh
+            for kj in range(kernel):
+                w_stop = kj + stride * ow
+                gpad[..., ki:h_stop:stride, kj:w_stop:stride] += taps[ki, kj]
+        if padding > 0:
+            return gpad[..., padding:-padding, padding:-padding]
+        return gpad
+
+    def bwd():
+        grad_flat = gbufs[o].transpose(to_nhwc).reshape(lead + (n * oh * ow, oc))
+        if w_req:
+            gw = _binout(gw_cell, np.matmul, _swap_last(grad_flat), cols2)
+            acc(sw, gw.reshape(weight_shape), fresh=True)
+        if b_req:
+            acc(sb, grad_flat.sum(axis=-2), fresh=True)
+        if x_req:
+            flat_weight = arena[sw].reshape(flat_weight_shape)
+            gc = _binout(gc_cell, np.matmul, grad_flat, flat_weight)
+            acc(sx, col2im_replay(gc), fresh=True)
+
+    return fwd, bwd
+
+
+def _pool_geometry(c, rec):
+    """``(planes, h, w, oh, ow, kernel, stride, plane_shape)`` of a pool.
+
+    All ``lead * n * c`` image planes form one flat batch: pooling never
+    mixes planes, so one geometry serves serial and stacked programs.
+    """
+    meta = rec.meta
+    n, ch, h, w = meta["image_shape"]
+    _, _, oh, ow = meta["out_shape"]
+    plane_shape = c.lead + (n, ch)
+    planes = math.prod(plane_shape)
+    return planes, h, w, oh, ow, meta["kernel"], meta["stride"], plane_shape
+
+
+@_op("max_pool2d", may_alias=False, bwd_reads=(), planned=False)
+def _max_pool2d(c, rec, o, sx):
+    arena, acc, gbufs = c.arena, c.acc, c.gbufs
+    planes, h, w, oh, ow, kernel, stride, plane_shape = _pool_geometry(c, rec)
+    dtype = rec.out.data.dtype
+    window = kernel * kernel
+    count = planes * oh * ow
+    rows = np.arange(count)
+    flat_base = rows * window  # flat start of each patch row
+    fill_cols, cols2 = _im2col((), planes, 1, oh, ow, kernel, stride, dtype)
+    arg = np.empty(count, dtype=np.intp)
+    idx = np.empty(count, dtype=np.intp)
+    out = np.empty(plane_shape + (oh, ow), dtype=dtype)
+
+    def fwd():
+        fill_cols(arena[sx].reshape(planes, 1, h, w))
+        np.argmax(cols2, axis=1, out=arg)
+        # Single flat take instead of a two-array fancy gather.
+        np.add(flat_base, arg, out=idx)
+        np.take(cols2.reshape(-1), idx, out=out.reshape(-1))
+        arena[o] = out
+
+    if stride >= kernel:
+        # Windows are disjoint, so col2im's scatter-add places each
+        # gradient exactly once: route it straight into the image via a
+        # static column-flat -> image-flat index map.
+        ki, kj = np.divmod(np.arange(window), kernel)
+        plane, rem = np.divmod(rows, oh * ow)
+        a_h, a_w = np.divmod(rem, ow)
+        col_to_img = (
+            plane[:, None] * (h * w)
+            + (a_h[:, None] * stride + ki[None, :]) * w
+            + (a_w[:, None] * stride + kj[None, :])
+        ).ravel()
+        gimg = np.empty(planes * h * w, dtype=dtype)
+        imgidx = np.empty(count, dtype=np.intp)
+        gtmp = np.empty(count, dtype=dtype)
+
+        def bwd():
+            gimg.fill(0.0)
+            np.take(col_to_img, idx, out=imgidx)
+            # The explicit `+ 0.0` mirrors the `0.0 + v` of col2im's
+            # add, which flushes a -0.0 gradient to +0.0.
+            np.add(gbufs[o].reshape(-1), 0.0, out=gtmp)
+            gimg[imgidx] = gtmp
+            acc(sx, gimg.reshape(plane_shape + (h, w)), fresh=True)
+
+        return fwd, bwd
+
+    gc = np.empty_like(cols2)
+
+    def bwd():
+        gc.fill(0.0)
+        gc[rows, arg] = gbufs[o].reshape(-1)
+        grad_images = F.col2im(gc, (planes, 1, h, w), kernel, stride, 0)
+        acc(sx, grad_images.reshape(plane_shape + (h, w)), fresh=True)
+
+    return fwd, bwd
+
+
+@_op("avg_pool2d", may_alias=False, bwd_reads=(), planned=False)
+def _avg_pool2d(c, rec, o, sx):
+    arena, acc, gbufs = c.arena, c.acc, c.gbufs
+    planes, h, w, oh, ow, kernel, stride, plane_shape = _pool_geometry(c, rec)
+    window = kernel * kernel
+    fill_cols, cols2 = _im2col(
+        (), planes, 1, oh, ow, kernel, stride, rec.out.data.dtype
+    )
+    st: dict = {}
+
+    def fwd():
+        fill_cols(arena[sx].reshape(planes, 1, h, w))
+        mean = st.get("mean")
+        if mean is None:
+            mean = st["mean"] = cols2.mean(axis=1)
+        else:
+            cols2.mean(axis=1, out=mean)
+        arena[o] = mean.reshape(plane_shape + (oh, ow))
+
+    def bwd():
+        grad_cols = np.repeat(gbufs[o].reshape(-1, 1), window, axis=1) / window
+        grad_images = F.col2im(grad_cols, (planes, 1, h, w), kernel, stride, 0)
+        acc(sx, grad_images.reshape(plane_shape + (h, w)), fresh=True)
+
+    return fwd, bwd
+
+
+@_op("cross_entropy", may_alias=False, bwd_reads=(), planned=False)
+def _cross_entropy(c, rec, o, sl):
+    arena, acc, gbufs = c.arena, c.acc, c.gbufs
+    lead = c.lead
+    reduction = rec.meta["reduction"]
+    if c.labels is None or rec.meta["targets"] is not c.labels:
+        raise CaptureError("cross_entropy targets are not the step labels")
+    n = rec.parents[0].data.shape[0]
+    lt = c.labels_slot
+    # Open-mesh indices of every (client, row): `x[grid + (targets,)]`
+    # picks each row's target-class entry.
+    grid = np.ix_(*(np.arange(size) for size in lead + (n,)))
+    scale_shape = lead + ((n, 1) if reduction == "none" else (1, 1))
+    st: dict = {}
+    gl_cell = _Cell()
+
+    def fwd():
+        logits = arena[sl]
+        picked = grid + (arena[lt],)
+        if "max" not in st:
+            st["max"] = logits.max(axis=-1, keepdims=True)
+            st["shifted"] = logits - st["max"]
+            st["exp"] = np.exp(st["shifted"])
+            st["sumexp"] = st["exp"].sum(axis=-1, keepdims=True)
+            st["ln"] = np.log(st["sumexp"][..., 0])
+            st["losses"] = st["ln"] - st["shifted"][picked]
+        else:
+            logits.max(axis=-1, keepdims=True, out=st["max"])
+            np.subtract(logits, st["max"], out=st["shifted"])
+            np.exp(st["shifted"], out=st["exp"])
+            st["exp"].sum(axis=-1, keepdims=True, out=st["sumexp"])
+            np.log(st["sumexp"][..., 0], out=st["ln"])
+            np.subtract(st["ln"], st["shifted"][picked], out=st["losses"])
+        losses = st["losses"]
+        if reduction == "none":
+            arena[o] = losses
+        elif reduction == "sum":
+            arena[o] = losses.sum(axis=-1)
+        else:
+            arena[o] = losses.mean(axis=-1)
+
+    def bwd():
+        g = np.asarray(gbufs[o])
+        scale = (g / n if reduction == "mean" else g).reshape(scale_shape)
+        # exp is rewritten by the next forward replay, so the in-place
+        # softmax matches the eager closure exactly.
+        softmax = np.divide(st["exp"], st["sumexp"], out=st["exp"])
+        gl = _binout(gl_cell, np.multiply, softmax, scale)
+        gl[grid + (arena[lt],)] -= scale[..., 0]
+        acc(sl, gl, fresh=True)
+
+    return fwd, bwd
+
+
+class _Compiler:
+    """Turns a :class:`Tape` into a :class:`CapturedStep` — or, given
+    ``stack=K`` and the model's ``params``, a :class:`StackedStep`.
+
+    ``lead`` is ``()`` or ``(K,)``.  Op outputs, parameters, the input
+    batch and the labels get ``lead + base`` slots; non-parameter
+    constants stay unstacked and broadcast (NumPy's right-alignment
+    handles them untouched).  What differs with ``stack`` is decided
+    here, at compile time: parameter/input/label slots are rebound from
+    the live objects (serial) or owned by the program (stacked), output
+    buffers copy the eager layout or are fresh ``lead + base`` arrays,
+    and module buffers (batch norm) are rejected when stacked.
     """
 
     def __init__(
-        self, tape, input_tensor, output, labels, stack, params, optimize=True
+        self,
+        tape: Tape,
+        input_tensor: Tensor,
+        output: Tensor,
+        labels,
+        optimize: bool = True,
+        stack: int | None = None,
+        params=None,
     ):
+        self.tape = tape
+        self.input_tensor = input_tensor
+        self.output = output
+        self.labels = labels
+        self.optimize = optimize
         self.stack = stack
-        self._stacked: set[int] = set()
-        self._param_index = {id(p): i for i, p in enumerate(params)}
-        self.param_slots: list[int | None] = [None] * len(params)
-        super().__init__(tape, input_tensor, output, labels, optimize=optimize)
+        self.lead = () if stack is None else (stack,)
+        #: slots carrying the lead axes (none in a serial program)
+        self.stacked: set[int] = set()
+        self._param_index = {id(p): i for i, p in enumerate(params or ())}
+        self.param_slots: list[int | None] = [None] * len(self._param_index)
+        self._planner: _ArenaPlanner | None = None
+        self._interned = 0
+        self._raw_slots = 0
+        self._raw_bytes = 0
+        self.slots: dict[int, int] = {}
+        self.arena: list = []
+        self.shapes: list = []
+        self.dtypes: list = []
+        self.gbufs: list = []
+        self.param_refresh: list = []
+        self.buffer_refresh: list = []
+        self.param_binds: list = []
+        self.input_slot: int | None = None
+        self.labels_slot: int | None = None
+        self._buffer_leaf_map = {
+            id(t): (module, name, shape)
+            for t, module, name, shape in tape.buffer_leaves
+        }
+        self._records = [rec for kind, rec in tape.entries if kind == "op"]
+        self._recmap = {id(rec.out): rec for rec in self._records}
+        consumers: dict[int, int] = {}
+        for rec in self._records:
+            for parent in rec.parents:
+                key = id(parent)
+                consumers[key] = consumers.get(key, 0) + 1
+        self._consumers = consumers
+        self.acc = self._make_acc()
 
     # -- slots ----------------------------------------------------------
+    def _new_slot(self, base_shape, dtype, stacked: bool) -> int:
+        """A slot of ``lead + base_shape`` (``stacked``) or ``base_shape``;
+        program-owned stacked buffers are allocated by :meth:`_own`."""
+        slot = len(self.arena)
+        self.arena.append(None)
+        self.shapes.append(self.lead + base_shape if stacked else base_shape)
+        self.dtypes.append(dtype)
+        self.gbufs.append(None)
+        if stacked and self.lead:
+            self.stacked.add(slot)
+        return slot
+
+    def _own(self, slot: int) -> None:
+        self.arena[slot] = np.empty(self.shapes[slot], self.dtypes[slot])
+
+    def slot(self, t: Tensor) -> int:
+        return self.slots[id(t)]
+
     def _ensure_slot(self, t: Tensor, is_out: bool) -> int:
         existing = self.slots.get(id(t))
         if existing is not None:
             return existing
-        stack = self.stack
-        base_shape = t.data.shape
-        dtype = t.data.dtype
-        if is_out:
-            slot = self._new_slot((stack,) + base_shape, dtype)
-            self.slots[id(t)] = slot
-            self._stacked.add(slot)
-            return slot
-        if isinstance(t, Parameter):
-            index = self._param_index.get(id(t))
-            if index is None:
-                raise CaptureError(
-                    "traced parameter is not in the model's parameter list"
-                )
-            slot = self._new_slot((stack,) + base_shape, dtype)
-            self.slots[id(t)] = slot
-            self._stacked.add(slot)
-            self.arena[slot] = np.empty((stack,) + base_shape, dtype)
-            self.param_slots[index] = slot
-            return slot
-        if t is self.input_tensor:
-            slot = self._new_slot((stack,) + base_shape, dtype)
-            self.slots[id(t)] = slot
-            self._stacked.add(slot)
-            self.arena[slot] = np.empty((stack,) + base_shape, dtype)
-            self.input_slot = slot
-            return slot
-        if id(t) in self._buffer_leaf_map:
-            raise CaptureError(
-                "stacked replay does not support module buffers (batch norm)"
-            )
-        if t.requires_grad:
-            raise CaptureError(
-                "stacked replay cannot bind a gradient-bearing non-parameter leaf"
-            )
-        # Constant (coerced scalar, eps, ...): shared by all clients.
-        slot = self._new_slot(base_shape, dtype)
+        stacked = is_out or isinstance(t, Parameter) or t is self.input_tensor
+        slot = self._new_slot(t.data.shape, t.data.dtype, stacked)
         self.slots[id(t)] = slot
-        if self.optimize:
-            value, shared = _intern_constant(t.data)
-            self._interned += 1 if shared else 0
-            self.arena[slot] = value
-        else:
-            self.arena[slot] = np.array(t.data, copy=True)
+        if not is_out:
+            self._classify_leaf(t, slot)
         return slot
+
+    def _classify_leaf(self, t: Tensor, slot: int) -> None:
+        lead = self.lead
+        if isinstance(t, Parameter):
+            if lead:
+                index = self._param_index.get(id(t))
+                if index is None:
+                    raise CaptureError(
+                        "traced parameter is not in the model's parameter list"
+                    )
+                self.param_slots[index] = slot
+                self._own(slot)
+            else:
+                self.param_refresh.append((slot, t))
+                self.param_binds.append((t, slot))
+        elif t is self.input_tensor:
+            self.input_slot = slot
+            if lead:
+                self._own(slot)
+        elif id(t) in self._buffer_leaf_map:
+            if lead:
+                raise CaptureError(
+                    "stacked replay does not support module buffers (batch norm)"
+                )
+            module, name, shape = self._buffer_leaf_map[id(t)]
+            self.buffer_refresh.append((slot, module, name, shape))
+        else:
+            if lead and t.requires_grad:
+                raise CaptureError(
+                    "stacked replay cannot bind a gradient-bearing non-parameter leaf"
+                )
+            # Constant (coerced scalar, eps, 1/count, ...): snapshot once,
+            # shared by all clients.
+            if self.optimize:
+                value, shared = _intern_constant(t.data)
+                self._interned += 1 if shared else 0
+                self.arena[slot] = value
+            else:
+                self.arena[slot] = np.array(t.data, copy=True)
+
+    def reader(self, t: Tensor, out_ndim: int):
+        """A zero-arg closure yielding ``t``'s buffer, viewed so its base
+        dims align right against an output of base rank ``out_ndim``.
+
+        A stacked operand of lower base rank must be seen as ``(K, 1,
+        ..., base)`` before any broadcasting op — naive right-alignment
+        would smear the client axis across a data dimension.
+        """
+        slot, arena = self.slot(t), self.arena
+        pad = out_ndim - t.data.ndim
+        if pad <= 0 or slot not in self.stacked:
+            return lambda: arena[slot]
+        view_shape = self.lead + (1,) * pad + t.data.shape
+        return lambda: arena[slot].reshape(view_shape)
+
+    def readers(self, rec: _OpRecord) -> list:
+        return [self.reader(p, rec.out.data.ndim) for p in rec.parents]
 
     def _make_acc(self):
         shapes, dtypes, gbufs = self.shapes, self.dtypes, self.gbufs
+        n_lead = len(self.lead)
+        # Plain-list flags: scalar indexing is measurably cheaper than on
+        # an ndarray in this per-gradient hot path.  Sized at compile end.
         seen: list = []
 
         def acc(slot, value, fresh=False):
             if value.shape != shapes[slot]:
-                value = _stacked_unbroadcast(np.asarray(value), shapes[slot])
+                # Broadcast dims sit between the lead axes and the base
+                # shape, so the per-slice summation pattern is the eager
+                # single-client one.
+                value = _unbroadcast(np.asarray(value), shapes[slot], n_lead)
             if seen[slot]:
                 gbufs[slot] += value
             else:
+                # ``fresh`` marks values the kernel owns outright (a private
+                # cell or a per-step allocation, never a view of another
+                # slot's gradient): those are bound directly, skipping a
+                # full copy pass — same arithmetic, one less memory sweep.
+                # Later ``+=`` hits mutate the cell, which the owning kernel
+                # fully rewrites on its next execution anyway.
                 if (
                     fresh
                     and value.dtype == dtypes[slot]
@@ -1793,7 +1342,11 @@ class _StackedCompiler(_Compiler):
                 else:
                     buf = gbufs[slot]
                     if buf is None:
-                        gbufs[slot] = value.astype(dtypes[slot], copy=True)
+                        # asarray: a 0-d gradient may arrive as a NumPy
+                        # scalar, which the next step could not copyto.
+                        gbufs[slot] = np.asarray(
+                            value.astype(dtypes[slot], copy=True)
+                        )
                     else:
                         np.copyto(buf, value)
                 seen[slot] = True
@@ -1801,88 +1354,70 @@ class _StackedCompiler(_Compiler):
         self._acc_seen = seen
         return acc
 
-    def _reader(self, t: Tensor, out_base_ndim: int):
-        """A zero-arg closure yielding ``t``'s buffer, viewed so its
-        base dims align right against a stacked output of that rank."""
-        slot = self.slot(t)
-        arena = self.arena
-        if slot not in self._stacked:
-            return lambda: arena[slot]
-        base = self.shapes[slot][1:]
-        if len(base) >= out_base_ndim:
-            return lambda: arena[slot]
-        view_shape = (
-            (self.stack,) + (1,) * (out_base_ndim - len(base)) + base
-        )
-        return lambda: arena[slot].reshape(view_shape)
-
-    # -- optimizer hooks -------------------------------------------------
-    def _managed_spec(self, rec: _OpRecord):
-        # Stacked compile-time buffers are always freshly-built
-        # C-contiguous ``(K,) + base`` arrays, so every planned kind is
-        # colorable regardless of the eager trace's layout.
-        if rec.kind not in _PLANNED_KINDS:
-            return None
-        return (self.stack,) + rec.out.data.shape, rec.out.data.dtype, None
-
-    def _mask_shape(self, rec: _OpRecord) -> tuple:
-        return (self.stack,) + rec.parents[0].data.shape
-
-    def _fresh_buf(self, rec: _OpRecord) -> np.ndarray:
-        return np.empty((self.stack,) + rec.out.data.shape, rec.out.data.dtype)
-
     # -- compile --------------------------------------------------------
-    def compile_stacked(self) -> StackedStep:
-        stack = self.stack
-        self.labels_slot = self._new_slot(
-            (stack,) + self.labels.shape, self.labels.dtype
-        )
-        self.arena[self.labels_slot] = np.empty(
-            (stack,) + self.labels.shape, self.labels.dtype
-        )
-        self._stacked.add(self.labels_slot)
+    def compile(self, with_backward: bool):
+        lead = self.lead
+        if self.labels is not None:
+            self.labels_slot = self._new_slot(
+                self.labels.shape, self.labels.dtype, stacked=True
+            )
+            if lead:
+                self._own(self.labels_slot)
 
+        # Slot assignment precedes kernel construction so the planner can
+        # see the whole program (including the backward schedule) before
+        # any kernel closes over a concrete buffer.
         for kind, entry in self.tape.entries:
-            if kind != "op":
+            if kind == "op":
+                for parent in entry.parents:
+                    self._ensure_slot(parent, is_out=False)
+                self._ensure_slot(entry.out, is_out=True)
+            elif lead:
                 raise CaptureError(
                     "stacked replay does not support batch-norm updates"
                 )
-            for parent in entry.parents:
-                self._ensure_slot(parent, is_out=False)
-            self._ensure_slot(entry.out, is_out=True)
 
         if id(self.output) not in self.slots:
             raise CaptureError("model output is not an op of the tape")
-        if not self.output.requires_grad:
-            raise CaptureError("output does not require grad")
-        if self.output.data.size != 1:
-            raise CaptureError("backward capture needs a scalar loss")
-        if self.input_slot is None:
-            raise CaptureError("model output does not depend on the input batch")
-        seed = np.ones(
-            (stack,) + self.output.data.shape, dtype=self.output.data.dtype
-        )
 
-        sched = self._schedule_backward()
+        sched: list = []
+        seed = None
+        if with_backward:
+            if not self.output.requires_grad:
+                raise CaptureError("output does not require grad")
+            if self.output.data.size != 1:
+                raise CaptureError("backward capture needs a scalar loss")
+            if lead and self.input_slot is None:
+                raise CaptureError(
+                    "model output does not depend on the input batch"
+                )
+            seed = np.ones(
+                lead + self.output.data.shape, dtype=self.output.data.dtype
+            )
+            sched = self._schedule_backward()
+
         if self.optimize:
             self._plan_arena(sched)
 
         forward_ops: list = []
+        backward: dict[int, object] = {}
         for kind, entry in self.tape.entries:
-            forward_ops.append(self._forward_op(entry))
-
-        backward_ops: list = []
-        for rec in sched:
-            kernel = self._backward_op(rec)
-            if kernel is not None:
-                backward_ops.append(kernel)
+            if kind == "op":
+                fwd, backward[id(entry)] = _OPS[entry.kind].build(
+                    self,
+                    entry,
+                    self.slot(entry.out),
+                    *(self.slot(p) for p in entry.parents),
+                )
+                forward_ops.append(fwd)
+            else:
+                forward_ops.append(self._bn_op(entry))
 
         self._acc_seen.extend([False] * len(self.arena))
-        return StackedStep(
+        fields = dict(
             arena=self.arena,
             forward_ops=forward_ops,
-            backward_ops=backward_ops,
-            param_slots=self.param_slots,
+            backward_ops=[backward[id(rec)] for rec in sched],
             input_slot=self.input_slot,
             labels_slot=self.labels_slot,
             out_slot=self.slot(self.output),
@@ -1891,659 +1426,236 @@ class _StackedCompiler(_Compiler):
             gseen_false=[False] * len(self.arena),
             seed=seed,
             acc=self.acc,
-            stack=stack,
             stats=self._plan_stats(),
         )
-
-    # -- forward kernels ------------------------------------------------
-    def _forward_op(self, rec: _OpRecord):
-        kind = rec.kind
-        arena = self.arena
-        stack = self.stack
-        o = self.slot(rec.out)
-        srcs = [self.slot(p) for p in rec.parents]
-        out_base = rec.out.data.shape
-
-        if kind in _BINARY_UFUNCS:
-            fn = _BINARY_UFUNCS[kind]
-            a, b = srcs
-            ra = self._reader(rec.parents[0], len(out_base))
-            rb = self._reader(rec.parents[1], len(out_base))
-            buf = None
-            if kind == "add" and self._peephole_src(rec) is not None:
-                # Same bias-add peephole as the serial compiler, against
-                # the stacked matmul buffer.
-                buf = arena[a]
-            if buf is None:
-                buf = self._out_buf(rec)
-            arena[o] = buf
-
-            def run():
-                fn(ra(), rb(), out=buf)
-
-            return run
-
-        if kind in _UNARY_UFUNCS:
-            fn = _UNARY_UFUNCS[kind]
-            buf = self._out_buf(rec)
-            arena[o] = buf
-            (a,) = srcs
-
-            def run():
-                fn(arena[a], out=buf)
-
-            return run
-
-        if kind == "relu":
-            return self._relu(rec)
-
-        if kind == "sigmoid":
-            buf = self._out_buf(rec)
-            arena[o] = buf
-            (a,) = srcs
-            st: dict = {}
-
-            def run():
-                xv = arena[a]
-                t = st.get("t")
-                if t is None:
-                    t = np.exp(-xv)
-                    st["t"] = t
-                else:
-                    np.negative(xv, out=t)
-                    np.exp(t, out=t)
-                np.add(1.0, t, out=t)
-                np.divide(1.0, t, out=buf)
-
-            return run
-
-        if kind == "pow":
-            exponent = rec.meta["exponent"]
-            (a,) = srcs
-
-            def run():
-                arena[o] = arena[a] ** exponent
-
-            return run
-
-        if kind == "sum":
-            axis = rec.meta["axis"]
-            keepdims = rec.meta["keepdims"]
-            (a,) = srcs
-            buf = self._out_buf(rec)
-            arena[o] = buf
-            if axis is None:
-                # Full reduce becomes a per-client reduce over the
-                # flattened base; C-order flattening matches the eager
-                # element sequence slice for slice.
-                flat_out = buf.reshape(stack)
-
-                def run():
-                    arena[a].reshape(stack, -1).sum(axis=1, out=flat_out)
-
-                return run
-            saxis = (
-                tuple(ax + 1 if ax >= 0 else ax for ax in axis)
-                if isinstance(axis, tuple)
-                else (axis + 1 if axis >= 0 else axis)
+        if lead:
+            return StackedStep(
+                param_slots=self.param_slots, stack=self.stack, **fields
             )
+        return CapturedStep(
+            param_refresh=self.param_refresh,
+            buffer_refresh=self.buffer_refresh,
+            param_binds=self.param_binds,
+            **fields,
+        )
 
-            def run():
-                arena[a].sum(axis=saxis, keepdims=keepdims, out=buf)
+    # -- optimizer passes ------------------------------------------------
+    def _schedule_backward(self) -> list:
+        """The backward records in execution order.
 
-            return run
+        The order replicates the eager reverse-topological pass exactly,
+        so replayed gradient accumulation matches it bit for bit.
+        """
+        sched: list = []
+        for node in reversed(self._toposort()):
+            if node._backward is None:
+                continue
+            rec = self._recmap.get(id(node))
+            if rec is None:
+                raise CaptureError("graph node missing from the tape")
+            sched.append(rec)
+        return sched
 
-        if kind == "reshape":
-            shape = (stack,) + tuple(rec.meta["shape"])
-            (a,) = srcs
+    def _plan_arena(self, sched: list) -> None:
+        """Collect liveness events in program order and color the arena."""
+        planner = _ArenaPlanner()
+        step = 0
+        for kind, entry in self.tape.entries:
+            if kind == "op":
+                rec = entry
+                for p in rec.parents:
+                    planner.read(self.slot(p), step)
+                o = self.slot(rec.out)
+                spec = _OPS[rec.kind]
+                if spec.view:
+                    planner.view(o, self.slot(rec.parents[0]))
+                elif self._peephole_src(rec) is not None:
+                    planner.alias(o, self.slot(rec.parents[0]), step)
+                else:
+                    managed = self._managed_spec(rec)
+                    if managed is not None:
+                        shape, dtype, strides = managed
+                        planner.define(
+                            o, shape, dtype, step, spec.may_alias, strides=strides
+                        )
+            else:
+                _, mean_t, var_t, _ = entry
+                sm = self.slots.get(id(mean_t))
+                sv = self.slots.get(id(var_t))
+                if sm is not None:
+                    planner.read(sm, step)
+                if sv is not None:
+                    planner.read(sv, step)
+            step += 1
+        for rec in sched:
+            spec = _OPS[rec.kind]
+            if "out" in spec.bwd_reads:
+                planner.read(self.slot(rec.out), step)
+            if "in" in spec.bwd_reads:
+                for p in rec.parents:
+                    planner.read(self.slot(p), step)
+            if spec.bwd_mask:
+                # The bool mask lives only inside the backward kernel.
+                planner.define_keyed(
+                    id(rec), self._mask_shape(rec), bool, step, may_alias=False
+                )
+            step += 1
+        # The program output is handed to the caller after replay (the
+        # loss read, inference logits, stacked per-client losses), so its
+        # storage must survive the whole program.
+        planner.read(self.slot(self.output), step)
+        planner.plan()
+        self._planner = planner
 
-            def run():
-                arena[o] = arena[a].reshape(shape)
+    def _peephole_src(self, rec: _OpRecord):
+        """The matmul record whose buffer a bias-add overwrites, or None.
 
-            return run
+        When an add's left operand is a matmul whose only reader is this
+        add, the sum is written back into the matmul's buffer (the
+        cachelines are still hot, and no backward kernel reads the
+        pre-add values).  Decided on static facts only (record kinds,
+        consumer counts, eager shapes), so the planner and
+        :meth:`out_buf` always agree on whether the peephole fires.
+        """
+        if rec.kind != "add":
+            return None
+        src_rec = self._recmap.get(id(rec.parents[0]))
+        if (
+            src_rec is not None
+            and src_rec.kind == "matmul"
+            and self._consumers.get(id(rec.parents[0])) == 1
+            and rec.parents[0] is not self.output
+            and src_rec.out.data.shape == rec.out.data.shape
+            and src_rec.out.data.dtype == rec.out.data.dtype
+        ):
+            return src_rec
+        return None
 
-        if kind == "transpose":
-            in_ndim = rec.parents[0].data.ndim
-            axes = tuple(ax % in_ndim for ax in rec.meta["axes"])
-            saxes = (0,) + tuple(ax + 1 for ax in axes)
-            (a,) = srcs
+    def _managed_spec(self, rec: _OpRecord):
+        """(shape, dtype, strides) of a colorable output buffer, or None.
 
-            def run():
-                arena[o] = arena[a].transpose(saxes)
+        The carved block view must be byte-for-byte the layout
+        :meth:`out_buf` would otherwise allocate.  Stacked buffers are
+        always fresh C-contiguous ``lead + base`` arrays; serial ones
+        copy the eager layout: C-contiguous outputs reshape straight out
+        of the block (strides None), dense permuted layouts (e.g. the
+        NCHW view of a conv output flowing through relu) are re-strided
+        to the probed ``np.empty_like`` strides, and anything non-dense
+        stays unmanaged.
+        """
+        if not _OPS[rec.kind].planned:
+            return None
+        out = rec.out.data
+        if self.lead or out.flags["C_CONTIGUOUS"]:
+            return self.lead + out.shape, out.dtype, None
+        strides = _dense_layout(np.empty_like(out))
+        if strides is False:
+            return None
+        return out.shape, out.dtype, strides
 
-            return run
+    def _mask_shape(self, rec: _OpRecord) -> tuple:
+        return self.lead + rec.parents[0].data.shape
 
-        if kind == "matmul":
-            if rec.parents[0].data.ndim < 2 or rec.parents[1].data.ndim < 2:
-                raise CaptureError("stacked matmul needs >= 2-D operands")
-            ra = self._reader(rec.parents[0], len(out_base))
-            rb = self._reader(rec.parents[1], len(out_base))
-            buf = self._out_buf(rec)
-            arena[o] = buf
+    def out_buf(self, rec: _OpRecord) -> np.ndarray:
+        """The compile-time buffer ``rec``'s forward kernel writes, bound
+        to its output slot: the matmul buffer under a bias-add peephole
+        (built earlier in program order, so already bound), else the
+        planner's block view, else a dedicated allocation."""
+        planner = self._planner
+        buf = None
+        if self._peephole_src(rec) is not None:
+            buf = self.arena[self.slot(rec.parents[0])]
+        elif planner is not None:
+            buf = planner.buffer(self.slot(rec.out))
+        if buf is None:
+            out = rec.out.data
+            if self.lead:
+                buf = np.empty(self.lead + out.shape, out.dtype)
+            else:
+                buf = np.empty_like(out)
+            if planner is None and self._managed_spec(rec) is not None:
+                self._raw_slots += 1
+                self._raw_bytes += buf.nbytes
+        self.arena[self.slot(rec.out)] = buf
+        return buf
 
-            def run():
-                np.matmul(ra(), rb(), out=buf)
+    def mask_buf(self, rec: _OpRecord) -> np.ndarray:
+        planner = self._planner
+        if planner is not None:
+            buf = planner.keyed_buffer(id(rec))
+            if buf is not None:
+                return buf
+        mask = np.empty(self._mask_shape(rec), dtype=bool)
+        if planner is None:
+            self._raw_slots += 1
+            self._raw_bytes += mask.nbytes
+        return mask
 
-            return run
+    def _plan_stats(self) -> ArenaPlanStats:
+        planner = self._planner
+        if planner is None:
+            return ArenaPlanStats(
+                peak_bytes=self._raw_bytes,
+                unplanned_bytes=self._raw_bytes,
+                slots_before=self._raw_slots,
+                slots_after=self._raw_slots,
+                constants_interned=self._interned,
+            )
+        return ArenaPlanStats(
+            peak_bytes=planner.planned_bytes,
+            unplanned_bytes=planner.dedicated_bytes,
+            slots_before=len(planner.allocs),
+            slots_after=len(planner.blocks),
+            constants_interned=self._interned,
+        )
 
-        if kind == "conv2d":
-            return self._conv2d(rec)
-        if kind == "max_pool2d":
-            return self._max_pool2d(rec)
-        if kind == "avg_pool2d":
-            return self._avg_pool2d(rec)
-        if kind == "cross_entropy":
-            return self._cross_entropy(rec)
-
-        raise CaptureError(f"no stacked forward kernel for op kind {kind!r}")
+    def _toposort(self) -> list[Tensor]:
+        # Replicates Tensor.backward's DFS exactly, so the replayed
+        # accumulation order matches the eager one bit for bit.
+        ordered: list[Tensor] = []
+        seen: set[int] = set()
+        stack: list[tuple[Tensor, bool]] = [(self.output, False)]
+        while stack:
+            node, processed = stack.pop()
+            if processed:
+                ordered.append(node)
+                continue
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            stack.append((node, True))
+            for parent in node._parents:
+                if id(parent) not in seen:
+                    stack.append((parent, False))
+        return ordered
 
     def _bn_op(self, entry):
-        raise CaptureError("stacked replay does not support batch-norm updates")
+        module, mean_t, var_t, count = entry
+        if id(mean_t) not in self.slots or id(var_t) not in self.slots:
+            raise CaptureError("batch-norm stats missing from the tape")
+        sm = self.slot(mean_t)
+        sv = self.slot(var_t)
+        arena = self.arena
 
-    # -- composite kernels ----------------------------------------------
-    def _relu(self, rec: _OpRecord):
-        arena, acc, gbufs = self.arena, self.acc, self.gbufs
-        stack = self.stack
-        x_t = rec.parents[0]
-        a = self.slot(x_t)
-        o = self.slot(rec.out)
-        buf = self._out_buf(rec)
-        arena[o] = buf
-        mask = self._mask_buf(rec)
-        cell = _Cell()
-
-        def fwd():
-            np.maximum(arena[a], 0.0, out=buf)
-
-        def bwd():
-            np.greater(arena[a], 0, out=mask)
-            acc(a, _binout(cell, np.multiply, gbufs[o], mask), fresh=True)
-
-        self._register_bwd(rec, bwd, x_t.requires_grad)
-        return fwd
-
-    def _conv2d(self, rec: _OpRecord):
-        arena, acc, gbufs = self.arena, self.acc, self.gbufs
-        stack = self.stack
-        meta = rec.meta
-        n, c, h, w = meta["image_shape"]
-        _, oc, oh, ow = meta["out_shape"]
-        kernel, stride, padding = meta["kernel"], meta["stride"], meta["padding"]
-        has_bias = meta["has_bias"]
-        x_t, w_t = rec.parents[0], rec.parents[1]
-        b_t = rec.parents[2] if has_bias else None
-        sx, sw = self.slot(x_t), self.slot(w_t)
-        sb = self.slot(b_t) if has_bias else None
-        o = self.slot(rec.out)
-        ckk = c * kernel * kernel
-        m = n * oh * ow
-        weight_stack_shape = (stack,) + w_t.data.shape
-        w_stacked = sw in self._stacked
-        b_stacked = has_bias and sb in self._stacked
-        st: dict = {}
-        gw_cell, gc_cell = _Cell(), _Cell()
-
-        def flat_weight_view():
-            wt = arena[sw]
-            return wt.reshape(stack, oc, ckk) if w_stacked else wt.reshape(oc, ckk)
-
-        def fwd():
-            x = arena[sx]
-            flat_weight = flat_weight_view()
-            img = x
-            if padding > 0:
-                padded = st.get("padded")
-                if padded is None:
-                    padded = np.zeros(
-                        (stack, n, c, h + 2 * padding, w + 2 * padding),
-                        dtype=x.dtype,
-                    )
-                    st["padded"] = padded
-                padded[:, :, :, padding : padding + h, padding : padding + w] = x
-                img = padded
-            strides = img.strides
-            windows = as_strided(
-                img,
-                shape=(stack, n, c, oh, ow, kernel, kernel),
-                strides=(
-                    strides[0],
-                    strides[1],
-                    strides[2],
-                    strides[3] * stride,
-                    strides[4] * stride,
-                    strides[3],
-                    strides[4],
-                ),
-                writeable=False,
+        def run():
+            m = module.momentum
+            mean_arr = arena[sm]
+            var_arr = arena[sv]
+            unbiased = var_arr * (count / max(count - 1, 1))
+            module._set_buffer(
+                "running_mean",
+                (1 - m) * module.running_mean + m * mean_arr.reshape(-1),
             )
-            cols7 = st.get("cols7")
-            if cols7 is None:
-                cols7 = np.empty(
-                    (stack, n, oh, ow, c, kernel, kernel), dtype=x.dtype
-                )
-                st["cols7"] = cols7
-                st["cols3"] = cols7.reshape(stack, m, ckk)
-            np.copyto(cols7, windows.transpose(0, 1, 3, 4, 2, 5, 6))
-            cols3 = st["cols3"]
-            fwT = (
-                flat_weight.transpose(0, 2, 1) if w_stacked else flat_weight.T
+            module._set_buffer(
+                "running_var",
+                (1 - m) * module.running_var + m * unbiased.reshape(-1),
             )
-            mm = st.get("mm")
-            if mm is None:
-                mm = cols3 @ fwT
-                st["mm"] = mm
-            else:
-                np.matmul(cols3, fwT, out=mm)
-            out_flat = mm
-            if has_bias:
-                bias = arena[sb]
-                bview = bias.reshape(stack, 1, oc) if b_stacked else bias
-                bout = st.get("bout")
-                if bout is None:
-                    bout = out_flat + bview
-                    st["bout"] = bout
-                else:
-                    np.add(out_flat, bview, out=bout)
-                out_flat = bout
-            arena[o] = out_flat.reshape(stack, n, oh, ow, oc).transpose(
-                0, 1, 4, 2, 3
+            module._set_buffer(
+                "num_batches_tracked",
+                np.asarray(int(module.num_batches_tracked) + 1),
             )
 
-        x_req = x_t.requires_grad
-        w_req = w_t.requires_grad
-        b_req = has_bias and b_t.requires_grad
-
-        def col2im_replay(gc):
-            # The stacked analogue of the serial compiler's col2im replay:
-            # one extra leading axis on every buffer, the same (ki, kj)
-            # slice-add order per client slice.
-            gcT = st.get("gcT")
-            if gcT is None:
-                gcT = np.empty(
-                    (kernel, kernel, stack, n, c, oh, ow), dtype=gc.dtype
-                )
-                st["gcT"] = gcT
-                st["gpad"] = np.zeros(
-                    (stack, n, c, h + 2 * padding, w + 2 * padding),
-                    dtype=gc.dtype,
-                )
-            np.copyto(
-                gcT,
-                gc.reshape(stack, n, oh, ow, c, kernel, kernel).transpose(
-                    5, 6, 0, 1, 4, 2, 3
-                ),
-            )
-            gpad = st["gpad"]
-            gpad.fill(0.0)
-            for ki in range(kernel):
-                h_stop = ki + stride * oh
-                for kj in range(kernel):
-                    w_stop = kj + stride * ow
-                    gpad[:, :, :, ki:h_stop:stride, kj:w_stop:stride] += gcT[
-                        ki, kj
-                    ]
-            if padding > 0:
-                return gpad[:, :, :, padding:-padding, padding:-padding]
-            return gpad
-
-        def bwd():
-            g = gbufs[o]
-            grad_flat = g.transpose(0, 1, 3, 4, 2).reshape(stack, m, oc)
-            cols3 = st["cols3"]
-            flat_weight = flat_weight_view()
-            if w_req:
-                gw = _binout(
-                    gw_cell, np.matmul, grad_flat.transpose(0, 2, 1), cols3
-                )
-                acc(sw, gw.reshape(weight_stack_shape), fresh=True)
-            if b_req:
-                acc(sb, grad_flat.sum(axis=1), fresh=True)
-            if x_req:
-                gc = _binout(gc_cell, np.matmul, grad_flat, flat_weight)
-                acc(sx, col2im_replay(gc), fresh=True)
-
-        self._register_bwd(rec, bwd, x_req or w_req or b_req)
-        return fwd
-
-    def _max_pool2d(self, rec: _OpRecord):
-        arena, acc, gbufs = self.arena, self.acc, self.gbufs
-        stack = self.stack
-        meta = rec.meta
-        kernel, stride = meta["kernel"], meta["stride"]
-        n, c, h, w = meta["image_shape"]
-        _, _, oh, ow = meta["out_shape"]
-        # K*n*c image planes form one flat batch: pooling never mixes
-        # planes, so the serial kernel's geometry applies verbatim.
-        nc = stack * n * c
-        x_t = rec.parents[0]
-        sx = self.slot(x_t)
-        o = self.slot(rec.out)
-        window = kernel * kernel
-        count = nc * oh * ow
-        rows = np.arange(count)
-        flat_base = rows * window
-        ki, kj = np.divmod(np.arange(window), kernel)
-        b, rem = np.divmod(rows, oh * ow)
-        a_h, a_w = np.divmod(rem, ow)
-        col_to_img = (
-            b[:, None] * (h * w)
-            + (a_h[:, None] * stride + ki[None, :]) * w
-            + (a_w[:, None] * stride + kj[None, :])
-        ).ravel()
-        nonoverlap = stride >= kernel
-        st: dict = {}
-
-        def fwd():
-            as_batch = arena[sx].reshape(nc, 1, h, w)
-            strides = as_batch.strides
-            windows = as_strided(
-                as_batch,
-                shape=(nc, 1, oh, ow, kernel, kernel),
-                strides=(
-                    strides[0],
-                    strides[1],
-                    strides[2] * stride,
-                    strides[3] * stride,
-                    strides[2],
-                    strides[3],
-                ),
-                writeable=False,
-            )
-            cols6 = st.get("cols6")
-            if cols6 is None:
-                cols6 = np.empty(
-                    (nc, oh, ow, 1, kernel, kernel), dtype=as_batch.dtype
-                )
-                st["cols6"] = cols6
-                st["cols2"] = cols6.reshape(count, window)
-                st["arg"] = np.empty(count, dtype=np.intp)
-                st["idx"] = np.empty(count, dtype=np.intp)
-                st["out"] = np.empty(
-                    (stack, n, c, oh, ow), dtype=as_batch.dtype
-                )
-            np.copyto(cols6, windows.transpose(0, 2, 3, 1, 4, 5))
-            cols2 = st["cols2"]
-            arg = np.argmax(cols2, axis=1, out=st["arg"])
-            idx = np.add(flat_base, arg, out=st["idx"])
-            out = st["out"]
-            np.take(cols2.reshape(-1), idx, out=out.reshape(-1))
-            arena[o] = out
-
-        def bwd():
-            g = gbufs[o]
-            if nonoverlap:
-                gimg = st.get("gimg")
-                if gimg is None:
-                    gimg = np.empty(nc * h * w, dtype=g.dtype)
-                    st["gimg"] = gimg
-                    st["imgidx"] = np.empty(count, dtype=np.intp)
-                    st["gtmp"] = np.empty(count, dtype=g.dtype)
-                gimg.fill(0.0)
-                imgidx = np.take(col_to_img, st["idx"], out=st["imgidx"])
-                gtmp = np.add(g.reshape(-1), 0.0, out=st["gtmp"])
-                gimg[imgidx] = gtmp
-                acc(sx, gimg.reshape(stack, n, c, h, w), fresh=True)
-                return
-            cols2 = st["cols2"]
-            gc = st.get("gc")
-            if gc is None:
-                gc = np.zeros_like(cols2)
-                st["gc"] = gc
-            else:
-                gc.fill(0.0)
-            gc[rows, st["arg"]] = g.reshape(-1)
-            grad_images = F.col2im(gc, (nc, 1, h, w), kernel, stride, 0)
-            acc(sx, grad_images.reshape(stack, n, c, h, w), fresh=True)
-
-        self._register_bwd(rec, bwd, x_t.requires_grad)
-        return fwd
-
-    def _avg_pool2d(self, rec: _OpRecord):
-        arena, acc, gbufs = self.arena, self.acc, self.gbufs
-        stack = self.stack
-        meta = rec.meta
-        kernel, stride = meta["kernel"], meta["stride"]
-        n, c, h, w = meta["image_shape"]
-        _, _, oh, ow = meta["out_shape"]
-        nc = stack * n * c
-        window = kernel * kernel
-        x_t = rec.parents[0]
-        sx = self.slot(x_t)
-        o = self.slot(rec.out)
-        st: dict = {}
-
-        def fwd():
-            as_batch = arena[sx].reshape(nc, 1, h, w)
-            strides = as_batch.strides
-            windows = as_strided(
-                as_batch,
-                shape=(nc, 1, oh, ow, kernel, kernel),
-                strides=(
-                    strides[0],
-                    strides[1],
-                    strides[2] * stride,
-                    strides[3] * stride,
-                    strides[2],
-                    strides[3],
-                ),
-                writeable=False,
-            )
-            cols6 = st.get("cols6")
-            if cols6 is None:
-                cols6 = np.empty(
-                    (nc, oh, ow, 1, kernel, kernel), dtype=as_batch.dtype
-                )
-                st["cols6"] = cols6
-                st["cols2"] = cols6.reshape(nc * oh * ow, window)
-            np.copyto(cols6, windows.transpose(0, 2, 3, 1, 4, 5))
-            cols2 = st["cols2"]
-            mean = st.get("mean")
-            if mean is None:
-                mean = cols2.mean(axis=1)
-                st["mean"] = mean
-            else:
-                cols2.mean(axis=1, out=mean)
-            arena[o] = mean.reshape(stack, n, c, oh, ow)
-
-        def bwd():
-            g = gbufs[o]
-            grad_cols = np.repeat(g.reshape(-1, 1), window, axis=1) / window
-            grad_images = F.col2im(grad_cols, (nc, 1, h, w), kernel, stride, 0)
-            acc(sx, grad_images.reshape(stack, n, c, h, w), fresh=True)
-
-        self._register_bwd(rec, bwd, x_t.requires_grad)
-        return fwd
-
-    def _cross_entropy(self, rec: _OpRecord):
-        arena, acc, gbufs = self.arena, self.acc, self.gbufs
-        stack = self.stack
-        reduction = rec.meta["reduction"]
-        targets = rec.meta["targets"]
-        if self.labels is None or targets is not self.labels:
-            raise CaptureError("cross_entropy targets are not the step labels")
-        logits_t = rec.parents[0]
-        n = logits_t.data.shape[0]
-        sl = self.slot(logits_t)
-        lt = self.labels_slot
-        o = self.slot(rec.out)
-        kgrid = np.arange(stack)[:, None]
-        rows = np.arange(n)[None, :]
-        st: dict = {}
-        gl_cell = _Cell()
-
-        def fwd():
-            logits = arena[sl]
-            tgt = arena[lt]
-            if "max" not in st:
-                st["max"] = logits.max(axis=2, keepdims=True)
-                st["shifted"] = logits - st["max"]
-                st["exp"] = np.exp(st["shifted"])
-                st["sumexp"] = st["exp"].sum(axis=2, keepdims=True)
-                st["ln"] = np.log(st["sumexp"][:, :, 0])
-                st["losses"] = st["ln"] - st["shifted"][kgrid, rows, tgt]
-            else:
-                logits.max(axis=2, keepdims=True, out=st["max"])
-                np.subtract(logits, st["max"], out=st["shifted"])
-                np.exp(st["shifted"], out=st["exp"])
-                st["exp"].sum(axis=2, keepdims=True, out=st["sumexp"])
-                np.log(st["sumexp"][:, :, 0], out=st["ln"])
-                np.subtract(
-                    st["ln"], st["shifted"][kgrid, rows, tgt], out=st["losses"]
-                )
-            losses = st["losses"]
-            if reduction == "none":
-                arena[o] = losses
-                return
-            red = st.get("red")
-            if red is None:
-                red = (
-                    losses.sum(axis=1)
-                    if reduction == "sum"
-                    else losses.mean(axis=1)
-                )
-                st["red"] = red
-            elif reduction == "sum":
-                losses.sum(axis=1, out=red)
-            else:
-                losses.mean(axis=1, out=red)
-            arena[o] = red
-
-        def bwd():
-            g = gbufs[o]
-            tgt = arena[lt]
-            if reduction == "none":
-                scale = np.asarray(g).reshape(stack, n, 1)
-            elif reduction == "mean":
-                scale = (np.asarray(g) / n).reshape(stack, 1, 1)
-            else:
-                scale = np.asarray(g).reshape(stack, 1, 1)
-            softmax = np.divide(st["exp"], st["sumexp"], out=st["exp"])
-            gl = _binout(gl_cell, np.multiply, softmax, scale)
-            gl[kgrid, rows, tgt] -= scale[:, :, 0]
-            acc(sl, gl, fresh=True)
-
-        self._register_bwd(rec, bwd, logits_t.requires_grad)
-        return fwd
-
-    # -- backward kernels -----------------------------------------------
-    def _backward_op(self, rec: _OpRecord):
-        if id(rec) in self._composite_bwd:
-            return self._composite_bwd[id(rec)]
-        kind = rec.kind
-        arena, acc, gbufs = self.arena, self.acc, self.gbufs
-        stack = self.stack
-        o = self.slot(rec.out)
-        srcs = [self.slot(p) for p in rec.parents]
-        reqs = [p.requires_grad for p in rec.parents]
-        out_ndim = rec.out.data.ndim
-
-        if kind == "mul":
-            a, b = srcs
-            ra, rb = reqs
-            read_a = self._reader(rec.parents[0], out_ndim)
-            read_b = self._reader(rec.parents[1], out_ndim)
-            cell_a, cell_b = _Cell(), _Cell()
-
-            def run():
-                g = gbufs[o]
-                if ra:
-                    acc(a, _binout(cell_a, np.multiply, g, read_b()), fresh=True)
-                if rb:
-                    acc(b, _binout(cell_b, np.multiply, g, read_a()), fresh=True)
-
-            return run
-
-        if kind == "div":
-            a, b = srcs
-            ra, rb = reqs
-            read_a = self._reader(rec.parents[0], out_ndim)
-            read_b = self._reader(rec.parents[1], out_ndim)
-            cell = _Cell()
-
-            def run():
-                g = gbufs[o]
-                if ra:
-                    acc(a, _binout(cell, np.divide, g, read_b()), fresh=True)
-                if rb:
-                    acc(b, -g * read_a() / (read_b() ** 2), fresh=True)
-
-            return run
-
-        if kind == "sum":
-            axis = rec.meta["axis"]
-            keepdims = rec.meta["keepdims"]
-            in_base = rec.parents[0].data.shape
-            in_shape = (stack,) + in_base
-            (a,) = srcs
-            if axis is None:
-                gview = (stack,) + (1,) * len(in_base)
-
-                def run():
-                    g = gbufs[o]
-                    acc(a, np.broadcast_to(g.reshape(gview), in_shape))
-
-                return run
-            saxis = (
-                tuple(ax + 1 if ax >= 0 else ax for ax in axis)
-                if isinstance(axis, tuple)
-                else (axis + 1 if axis >= 0 else axis)
-            )
-
-            def run():
-                g = gbufs[o]
-                if not keepdims:
-                    g = np.expand_dims(g, axis=saxis)
-                acc(a, np.broadcast_to(g, in_shape))
-
-            return run
-
-        if kind == "reshape":
-            in_shape = (stack,) + rec.parents[0].data.shape
-            (a,) = srcs
-
-            def run():
-                acc(a, gbufs[o].reshape(in_shape))
-
-            return run
-
-        if kind == "transpose":
-            in_ndim = rec.parents[0].data.ndim
-            axes = tuple(ax % in_ndim for ax in rec.meta["axes"])
-            inverse = (0,) + tuple(int(ax) + 1 for ax in np.argsort(axes))
-            (a,) = srcs
-
-            def run():
-                acc(a, gbufs[o].transpose(inverse))
-
-            return run
-
-        if kind == "matmul":
-            a, b = srcs
-            ra, rb = reqs
-            read_a = self._reader(rec.parents[0], out_ndim)
-            read_b = self._reader(rec.parents[1], out_ndim)
-            cell_a, cell_b = _Cell(), _Cell()
-
-            def run():
-                g = gbufs[o]
-                if ra:
-                    acc(
-                        a,
-                        _binout(cell_a, np.matmul, g, _swap_last(read_b())),
-                        fresh=True,
-                    )
-                if rb:
-                    acc(
-                        b,
-                        _binout(cell_b, np.matmul, _swap_last(read_a()), g),
-                        fresh=True,
-                    )
-
-            return run
-
-        # add/neg/sub and the unary chain rules are rank-preserving, so
-        # the serial kernels (with this class's stacked ``acc``) apply.
-        return super()._backward_op(rec)
+        return run
 
 
 def compile_stacked_step(
@@ -2555,8 +1667,8 @@ def compile_stacked_step(
     full-size batch; values are ignored.  The trace runs on synthetic
     zeros (consuming no randomness) and the model state is restored
     afterwards, so calling this is observably side-effect free.  Raises
-    :class:`CaptureError` when the model records ops the stacked
-    compiler cannot batch (e.g. batch norm, dropout).
+    :class:`CaptureError` when the model records ops that cannot be
+    batched (e.g. batch norm, dropout).
     """
     snapshot = model.state_dict()
     model.train()
@@ -2573,10 +1685,15 @@ def compile_stacked_step(
     try:
         if tape.failed is not None:
             raise CaptureError(tape.failed)
-        compiler = _StackedCompiler(
-            tape, x, loss, synth_y, stack, model.parameters(), optimize=optimize
-        )
-        return compiler.compile_stacked()
+        return _Compiler(
+            tape,
+            x,
+            loss,
+            synth_y,
+            optimize=optimize,
+            stack=stack,
+            params=model.parameters(),
+        ).compile(with_backward=True)
     finally:
         # The trace may have advanced buffer state (batch-norm running
         # stats) before failing; roll everything back.
@@ -2626,13 +1743,16 @@ class StackedEngine:
 # Engines
 # ----------------------------------------------------------------------
 class _Engine:
-    """Shared capture bookkeeping: one program per batch-shape key.
+    """Shared capture bookkeeping: one program, for the largest batch.
 
-    Only the *first* shape seen is captured; every other shape (the
-    ragged last batch of a loader, odd evaluation tails) reports a
-    fallback and runs eagerly.  ``captures``/``replays``/``fallbacks``
-    count what actually happened, and ``failures`` maps a shape key to
-    the reason its capture was rejected.
+    The engine holds a single program and lets it follow the batch with
+    the most rows seen so far: a larger shape is captured and displaces
+    the held program (so a ragged first batch cannot pin the engine to
+    the wrong shape), every smaller one (the ragged last batch of a
+    loader, odd evaluation tails) reports a fallback and runs eagerly.
+    ``captures``/``replays``/``fallbacks`` count what actually happened,
+    and ``failures`` maps a shape key to the reason its capture was
+    rejected.
     """
 
     def __init__(self, model, optimize: bool = True):
@@ -2647,9 +1767,30 @@ class _Engine:
         # string-keyed dict key costs tens of microseconds per step,
         # which is real money against a sub-millisecond replay.
         self._hot: tuple | None = None
+        self._rows = 0  # batch rows of the held program
 
-    def _should_capture(self, key) -> bool:
-        return not self.programs and key not in self.failures
+    def _should_capture(self, key, rows: int) -> bool:
+        return rows > self._rows and key not in self.failures
+
+    def _compile(self, key, tape: Tape, x: Tensor, output: Tensor, labels) -> None:
+        """Make the traced step the engine's program, or memoize why not.
+
+        Must run before ``output.backward()``, which frees the graph.
+        """
+        if tape.failed is not None:
+            self.failures[key] = tape.failed
+            return
+        try:
+            program = _Compiler(
+                tape, x, output, labels, optimize=self.optimize
+            ).compile(with_backward=labels is not None)
+        except CaptureError as error:
+            self.failures[key] = str(error)
+            return
+        self.programs = {key: program}
+        self._rows = x.data.shape[0]
+        self._hot = None
+        self.captures += 1
 
 
 class TrainingEngine(_Engine):
@@ -2686,12 +1827,9 @@ class TrainingEngine(_Engine):
             )
             self.replays += 1
             return program.replay_step(features, labels)
-        if not self._should_capture(key):
+        if not self._should_capture(key, features.shape[0]):
             self.fallbacks += 1
             return None
-        return self._capture(key, features, labels)
-
-    def _capture(self, key, features, labels) -> float:
         tape = Tape()
         x = Tensor(features)
         previous = tensor_mod._set_tape(tape)
@@ -2700,18 +1838,7 @@ class TrainingEngine(_Engine):
             loss = F.cross_entropy(logits, labels)
         finally:
             tensor_mod._set_tape(previous)
-        if tape.failed is not None:
-            self.failures[key] = tape.failed
-        else:
-            try:
-                # Compile BEFORE backward: backward() frees the graph.
-                program = _Compiler(
-                    tape, x, loss, labels, optimize=self.optimize
-                ).compile(with_backward=True)
-                self.programs[key] = program
-                self.captures += 1
-            except CaptureError as error:
-                self.failures[key] = str(error)
+        self._compile(key, tape, x, loss, labels)
         loss.backward()
         return loss.item()
 
@@ -2739,7 +1866,7 @@ class InferenceEngine(_Engine):
             self._hot = (features.shape, features.dtype, program)
             self.replays += 1
             return program.replay_forward(features)
-        if not self._should_capture(key):
+        if not self._should_capture(key, features.shape[0]):
             self.fallbacks += 1
             return None
         tape = Tape()
@@ -2749,17 +1876,7 @@ class InferenceEngine(_Engine):
             out = self.model(x)
         finally:
             tensor_mod._set_tape(previous)
-        if tape.failed is not None:
-            self.failures[key] = tape.failed
-            return out.data
-        try:
-            program = _Compiler(
-                tape, x, out, None, optimize=self.optimize
-            ).compile(with_backward=False)
-            self.programs[key] = program
-            self.captures += 1
-        except CaptureError as error:
-            self.failures[key] = str(error)
+        self._compile(key, tape, x, out, None)
         return out.data
 
 

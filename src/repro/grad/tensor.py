@@ -54,21 +54,25 @@ def no_grad():
         _GRAD_ENABLED = previous
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...], lead: int = 0) -> np.ndarray:
     """Sum ``grad`` down to ``shape``, undoing NumPy broadcasting.
 
     Broadcasting may have (a) prepended dimensions and (b) stretched
     size-1 dimensions; both must be summed out so the gradient matches
-    the original operand's shape.
+    the original operand's shape.  The first ``lead`` axes (the client
+    axis of a stacked program) are never broadcast: prepended
+    dimensions sit right after them.
     """
     if grad.shape == shape:
         return grad
     # Sum out prepended dimensions.
     extra_dims = grad.ndim - len(shape)
     if extra_dims > 0:
-        grad = grad.sum(axis=tuple(range(extra_dims)))
+        grad = grad.sum(axis=tuple(range(lead, lead + extra_dims)))
     # Sum over dimensions that were stretched from size 1.
-    stretched = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
+    stretched = tuple(
+        i for i in range(lead, len(shape)) if shape[i] == 1 and grad.shape[i] != 1
+    )
     if stretched:
         grad = grad.sum(axis=stretched, keepdims=True)
     return grad.reshape(shape)

@@ -96,3 +96,57 @@ class TestFullBatchGradient:
         grads = full_batch_gradient(net, client(), config())
         for grad, param in zip(grads, net.parameters()):
             assert grad.shape == param.data.shape
+
+
+class TestCompiledRaggedFirstParty:
+    """The engine's one program follows the largest batch: a small party
+    that trains first must not pin it to its ragged shape."""
+
+    @staticmethod
+    def run(compile):
+        from repro.federated import FedAvg, FederatedServer, make_clients
+        from repro.partition.base import Partition
+
+        sizes = (20, 128, 128)  # batch 64: one 20-row batch, then full ones
+        train = dataset(n=sum(sizes), seed=4)
+        bounds = np.cumsum((0,) + sizes)
+        partition = Partition(
+            [np.arange(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        )
+        cfg = config(num_rounds=2, local_epochs=1, batch_size=64, seed=3, compile=compile)
+        clients = make_clients(partition, train, seed=cfg.seed)
+        with FederatedServer(model(seed=2), FedAvg(), clients, cfg) as server:
+            server.fit(cfg.num_rounds)
+            history = [record.to_dict() for record in server.history.records]
+            return history, server.global_state, server.model
+
+    def test_full_shape_is_replayed_and_bitwise(self):
+        from repro.grad.capture import training_engine
+
+        eager_history, eager_state, _ = self.run(compile=False)
+        history, state, net = self.run(compile=True)
+        engine = training_engine(net)
+        ((features_shape, *_), ) = engine.programs
+        assert features_shape[0] == 64, "engine kept the ragged first shape"
+        assert engine.captures == 2  # the 20-row batch, displaced by the full one
+        # 2 parties x 2 full batches x 2 rounds, minus the capturing step.
+        assert engine.replays == 7
+        assert history == eager_history
+        for key in eager_state:
+            np.testing.assert_array_equal(state[key], eager_state[key], err_msg=key)
+
+    def test_inference_engine_follows_largest_batch(self):
+        from repro.grad import Tensor
+        from repro.grad.capture import InferenceEngine
+
+        net = model(seed=2)
+        net.eval()
+        engine = InferenceEngine(net)
+        small, full = dataset(n=8).features, dataset(n=16, seed=1).features
+        assert engine.forward(small) is not None  # captured
+        assert engine.forward(full) is not None  # captured, displaces
+        assert engine.captures == 2 and len(engine.programs) == 1
+        np.testing.assert_array_equal(engine.forward(full), net(Tensor(full)).data)
+        assert engine.replays == 1
+        assert engine.forward(small) is None
+        assert engine.fallbacks == 1

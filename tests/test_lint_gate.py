@@ -101,94 +101,3 @@ class TestTrackedArtifacts:
     def test_outside_git_skips(self, tmp_path):
         assert lint.check_tracked_artifacts(tmp_path / "nowhere") == []
 
-
-class TestCaptureRules:
-    HEADER = (
-        "_BINARY_UFUNCS = {'add': 1, 'mul': 2}\n"
-        "_UNARY_UFUNCS = {'exp': 3}\n"
-    )
-
-    def test_current_capture_passes(self):
-        assert lint.check_capture_rules(REPO / lint.CAPTURE_FILE) == []
-
-    def test_dispatched_kind_without_rule_rejected(self, tmp_path):
-        bad = tmp_path / "capture.py"
-        bad.write_text(
-            self.HEADER
-            + "OP_RULES = {\n"
-            "    'add': _OpRule(may_alias=True),\n"
-            "    'mul': _OpRule(may_alias=True),\n"
-            "    'exp': _OpRule(may_alias=True),\n"
-            "}\n"
-            "def f(rec, kind):\n"
-            "    if rec.kind == 'relu':\n"
-            "        pass\n"
-        )
-        (problem,) = lint.check_capture_rules(bad)
-        assert "'relu'" in problem and "no OP_RULES entry" in problem
-
-    def test_stale_rule_rejected(self, tmp_path):
-        bad = tmp_path / "capture.py"
-        bad.write_text(
-            self.HEADER
-            + "OP_RULES = {\n"
-            "    'add': _OpRule(may_alias=True),\n"
-            "    'mul': _OpRule(may_alias=True),\n"
-            "    'exp': _OpRule(may_alias=True),\n"
-            "    'ghost': _OpRule(may_alias=False),\n"
-            "}\n"
-        )
-        (problem,) = lint.check_capture_rules(bad)
-        assert "'ghost'" in problem and "stale" in problem
-
-    def test_rule_without_may_alias_rejected(self, tmp_path):
-        bad = tmp_path / "capture.py"
-        bad.write_text(
-            self.HEADER
-            + "OP_RULES = {\n"
-            "    'add': _OpRule(may_alias=True),\n"
-            "    'mul': _OpRule(bwd_reads=('in',)),\n"
-            "    'exp': _OpRule(may_alias=True),\n"
-            "}\n"
-        )
-        (problem,) = lint.check_capture_rules(bad)
-        assert "may_alias" in problem
-
-    def test_tape_entry_tags_ignored(self, tmp_path):
-        good = tmp_path / "capture.py"
-        good.write_text(
-            self.HEADER
-            + "OP_RULES = {\n"
-            "    'add': _OpRule(may_alias=True),\n"
-            "    'mul': _OpRule(may_alias=True),\n"
-            "    'exp': _OpRule(may_alias=True),\n"
-            "}\n"
-            "def walk(entries):\n"
-            "    for kind, entry in entries:\n"
-            "        if kind == 'op':\n"
-            "            pass\n"
-            "        if kind != 'bn':\n"
-            "            pass\n"
-        )
-        assert lint.check_capture_rules(good) == []
-
-    def test_kind_attribute_comparisons_collected(self, tmp_path):
-        good = tmp_path / "capture.py"
-        good.write_text(
-            self.HEADER
-            + "OP_RULES = {\n"
-            "    'add': _OpRule(may_alias=True),\n"
-            "    'mul': _OpRule(may_alias=True),\n"
-            "    'exp': _OpRule(may_alias=True),\n"
-            "    'matmul': _OpRule(may_alias=False),\n"
-            "}\n"
-            "def g(rec):\n"
-            "    return rec.kind != 'matmul'\n"
-        )
-        assert lint.check_capture_rules(good) == []
-
-    def test_missing_table_reported(self, tmp_path):
-        empty = tmp_path / "capture.py"
-        empty.write_text("x = 1\n")
-        (problem,) = lint.check_capture_rules(empty)
-        assert "OP_RULES" in problem

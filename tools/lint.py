@@ -306,108 +306,6 @@ def check_event_registry(path: Path = ASYNC_ENGINE_FILE) -> list[str]:
     return problems
 
 
-#: the capture engine's optimizer rule table: the arena planner consults
-#: ``OP_RULES[kind]`` for liveness/aliasing facts, so a kernel kind the
-#: compiler handles but the table omits silently gets the conservative
-#: default — or worse, a stale table entry claims aliasing rights for a
-#: kernel that no longer exists.
-CAPTURE_FILE = Path("src/repro/grad/capture.py")
-RULE_TABLE = "OP_RULES"
-RULE_CLASS = "_OpRule"
-UFUNC_TABLES = ("_BINARY_UFUNCS", "_UNARY_UFUNCS")
-#: tape-entry tags, not op kinds: the compiler's walk also compares a
-#: variable named ``kind`` against these.
-TAPE_ENTRY_TAGS = frozenset({"op", "bn"})
-
-
-def _dict_literal_keys(tree: ast.AST, names: tuple[str, ...]) -> dict[str, int]:
-    """String keys of top-level ``name = {...}`` dict literals."""
-    keys: dict[str, int] = {}
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Assign) or not isinstance(node.value, ast.Dict):
-            continue
-        if not any(
-            isinstance(t, ast.Name) and t.id in names for t in node.targets
-        ):
-            continue
-        for key in node.value.keys:
-            if isinstance(key, ast.Constant) and isinstance(key.value, str):
-                keys[key.value] = key.lineno
-    return keys
-
-
-def check_capture_rules(path: Path = CAPTURE_FILE) -> list[str]:
-    """Keep kernel kinds and optimizer liveness rules in lockstep.
-
-    Three invariants over ``repro.grad.capture``:
-
-    - every op kind the compiler dispatches on (ufunc-table keys plus
-      literal ``kind == "..."`` comparisons) has an ``OP_RULES`` entry;
-    - every ``OP_RULES`` key corresponds to a dispatched kind (no stale
-      rules granting aliasing rights to removed kernels);
-    - every ``_OpRule(...)`` declares ``may_alias`` explicitly — the
-    in-place-reuse proof obligation must be stated, never defaulted.
-    """
-    if not path.is_file():
-        return [f"{path}: missing (capture-rules check expects it here)"]
-    try:
-        tree = ast.parse(path.read_text(), filename=str(path))
-    except SyntaxError:
-        return []  # the syntax error is reported by the main lint pass
-    problems = []
-
-    rule_keys = _dict_literal_keys(tree, (RULE_TABLE,))
-    if not rule_keys:
-        return [f"{path}: {RULE_TABLE} dict literal not found (capture-rules check)"]
-
-    handled = _dict_literal_keys(tree, UFUNC_TABLES)
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Compare) or len(node.ops) != 1:
-            continue
-        if not isinstance(node.ops[0], (ast.Eq, ast.NotEq)):
-            continue
-        left = node.left
-        is_kind = (isinstance(left, ast.Name) and left.id == "kind") or (
-            isinstance(left, ast.Attribute) and left.attr == "kind"
-        )
-        comparator = node.comparators[0]
-        if (
-            is_kind
-            and isinstance(comparator, ast.Constant)
-            and isinstance(comparator.value, str)
-            and comparator.value not in TAPE_ENTRY_TAGS
-        ):
-            handled.setdefault(comparator.value, node.lineno)
-
-    for kind, lineno in sorted(handled.items()):
-        if kind not in rule_keys:
-            problems.append(
-                f"{path}:{lineno}: op kind {kind!r} is dispatched by the "
-                f"compiler but has no {RULE_TABLE} entry; the planner needs "
-                "its liveness/aliasing facts"
-            )
-    for kind, lineno in sorted(rule_keys.items()):
-        if kind not in handled:
-            problems.append(
-                f"{path}:{lineno}: {RULE_TABLE} entry {kind!r} matches no "
-                "dispatched op kind; stale rule (or a renamed kernel)"
-            )
-
-    for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == RULE_CLASS
-        ):
-            if not any(kw.arg == "may_alias" for kw in node.keywords):
-                problems.append(
-                    f"{path}:{node.lineno}: {RULE_CLASS}(...) without an "
-                    "explicit may_alias=; the aliasing proof obligation "
-                    "must be declared per kernel"
-                )
-    return problems
-
-
 #: path fragments that are build/run artifacts, never source: a tracked
 #: match means someone `git add`-ed cache or output files (PR 7 shipped
 #: 75 .pyc files this way).  Checked against `git ls-files`.
@@ -457,7 +355,6 @@ def main(argv: list[str] | None = None) -> int:
     structural_problems = (
         check_executor_registry()
         + check_event_registry()
-        + check_capture_rules()
         + check_tracked_artifacts()
     )
     for problem in structural_problems:
