@@ -1,14 +1,10 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast test-stacked test-async test-concurrent test-capture test-bench-harness lint bench bench-smoke bench-e2e
+.PHONY: test test-stacked test-async test-concurrent test-capture test-bench-harness lint bench bench-smoke bench-e2e
 
 test: lint
 	$(PYTHON) -m pytest -x -q
-
-# Skip the fork-based parallel-executor tests (slowest part of the suite).
-test-fast:
-	$(PYTHON) -m pytest -x -q -m "not parallel"
 
 # Just the stacked-client replay executor and its compiler.
 test-stacked:

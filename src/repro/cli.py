@@ -33,6 +33,7 @@ from repro.experiments.decision_tree import recommend_algorithm
 from repro.experiments.scale import PRESETS
 from repro.federated.algorithms import ALGORITHM_NAMES
 from repro.federated.algorithms.fedprox import DEFAULT_MU
+from repro.federated.executor import EXECUTORS
 from repro.partition import parse_strategy, stats
 from repro.spec import RunSpec, overridable_names
 
@@ -157,11 +158,7 @@ def _add_experiment_args(parser: argparse.ArgumentParser) -> None:
         help="party fraction per round",
     )
     parser.add_argument(
-        "--num-workers", type=int,
-        help="worker processes for client training (0 = serial)",
-    )
-    parser.add_argument(
-        "--executor", choices=("auto", "serial", "parallel", "stacked"),
+        "--executor", choices=EXECUTORS.names(),
         help="client-execution backend (results are identical either way)",
     )
     parser.add_argument(
@@ -390,7 +387,7 @@ def cmd_list(args) -> int:
     from repro.models.registry import MODELS
     from repro.partition.registry import PARTITIONS
 
-    for registry in (DATASETS, PARTITIONS, MODELS, ALGORITHMS, CODECS):
+    for registry in (DATASETS, PARTITIONS, MODELS, ALGORITHMS, CODECS, EXECUTORS):
         title = registry.kind if registry.kind.endswith("y") else f"{registry.kind}s"
         print(f"{title}:")
         for entry in registry.entries():

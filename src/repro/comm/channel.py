@@ -10,8 +10,8 @@ everything about how model state crosses the (simulated) network:
   are measured from the encoded payloads.
 - **Uplink** (:meth:`encode_upload`): each party's trained state — plus
   extras such as SCAFFOLD's control-variate delta — is encoded with the
-  *client's* generator (so worker processes reproduce the serial draws
-  bit for bit), decoded into what the server would reconstruct, and
+  *client's* generator (so every executor backend reproduces the serial
+  draws bit for bit), decoded into what the server would reconstruct, and
   metered.  Error-feedback codecs return a residual the executor stores
   in ``ClientResult.client_state`` under :data:`RESIDUAL_KEY`; the
   server commits it into ``client.state`` through the same purity

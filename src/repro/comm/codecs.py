@@ -24,9 +24,9 @@ Four codec families ship:
 
 Determinism contract: a codec's only randomness comes from the
 ``numpy.random.Generator`` handed to :meth:`Codec.encode`.  The
-transport passes the *client's* generator on the uplink (its state
-already travels between server and workers), so serial and parallel
-executions draw identical bits and produce identical histories.
+transport passes the *client's* generator on the uplink (its state is
+staged and committed by the executor), so every executor backend draws
+identical bits and produces identical histories.
 """
 
 from __future__ import annotations

@@ -1,26 +1,21 @@
 """Micro-benchmarks for the training hot paths.
 
-Two timings matter for this repo's wall-clock budget:
+The timing that matters most for this repo's wall-clock budget is **one
+CNN local round** — the inner loop every federated experiment spends
+~95% of its time in (im2col convolutions + fused cross-entropy + SGD
+steps).  This is the number the allocation-cutting work in
+:mod:`repro.grad.functional` moves.  (A whole federated round is timed
+end to end by ``benchmarks/e2e``: ``server.run_round_s`` on the
+``cell_cnn`` and ``rounds_mlp`` workloads.)
 
-1. **One CNN local round** — the inner loop every federated experiment
-   spends ~95% of its time in (im2col convolutions + fused cross-entropy
-   + SGD steps).  This is the number the allocation-cutting work in
-   :mod:`repro.grad.functional` moves.
-2. **One full federated round** — local rounds across all sampled
-   parties plus aggregation, under the serial executor and under the
-   parallel executor at several worker counts.  This is the number the
-   executor backend in :mod:`repro.federated.executor` moves.
-
-A third family measures the communication layer in :mod:`repro.comm`:
+A second family measures the communication layer in :mod:`repro.comm`:
 per-codec encode/decode throughput on a model-sized vector, and the
 measured bytes one federated round puts on the wire under each codec
 (the compression-ratio column of the Section 5.2 trade-off).
 
 Run as ``python -m repro.experiments.bench`` (or ``make bench`` /
-``repro-bench``); results land in ``BENCH_core.json`` with enough
-hardware context to interpret the speedup column.  On a machine with
-fewer physical cores than workers the parallel speedup is capped by the
-hardware, not the implementation — the ``note`` field records this.
+``repro-bench``); results land in ``BENCH_core.json`` together with
+the host's hardware context.
 """
 
 from __future__ import annotations
@@ -35,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.data import load_dataset
+from repro.experiments.scheduler import fork_available
 from repro.federated import (
     FedAvg,
     FederatedConfig,
@@ -44,7 +40,6 @@ from repro.federated import (
     evaluate_loss,
     make_clients,
 )
-from repro.federated.executor import fork_available
 from repro.federated.trainer import run_local_training
 from repro.grad import functional as F
 from repro.grad.capture import training_engine
@@ -67,7 +62,7 @@ def _build_fixture(seed: int = 0, n_train: int = 640, num_parties: int = 10):
     return model, clients
 
 
-def _config(num_workers: int = 0, **overrides) -> FederatedConfig:
+def _config(**overrides) -> FederatedConfig:
     defaults = dict(
         num_rounds=1,
         local_epochs=1,
@@ -75,7 +70,6 @@ def _config(num_workers: int = 0, **overrides) -> FederatedConfig:
         lr=0.01,
         momentum=0.9,
         seed=0,
-        num_workers=num_workers,
     )
     defaults.update(overrides)
     return FederatedConfig(**defaults)
@@ -395,31 +389,6 @@ def bench_eval_fastpath(repeats: int = 3, seed: int = 0, n_test: int = 512) -> d
     }
 
 
-def bench_federated_round(
-    num_workers: int, repeats: int = 2, seed: int = 0
-) -> dict:
-    """Time one full round (all parties + aggregation), excluding setup.
-
-    A warm-up round runs first so pool creation and lazy caches are not
-    billed to the measured rounds.
-    """
-    model, clients = _build_fixture(seed=seed)
-    # Explicit backend: "auto" would degrade to serial on a single-CPU
-    # host and this benchmark would silently time the wrong thing.
-    config = _config(
-        num_workers=num_workers,
-        executor="parallel" if num_workers >= 2 else "serial",
-    )
-    with FederatedServer(model, FedAvg(), clients, config) as server:
-        server.fit(1)  # warm-up (forks the pool when num_workers >= 2)
-        seconds = _time(lambda: server.fit(1), repeats)
-    return {
-        "num_workers": num_workers,
-        "executor": "parallel" if num_workers >= 2 else "serial",
-        "seconds": round(seconds, 4),
-    }
-
-
 #: codec configurations benchmarked, mirroring the sweep's default ladder
 BENCH_CODECS = (
     {"codec": "identity"},
@@ -659,28 +628,8 @@ def bench_async_engine(
     return {"scaling": scaling, "buffer_sweep": buffer_sweep}
 
 
-def _hardware_note(cpu_count: int, worker_counts: list[int]) -> str:
-    if not worker_counts:
-        return "No parallel worker counts benchmarked."
-    capped = [w for w in worker_counts if w > cpu_count]
-    if not capped:
-        return (
-            f"{cpu_count} CPUs available; worker counts up to "
-            f"{max(worker_counts)} can run truly concurrently."
-        )
-    return (
-        f"Hardware cap: this machine exposes {cpu_count} CPU(s), so worker "
-        f"counts {capped} time-slice a single core instead of running "
-        "concurrently. Parallel speedup is bounded by min(workers, cpus); "
-        "expect ~1x (minus IPC overhead) here, and near-linear scaling on "
-        "multi-core hosts. The determinism tests, not this timing, are the "
-        "correctness signal on such machines."
-    )
-
-
 def run_benchmarks(
     repeats: int = 2,
-    worker_counts: tuple[int, ...] = (0, 2, 4),
     seed: int = 0,
     smoke: bool = False,
 ) -> dict:
@@ -690,22 +639,12 @@ def run_benchmarks(
     enough to prove the benchmarks run, not to produce stable numbers.
     """
     if smoke:
-        repeats, worker_counts = 1, tuple(w for w in worker_counts if w == 0)
-    cpu_count = os.cpu_count() or 1
-    bad = [w for w in worker_counts if w < 0 or w == 1]
-    if bad:
-        raise ValueError(
-            f"worker counts must be 0 (serial) or >= 2 (parallel), got {bad}"
-        )
-    dropped = [w for w in worker_counts if w >= 2 and not fork_available()]
-    if dropped:
-        print(f"skipping worker counts {dropped}: fork is unavailable")
-    worker_counts = [w for w in worker_counts if w not in dropped]
-    report = {
+        repeats = 1
+    return {
         "schema": 1,
         "suite": "repro.experiments.bench",
         "hardware": {
-            "cpu_count": cpu_count,
+            "cpu_count": os.cpu_count() or 1,
             "machine": platform.machine(),
             "system": platform.system(),
             "python": platform.python_version(),
@@ -736,10 +675,6 @@ def run_benchmarks(
             seed=seed,
             n_test=128 if smoke else 512,
         ),
-        "federated_round": [
-            bench_federated_round(w, repeats=repeats, seed=seed)
-            for w in worker_counts
-        ],
         "codec_throughput": bench_codecs(
             repeats=repeats if smoke else max(repeats, 3), seed=seed
         ),
@@ -749,19 +684,6 @@ def run_benchmarks(
         ),
         "async_engine": bench_async_engine(seed=seed, smoke=smoke),
     }
-    serial = next(
-        (r for r in report["federated_round"] if r["num_workers"] == 0), None
-    )
-    if serial is not None:
-        for row in report["federated_round"]:
-            if row["num_workers"] >= 2 and row["seconds"] > 0:
-                row["speedup_vs_serial"] = round(
-                    serial["seconds"] / row["seconds"], 2
-                )
-    report["note"] = _hardware_note(
-        cpu_count, [w for w in worker_counts if w >= 2]
-    )
-    return report
 
 
 #: wall-time regression tolerance for --check-baseline: smoke runs use
@@ -817,21 +739,12 @@ def main(argv: list[str] | None = None) -> int:
         "--repeats", type=int, default=2, help="timing repeats (best-of)"
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        nargs="*",
-        default=[0, 2, 4],
-        help="worker counts to benchmark (0 = serial)",
-    )
-    parser.add_argument(
         "--smoke",
         action="store_true",
-        help="seconds-scale sanity run (small sizes, serial only)",
+        help="seconds-scale sanity run (small sizes)",
     )
     args = parser.parse_args(argv)
-    report = run_benchmarks(
-        repeats=args.repeats, worker_counts=tuple(args.workers), smoke=args.smoke
-    )
+    report = run_benchmarks(repeats=args.repeats, smoke=args.smoke)
     Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps(report, indent=2))
     if args.check_baseline is not None:

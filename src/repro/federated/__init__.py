@@ -35,7 +35,6 @@ from repro.federated.evaluation import (
 )
 from repro.federated.executor import (
     ClientExecutor,
-    ParallelExecutor,
     RoundExecution,
     SerialExecutor,
     StackedDriftError,
@@ -77,7 +76,6 @@ __all__ = [
     "evaluate_per_party",
     "ClientExecutor",
     "SerialExecutor",
-    "ParallelExecutor",
     "StackedExecutor",
     "StackedDriftError",
     "RoundExecution",

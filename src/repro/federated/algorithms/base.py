@@ -8,7 +8,7 @@ The server drives the loop; an algorithm provides three hooks:
 - :meth:`FedAlgorithm.local_update` — run one party's local work given the
   current global state and the broadcast payload, returning a
   :class:`ClientResult`.  **Purity contract** (what makes client rounds
-  safe to run in worker processes, see :mod:`repro.federated.executor`):
+  safe to batch, retry and reorder, see :mod:`repro.federated.executor`):
   the hook must not mutate algorithm instance state or any client other
   than the one it was given; its ``model`` argument is scratch workspace
   only; persistent per-party state changes go into

@@ -2,7 +2,7 @@
 
 Local training is plain FedAvg (the inherited pure
 :meth:`~repro.federated.algorithms.fedavg.FedAvg.local_update`, so FedNova
-parallelizes across workers unchanged), but the server normalizes every party's
+runs under every executor backend unchanged), but the server normalizes every party's
 cumulative update by its local step count before averaging, then rescales
 by the weighted-average step count (Algorithm 1 line 10):
 

@@ -16,9 +16,8 @@ staleness.  This module simulates that server on a **virtual clock**:
   dropouts, mid-training crashes), both already pure seeded draws;
 - client *compute* runs through the ordinary
   :class:`~repro.federated.executor.ClientExecutor` backends — each
-  dispatch group is one ``execute_round`` batch, so serial, stacked and
-  (for materialized populations) fork-parallel execution all plug in
-  underneath unchanged;
+  dispatch group is one ``execute_round`` batch, so serial and stacked
+  execution plug in underneath unchanged;
 - parties come from a :class:`~repro.federated.population.
   ClientPopulation`: checked out at dispatch, released (state spilled
   cold) when their upload lands or they fail — memory stays
@@ -74,10 +73,10 @@ import numpy as np
 from repro.comm import CommChannel
 from repro.federated.config import FederatedConfig
 from repro.federated.evaluation import evaluate as evaluate_model
-from repro.federated.executor import ParallelExecutor, make_executor
+from repro.federated.executor import make_executor
 from repro.federated.faults import NO_FAULT, FaultModel
 from repro.federated.history import History, RoundRecord
-from repro.federated.population import ClientPopulation, MaterializedPopulation
+from repro.federated.population import ClientPopulation
 from repro.federated.sampling import sample_clients
 from repro.federated.systems import SystemModel
 
@@ -220,14 +219,6 @@ class AsyncFederation:
         )
         self._comm_keys = sorted(self.global_state)
         self.executor = executor if executor is not None else make_executor(config)
-        if isinstance(self.executor, ParallelExecutor) and not isinstance(
-            population, MaterializedPopulation
-        ):
-            raise ValueError(
-                "the fork-parallel executor snapshots all clients at fork "
-                "time and cannot see lazily materialized parties; use "
-                "executor='serial' or 'stacked' with virtual populations"
-            )
         self.executor.setup(model, algorithm, self._view, config, channel=self.channel)
 
         # -- scheduler state -------------------------------------------
@@ -526,7 +517,7 @@ class AsyncFederation:
         return result.accuracy
 
     def close(self) -> None:
-        """Release the executor's resources (worker pools); idempotent."""
+        """Release the executor's resources; idempotent."""
         self.executor.close()
 
     def __enter__(self) -> "AsyncFederation":

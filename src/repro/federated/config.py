@@ -64,19 +64,13 @@ class FederatedConfig:
         SCAFFOLD requires ``"sgd"`` — its drift correction is defined on
         the SGD update rule.
     executor:
-        Client-execution backend: ``"serial"`` (one process, the classic
-        loop), ``"parallel"`` (a fork-based worker pool; requires
-        ``num_workers >= 2``), ``"stacked"`` (batch up to ``stack_size``
-        clients' local rounds into one fat compiled replay; see
-        :class:`~repro.federated.executor.StackedExecutor`), or
-        ``"auto"`` (parallel when ``num_workers >= 2`` and the platform
-        supports fork, else serial).  Results are bitwise identical
-        across backends; see :mod:`repro.federated.executor`.
-    num_workers:
-        Worker processes for the parallel executor.  ``0`` (and ``1``)
-        mean single-process execution.  A good starting point is the
-        machine's physical core count, capped by the number of parties
-        sampled per round — extra workers only idle.
+        Client-execution backend, a name registered in
+        :data:`repro.federated.executor.EXECUTORS`: ``"serial"`` (one
+        party after another, the default) or ``"stacked"`` (batch up to
+        ``stack_size`` clients' local rounds into one fat compiled
+        replay; see :class:`~repro.federated.executor.StackedExecutor`).
+        Results are bitwise identical across backends; see
+        :mod:`repro.federated.executor`.
     stack_size:
         Clients per stack for ``executor="stacked"`` (K; >= 2).  Larger
         stacks amortize NumPy dispatch over more clients per op; returns
@@ -122,9 +116,8 @@ class FederatedConfig:
         participation decay).
     max_retries:
         Bounded retries the executor attempts for a party whose task
-        raises an unexpected (non-injected) exception, before the
-        parallel backend falls back to serial re-execution and then
-        gives up loudly.
+        raises an unexpected (non-injected) exception, before the round
+        gives up loudly with nothing committed.
     checkpoint_every:
         Save a full run checkpoint every k rounds (0 = never); see
         :meth:`~repro.federated.server.FederatedServer.save_checkpoint`.
@@ -178,8 +171,7 @@ class FederatedConfig:
     dp: "DifferentialPrivacy | None" = None
     sampler: str = "uniform"
     optimizer: str = "sgd"
-    executor: str = "auto"
-    num_workers: int = 0
+    executor: str = "serial"
     stack_size: int = 16
     stacked_tolerance: float = 0.0
     codec: str = "identity"
@@ -251,14 +243,12 @@ class FederatedConfig:
                 f"optimizer must be 'sgd', 'adam' or 'amsgrad', "
                 f"got {self.optimizer!r}"
             )
-        if self.executor not in ("auto", "serial", "parallel", "stacked"):
+        from repro.federated.executor import EXECUTORS
+
+        if self.executor not in EXECUTORS:
             raise ValueError(
-                f"executor must be 'auto', 'serial', 'parallel' or "
-                f"'stacked', got {self.executor!r}"
-            )
-        if self.num_workers < 0:
-            raise ValueError(
-                f"num_workers must be non-negative, got {self.num_workers}"
+                f"unknown executor {self.executor!r}; "
+                f"available: {list(EXECUTORS.names())}"
             )
         if self.stack_size < 2:
             raise ValueError(
@@ -268,11 +258,6 @@ class FederatedConfig:
             raise ValueError(
                 f"stacked_tolerance must be non-negative, "
                 f"got {self.stacked_tolerance}"
-            )
-        if self.executor == "parallel" and self.num_workers < 2:
-            raise ValueError(
-                "executor='parallel' needs num_workers >= 2; "
-                "use executor='serial' (or 'auto') for single-process runs"
             )
         from repro.comm import CODEC_NAMES
 

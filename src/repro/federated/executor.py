@@ -1,68 +1,65 @@
-"""Pluggable client-execution backends for the federated round loop.
+"""Client execution: one hardened round template and two backends.
 
-The per-round unit of work — "run one party's local training against the
-current global model" — is embarrassingly parallel, and FL simulators built
-for this workload (FedJAX, FedML's distributed-computing layer) all treat
-it that way.  This module provides two interchangeable backends:
+The per-round unit of work is "run one party's local training against
+the current global model".  :meth:`ClientExecutor.execute_round` is the
+single definition of how a round of those tasks runs, and the server
+(and the async engine) drive nothing else:
 
-- :class:`SerialExecutor` — the classic single-process loop (default);
-- :class:`ParallelExecutor` — a fork-based ``multiprocessing`` pool with
-  one long-lived model replica per worker.
-
-Both rely on the algorithm purity contract (see
-:meth:`repro.federated.algorithms.base.FedAlgorithm.local_update`): a
-client round is a pure function of ``(global_state, client payload,
-config)`` that may use its ``model`` argument only as scratch workspace
-and must report persistent per-party state changes in
-``ClientResult.client_state`` instead of mutating anything shared.
-
-Determinism
------------
-Results are **bitwise identical regardless of worker count**:
-
-- each party owns a private ``numpy`` generator; the worker receives its
-  current state with the task and returns the advanced state with the
-  result, so shuffling sequences match the serial schedule exactly;
-- the global state is shipped as a flat ``float32`` vector (the
-  :mod:`repro.grad.serialize` transport dtype) and unflattened against the
-  worker replica — a lossless round-trip for ``float32`` model states;
-- the server consumes results in *participant order* (submission order),
-  never completion order, so aggregation sees the same sequence the
-  serial loop produces.
-
-Fault tolerance
----------------
-:meth:`ClientExecutor.execute_round` is the hardened entry point the
-server drives.  Its contract:
-
-- **transactional commit** — client generator states advance only after
-  *every* dispatched task resolved (success or definitive failure); an
-  exception mid-round leaves all clients exactly as they were, so the
-  round can be retried or abandoned without corrupting RNG schedules;
+- the broadcast payload defaults to the algorithm's own, and the flat
+  ``float32`` reference vector delta-mode codecs need is built only when
+  the channel's codec is lossy;
+- every party a backend does not finish in bulk goes through
+  :meth:`ClientExecutor._resolve_party`, and
+  :meth:`ClientExecutor._run_one` is the only code that runs one party's
+  task (fault arming, ``local_update``, uplink coding via
+  :func:`process_upload`);
 - **bounded retry** — a task raising an unexpected exception is retried
-  up to ``config.max_retries`` times from the same pre-task snapshot,
-  so a *transient* fault recovers bitwise-identically to a fault-free
-  run;
-- **serial re-execution fallback** — the parallel backend re-runs a
-  task that keeps failing in the pool directly in the parent process
-  (covering worker death and transport corruption) before giving up
-  loudly;
+  up to ``config.max_retries`` times from the same pre-task generator
+  snapshot, so a *transient* fault recovers bitwise-identically to a
+  fault-free run (the round's ``fallback`` is then ``"retry"``);
 - **injected crashes** (:class:`~repro.federated.faults.InjectedCrash`)
   are deterministic by construction and are *not* retried: the party is
   reported failed and its partial work — including its advanced
-  generator state — is discarded.
+  generator state — is discarded;
+- results come back in *participant order*, whatever order the backend
+  processed the parties in, so aggregation sees one sequence;
+- **transactional commit** — each party's advanced generator state is
+  staged and committed only after *every* task resolved; an exception
+  mid-round leaves all clients exactly as they were, so the round can be
+  retried or abandoned without corrupting RNG schedules.
 
-Workers are forked lazily on the first round, after
-:meth:`FedAlgorithm.prepare`, so the replicas inherit the datasets and
-cached key structure by copy-on-write instead of pickling them.
+Two backends plug into that template through one hook,
+:meth:`ClientExecutor._run_groups`, which may finish some parties in
+bulk and hands the rest back to the per-party path:
+
+- :class:`SerialExecutor` (``executor="serial"``, the default) finishes
+  none — every party runs one after another on the server's model;
+- :class:`StackedExecutor` (``executor="stacked"``) trains groups of
+  shape-compatible parties as one compiled program with a leading
+  client axis.
+
+Both are registered in :data:`EXECUTORS`, which construction
+(:func:`make_executor`), config validation and the CLI all read.  A run
+uses more than one core by running several cells at once
+(``--jobs``, :mod:`repro.experiments.scheduler`), not by splitting a
+round.
+
+Purity contract
+---------------
+Bulk execution, the retry above and the async engine's out-of-order
+arrivals are sound because of the algorithm purity contract (see
+:meth:`repro.federated.algorithms.base.FedAlgorithm.local_update`): a
+client round is a pure function of ``(global_state, client payload,
+config)`` and the party's private generator; it may use its ``model``
+argument only as scratch workspace and must report persistent per-party
+state changes in ``ClientResult.client_state`` instead of mutating
+anything shared.  Results are therefore **bitwise identical across
+backends**, which the contract suite in
+``tests/federated/test_executor.py`` checks for every registered name.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import warnings
-import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -77,23 +74,14 @@ from repro.federated.trainer import (
 )
 from repro.grad.capture import stacked_engine
 from repro.grad.optim import StackedSGD
-from repro.grad.serialize import state_dict_to_vector, vector_to_state_dict
+from repro.grad.serialize import state_dict_to_vector
+from repro.registry import Registry
 
 if TYPE_CHECKING:
     from repro.grad.nn.module import Module
     from repro.federated.algorithms.base import ClientResult, FedAlgorithm
     from repro.federated.client import Client
     from repro.federated.config import FederatedConfig
-
-
-def fork_available() -> bool:
-    """Whether this platform supports fork-based worker pools."""
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
-def _effective_cpu_count() -> int:
-    """CPUs the pool could actually use (monkeypatchable in tests)."""
-    return os.cpu_count() or 1
 
 
 def process_upload(channel, algorithm, result, client, reference, keys) -> None:
@@ -104,8 +92,8 @@ def process_upload(channel, algorithm, result, client, reference, keys) -> None:
     measured wire size, and an error-feedback residual (if the codec
     keeps one) is added to ``result.client_state`` so the server commits
     it into ``client.state`` like any other persistent per-party state.
-    Uses ``client.rng`` for stochastic codecs — its state already travels
-    between server and workers, so serial and parallel runs draw the
+    Uses ``client.rng`` for stochastic codecs — the party's own generator,
+    staged and committed with the round, so every backend draws the
     same bits.
     """
     residual = None
@@ -134,7 +122,8 @@ class RoundExecution:
     ``results`` holds the completed parties' results in participant
     order; ``failed`` maps each party that did not finish to a short
     reason string (``"crash@step3"``); ``fallback`` names the recovery
-    path taken when any task needed one (``"retry"`` or ``"serial"``),
+    path taken when any task needed one (``"retry"``, or
+    ``"stacked:serial"`` for a stack that degraded to per-party runs),
     ``None`` for a clean round.
     """
 
@@ -144,8 +133,28 @@ class RoundExecution:
     fallback: str | None = None
 
 
+@dataclass
+class _Round:
+    """One round's inputs plus its staging area.
+
+    Nothing staged here touches a client until
+    :meth:`ClientExecutor.execute_round` commits: results wait keyed by
+    party, advanced generator states wait in ``staged_rng``.
+    """
+
+    global_state: dict[str, np.ndarray]
+    payload: dict
+    faults: "Mapping[int, PartyFault]"
+    #: flat broadcast reference and its key order (lossy codecs only)
+    reference: np.ndarray | None
+    keys: list[str] | None
+    execution: RoundExecution = field(default_factory=RoundExecution)
+    results: "dict[int, ClientResult]" = field(default_factory=dict)
+    staged_rng: dict[int, dict] = field(default_factory=dict)
+
+
 class ClientExecutor:
-    """Interface: run the sampled parties' local rounds for one round."""
+    """The hardened round (see the module docstring); backends subclass it."""
 
     def setup(
         self,
@@ -166,406 +175,111 @@ class ClientExecutor:
         self.config = config
         self.channel = channel
 
-    def run_round(
+    def execute_round(
         self,
         global_state: dict[str, np.ndarray],
         participants: Sequence[int],
         payload: dict | None = None,
-    ) -> "list[ClientResult]":
-        """Execute local training for ``participants``, in their order.
+        faults: "Mapping[int, PartyFault] | None" = None,
+    ) -> RoundExecution:
+        """Run local training for ``participants``; results in their order.
 
         ``payload`` is the (already channel-encoded) broadcast extras;
         when ``None`` the executor asks the algorithm directly, which is
-        the uncompressed pre-channel behaviour.  Without injected faults
-        every party completes (unexpected failures raise after retries),
-        so this returns the bare result list.
+        the uncompressed pre-channel behaviour.  ``faults`` carries
+        injected per-party failures for this round; parties the fault
+        model already dropped must not appear in ``participants`` at all.
         """
-        return self.execute_round(global_state, participants, payload).results
-
-    def execute_round(
-        self,
-        global_state: dict[str, np.ndarray],
-        participants: Sequence[int],
-        payload: dict | None = None,
-        faults: "Mapping[int, PartyFault] | None" = None,
-    ) -> RoundExecution:
-        """Fault-tolerant round execution (see the module docstring).
-
-        ``faults`` carries injected per-party failures for this round;
-        parties the fault model already dropped must not appear in
-        ``participants`` at all.
-        """
-        raise NotImplementedError
-
-    def _max_retries(self) -> int:
-        config = getattr(self, "config", None)
-        return config.max_retries if config is not None else 1
-
-    def close(self) -> None:
-        """Release backend resources (idempotent)."""
-
-    def __enter__(self) -> "ClientExecutor":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-class SerialExecutor(ClientExecutor):
-    """Run parties one after another on the server's workspace model.
-
-    ``note``, when set, is recorded as each round's ``fallback`` so the
-    history shows *why* this run degraded to serial (e.g. ``"auto"``
-    found a single-CPU host); ``None`` leaves clean rounds unmarked.
-    """
-
-    def __init__(self, note: str | None = None):
-        self._note = note
-
-    def execute_round(
-        self,
-        global_state: dict[str, np.ndarray],
-        participants: Sequence[int],
-        payload: dict | None = None,
-        faults: "Mapping[int, PartyFault] | None" = None,
-    ) -> RoundExecution:
         if payload is None:
             payload = self.algorithm.broadcast_payload()
-        channel = self.channel
-        # The identity codec never transforms state, so the flat reference
-        # vector (only needed by delta-mode codecs) is built lazily.
         keys: list[str] | None = None
         reference: np.ndarray | None = None
-        execution = RoundExecution()
-        max_retries = self._max_retries()
-        # Advanced generator states stage here and commit only after the
-        # whole round resolved — an irrecoverable failure on a later
-        # party must leave every client untouched.
-        staged_rng: dict[int, dict] = {}
+        if self.channel is not None and not self.channel.codec.lossless:
+            keys = sorted(global_state)
+            reference = state_dict_to_vector(global_state, keys=keys)
+        work = _Round(global_state, payload, faults or {}, reference, keys)
+        for party in self._run_groups(participants, work):
+            self._resolve_party(party, work)
+        execution = work.execution
         for party in participants:
-            if channel is not None and keys is None and not channel.codec.lossless:
-                keys = sorted(global_state)
-                reference = state_dict_to_vector(global_state, keys=keys)
-            result = self._resolve_party(
-                party, global_state, payload, faults, reference, keys,
-                execution, staged_rng, max_retries,
-            )
-            if result is not None:
-                execution.results.append(result)
+            if party in work.results:
+                execution.results.append(work.results[party])
                 execution.completed.append(party)
-        for party, rng_state in staged_rng.items():
+        # The commit: an irrecoverable failure above raised before any
+        # client's generator moved.
+        for party, rng_state in work.staged_rng.items():
             self.clients[party].rng.bit_generator.state = rng_state
-        if execution.fallback is None and self._note is not None:
-            execution.fallback = self._note
         return execution
 
-    def _resolve_party(
-        self, party, global_state, payload, faults, reference, keys,
-        execution, staged_rng, max_retries,
-    ):
-        """Run one party's task transactionally; the serial unit of work.
+    def _run_groups(self, participants: Sequence[int], work: _Round) -> Sequence[int]:
+        """Backend hook: finish some parties in bulk, return the rest.
 
-        Returns the :class:`ClientResult` (with the advanced generator
-        state staged in ``staged_rng``, the live generator restored to
-        its pre-task snapshot), or None when the party failed via an
-        injected crash (recorded in ``execution.failed``).  Unexpected
-        exceptions retry up to ``max_retries`` times and then propagate
-        with nothing staged.
+        A finished party has its result in ``work.results``, its advanced
+        generator state in ``work.staged_rng`` and its live generator
+        back at the pre-round snapshot.  The base finishes none.
+        """
+        return participants
+
+    def _resolve_party(self, party: int, work: _Round) -> None:
+        """Run one party's task transactionally.
+
+        On success the result and the advanced generator state are
+        staged in ``work`` and the live generator is restored to its
+        pre-task snapshot; an injected crash records the party in
+        ``work.execution.failed`` instead.  Unexpected exceptions retry
+        up to ``config.max_retries`` times and then propagate with
+        nothing staged.
         """
         client = self.clients[party]
-        fault = faults.get(party) if faults else None
         snapshot = client.rng.bit_generator.state
         attempts = 0
         while True:
             try:
-                result = self._run_one(
-                    client, global_state, payload, fault, reference, keys
-                )
+                result = self._run_one(client, work.faults.get(party), work)
             except InjectedCrash as crash:
                 # Deterministic by construction: no retry.  The party's
                 # partial work (and generator draws) die with it.
                 client.rng.bit_generator.state = snapshot
-                execution.failed[party] = f"crash@step{crash.steps_completed}"
-                return None
+                work.execution.failed[party] = f"crash@step{crash.steps_completed}"
+                return
             except Exception:
                 client.rng.bit_generator.state = snapshot
                 attempts += 1
-                if attempts > max_retries:
+                if attempts > self.config.max_retries:
                     raise
-                execution.fallback = "retry"
+                work.execution.fallback = "retry"
                 continue
-            staged_rng[party] = client.rng.bit_generator.state
+            work.staged_rng[party] = client.rng.bit_generator.state
             client.rng.bit_generator.state = snapshot
-            return result
+            work.results[party] = result
+            return
 
-    def _run_one(self, client, global_state, payload, fault, reference, keys):
+    def _run_one(self, client, fault, work: _Round):
         """One party's task: fault arming, local update, uplink coding."""
         if fault is not None and fault.crash_after_steps is not None:
             client.crash_after_steps = fault.crash_after_steps
         try:
             result = self.algorithm.local_update(
-                self.model, global_state, client, self.config, payload
+                self.model, work.global_state, client, self.config, work.payload
             )
         finally:
             client.crash_after_steps = None
         if self.channel is not None:
             process_upload(
-                self.channel, self.algorithm, result, client, reference, keys
+                self.channel, self.algorithm, result, client,
+                work.reference, work.keys,
             )
         return result
 
-    def __repr__(self) -> str:
-        if self._note is not None:
-            return f"SerialExecutor(note={self._note!r})"
-        return "SerialExecutor()"
-
-
-# ----------------------------------------------------------------------
-# Fork-side worker machinery
-# ----------------------------------------------------------------------
-class _WorkerState:
-    """Everything a worker inherits at fork time (copy-on-write)."""
-
-    __slots__ = ("model", "algorithm", "clients", "config", "keys", "channel", "template")
-
-    def __init__(self, model, algorithm, clients, config, keys, channel):
-        self.model = model
-        self.algorithm = algorithm
-        self.clients = clients
-        self.config = config
-        self.keys = keys
-        self.channel = channel
-        self.template = None  # lazily cached state-dict template
-
-
-#: Set in the parent immediately before the pool forks; each worker keeps
-#: the inherited snapshot.  Only the mutable bits (rng state, per-party
-#: state, the global model vector) travel with each task.
-_FORK_STATE: _WorkerState | None = None
-
-
-def _run_task(
-    client_index, global_vec, rng_state, client_state, payload, crash_after=None
-):
-    """Worker entry: one party's local round against the shipped state."""
-    state = _FORK_STATE
-    if state is None:  # pragma: no cover - defensive; fork guarantees it
-        raise RuntimeError("worker has no inherited federation state")
-    if state.template is None:
-        state.template = state.model.state_dict()
-    client = state.clients[client_index]
-    client.rng.bit_generator.state = rng_state
-    client.state = client_state
-    global_state = vector_to_state_dict(global_vec, state.template, keys=state.keys)
-    # Workers are long-lived and client objects are reused across tasks,
-    # so the injected-crash arming must not outlive this task.
-    client.crash_after_steps = crash_after
-    try:
-        result = state.algorithm.local_update(
-            state.model, global_state, client, state.config, payload
-        )
-    finally:
-        client.crash_after_steps = None
-    if state.channel is not None:
-        # global_vec is exactly the flat broadcast reference delta-mode
-        # codecs need; the uplink draws from client.rng, whose advanced
-        # state returns to the parent with the result.
-        process_upload(
-            state.channel, state.algorithm, result, client, global_vec, state.keys
-        )
-    return result, client.rng.bit_generator.state
-
-
-def _shutdown_pool(pool) -> None:
-    """Tear a pool down, tolerating an already-broken or closed pool.
-
-    After a worker crash the pool object can be in a half-dead state
-    where ``terminate()``/``join()`` themselves raise; teardown must
-    still complete (and stay idempotent) so ``close()`` after a failed
-    round — or the GC finalizer after an explicit ``close()`` — never
-    masks the original error with a shutdown error.
-    """
-    try:
-        pool.terminate()
-    except Exception:
-        pass
-    try:
-        pool.join()
-    except Exception:
-        pass
-
-
-class ParallelExecutor(ClientExecutor):
-    """Train sampled parties concurrently in a fork-based process pool.
-
-    Parameters
-    ----------
-    num_workers:
-        Number of worker processes (>= 2; use :class:`SerialExecutor` for
-        single-process execution).  Values above the number of sampled
-        parties per round are harmless — excess workers idle.
-    """
-
-    def __init__(self, num_workers: int):
-        if num_workers < 2:
-            raise ValueError(
-                f"ParallelExecutor needs num_workers >= 2, got {num_workers}; "
-                "use SerialExecutor for single-process execution"
-            )
-        if not fork_available():
-            raise RuntimeError(
-                "ParallelExecutor requires the 'fork' start method (POSIX); "
-                "use SerialExecutor on this platform"
-            )
-        self.num_workers = num_workers
-        self._pool = None
-        self._keys: list[str] | None = None
-        self._finalizer = None
-
-    def _ensure_pool(self, global_state: dict[str, np.ndarray]) -> None:
-        if self._pool is not None:
-            return
-        global _FORK_STATE
-        self._keys = sorted(global_state)
-        _FORK_STATE = _WorkerState(
-            self.model, self.algorithm, self.clients, self.config, self._keys,
-            self.channel,
-        )
-        try:
-            context = multiprocessing.get_context("fork")
-            self._pool = context.Pool(self.num_workers)
-        finally:
-            _FORK_STATE = None
-        self._finalizer = weakref.finalize(self, _shutdown_pool, self._pool)
-
-    def execute_round(
-        self,
-        global_state: dict[str, np.ndarray],
-        participants: Sequence[int],
-        payload: dict | None = None,
-        faults: "Mapping[int, PartyFault] | None" = None,
-    ) -> RoundExecution:
-        self._ensure_pool(global_state)
-        if payload is None:
-            payload = self.algorithm.broadcast_payload()
-        global_vec = state_dict_to_vector(global_state, keys=self._keys)
-        faults = faults or {}
-        max_retries = self._max_retries()
-
-        def submit(party):
-            client = self.clients[party]
-            fault = faults.get(party)
-            crash_after = fault.crash_after_steps if fault is not None else None
-            return self._pool.apply_async(
-                _run_task,
-                (
-                    party,
-                    global_vec,
-                    client.rng.bit_generator.state,
-                    client.state,
-                    payload,
-                    crash_after,
-                ),
-            )
-
-        pending = [(party, submit(party)) for party in participants]
-        execution = RoundExecution()
-        # Parent client generators advance only in the commit phase below,
-        # so an irrecoverable failure anywhere leaves them untouched.
-        staged: dict[int, tuple] = {}
-        # Collect in submission (= participant) order, not completion order,
-        # so aggregation is independent of worker scheduling.
-        for party, handle in pending:
-            try:
-                staged[party] = handle.get()
-                continue
-            except InjectedCrash as crash:
-                # Deterministic injection: the party is lost this round.
-                execution.failed[party] = f"crash@step{crash.steps_completed}"
-                continue
-            except Exception:
-                pass
-            if self._recover(
-                party, global_state, global_vec, payload, faults,
-                staged, execution, max_retries,
-            ):
-                continue
-        for party in participants:
-            if party in staged:
-                result, rng_state = staged[party]
-                self.clients[party].rng.bit_generator.state = rng_state
-                execution.results.append(result)
-                execution.completed.append(party)
-        return execution
-
-    def _recover(
-        self, party, global_state, global_vec, payload, faults,
-        staged, execution, max_retries,
-    ) -> bool:
-        """Retry a failed task through the pool, then serially in-parent.
-
-        Returns True when the party resolved (result staged or marked
-        failed); raises when every path is exhausted — with nothing
-        committed, so the caller's clients are unchanged.
-        """
-        client = self.clients[party]
-        fault = faults.get(party)
-        for _ in range(max_retries):
-            execution.fallback = "retry"
-            handle = self._pool.apply_async(
-                _run_task,
-                (
-                    party,
-                    global_vec,
-                    client.rng.bit_generator.state,
-                    client.state,
-                    payload,
-                    fault.crash_after_steps if fault is not None else None,
-                ),
-            )
-            try:
-                staged[party] = handle.get()
-                return True
-            except InjectedCrash as crash:
-                execution.failed[party] = f"crash@step{crash.steps_completed}"
-                return True
-            except Exception:
-                continue
-        # Serial re-execution in the parent: immune to worker death and
-        # result-transport corruption.  The parent client's generator is
-        # still at its pre-round state, so the task replays exactly.
-        execution.fallback = "serial"
-        snapshot = client.rng.bit_generator.state
-        if fault is not None and fault.crash_after_steps is not None:
-            client.crash_after_steps = fault.crash_after_steps
-        try:
-            result = self.algorithm.local_update(
-                self.model, global_state, client, self.config, payload
-            )
-            if self.channel is not None:
-                process_upload(
-                    self.channel, self.algorithm, result, client,
-                    global_vec, self._keys,
-                )
-            staged[party] = (result, client.rng.bit_generator.state)
-            return True
-        except InjectedCrash as crash:
-            execution.failed[party] = f"crash@step{crash.steps_completed}"
-            return True
-        finally:
-            client.crash_after_steps = None
-            client.rng.bit_generator.state = snapshot
-
     def close(self) -> None:
-        # Detach state *before* running the finalizer: if shutdown is
-        # interrupted (KeyboardInterrupt mid-terminate), a second close()
-        # must be a no-op rather than double-shutting the pool.
-        finalizer, self._finalizer, self._pool = self._finalizer, None, None
-        if finalizer is not None:
-            finalizer()
+        """Release backend resources (idempotent)."""
+
+
+class SerialExecutor(ClientExecutor):
+    """Run parties one after another on the server's workspace model."""
 
     def __repr__(self) -> str:
-        return f"ParallelExecutor(num_workers={self.num_workers})"
+        return "SerialExecutor()"
 
 
 class StackedDriftError(RuntimeError):
@@ -612,7 +326,7 @@ class _StackRecord:
         self.post_rng = None
 
 
-class StackedExecutor(SerialExecutor):
+class StackedExecutor(ClientExecutor):
     """Batch K clients' local rounds into one fat compiled replay.
 
     The round's sampled parties are grouped into stacks of up to
@@ -623,7 +337,7 @@ class StackedExecutor(SerialExecutor):
     whole group is a handful of large NumPy ops instead of K small
     Python loops.  Everything around the training loop — the algorithm's
     ``local_update`` body, uplink codecs, fault injection, retries — is
-    the inherited serial machinery, driven via the trainer hook in two
+    the shared round template, driven via the trainer hook in two
     passes:
 
     1. **record**: ``local_update`` runs until it calls
@@ -640,12 +354,11 @@ class StackedExecutor(SerialExecutor):
     first stacked group serially (:class:`StackedDriftError` on
     violation).  Parties that do not fit the stacking contract (ragged
     batches, armed crash faults, non-SGD optimizer, DP noise, models the
-    stacked compile rejects) fall back to the serial path per party or
-    per group.
+    stacked compile rejects) go through the per-party path, per party
+    or per group.
     """
 
     def __init__(self, stack_size: int = 16, tolerance: float = 0.0):
-        super().__init__()
         if stack_size < 2:
             raise ValueError(
                 f"StackedExecutor needs stack_size >= 2, got {stack_size}; "
@@ -657,50 +370,14 @@ class StackedExecutor(SerialExecutor):
         self.tolerance = tolerance
         self._drift_checked = False
 
-    def execute_round(
-        self,
-        global_state: dict[str, np.ndarray],
-        participants: Sequence[int],
-        payload: dict | None = None,
-        faults: "Mapping[int, PartyFault] | None" = None,
-    ) -> RoundExecution:
-        if payload is None:
-            payload = self.algorithm.broadcast_payload()
-        channel = self.channel
-        keys: list[str] | None = None
-        reference: np.ndarray | None = None
-        if channel is not None and not channel.codec.lossless:
-            keys = sorted(global_state)
-            reference = state_dict_to_vector(global_state, keys=keys)
-        execution = RoundExecution()
-        max_retries = self._max_retries()
-        staged_rng: dict[int, dict] = {}
-        results: dict[int, object] = {}
-        groups, serial_parties = self._plan(participants, faults)
+    def _run_groups(self, participants, work):
+        groups, serial_parties = self._plan(participants, work.faults)
         for group in groups:
-            done = self._run_stack(
-                group, global_state, payload, reference, keys,
-                staged_rng, results,
-            )
-            if not done:
-                if execution.fallback is None:
-                    execution.fallback = "stacked:serial"
+            if not self._run_stack(group, work):
+                if work.execution.fallback is None:
+                    work.execution.fallback = "stacked:serial"
                 serial_parties = serial_parties + group
-        for party in serial_parties:
-            result = self._resolve_party(
-                party, global_state, payload, faults, reference, keys,
-                execution, staged_rng, max_retries,
-            )
-            if result is not None:
-                results[party] = result
-        # Participant order, regardless of stacked/serial processing order.
-        for party in participants:
-            if party in results:
-                execution.results.append(results[party])
-                execution.completed.append(party)
-        for party, rng_state in staged_rng.items():
-            self.clients[party].rng.bit_generator.state = rng_state
-        return execution
+        return serial_parties
 
     def _plan(self, participants, faults):
         """Split the round into stackable groups and serial leftovers.
@@ -744,9 +421,7 @@ class StackedExecutor(SerialExecutor):
                     groups.append(chunk)
         return groups, serial
 
-    def _run_stack(
-        self, group, global_state, payload, reference, keys, staged_rng, results
-    ) -> bool:
+    def _run_stack(self, group, work) -> bool:
         """Try one group end to end; False degrades the group to serial.
 
         Transactional like the serial path: on any failure every group
@@ -762,10 +437,10 @@ class StackedExecutor(SerialExecutor):
             for client, snapshot in zip(clients, snapshots):
                 client.rng.bit_generator.state = snapshot
             for party in group:
-                staged_rng.pop(party, None)
-                results.pop(party, None)
+                work.staged_rng.pop(party, None)
+                work.results.pop(party, None)
 
-        records = self._record_group(group, global_state, payload)
+        records = self._record_group(group, work.global_state, work.payload)
         if records is None:
             restore()
             return False
@@ -774,10 +449,7 @@ class StackedExecutor(SerialExecutor):
             if not self._drift_checked:
                 self._check_drift(records, snapshots)
                 self._drift_checked = True
-            self._replay_group(
-                records, snapshots, global_state, payload, reference, keys,
-                staged_rng, results,
-            )
+            self._replay_group(records, snapshots, work)
         except StackedDriftError:
             restore()
             raise
@@ -985,10 +657,7 @@ class StackedExecutor(SerialExecutor):
                     f"party {record.party}, above tolerance {tolerance:.3e}"
                 )
 
-    def _replay_group(
-        self, records, snapshots, global_state, payload, reference, keys,
-        staged_rng, results,
-    ) -> None:
+    def _replay_group(self, records, snapshots, work) -> None:
         """Phase 3: feed results back through each ``local_update``."""
         for record, snapshot in zip(records, snapshots):
             client = record.client
@@ -1006,16 +675,10 @@ class StackedExecutor(SerialExecutor):
             # the same generator sequence the serial path would.
             client.rng.bit_generator.state = record.post_rng
             with local_training_hook(replay_hook):
-                result = self.algorithm.local_update(
-                    self.model, global_state, client, self.config, payload
-                )
-            if self.channel is not None:
-                process_upload(
-                    self.channel, self.algorithm, result, client, reference, keys
-                )
-            staged_rng[record.party] = client.rng.bit_generator.state
+                result = self._run_one(client, None, work)
+            work.staged_rng[record.party] = client.rng.bit_generator.state
             client.rng.bit_generator.state = snapshot
-            results[record.party] = result
+            work.results[record.party] = result
 
     def __repr__(self) -> str:
         return (
@@ -1024,47 +687,32 @@ class StackedExecutor(SerialExecutor):
         )
 
 
-#: executor names make_executor accepts (mirrors FederatedConfig validation)
-EXECUTOR_NAMES = ("auto", "serial", "parallel", "stacked")
+#: backend name -> factory taking the run's :class:`FederatedConfig`; the
+#: one table construction, config validation and the CLI read
+EXECUTORS = Registry("executor")
+EXECUTORS.register(
+    "serial",
+    lambda config: SerialExecutor(),
+    summary="one party after another on the server's model (default)",
+)
+EXECUTORS.register(
+    "stacked",
+    lambda config: StackedExecutor(
+        stack_size=config.stack_size, tolerance=config.stacked_tolerance
+    ),
+    summary="batch `stack_size` shape-compatible parties into one replay",
+)
 
 
 def make_executor(config: "FederatedConfig") -> ClientExecutor:
     """Build the executor a :class:`FederatedConfig` asks for.
 
-    ``executor="serial"``, ``"parallel"`` and ``"stacked"`` are explicit;
-    ``"auto"`` picks :class:`ParallelExecutor` when ``num_workers >= 2``,
-    the platform can fork, *and* more than one CPU is actually available
-    — forked workers time-slicing one core cost fork/IPC overhead for
-    zero concurrency, so a single-CPU host degrades to
-    :class:`SerialExecutor` with a one-line warning and the reason
-    recorded in each round's ``fallback`` field.  An explicit
-    ``executor="parallel"`` still forces the pool.  Unknown names raise
-    ``ValueError`` — configs are typically validated upstream, but
-    hand-built ones must not silently degrade to serial.
+    Unknown names raise ``ValueError`` listing the registered backends —
+    configs are validated on construction, but one mutated afterwards
+    must not silently degrade to serial.
     """
-    if config.executor not in EXECUTOR_NAMES:
-        raise ValueError(
-            f"unknown executor {config.executor!r}; expected one of "
-            f"{EXECUTOR_NAMES}"
-        )
-    if config.executor == "stacked":
-        return StackedExecutor(
-            stack_size=config.stack_size, tolerance=config.stacked_tolerance
-        )
-    wants_parallel = config.executor == "parallel" or (
-        config.executor == "auto" and config.num_workers >= 2
-    )
-    if not wants_parallel:
-        return SerialExecutor()
-    if config.executor == "auto" and not fork_available():
-        return SerialExecutor()
-    if config.executor == "auto" and _effective_cpu_count() <= 1:
-        warnings.warn(
-            f"executor='auto' found a single-CPU host; running "
-            f"{config.num_workers} requested workers serially "
-            "(pass executor='parallel' to force a pool)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return SerialExecutor(note="serial:single-cpu")
-    return ParallelExecutor(max(config.num_workers, 2))
+    try:
+        factory = EXECUTORS.get(config.executor)
+    except KeyError as error:
+        raise ValueError(error.args[0]) from None
+    return factory(config)

@@ -45,11 +45,6 @@ class InjectedCrash(RuntimeError):
         self.client_id = client_id
         self.steps_completed = steps_completed
 
-    def __reduce__(self):
-        # Rebuild from the typed fields so the exception survives the
-        # worker-to-parent pickle hop of the parallel executor.
-        return (InjectedCrash, (self.client_id, self.steps_completed))
-
 
 @dataclass(frozen=True)
 class PartyFault:

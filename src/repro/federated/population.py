@@ -122,8 +122,7 @@ class MaterializedPopulation(ClientPopulation):
         return self._clients[party]
 
     def client_view(self):
-        # Executors may be handed the real list: parallel workers fork
-        # with it and index arbitrary parties.
+        # Every party is resident, so executors index the real list.
         return self._clients
 
     @property

@@ -8,10 +8,10 @@ Round structure:
    what parties train from, and its measured payload bytes are what the
    round record charges for the downlink;
 3. run each party's local training through the configured
-   :class:`~repro.federated.executor.ClientExecutor` (serially on the
-   workspace model, or fan-out across a worker pool — bitwise-identical
-   either way), which also runs every upload through the channel's
-   uplink codec and meters it;
+   :class:`~repro.federated.executor.ClientExecutor` (one party after
+   another on the workspace model, or stacked groups in one compiled
+   program — bitwise-identical either way), which also runs every
+   upload through the channel's uplink codec and meters it;
 4. commit each result's persistent per-party state, in participant order;
 5. aggregate the results into the next global model (the algorithm's
    :meth:`aggregate`);
@@ -34,9 +34,8 @@ Long runs checkpoint with :meth:`FederatedServer.save_checkpoint` and
 continue with :meth:`FederatedServer.resume`; a resumed run reproduces
 the uninterrupted run's history bitwise (see DESIGN.md for the format).
 
-The server owns a single workspace model instance; serial party training
+The server owns a single workspace model instance; party training
 reloads weights into it instead of rebuilding, so CPU runs stay cheap.
-Parallel workers fork their own long-lived replicas of it.
 """
 
 from __future__ import annotations
@@ -84,10 +83,9 @@ class FederatedServer:
         round; useful for custom logging or early stopping in examples.
     executor:
         Client-execution backend.  Defaults to whatever ``config`` asks
-        for (``config.executor`` / ``config.num_workers``); pass an
-        instance to share a pool across servers or to inject a custom
-        backend.  Call :meth:`close` (or use the server as a context
-        manager) to release pooled workers.
+        for (``config.executor``); pass an instance to inject a custom
+        backend.  :meth:`close` (or using the server as a context
+        manager) releases whatever resources it holds.
     channel:
         Communication channel applying the run's update-compression
         codec and measuring payload bytes (see :mod:`repro.comm`).
@@ -140,8 +138,6 @@ class FederatedServer:
         algorithm.prepare(model, clients, config)
         self.channel = channel if channel is not None else CommChannel.from_config(config)
         self._comm_keys = sorted(self.global_state)
-        # The executor binds after prepare() so forked workers inherit the
-        # algorithm's cached key structure with the rest of the snapshot.
         self.executor = executor if executor is not None else make_executor(config)
         self.executor.setup(model, algorithm, clients, config, channel=self.channel)
 
@@ -220,7 +216,7 @@ class FederatedServer:
         results = execution.results
         # Commit persistent per-party state (SCAFFOLD c_i, local BN) in
         # participant order, then aggregate over the same ordering — the
-        # two invariants that keep parallel runs bitwise-equal to serial.
+        # two invariants that keep every backend bitwise-equal to serial.
         for party, result in zip(completed, results):
             self.algorithm.commit(self.clients[party], result)
         if results:
@@ -379,7 +375,7 @@ class FederatedServer:
         return result.accuracy
 
     def close(self) -> None:
-        """Release the executor's resources (worker pools); idempotent."""
+        """Release the executor's resources; idempotent."""
         self.executor.close()
 
     def __enter__(self) -> "FederatedServer":

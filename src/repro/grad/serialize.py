@@ -1,9 +1,9 @@
 """Flattening helpers: parameters/state dicts <-> single vectors.
 
 The federated algorithms reason about models as points in parameter space
-(deltas, control variates, norms), and the parallel executor ships the
-global model to workers as one flat array.  These helpers convert between
-the structured representation and flat vectors.
+(deltas, control variates, norms), and the comm channel encodes the
+global model as one flat array.  These helpers convert between the
+structured representation and flat vectors.
 
 The default transport dtype is ``float32`` — the dtype every model
 parameter and batch-norm buffer already uses — so a flatten/unflatten
@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.grad.nn.module import Parameter
 
-#: dtype used to ship model state between server and workers; float32
+#: dtype model state is flattened to for the wire; float32
 #: round-trips model states exactly and matches the paper's float32
 #: communication-cost accounting.
 TRANSPORT_DTYPE = np.float32

@@ -19,10 +19,10 @@ Content addressing
 canonical JSON (sorted keys, no whitespace) fed through SHA-256.  It is
 stable across processes and ``PYTHONHASHSEED`` values, and it changes
 when any result-affecting field changes.  The :class:`ExecSpec` section
-(executor backend, worker count, checkpoint cadence) is deliberately
+(executor backend, compile switch, checkpoint cadence) is deliberately
 excluded: executors are bitwise-identical by contract, so two runs
-differing only in how they were scheduled share one ``run_id`` — a
-result computed serially satisfies a parallel sweep's cache lookup.
+differing only in how they were executed share one ``run_id`` — a
+result computed serially satisfies a stacked run's cache lookup.
 
 Validation happens against the unified component registries
 (:mod:`repro.registry`), so a spec naming an unknown dataset, model,
@@ -167,8 +167,7 @@ class ExecSpec:
     spec produces.
     """
 
-    executor: str = "auto"
-    num_workers: int = 0
+    executor: str = "serial"
     #: clients per stack for ``executor="stacked"``
     stack_size: int = 16
     #: max drift the stacked executor's serial-vs-stacked check accepts

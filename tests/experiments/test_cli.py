@@ -179,7 +179,9 @@ class TestNewCommands:
         ]
         with pytest.raises(ValueError, match="invalid RunSpec:\n.*stack_size"):
             main([*argv, "--stack-size", "1"])
-        with pytest.raises(ValueError, match="invalid RunSpec:\n.*num_workers >= 2"):
+        with pytest.raises(ValueError, match="invalid RunSpec:\n.*stacked_tolerance"):
+            main([*argv, "--stacked-tolerance", "-1"])
+        with pytest.raises(SystemExit):  # choices= come from EXECUTORS
             main([*argv, "--executor", "parallel"])
 
     def test_population_run_rejects_checkpointing(self, tmp_path):

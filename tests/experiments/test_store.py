@@ -7,11 +7,52 @@ import pytest
 from repro.experiments import run_federated_experiment
 from repro.experiments.scale import SMOKE
 from repro.experiments.store import ResultStore, StoreWarning, outcome_to_dict
+from repro.spec import RunSpec
 
 
 @pytest.fixture(scope="module")
 def outcome():
     return run_federated_experiment("adult", "iid", "fedavg", preset=SMOKE, seed=1)
+
+
+#: one record exactly as the commit before ``num_workers`` / ``"auto"``
+#: were deleted wrote it (adult / iid / fedavg, SMOKE, seed 1, one round)
+OLD_RECORD = """{
+  "dataset": "adult", "partition": "homogeneous", "algorithm": "fedavg",
+  "model": "default", "seed": 1, "final_accuracy": 0.22, "best_accuracy": 0.22,
+  "history": {"records": [{
+    "round": 0, "test_accuracy": 0.22, "train_loss": 0.75892353951931,
+    "participants": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9],
+    "bytes_communicated": 372000, "client_steps": [2, 2, 2, 2, 2, 2, 2, 2, 2, 2],
+    "bytes_down": 186000, "bytes_up": 186000,
+    "client_bytes_up": [18600, 18600, 18600, 18600, 18600, 18600, 18600, 18600, 18600, 18600],
+    "sampled": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9], "dropped": [], "drop_reasons": [],
+    "slowdowns": [], "fallback": null, "virtual_time": 0.0, "staleness": [],
+    "buffer_flush": 0}]},
+  "party_sizes": [30, 30, 30, 30, 30, 30, 30, 30, 30, 30],
+  "config": {"num_rounds": 1, "local_epochs": 2, "batch_size": 32, "lr": 0.01,
+    "sample_fraction": 1.0, "sampler": "uniform", "optimizer": "sgd",
+    "bn_policy": "average", "codec": "identity", "codec_bits": 8, "codec_k": 0.1},
+  "spec": {
+    "data": {"name": "adult", "n_train": 300, "n_test": 150, "kwargs": {}},
+    "partition": {"strategy": "iid", "num_parties": 10},
+    "model": {"name": "default", "kwargs": {}},
+    "algorithm": {"name": "fedavg", "kwargs": {}},
+    "train": {"num_rounds": 1, "local_epochs": 2, "batch_size": 32, "lr": 0.01,
+      "optimizer": "sgd", "sample_fraction": 1.0, "sampler": "uniform",
+      "bn_policy": "average", "eval_every": 1},
+    "comm": {"codec": "identity", "bits": 8, "k": 0.1},
+    "faults": {"dropout_prob": 0.0, "straggler_prob": 0.0, "straggler_factor": 1.0,
+      "crash_prob": 0.0, "deadline": null},
+    "population": {"size": null, "sample_per_round": null, "samples_per_client": 64,
+      "skew_beta": null, "aggregation": "sync", "buffer_size": null,
+      "staleness_exponent": 0.0},
+    "exec": {"executor": "auto", "num_workers": 0, "stack_size": 16,
+      "stacked_tolerance": 0.0, "checkpoint_every": 0, "checkpoint_path": null,
+      "compile": false},
+    "seed": 1},
+  "run_id": "9f226509bf3af88f"
+}"""
 
 
 class TestOutcomeSerialization:
@@ -124,11 +165,29 @@ class TestContentAddressing:
         assert record["run_id"] == outcome.spec.run_id()
 
     def test_completed_ignores_exec_settings(self, outcome, tmp_path):
-        # A serially-computed result satisfies a parallel run's lookup.
+        # A serially-computed result satisfies a stacked run's lookup.
         store = ResultStore(tmp_path)
         store.save(outcome)
-        parallel = outcome.spec.with_overrides(executor="process", num_workers=4)
-        assert store.completed(parallel)
+        stacked = outcome.spec.with_overrides(executor="stacked", stack_size=4)
+        assert store.completed(stacked)
+
+    def test_record_written_before_the_pool_was_deleted_still_resumes(self, tmp_path):
+        # Lookups match on run_id and never re-parse the embedded spec,
+        # so a matrix finished under ``exec = {"executor": "auto",
+        # "num_workers": 0, ...}`` re-runs nothing today.
+        from repro.experiments.scheduler import run_cells
+
+        spec = RunSpec.build("adult", "iid", "fedavg", preset=SMOKE, seed=1, num_rounds=1)
+        assert spec.run_id() == "9f226509bf3af88f"
+        (tmp_path / "adult__fedavg__9f226509bf3af88f.json").write_text(OLD_RECORD)
+        store = ResultStore(tmp_path)
+        assert store.completed(spec)
+        assert store.history(spec).accuracies.tolist() == [0.22]
+        report = run_cells([spec], store=store)
+        assert (report.cached, report.ran) == ([spec.run_id()], [])
+        # Re-parsing the embedded spec is the one door that is strict.
+        with pytest.raises(ValueError, match=r"unknown ExecSpec fields \['num_workers'\]"):
+            store.specs()
 
     def test_get_falls_back_to_embedded_run_id(self, outcome, tmp_path):
         # A record copied in under another prefix is still found by its

@@ -16,16 +16,11 @@ from repro.federated import (
     Scaffold,
     make_clients,
 )
-from repro.federated.executor import fork_available
 from repro.federated.server import CHECKPOINT_FORMAT
 from repro.grad import nn
 from repro.partition import HomogeneousPartitioner
 
 pytestmark = pytest.mark.faults
-
-needs_fork = pytest.mark.skipif(
-    not fork_available(), reason="parallel executor requires fork"
-)
 
 
 def toy_dataset(seed=3, n=240, dim=5, classes=3):
@@ -35,16 +30,14 @@ def toy_dataset(seed=3, n=240, dim=5, classes=3):
     return ArrayDataset(x, (x @ w).argmax(axis=1).astype(np.int64))
 
 
-def make_server(algorithm=None, num_parties=6, num_workers=0, **config_kwargs):
+def make_server(algorithm=None, num_parties=6, **config_kwargs):
     train = toy_dataset()
     part = HomogeneousPartitioner().partition(
         train, num_parties, np.random.default_rng(0)
     )
     defaults = dict(
         num_rounds=6, local_epochs=1, batch_size=16, lr=0.05,
-        seed=23, num_workers=num_workers,
-        # Force the pool on single-CPU hosts, where "auto" degrades.
-        executor="parallel" if num_workers >= 2 else "auto",
+        seed=23,
     )
     defaults.update(config_kwargs)
     config = FederatedConfig(**defaults)
@@ -124,27 +117,6 @@ class TestResumeBitwise:
             tmp_path,
             lambda: make_server(codec="qsgd", codec_bits=4),
         )
-
-    @needs_fork
-    @pytest.mark.parallel
-    def test_parallel_executor(self, tmp_path):
-        roundtrip(tmp_path, lambda: make_server(num_workers=2))
-
-    @needs_fork
-    @pytest.mark.parallel
-    def test_serial_checkpoint_resumed_in_parallel(self, tmp_path):
-        # Executors are bitwise interchangeable, so a checkpoint written
-        # by a serial run must resume identically under the pool.
-        path = str(tmp_path / "run.ckpt")
-        with make_server() as straight:
-            straight.fit(6)
-        with make_server() as first:
-            first.fit(3)
-            first.save_checkpoint(path)
-        with make_server(num_workers=2) as second:
-            second.resume(path)
-            second.fit(3)
-        assert_bitwise_equal(straight, second)
 
 
 class TestPeriodicCheckpoint:

@@ -1,8 +1,6 @@
 """Fault injection: dropout/straggler/crash schedules, deadline rounds,
 transactional commit, and retry recovery."""
 
-import multiprocessing
-
 import numpy as np
 import pytest
 
@@ -13,19 +11,13 @@ from repro.federated import (
     FederatedConfig,
     FederatedServer,
     PartyFault,
-    Scaffold,
     SerialExecutor,
     make_clients,
 )
-from repro.federated.executor import fork_available
 from repro.grad import nn
 from repro.partition import HomogeneousPartitioner
 
 pytestmark = pytest.mark.faults
-
-needs_fork = pytest.mark.skipif(
-    not fork_available(), reason="parallel executor requires fork"
-)
 
 
 def toy_dataset(seed=7, n=240, dim=5, classes=3):
@@ -35,16 +27,14 @@ def toy_dataset(seed=7, n=240, dim=5, classes=3):
     return ArrayDataset(x, (x @ w).argmax(axis=1).astype(np.int64))
 
 
-def make_server(num_parties=8, num_workers=0, algorithm=None, **config_kwargs):
+def make_server(num_parties=8, algorithm=None, **config_kwargs):
     train = toy_dataset()
     part = HomogeneousPartitioner().partition(
         train, num_parties, np.random.default_rng(0)
     )
     defaults = dict(
         num_rounds=4, local_epochs=1, batch_size=16, lr=0.05,
-        seed=11, num_workers=num_workers,
-        # Force the pool on single-CPU hosts, where "auto" degrades.
-        executor="parallel" if num_workers >= 2 else "auto",
+        seed=11,
     )
     defaults.update(config_kwargs)
     config = FederatedConfig(**defaults)
@@ -232,20 +222,6 @@ class TestCrashInjection:
         assert rng_states(s1) == rng_states(s2)
         assert crashed.records[0].participants == dropped.records[0].participants == []
 
-    @needs_fork
-    @pytest.mark.parallel
-    def test_parallel_matches_serial_under_crashes(self):
-        kwargs = dict(crash_prob=0.3, dropout_prob=0.15, num_rounds=3)
-        with make_server(algorithm=Scaffold(), **kwargs) as serial:
-            hs = serial.fit()
-        with make_server(algorithm=Scaffold(), num_workers=3, **kwargs) as par:
-            hp = par.fit()
-        assert_same_history(hs, hp)
-        for key in serial.global_state:
-            np.testing.assert_array_equal(
-                serial.global_state[key], par.global_state[key], err_msg=key
-            )
-
 
 class _FailsOncePerParty(FedAvg):
     """Raises once for a chosen party, then behaves normally (transient)."""
@@ -259,20 +235,6 @@ class _FailsOncePerParty(FedAvg):
         if client.client_id == self.flaky_party and not self.raised:
             self.raised = True
             raise OSError("transient: connection reset")
-        return super().local_update(model, global_state, client, config, payload)
-
-
-class _FailsInWorkers(FedAvg):
-    """Raises for a chosen party in every pool worker, succeeds in-parent."""
-
-    def __init__(self, doomed_party):
-        super().__init__()
-        self.doomed_party = doomed_party
-
-    def local_update(self, model, global_state, client, config, payload):
-        in_worker = multiprocessing.current_process().name != "MainProcess"
-        if client.client_id == self.doomed_party and in_worker:
-            raise OSError("worker-side failure")
         return super().local_update(model, global_state, client, config, payload)
 
 
@@ -317,22 +279,6 @@ class TestRetryRecovery:
             server.run_round(0)
         assert rng_states(server) == before
 
-    @needs_fork
-    @pytest.mark.parallel
-    def test_parallel_serial_fallback_matches_fault_free(self):
-        with make_server(num_rounds=2, num_workers=2) as clean_server:
-            clean = clean_server.fit()
-        doomed = make_server(
-            num_rounds=2, num_workers=2, algorithm=_FailsInWorkers(3)
-        )
-        with doomed:
-            history = doomed.fit()
-        assert history.records[0].fallback == "serial"
-        for rec_clean, rec_doomed in zip(clean.records, history.records):
-            d1, d2 = rec_clean.to_dict(), rec_doomed.to_dict()
-            d1.pop("fallback"), d2.pop("fallback")
-            assert d1 == d2
-
 
 class TestExecutorDirect:
     def test_injected_crash_via_execute_round(self):
@@ -368,7 +314,8 @@ class TestExecutorDirect:
         assert calls == [0]  # one attempt, no retries
 
     def test_run_round_still_returns_bare_results(self):
-        # Backward-compatible entry point used by benchmarks and examples.
+        # Without faults every party completes: the bare result list.
         server = make_server(num_rounds=1)
-        results = server.executor.run_round(server.global_state, [0, 1])
-        assert [r.client_id for r in results] == [0, 1]
+        execution = server.executor.execute_round(server.global_state, [0, 1])
+        assert [r.client_id for r in execution.results] == [0, 1]
+        assert execution.failed == {} and execution.fallback is None

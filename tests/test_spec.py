@@ -62,8 +62,7 @@ KNOBS = {
     "aggregation": ("async", "--aggregation", {}),
     "buffer_size": (3, "--buffer-size", {}),
     "staleness_exponent": (0.5, "--staleness-exponent", {}),
-    "executor": ("serial", "--executor", {}),
-    "num_workers": (2, "--num-workers", {}),
+    "executor": ("stacked", "--executor", {}),
     "stack_size": (8, "--stack-size", {}),
     "stacked_tolerance": (1e-6, "--stacked-tolerance", {}),
     "checkpoint_every": (2, "--checkpoint-every", {"checkpoint_path": "run.ckpt"}),
@@ -134,7 +133,7 @@ class TestRoundTrip:
         )
         assert spec.comm.codec == "identity"
         assert spec.faults.dropout_prob == 0.0
-        assert spec.exec.executor == "auto"
+        assert spec.exec.executor == "serial"
         assert spec.seed == 0
 
     def test_unknown_section_rejected(self):
@@ -146,6 +145,22 @@ class TestRoundTrip:
         data["train"]["learning_rate"] = 0.1  # typo'd field name
         with pytest.raises(ValueError, match="learning_rate"):
             RunSpec.from_dict(data)
+
+    def test_deleted_exec_knobs_fail_strictly(self):
+        # Spec files written before the fork pool was deleted carry these;
+        # there is no compatibility shim, only the ordinary strict errors.
+        data = make_spec().to_dict()
+        with pytest.raises(
+            ValueError, match=r"unknown ExecSpec fields \['num_workers'\]; known: \["
+        ):
+            RunSpec.from_dict({**data, "exec": {**data["exec"], "num_workers": 0}})
+        stale = RunSpec.from_dict({**data, "exec": {**data["exec"], "executor": "auto"}})
+        with pytest.raises(
+            ValueError,
+            match=r"invalid RunSpec:\n.*unknown executor 'auto'; "
+            r"available: \['serial', 'stacked'\]",
+        ):
+            stale.validate()
 
     def test_non_serializable_kwargs_rejected(self):
         with pytest.raises(TypeError, match="JSON-serializable"):
@@ -170,7 +185,7 @@ class TestRunId:
     def test_exec_fields_do_not_change_it(self):
         base = knob_spec().run_id()
         exec_knobs = [name for name in KNOBS if knob_path(name)[0] == "exec"]
-        assert len(exec_knobs) >= 7
+        assert len(exec_knobs) >= 6
         for name in exec_knobs:
             assert knob_spec(name).run_id() == base, name
 

@@ -143,79 +143,6 @@ def _fallback(roots: list[str]) -> int:
     return 1 if problems else 0
 
 
-#: the executor registry: every concrete ClientExecutor must be buildable
-#: through make_executor, and must implement execute_round itself.
-EXECUTOR_FILE = Path("src/repro/federated/executor.py")
-EXECUTOR_BASE = "ClientExecutor"
-EXECUTOR_FACTORY = "make_executor"
-
-
-def check_executor_registry(path: Path = EXECUTOR_FILE) -> list[str]:
-    """Keep executor subclasses complete and reachable.
-
-    Every class deriving (directly or transitively) from
-    ``ClientExecutor`` must define ``execute_round`` in its own body —
-    inheriting another backend's round loop silently changes semantics —
-    and must be mentioned in ``make_executor``, so a new backend cannot
-    be merged without a config name that builds it.
-    """
-    if not path.is_file():
-        return [f"{path}: missing (executor-registry check expects it here)"]
-    try:
-        tree = ast.parse(path.read_text(), filename=str(path))
-    except SyntaxError:
-        return []  # the syntax error is reported by the main lint pass
-    classes = {
-        node.name: node
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ClassDef)
-    }
-
-    def derives_from_base(node: ast.ClassDef) -> bool:
-        for base in node.bases:
-            if isinstance(base, ast.Name):
-                if base.id == EXECUTOR_BASE:
-                    return True
-                parent = classes.get(base.id)
-                if parent is not None and derives_from_base(parent):
-                    return True
-        return False
-
-    factory = next(
-        (
-            node
-            for node in ast.walk(tree)
-            if isinstance(node, ast.FunctionDef) and node.name == EXECUTOR_FACTORY
-        ),
-        None,
-    )
-    if factory is None:
-        return [f"{path}: {EXECUTOR_FACTORY} not found (executor-registry check)"]
-    factory_names = {
-        node.id for node in ast.walk(factory) if isinstance(node, ast.Name)
-    }
-    problems = []
-    for name, node in sorted(classes.items()):
-        if not derives_from_base(node):
-            continue
-        defines_round = any(
-            isinstance(item, ast.FunctionDef) and item.name == "execute_round"
-            for item in node.body
-        )
-        if not defines_round:
-            problems.append(
-                f"{path}:{node.lineno}: {name} derives from {EXECUTOR_BASE} "
-                "but does not define execute_round in its own body"
-            )
-        if name not in factory_names:
-            problems.append(
-                f"{path}:{node.lineno}: {name} is not constructed in "
-                f"{EXECUTOR_FACTORY}; every executor backend needs a config "
-                "name that builds it"
-            )
-    return problems
-
-
 #: the async engine's event registry: the virtual-clock loop dispatches
 #: events via ``getattr(self, f"_handle_{event.kind}")``, so an event
 #: class without a handler (or vice versa) only fails at simulation time.
@@ -352,11 +279,7 @@ def main(argv: list[str] | None = None) -> int:
     code = _try_external(roots)
     if code is None:
         code = _fallback(roots)
-    structural_problems = (
-        check_executor_registry()
-        + check_event_registry()
-        + check_tracked_artifacts()
-    )
+    structural_problems = check_event_registry() + check_tracked_artifacts()
     for problem in structural_problems:
         print(problem)
     if structural_problems:
