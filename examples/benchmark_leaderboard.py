@@ -6,15 +6,16 @@ non-IID setting.  This example runs a small slice of the Table 3 matrix
 in a result store, and renders the leaderboard with the paper-style
 "number of times that performs best" tally.
 
-Run:  python examples/benchmark_leaderboard.py     (~2 minutes on CPU)
+Run:  python examples/benchmark_leaderboard.py     (~20 seconds on CPU)
 """
 
 import tempfile
 
-from repro.experiments import run_federated_experiment
 from repro.experiments.scale import ScalePreset
+from repro.experiments.scheduler import run_matrix
 from repro.experiments.store import ResultStore
 from repro.experiments.table3 import settings_matrix
+from repro.spec import RunSpec
 
 PRESET = ScalePreset(
     name="board", n_train=500, n_test=300, num_rounds=6, local_epochs=3, batch_size=32
@@ -24,24 +25,30 @@ PARTITIONS = ("iid", "dir(0.5)", "quantity(0.5)")
 ALGORITHMS = ("fedavg", "fedprox", "scaffold")
 
 
+def report(event) -> None:
+    spec = event.spec
+    print(
+        f"{spec.data.name:6s} {spec.partition.strategy:14s} "
+        f"{spec.algorithm.name:9s} final={event.final_accuracy:.3f}"
+    )
+
+
 def main() -> None:
     store = ResultStore(tempfile.mkdtemp(prefix="repro-leaderboard-"))
-    for dataset, partition in settings_matrix(DATASETS, PARTITIONS):
-        for algorithm in ALGORITHMS:
-            outcome = run_federated_experiment(
-                dataset,
-                partition,
-                algorithm,
-                preset=PRESET,
-                lr=0.1 if dataset == "adult" else None,
-                seed=31,
-                algorithm_kwargs={"mu": 0.01} if algorithm == "fedprox" else None,
-            )
-            store.save(outcome)
-            print(
-                f"{dataset:6s} {partition:14s} {algorithm:9s} "
-                f"final={outcome.final_accuracy:.3f}"
-            )
+    specs = [
+        RunSpec.build(
+            dataset,
+            partition,
+            algorithm,
+            preset=PRESET,
+            lr=0.1 if dataset == "adult" else None,
+            seed=31,
+            mu=0.01 if algorithm == "fedprox" else None,
+        )
+        for dataset, partition in settings_matrix(DATASETS, PARTITIONS)
+        for algorithm in ALGORITHMS
+    ]
+    run_matrix(specs, store, progress=report)
 
     print(f"\n{len(store)} runs stored in {store.root}\n")
     print(store.leaderboard().render())

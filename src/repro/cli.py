@@ -31,6 +31,7 @@ from repro.data import DATASET_NAMES, load_dataset
 from repro.experiments import run_spec, run_trials
 from repro.experiments.decision_tree import recommend_algorithm
 from repro.experiments.scale import PRESETS
+from repro.experiments.store import ResultStore
 from repro.federated.algorithms import ALGORITHM_NAMES
 from repro.federated.algorithms.fedprox import DEFAULT_MU
 from repro.federated.executor import EXECUTORS
@@ -50,6 +51,13 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--print-spec", action="store_true",
         help="print the resolved RunSpec as JSON and exit without training",
+    )
+    run.add_argument(
+        "--resume", default=None, metavar="CHECKPOINT",
+        help="resume a run from this checkpoint file",
+    )
+    run.add_argument(
+        "--plot", action="store_true", help="render an ASCII accuracy chart"
     )
 
     trials = commands.add_parser("trials", help="mean +- std over repeated seeds")
@@ -128,13 +136,6 @@ def _add_experiment_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--preset", choices=sorted(PRESETS),
         help="scale preset for sizes/rounds; individual flags win",
-    )
-    parser.add_argument(
-        "--resume", default=None, metavar="CHECKPOINT",
-        help="resume a run from this checkpoint file",
-    )
-    parser.add_argument(
-        "--plot", action="store_true", help="render an ASCII accuracy chart"
     )
 
     parser.add_argument("--dataset", choices=DATASET_NAMES)
@@ -331,19 +332,19 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _open_store(args):
+    """The ``--store DIR`` ResultStore, or None when the flag is absent."""
+    return ResultStore(args.store) if args.store is not None else None
+
+
 def cmd_trials(args) -> int:
     spec = _spec_from_args(args)
     # One checkpoint file cannot serve several seeds; trials run clean.
     spec = spec.with_overrides(checkpoint_every=0, checkpoint_path=None)
-    store = None
-    if args.store is not None:
-        from repro.experiments.store import ResultStore
-
-        store = ResultStore(args.store)
     summary = run_trials(
         num_trials=args.num_trials,
         base_seed=spec.seed,
-        store=store,
+        store=_open_store(args),
         spec=spec,
         jobs=args.jobs,
     )
@@ -400,12 +401,6 @@ def cmd_list(args) -> int:
 def cmd_table3(args) -> int:
     from repro.experiments.table3 import run_table3
 
-    store = None
-    if args.store is not None:
-        from repro.experiments.store import ResultStore
-
-        store = ResultStore(args.store)
-
     def progress(dataset, partition, algorithm, summary):
         print(f"{dataset} / {partition} / {algorithm}: {summary.format_cell()}")
 
@@ -416,7 +411,7 @@ def cmd_table3(args) -> int:
         preset=PRESETS[args.preset],
         num_trials=args.num_trials,
         base_seed=args.init_seed,
-        store=store,
+        store=_open_store(args),
         progress=progress,
         jobs=args.jobs,
     )

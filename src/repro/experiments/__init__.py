@@ -3,6 +3,8 @@
 - :func:`run_federated_experiment` — one (dataset, partition, algorithm)
   cell at configurable scale;
 - :func:`run_trials` — the paper's 3-trial mean/std protocol;
+- :func:`run_matrix` — the one way to run a set of cells (what
+  ``run_trials``, the sweeps and ``run_table3`` all call);
 - :func:`recommend_algorithm` — the Figure 6 decision tree;
 - :mod:`repro.experiments.scale` — the reduced-scale presets the
   benchmarks run at, with the paper-scale settings alongside.
@@ -19,7 +21,7 @@ from repro.spec import RunSpec
 from repro.experiments.decision_tree import SkewDescription, recommend_algorithm
 from repro.experiments.leaderboard import Leaderboard
 from repro.experiments.centralized import centralized_reference, train_centralized
-from repro.experiments.scheduler import CellEvent, MatrixReport, run_cells
+from repro.experiments.scheduler import CellEvent, MatrixReport, run_cells, run_matrix
 from repro.experiments.sweeps import SweepResult, sweep
 from repro.experiments.comm import CommSweepResult, communication_sweep
 from repro.experiments.faults import DropoutSweepResult, dropout_sweep
@@ -40,6 +42,7 @@ __all__ = [
     "sweep",
     "SweepResult",
     "run_cells",
+    "run_matrix",
     "CellEvent",
     "MatrixReport",
     "communication_sweep",

@@ -9,9 +9,10 @@ end to end by ``benchmarks/e2e``: ``server.run_round_s`` on the
 ``cell_cnn`` and ``rounds_mlp`` workloads.)
 
 A second family measures the communication layer in :mod:`repro.comm`:
-per-codec encode/decode throughput on a model-sized vector, and the
-measured bytes one federated round puts on the wire under each codec
-(the compression-ratio column of the Section 5.2 trade-off).
+per-codec encode/decode throughput on a model-sized vector.  (Bytes on
+the wire per codec and accuracy under dropout are experiments, not
+timings: :func:`~repro.experiments.comm.communication_sweep` and
+:func:`~repro.experiments.faults.dropout_sweep`.)
 
 Run as ``python -m repro.experiments.bench`` (or ``make bench`` /
 ``repro-bench``); results land in ``BENCH_core.json`` together with
@@ -32,9 +33,7 @@ import numpy as np
 from repro.data import load_dataset
 from repro.experiments.scheduler import fork_available
 from repro.federated import (
-    FedAvg,
     FederatedConfig,
-    FederatedServer,
     evaluate,
     evaluate_accuracy,
     evaluate_loss,
@@ -60,19 +59,6 @@ def _build_fixture(seed: int = 0, n_train: int = 640, num_parties: int = 10):
     clients = make_clients(partition, train, seed=seed + 29)
     model = build_model("cnn", info, seed=seed + 53)
     return model, clients
-
-
-def _config(**overrides) -> FederatedConfig:
-    defaults = dict(
-        num_rounds=1,
-        local_epochs=1,
-        batch_size=32,
-        lr=0.01,
-        momentum=0.9,
-        seed=0,
-    )
-    defaults.update(overrides)
-    return FederatedConfig(**defaults)
 
 
 def _time(fn, repeats: int) -> float:
@@ -106,7 +92,9 @@ def _duel(fns, repeats: int) -> list[float]:
 def bench_local_round(repeats: int = 3, seed: int = 0) -> dict:
     """Time one party's local training round on the paper CNN."""
     model, clients = _build_fixture(seed=seed)
-    config = _config()
+    config = FederatedConfig(
+        num_rounds=1, local_epochs=1, batch_size=32, lr=0.01, momentum=0.9, seed=0
+    )
     client = clients[0]
     state = model.state_dict()
 
@@ -445,75 +433,6 @@ def bench_codecs(size: int = 131072, repeats: int = 3, seed: int = 0) -> list[di
     return rows
 
 
-#: dropout levels benchmarked; 0.0 is the fault-free accuracy baseline
-BENCH_DROPOUT_PROBS = (0.0, 0.2, 0.4)
-
-
-def bench_dropout(num_rounds: int = 4, seed: int = 0) -> list[dict]:
-    """Accuracy under client dropout: the robustness-vs-loss trade-off.
-
-    Runs the bench fixture for a few rounds at each dropout level with
-    partial participation (so over-sampling engages) and reports final
-    accuracy next to the parties actually dropped — the degradation
-    column a fault-model change moves.
-    """
-    from repro.data import load_dataset
-
-    rows = []
-    for prob in BENCH_DROPOUT_PROBS:
-        model, clients = _build_fixture(seed=seed)
-        _, test, _ = load_dataset("mnist", n_train=640, n_test=64, seed=seed)
-        config = _config(
-            num_rounds=num_rounds,
-            sample_fraction=0.5,
-            dropout_prob=prob,
-        )
-        with FederatedServer(
-            model, FedAvg(), clients, config, test_dataset=test
-        ) as server:
-            history = server.fit()
-        rows.append(
-            {
-                "dropout_prob": prob,
-                "final_accuracy": round(history.final_accuracy, 4),
-                "dropped_total": int(history.dropped_counts.sum()),
-                "mean_completed": round(
-                    float(np.mean([len(r.participants) for r in history.records])), 2
-                ),
-            }
-        )
-    return rows
-
-
-def bench_round_bytes(seed: int = 0) -> list[dict]:
-    """Measured bytes one federated round transmits under each codec.
-
-    Round 0 is measured, so error-feedback codecs show their dense
-    warm-start broadcast on the downlink; their steady-state downlink is
-    as sparse as the uplink.
-    """
-    rows = []
-    for spec in BENCH_CODECS:
-        model, clients = _build_fixture(seed=seed)
-        config = _config(**spec)
-        with FederatedServer(model, FedAvg(), clients, config) as server:
-            record = server.run_round(0)
-        rows.append(
-            {
-                "codec": _codec_label(spec),
-                "bytes_down": record.bytes_down,
-                "bytes_up": record.bytes_up,
-                "bytes_total": record.bytes_communicated,
-            }
-        )
-    baseline = next(r for r in rows if r["codec"] == "identity")
-    for row in rows:
-        row["ratio_vs_identity"] = round(
-            row["bytes_total"] / baseline["bytes_total"], 4
-        )
-    return rows
-
-
 #: population sizes for the flat-memory scaling column (fixed cohort)
 BENCH_POPULATION_SIZES = (1_000, 100_000, 1_000_000)
 
@@ -677,10 +596,6 @@ def run_benchmarks(
         ),
         "codec_throughput": bench_codecs(
             repeats=repeats if smoke else max(repeats, 3), seed=seed
-        ),
-        "round_bytes": bench_round_bytes(seed=seed),
-        "accuracy_under_dropout": bench_dropout(
-            num_rounds=2 if smoke else 4, seed=seed
         ),
         "async_engine": bench_async_engine(seed=seed, smoke=smoke),
     }

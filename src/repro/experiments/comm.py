@@ -15,10 +15,11 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.comm import CODEC_NAMES
+from repro.federated.history import History
 from repro.spec import RunSpec
 from repro.experiments.plotting import accuracy_vs_bytes_chart
-from repro.experiments.runner import run_spec
 from repro.experiments.scale import BENCH, ScalePreset
+from repro.experiments.scheduler import run_matrix
 
 #: the default ladder: uncompressed wire, dense half-precision, 4-bit
 #: quantization, and 10% sparsification with error feedback.
@@ -135,15 +136,11 @@ def communication_sweep(
     base = RunSpec.build(
         dataset, partition, algorithm, preset=preset, seed=seed, **fixed
     )
+    points = {}
     for codec_spec in codecs:
         codec_spec = _normalize_spec(codec_spec)
-        point = base.with_overrides(**codec_spec)
-        if store is not None and store.completed(point):
-            history = store.history(point)
-        else:
-            outcome = run_spec(point)
-            if store is not None:
-                store.save(outcome)
-            history = outcome.history
-        result.histories[_label(codec_spec)] = history
+        points[_label(codec_spec)] = base.with_overrides(**codec_spec)
+    records = run_matrix(points.values(), store=store)
+    for label, record in zip(points, records):
+        result.histories[label] = History.from_dict(record["history"])
     return result

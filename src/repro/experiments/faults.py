@@ -16,14 +16,15 @@ fault schedule alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
+from repro.federated.history import History
 from repro.spec import RunSpec
 from repro.experiments.plotting import line_chart
-from repro.experiments.runner import run_spec
 from repro.experiments.scale import BENCH, ScalePreset
+from repro.experiments.scheduler import run_matrix
 
 #: default ladder: fault-free baseline, mild, moderate, severe dropout
 DEFAULT_DROPOUT_PROBS = (0.0, 0.1, 0.2, 0.4)
@@ -115,22 +116,16 @@ def dropout_sweep(
         ``deadline`` to stack straggler loss on top of the swept
         dropout).
     """
-    probs: Sequence[float] = [float(p) for p in dropout_probs]
+    probs = [float(p) for p in dropout_probs]
     result = DropoutSweepResult(
         dataset=dataset, partition=str(partition), algorithm=algorithm,
-        probs=list(probs),
+        probs=probs,
     )
     base = RunSpec.build(
         dataset, partition, algorithm, preset=preset, seed=seed, **fixed
     )
-    for prob in probs:
-        point = base.with_overrides(dropout_prob=prob)
-        if store is not None and store.completed(point):
-            history = store.history(point)
-        else:
-            outcome = run_spec(point)
-            if store is not None:
-                store.save(outcome)
-            history = outcome.history
-        result.histories[_label(prob)] = history
+    points = {_label(p): base.with_overrides(dropout_prob=p) for p in probs}
+    records = run_matrix(points.values(), store=store)
+    for label, record in zip(points, records):
+        result.histories[label] = History.from_dict(record["history"])
     return result

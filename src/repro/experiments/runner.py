@@ -235,16 +235,17 @@ def run_trials(
     """The paper's protocol: repeat a cell over seeds, report mean +- std.
 
     Builds the base :class:`~repro.spec.RunSpec` once (or takes a
-    prebuilt one via ``spec``) and enumerates the trials with
-    :meth:`~repro.spec.RunSpec.trial_specs`.  With a ``store``
-    (:class:`~repro.experiments.store.ResultStore`), trials whose spec is
-    already :meth:`~repro.experiments.store.ResultStore.completed` are
-    read back instead of re-run, and fresh trials are saved — re-invoking
-    a finished protocol runs zero new cells.  ``jobs > 1`` runs the
-    trials concurrently through the crash-safe scheduler
-    (:func:`~repro.experiments.scheduler.run_cells`); records are
-    byte-identical to a serial run.
+    prebuilt one via ``spec``), enumerates the trials with
+    :meth:`~repro.spec.RunSpec.trial_specs` and runs them through
+    :func:`~repro.experiments.scheduler.run_matrix`.  With a ``store``
+    (:class:`~repro.experiments.store.ResultStore`), trials already
+    stored are read back instead of re-run and fresh ones are saved —
+    re-invoking a finished protocol runs zero new cells.  ``jobs`` is the
+    worker count.
     """
+    # Imported here: the scheduler imports run_spec from this module.
+    from repro.experiments.scheduler import run_matrix
+
     if spec is not None:
         if dataset is not None or partition is not None or algorithm is not None:
             raise TypeError("pass either spec or dataset/partition/algorithm")
@@ -261,34 +262,12 @@ def run_trials(
         raise TypeError("run_trials needs dataset, partition and algorithm (or spec)")
     else:
         base = RunSpec.build(dataset, partition, algorithm, **kwargs)
-    trial_specs = base.trial_specs(num_trials, base_seed=base_seed)
-    summary = TrialSummary(
+    records = run_matrix(
+        base.trial_specs(num_trials, base_seed=base_seed), store=store, jobs=jobs
+    )
+    return TrialSummary(
         dataset=dataset,
         partition=str(partition),
         algorithm=algorithm,
+        accuracies=[float(record["final_accuracy"]) for record in records],
     )
-    if jobs > 1:
-        import tempfile
-
-        from repro.experiments.scheduler import run_cells
-        from repro.experiments.store import ResultStore
-
-        with tempfile.TemporaryDirectory(prefix="repro-trials-") as scratch:
-            target = store if store is not None else ResultStore(scratch)
-            run_cells(trial_specs, store=target, jobs=jobs).raise_on_failure()
-            for trial_spec in trial_specs:
-                summary.accuracies.append(
-                    float(target.get(trial_spec)["final_accuracy"])
-                )
-        return summary
-    for trial_spec in trial_specs:
-        if store is not None and store.completed(trial_spec):
-            summary.accuracies.append(
-                float(store.get(trial_spec)["final_accuracy"])
-            )
-            continue
-        outcome = run_spec(trial_spec)
-        if store is not None:
-            store.save(outcome)
-        summary.accuracies.append(outcome.final_accuracy)
-    return summary

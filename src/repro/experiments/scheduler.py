@@ -30,7 +30,9 @@ beyond the filesystem:
 
 ``jobs=1`` runs the same claim/complete protocol inline in-process —
 byte-identical records, no fork — so serial and parallel invocations
-can share one store and one resume story.
+can share one store and one resume story.  :func:`run_matrix` is the
+front door every multi-cell driver uses: validate, :func:`run_cells`,
+raise on failure, records back in spec order.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ import multiprocessing
 import os
 import queue as queue_module
 import socket
+import tempfile
 import threading
 import time
 import traceback
@@ -478,6 +481,26 @@ def run_cells(
     return report
 
 
+def run_matrix(
+    specs, store: ResultStore | None = None, jobs: int = 1, progress=None
+) -> list[dict]:
+    """Run a set of cells; return their stored records in spec order.
+
+    The one way to run more than one cell.  Every spec is validated
+    before any compute; without a ``store`` one scratch store backs the
+    call; ``jobs`` is a worker count and nothing else.  A cell that fails
+    or stays unfinished raises ``RuntimeError`` naming its run_id
+    (:meth:`MatrixReport.raise_on_failure`) once the other cells have
+    landed, so re-invoking on the same store retries only that cell.
+    """
+    if store is None:
+        with tempfile.TemporaryDirectory(prefix="repro-matrix-") as scratch:
+            return run_matrix(specs, ResultStore(scratch), jobs, progress)
+    specs = [spec.validate() for spec in specs]
+    run_cells(specs, store=store, jobs=jobs, progress=progress).raise_on_failure()
+    return [store.get(spec) for spec in specs]
+
+
 def _run_pool(
     todo, store, jobs, note, stale_after, heartbeat_every, poll_interval
 ) -> None:
@@ -518,6 +541,7 @@ __all__ = [
     "CellEvent",
     "MatrixReport",
     "run_cells",
+    "run_matrix",
     "clear_error_markers",
     "fork_available",
 ]

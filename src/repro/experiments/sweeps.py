@@ -16,9 +16,10 @@ from typing import Iterable
 
 import numpy as np
 
+from repro.federated.history import History
 from repro.spec import RunSpec, overridable_names
-from repro.experiments.runner import run_spec
 from repro.experiments.scale import BENCH, ScalePreset
+from repro.experiments.scheduler import run_matrix
 
 
 @dataclass
@@ -72,9 +73,8 @@ def sweep_specs(
 ) -> dict:
     """Enumerate a sweep's points as ``value -> RunSpec``, running nothing.
 
-    The validation and derivation half of :func:`sweep`, split out so a
-    scheduler can claim the cells (and so the axis typo check fires
-    before any compute starts).
+    The validation and derivation half of :func:`sweep`: the axis typo
+    check fires here, before any compute starts.
     """
     if parameter == "mu" and algorithm != "fedprox":
         raise ValueError("sweeping mu requires algorithm='fedprox'")
@@ -119,12 +119,8 @@ def sweep(
         fresh points are saved, so re-invoking a finished sweep runs
         zero new cells.
     jobs:
-        Worker processes.  ``jobs > 1`` runs the points through the
-        crash-safe work-stealing scheduler
-        (:func:`~repro.experiments.scheduler.run_cells`) and reloads
-        the curves from the store — identical results to serial, any
-        completion order.  Without a ``store``, a temporary one backs
-        the run.
+        Worker processes (see
+        :func:`~repro.experiments.scheduler.run_matrix`).
     fixed:
         Additional fixed arguments forwarded to
         :meth:`~repro.spec.RunSpec.build`.
@@ -134,38 +130,11 @@ def sweep(
         preset=preset, seed=seed, **fixed,
     )
     result = SweepResult(parameter=parameter)
-    if jobs > 1:
-        for value, history in _run_scheduled(points, store, jobs).items():
-            result.curves[value] = np.asarray(history.accuracies)
-        return result
-    for value, point in points.items():
-        if store is not None and store.completed(point):
-            history = store.history(point)
-        else:
-            outcome = run_spec(point)
-            if store is not None:
-                store.save(outcome)
-            history = outcome.history
+    records = run_matrix(points.values(), store=store, jobs=jobs)
+    for value, record in zip(points, records):
+        history = History.from_dict(record["history"])
         result.curves[value] = np.asarray(history.accuracies)
     return result
-
-
-def _run_scheduled(points: dict, store, jobs: int) -> dict:
-    """Run ``label -> spec`` cells through the scheduler; reload histories."""
-    import tempfile
-
-    from repro.experiments.scheduler import run_cells
-    from repro.experiments.store import ResultStore
-
-    with tempfile.TemporaryDirectory(prefix="repro-sweep-") as scratch:
-        if store is None:
-            store = ResultStore(scratch)
-        run_cells(
-            list(points.values()), store=store, jobs=jobs
-        ).raise_on_failure()
-        return {
-            label: store.history(spec) for label, spec in points.items()
-        }
 
 
 def async_tradeoff(
@@ -190,9 +159,7 @@ def async_tradeoff(
     point is content-addressed and resumable.
 
     Returns a dict with the sync accuracy curve plus, per buffer size,
-    the accuracy curve, mean staleness and final virtual time.  With
-    ``jobs > 1`` the baseline and every buffer point run concurrently
-    through the crash-safe scheduler (see :func:`sweep`).
+    the accuracy curve, mean staleness and final virtual time.
     """
     base = RunSpec.build(
         dataset, partition, algorithm, preset=preset, seed=seed,
@@ -213,18 +180,11 @@ def async_tradeoff(
             staleness_exponent=staleness_exponent,
         )
 
-    if jobs > 1:
-        histories = _run_scheduled(specs, store, jobs)
-    else:
-        def run_point(point: RunSpec):
-            if store is not None and store.completed(point):
-                return store.history(point)
-            outcome = run_spec(point)
-            if store is not None:
-                store.save(outcome)
-            return outcome.history
-
-        histories = {label: run_point(point) for label, point in specs.items()}
+    records = run_matrix(specs.values(), store=store, jobs=jobs)
+    histories = {
+        label: History.from_dict(record["history"])
+        for label, record in zip(specs, records)
+    }
 
     points = {}
     for buffer in buffer_sizes:

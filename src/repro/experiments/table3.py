@@ -18,8 +18,9 @@ from typing import Iterable
 from repro.federated.algorithms.fedprox import DEFAULT_MU
 from repro.spec import RunSpec
 from repro.experiments.leaderboard import Leaderboard
-from repro.experiments.runner import TrialSummary, run_trials
+from repro.experiments.runner import TrialSummary
 from repro.experiments.scale import BENCH, ScalePreset
+from repro.experiments.scheduler import run_matrix
 
 IMAGE_DATASETS = ("mnist", "fmnist", "cifar10", "svhn")
 TABULAR_DATASETS = ("adult", "rcv1", "covtype")
@@ -73,9 +74,8 @@ def table3_specs(
     """Enumerate the selected matrix as specs, without running anything.
 
     Returns ``(dataset, partition, algorithm) -> [trial specs]`` in
-    matrix order, using exactly the per-cell kwargs and trial seeds
-    :func:`run_table3` executes — the enumeration a scheduler claims
-    cells from, and the key the leaderboard is reassembled under.
+    matrix order — the enumeration :func:`run_table3` executes, and the
+    key the leaderboard is reassembled under.
     """
     cells: dict[tuple[str, str, str], list[RunSpec]] = {}
     for dataset, partition in settings_matrix(datasets, partitions):
@@ -125,113 +125,39 @@ def run_table3(
         runs zero new cells.
     progress:
         Optional callback ``(dataset, partition, algorithm, summary)``
-        invoked after each cell.
+        invoked as the last trial of each cell lands.
     jobs:
-        Worker processes for cell-level parallelism.  ``jobs > 1``
-        schedules every (cell, trial) spec through
-        :func:`~repro.experiments.scheduler.run_cells` — workers claim
-        cells via atomic store reservations, records are byte-identical
-        to a ``jobs=1`` run, a killed run resumes by re-invoking, and
-        ``progress`` streams per-cell as each cell's trials land.
-        Without a ``store``, results go to a temporary one.
+        Worker processes.  The pool sees one flat list of (cell, trial)
+        specs, so a 3-trial cell does not serialize behind a barrier.
+
+    Cells join the board in matrix order, not completion order, so tied
+    cells rank the same on every invocation and at every ``jobs``.
     """
-    if jobs > 1:
-        return _run_table3_scheduled(
-            datasets, partitions, tuple(algorithms), preset, num_trials,
-            base_seed, fedprox_mu, store, progress, jobs,
-        )
-    board = Leaderboard()
-    for dataset, partition in settings_matrix(datasets, partitions):
-        for algorithm in algorithms:
-            kwargs = {}
-            if algorithm == "fedprox":
-                kwargs["algorithm_kwargs"] = {"mu": fedprox_mu}
-            if dataset == "femnist":
-                kwargs["dataset_kwargs"] = {"num_writers": 20}
-            summary = run_trials(
-                dataset,
-                partition,
-                algorithm,
-                num_trials=num_trials,
-                base_seed=base_seed,
-                preset=preset,
-                store=store,
-                **kwargs,
-            )
-            board.add(summary)
-            if progress is not None:
-                progress(dataset, partition, algorithm, summary)
-    return board
-
-
-def _run_table3_scheduled(
-    datasets, partitions, algorithms, preset, num_trials, base_seed,
-    fedprox_mu, store, progress, jobs,
-) -> Leaderboard:
-    """The ``jobs > 1`` path: schedule all (cell, trial) specs at once.
-
-    Parallelism crosses cell boundaries — the work-stealing pool sees
-    one flat list of trial specs, so a 3-trial cell does not serialize
-    behind a barrier.  The leaderboard regenerates live from the store:
-    as the last trial of a cell lands, the cell's summary is read back
-    from saved records and streamed to ``progress``.  Cells join the
-    board in matrix order, not completion order, so tied cells rank the
-    same on every invocation (and the same as a ``jobs=1`` run).
-    """
-    import tempfile
-
-    from repro.experiments.scheduler import run_cells
-    from repro.experiments.store import ResultStore
-
     cells = table3_specs(
         datasets, partitions, algorithms, preset, num_trials, base_seed,
         fedprox_mu,
     )
-    with tempfile.TemporaryDirectory(prefix="repro-table3-") as scratch:
-        if store is None:
-            store = ResultStore(scratch)
-        trials_left = {
-            key: {spec.run_id() for spec in specs}
-            for key, specs in cells.items()
-        }
-        cell_of = {
-            spec.run_id(): key
-            for key, specs in cells.items()
-            for spec in specs
-        }
-        summaries: dict[tuple[str, str, str], TrialSummary] = {}
+    run_ids = {key: [spec.run_id() for spec in specs] for key, specs in cells.items()}
+    cell_of = {run_id: key for key, ids in run_ids.items() for run_id in ids}
+    landed: dict[str, float] = {}
 
-        def finish_cell(key) -> None:
-            dataset, partition, algorithm = key
-            summary = TrialSummary(
-                dataset=dataset, partition=partition, algorithm=algorithm
-            )
-            for spec in cells[key]:
-                summary.accuracies.append(
-                    float(store.get(spec)["final_accuracy"])
-                )
-            summaries[key] = summary
-            if progress is not None:
-                progress(dataset, partition, algorithm, summary)
+    def on_event(event) -> None:
+        if event.kind == "error":
+            return  # surfaced by run_matrix once the other cells land
+        landed[event.run_id] = event.final_accuracy
+        key = cell_of[event.run_id]
+        accuracies = [landed.get(run_id) for run_id in run_ids[key]]
+        if None not in accuracies:  # true once: each run_id resolves once
+            progress(*key, TrialSummary(*key, accuracies=accuracies))
 
-        def on_event(event) -> None:
-            if event.kind == "error":
-                return  # surfaced by raise_on_failure below
-            key = cell_of[event.run_id]
-            remaining = trials_left[key]
-            remaining.discard(event.run_id)
-            if not remaining and key not in summaries:
-                finish_cell(key)
-
-        all_specs = [spec for specs in cells.values() for spec in specs]
-        run_cells(
-            all_specs, store=store, jobs=jobs, progress=on_event
-        ).raise_on_failure()
-        # Belt and braces: a cell whose events were lost with a killed
-        # worker is still complete in the store.
-        board = Leaderboard()
-        for key in cells:
-            if key not in summaries:
-                finish_cell(key)
-            board.add(summaries[key])
+    records = run_matrix(
+        [spec for specs in cells.values() for spec in specs],
+        store=store,
+        jobs=jobs,
+        progress=on_event if progress is not None else None,
+    )
+    final = {record["run_id"]: float(record["final_accuracy"]) for record in records}
+    board = Leaderboard()
+    for key, ids in run_ids.items():
+        board.add(TrialSummary(*key, accuracies=[final[run_id] for run_id in ids]))
     return board

@@ -444,10 +444,9 @@ class RunSpec:
         """The paper's repeated-trial protocol as concrete specs.
 
         Pure enumeration — nothing runs.  Trial ``t`` is this spec with
-        ``seed = base_seed + seed_stride * t``, exactly the seeds
-        :func:`repro.experiments.runner.run_trials` executes, so a
-        scheduler can claim the cells, and the store can answer
-        ``completed()`` per trial, without ever touching the runner.
+        ``seed = base_seed + seed_stride * t``; hand the list to
+        :func:`repro.experiments.scheduler.run_matrix` to run it, as
+        :func:`repro.experiments.runner.run_trials` does.
         """
         if num_trials <= 0:
             raise ValueError(f"num_trials must be positive, got {num_trials}")

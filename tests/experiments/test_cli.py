@@ -200,6 +200,27 @@ class TestNewCommands:
             )
         assert not checkpoint.exists()
 
+    def test_resume_and_plot_are_run_only_flags(self, capsys, tmp_path):
+        """`trials` used to accept both and silently ignore them."""
+        cell = [
+            "--dataset", "adult", "--partition", "iid", "--alg", "fedavg",
+            "--preset", "smoke",
+        ]
+        for stray in (["--resume", "x"], ["--plot"]):
+            with pytest.raises(SystemExit) as error:
+                main(["trials", *cell, *stray])
+            assert error.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+        checkpoint = tmp_path / "run.ckpt"
+        run = ["run", *cell, "--comm-round", "3"]
+        assert main(
+            [*run, "--checkpoint-every", "2", "--checkpoint-path", str(checkpoint)]
+        ) == 0
+        full = capsys.readouterr().out
+        assert main([*run, "--resume", str(checkpoint)]) == 0
+        resumed = capsys.readouterr().out
+        assert resumed == full  # rounds 0-1 from the checkpoint, round 2 re-run
+
     def test_trials_store_resume(self, capsys, tmp_path):
         argv = [
             "trials",

@@ -144,10 +144,10 @@ class TestSpecEquivalence:
 
 class TestTrialsWithStore:
     def test_second_invocation_runs_zero_new_cells(self, tmp_path, monkeypatch):
-        from repro.experiments import runner as runner_module
+        from repro.experiments import scheduler as scheduler_module
         from repro.experiments.store import ResultStore
 
-        store = ResultStore(tmp_path)
+        store = ResultStore(tmp_path / "full")
         first = run_trials(
             "adult", "iid", "fedavg", num_trials=2, preset=SMOKE,
             base_seed=0, store=store,
@@ -157,12 +157,18 @@ class TestTrialsWithStore:
         def _boom(spec, resume=None):
             raise AssertionError("stored trial re-ran")
 
-        monkeypatch.setattr(runner_module, "run_spec", _boom)
+        monkeypatch.setattr(scheduler_module, "run_spec", _boom)
         again = run_trials(
             "adult", "iid", "fedavg", num_trials=2, preset=SMOKE,
             base_seed=0, store=store,
         )
         assert again.accuracies == first.accuracies
+        # The guard is live: the same call on an empty store hits _boom.
+        with pytest.raises(RuntimeError, match="stored trial re-ran"):
+            run_trials(
+                "adult", "iid", "fedavg", num_trials=2, preset=SMOKE,
+                base_seed=0, store=ResultStore(tmp_path / "empty"),
+            )
 
     def test_spec_argument_exclusive_with_cell_args(self):
         from repro.spec import RunSpec

@@ -89,10 +89,10 @@ class TestSweep:
 
 class TestSweepResume:
     def test_rerun_executes_zero_new_cells(self, tmp_path, monkeypatch):
-        from repro.experiments import sweeps as sweeps_module
+        from repro.experiments import scheduler as scheduler_module
         from repro.experiments.store import ResultStore
 
-        store = ResultStore(tmp_path)
+        store = ResultStore(tmp_path / "full")
         first = sweep(
             "local_epochs", [1, 2], "adult", "iid", preset=TINY, seed=1, store=store
         )
@@ -101,12 +101,18 @@ class TestSweepResume:
         def _boom(spec, resume=None):
             raise AssertionError("stored sweep point re-ran")
 
-        monkeypatch.setattr(sweeps_module, "run_spec", _boom)
+        monkeypatch.setattr(scheduler_module, "run_spec", _boom)
         again = sweep(
             "local_epochs", [1, 2], "adult", "iid", preset=TINY, seed=1, store=store
         )
         for value in (1, 2):
             assert np.array_equal(again.curves[value], first.curves[value])
+        # The guard is live: the same sweep on an empty store hits _boom.
+        with pytest.raises(RuntimeError, match="stored sweep point re-ran"):
+            sweep(
+                "local_epochs", [1, 2], "adult", "iid", preset=TINY, seed=1,
+                store=ResultStore(tmp_path / "empty"),
+            )
 
     def test_partial_store_runs_only_missing_points(self, tmp_path):
         from repro.experiments.store import ResultStore
@@ -120,54 +126,22 @@ class TestSweepResume:
 
 class TestSweepSpecs:
     def test_enumeration_runs_nothing(self, monkeypatch):
-        from repro.experiments import sweeps as sweeps_module
+        from repro.experiments import scheduler as scheduler_module
         from repro.experiments.sweeps import sweep_specs
 
         def _boom(spec, resume=None):
-            raise AssertionError("sweep_specs executed a cell")
+            raise AssertionError("a cell executed")
 
-        monkeypatch.setattr(sweeps_module, "run_spec", _boom)
+        monkeypatch.setattr(scheduler_module, "run_spec", _boom)
         points = sweep_specs("local_epochs", [1, 2], "adult", "iid", preset=TINY)
         assert [p.train.local_epochs for p in points.values()] == [1, 2]
         assert len({p.run_id() for p in points.values()}) == 2
+        # The guard is live: running the same points hits _boom.
+        with pytest.raises(RuntimeError, match="a cell executed"):
+            sweep("local_epochs", [1, 2], "adult", "iid", preset=TINY)
 
     def test_typo_fails_before_any_compute(self):
         from repro.experiments.sweeps import sweep_specs
 
         with pytest.raises(KeyError, match="dropout_prob"):
             sweep_specs("dropout", [0.1], "adult", "iid", preset=TINY)
-
-
-@pytest.mark.concurrent
-class TestScheduledSweeps:
-    def test_parallel_sweep_matches_serial(self, tmp_path):
-        from repro.experiments.scheduler import fork_available
-        from repro.experiments.store import ResultStore
-
-        if not fork_available():
-            pytest.skip("requires fork")
-        serial = sweep("local_epochs", [1, 2], "adult", "iid", preset=TINY, seed=1)
-        parallel = sweep(
-            "local_epochs", [1, 2], "adult", "iid", preset=TINY, seed=1,
-            store=ResultStore(tmp_path), jobs=2,
-        )
-        for value in (1, 2):
-            assert np.array_equal(serial.curves[value], parallel.curves[value])
-
-    def test_parallel_async_tradeoff_matches_serial(self, tmp_path):
-        from repro.experiments.scheduler import fork_available
-        from repro.experiments.sweeps import async_tradeoff
-
-        if not fork_available():
-            pytest.skip("requires fork")
-        kwargs = dict(
-            buffer_sizes=(1, 2), sample_per_round=4, preset=TINY, seed=1
-        )
-        serial = async_tradeoff("adult", "iid", **kwargs)
-        parallel = async_tradeoff("adult", "iid", jobs=2, **kwargs)
-        assert np.array_equal(serial["sync"], parallel["sync"])
-        for buffer in (1, 2):
-            assert np.array_equal(
-                serial["async"][buffer]["accuracies"],
-                parallel["async"][buffer]["accuracies"],
-            )

@@ -62,27 +62,29 @@ class TestRunTable3:
     def test_rerun_against_populated_store_runs_zero_new_cells(
         self, tmp_path, monkeypatch
     ):
-        from repro.experiments import runner as runner_module
+        from repro.experiments import scheduler as scheduler_module
         from repro.experiments.store import ResultStore
 
-        store = ResultStore(tmp_path)
+        store = ResultStore(tmp_path / "full")
         slice_kwargs = dict(
             datasets=["adult"],
             partitions=["iid"],
             algorithms=("fedavg", "fedprox"),
             preset=SMOKE,
             num_trials=1,
-            store=store,
         )
-        first = run_table3(**slice_kwargs)
+        first = run_table3(store=store, **slice_kwargs)
         assert len(store) == 2  # one file per (algorithm, trial)
 
         def _boom(spec, resume=None):
             raise AssertionError("stored Table 3 cell re-ran")
 
-        monkeypatch.setattr(runner_module, "run_spec", _boom)
-        again = run_table3(**slice_kwargs)
+        monkeypatch.setattr(scheduler_module, "run_spec", _boom)
+        again = run_table3(store=store, **slice_kwargs)
         assert again.ranking("adult", "iid") == first.ranking("adult", "iid")
+        # The guard is live: the same slice on an empty store hits _boom.
+        with pytest.raises(RuntimeError, match="stored Table 3 cell re-ran"):
+            run_table3(store=ResultStore(tmp_path / "empty"), **slice_kwargs)
 
 
 class TestTable3Specs:
@@ -105,7 +107,6 @@ class TestTable3Specs:
 @pytest.mark.concurrent
 class TestTable3Scheduled:
     def test_jobs_matches_serial_and_resumes(self, tmp_path, monkeypatch):
-        from repro.experiments import runner as runner_module
         from repro.experiments import scheduler as scheduler_module
         from repro.experiments.scheduler import fork_available
         from repro.experiments.store import ResultStore
@@ -140,7 +141,6 @@ class TestTable3Scheduled:
         def _boom(spec, resume=None):
             raise AssertionError("stored Table 3 cell re-ran")
 
-        monkeypatch.setattr(runner_module, "run_spec", _boom)
         monkeypatch.setattr(scheduler_module, "run_spec", _boom)
         again = run_table3(store=parallel_store, jobs=2, **slice_kwargs)
         assert again.ranking("adult", "iid") == serial.ranking("adult", "iid")
