@@ -306,9 +306,4 @@ def make_codec(name: str, bits: int = 8, k: float = 0.1) -> Codec:
     configures the sparsifiers.  Irrelevant knobs are ignored, so one
     config schema covers every codec.
     """
-    try:
-        return CODECS.build(name, bits, k)
-    except KeyError:
-        raise KeyError(
-            f"unknown codec {name!r}; available: {CODEC_NAMES}"
-        ) from None
+    return CODECS.build(name, bits, k)

@@ -72,12 +72,7 @@ def load_dataset(
         Forwarded to the generator (e.g. ``num_writers`` for femnist,
         ``num_features`` for rcv1).
     """
-    try:
-        generator = DATASETS.get(name)
-    except KeyError:
-        raise KeyError(
-            f"unknown dataset {name!r}; available: {sorted(DATASET_NAMES)}"
-        ) from None
+    generator = DATASETS.get(name)
     if paper_scale:
         paper_train, paper_test = paper_sizes(name)
         n_train = n_train if n_train is not None else paper_train

@@ -521,7 +521,11 @@ def _run_pool(
     for worker in workers:
         worker.start()
     try:
-        while any(worker.is_alive() for worker in workers):
+        # A list, not a generator: ``is_alive`` is also what reaps a dead
+        # worker, and a killed worker left a zombie still answers
+        # ``_pid_alive``, so its claim would not be stolen until the
+        # heartbeat timeout.  Poll every worker on every tick.
+        while any([worker.is_alive() for worker in workers]):
             try:
                 note(events.get(timeout=0.1))
             except queue_module.Empty:

@@ -24,12 +24,7 @@ def make_algorithm(name: str, **kwargs) -> FedAlgorithm:
     ``kwargs`` are algorithm-specific: ``mu`` for FedProx, ``option`` for
     SCAFFOLD, ``server_momentum``/``variant`` for FedOpt.
     """
-    try:
-        return ALGORITHMS.build(name, **kwargs)
-    except KeyError:
-        raise KeyError(
-            f"unknown algorithm {name!r}; available: {ALGORITHM_NAMES}"
-        ) from None
+    return ALGORITHMS.build(name, **kwargs)
 
 
 __all__ = [

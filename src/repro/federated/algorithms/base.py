@@ -1,22 +1,40 @@
 """Algorithm interface: how a round's local updates become a global model.
 
-The server drives the loop; an algorithm provides three hooks:
+The server drives the loop.  A party's round — the paper's shared "Party
+executes" block — is defined once, in :meth:`FedAlgorithm.local_update`::
+
+    terms = begin(...)                           # load w^t, pick the gradient terms
+    outcome = run_local_training(..., **terms)
+    return finish(..., terms, outcome)           # build the ClientResult
+
+and an algorithm states only what it adds to that template:
 
 - :meth:`FedAlgorithm.broadcast_payload` — server-side extras shipped to
   every sampled party at the start of a round (SCAFFOLD's global control
   variate; empty for the FedAvg family);
-- :meth:`FedAlgorithm.local_update` — run one party's local work given the
-  current global state and the broadcast payload, returning a
-  :class:`ClientResult`.  **Purity contract** (what makes client rounds
-  safe to batch, retry and reorder, see :mod:`repro.federated.executor`):
-  the hook must not mutate algorithm instance state or any client other
-  than the one it was given; its ``model`` argument is scratch workspace
-  only; persistent per-party state changes go into
-  ``ClientResult.client_state`` rather than directly into
-  ``client.state``.  Reading ``client.state`` and the immutable key
-  caches set up by :meth:`prepare` is fine.
+- :meth:`FedAlgorithm.begin` — load the party's start state (honouring the
+  BN policy) and return keyword arguments of
+  :func:`~repro.federated.trainer.run_local_training`: none for FedAvg /
+  FedNova / FedOpt, ``proximal_mu`` + ``anchor`` for FedProx,
+  ``correction`` + ``correction_mode`` for SCAFFOLD.  It must draw nothing
+  from ``client.rng``: a backend may run it for a whole group of parties
+  before any of them trains;
+- :meth:`FedAlgorithm.finish` — turn the training outcome into a
+  :class:`ClientResult` (SCAFFOLD adds its control-variate refresh);
 - :meth:`FedAlgorithm.aggregate` — fold the round's results into the next
   global state (server side; may mutate server-held algorithm state).
+
+The stacked executor calls ``begin`` and ``finish`` around its own batched
+loop, so each runs once per party on every backend; an algorithm that
+overrides ``local_update`` wholesale still works but is never batched.
+
+**Purity contract** (what makes client rounds safe to batch, retry and
+reorder, see :mod:`repro.federated.executor`): the party-side hooks must
+not mutate algorithm instance state or any client other than the one they
+were given; their ``model`` argument is scratch workspace only; persistent
+per-party state changes go into ``ClientResult.client_state`` rather than
+directly into ``client.state``.  Reading ``client.state`` and the immutable
+key caches set up by :meth:`prepare` is fine.
 
 The server applies each result's ``client_state`` via :meth:`commit`, in
 participant order, before aggregating.  :meth:`client_round` bundles
@@ -42,6 +60,7 @@ from repro.federated.aggregation import (
 )
 from repro.federated.client import Client
 from repro.federated.config import FederatedConfig
+from repro.federated.trainer import LocalTrainingResult, run_local_training
 
 
 @dataclass
@@ -108,6 +127,33 @@ class FedAlgorithm:
         """Server-side extras shipped to every party this round."""
         return {}
 
+    def begin(
+        self,
+        model: Module,
+        global_state: dict[str, np.ndarray],
+        client: Client,
+        config: FederatedConfig,
+        payload: dict,
+    ) -> dict:
+        """Load the start state; return the ``run_local_training`` terms.
+
+        The broadcast state is loaded honouring the BN policy: under
+        ``bn_policy="local"`` (the FedBN-style remedy the paper's Section
+        6.2 sketches), a party keeps its own batch-norm entries — learned
+        affine parameters *and* running statistics — across rounds instead
+        of receiving the server's averaged ones.  Keeping only the running
+        statistics local would be inert: training-mode BN uses batch
+        statistics, so the averaged buffers never influence local
+        gradients, only evaluation.
+        """
+        state = global_state
+        if config.bn_policy == "local" and self._bn_keys:
+            kept = client.state.get("bn_local")
+            if kept is not None:
+                state = merge_states(global_state, kept, self._bn_keys)
+        model.load_state_dict(state)
+        return {}
+
     def local_update(
         self,
         model: Module,
@@ -117,7 +163,31 @@ class FedAlgorithm:
         payload: dict,
     ) -> ClientResult:
         """One party's local round — pure; see the module docstring."""
-        raise NotImplementedError
+        terms = self.begin(model, global_state, client, config, payload)
+        outcome = run_local_training(model, client, config, **terms)
+        return self.finish(
+            model, global_state, client, config, payload, terms, outcome
+        )
+
+    def finish(
+        self,
+        model: Module,
+        global_state: dict[str, np.ndarray],
+        client: Client,
+        config: FederatedConfig,
+        payload: dict,
+        terms: dict,
+        outcome: LocalTrainingResult,
+    ) -> ClientResult:
+        """What the party sends back; ``model`` holds ``outcome.state``."""
+        return ClientResult(
+            client_id=client.client_id,
+            state=outcome.state,
+            num_steps=outcome.num_steps,
+            num_samples=outcome.num_samples,
+            mean_loss=outcome.mean_loss,
+            client_state=self.local_bn_state(outcome.state, config),
+        )
 
     def commit(self, client: Client, result: ClientResult) -> None:
         """Fold a result's persistent per-party state into the client."""
@@ -165,30 +235,6 @@ class FedAlgorithm:
     # ------------------------------------------------------------------
     # Shared helpers
     # ------------------------------------------------------------------
-    def load_global_into(
-        self,
-        model: Module,
-        global_state: dict[str, np.ndarray],
-        client: Client,
-        config: FederatedConfig,
-    ) -> None:
-        """Load the broadcast state, honouring the BN policy.
-
-        Under ``bn_policy="local"`` (the FedBN-style remedy the paper's
-        Section 6.2 sketches), a party keeps its own batch-norm entries —
-        learned affine parameters *and* running statistics — across rounds
-        instead of receiving the server's averaged ones.  Keeping only the
-        running statistics local would be inert: training-mode BN uses
-        batch statistics, so the averaged buffers never influence local
-        gradients, only evaluation.
-        """
-        state = global_state
-        if config.bn_policy == "local" and self._bn_keys:
-            kept = client.state.get("bn_local")
-            if kept is not None:
-                state = merge_states(global_state, kept, self._bn_keys)
-        model.load_state_dict(state)
-
     def local_bn_state(self, state: dict, config: FederatedConfig) -> dict:
         """Per-party state entries keeping the post-training BN snapshot.
 

@@ -13,37 +13,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.grad.nn.module import Module
 from repro.federated.aggregation import subtract_states, apply_update, weighted_average_states
 from repro.federated.algorithms.base import ClientResult, FedAlgorithm
-from repro.federated.client import Client
 from repro.federated.config import FederatedConfig
-from repro.federated.trainer import run_local_training
 
 
 class FedAvg(FedAlgorithm):
     """Weighted model averaging (McMahan et al.); see module docstring."""
 
     name = "fedavg"
-
-    def local_update(
-        self,
-        model: Module,
-        global_state: dict[str, np.ndarray],
-        client: Client,
-        config: FederatedConfig,
-        payload: dict,
-    ) -> ClientResult:
-        self.load_global_into(model, global_state, client, config)
-        result = run_local_training(model, client, config)
-        return ClientResult(
-            client_id=client.client_id,
-            state=result.state,
-            num_steps=result.num_steps,
-            num_samples=result.num_samples,
-            mean_loss=result.mean_loss,
-            client_state=self.local_bn_state(result.state, config),
-        )
 
     def aggregate(
         self,

@@ -14,11 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.grad.nn.module import Module
-from repro.federated.algorithms.base import ClientResult
 from repro.federated.algorithms.fedavg import FedAvg
 from repro.federated.client import Client
 from repro.federated.config import FederatedConfig
-from repro.federated.trainer import run_local_training
 
 
 #: the proximal weight used when none is given (also the CLI's ``--mu``)
@@ -35,28 +33,18 @@ class FedProx(FedAvg):
             raise ValueError(f"mu must be non-negative, got {mu}")
         self.mu = mu
 
-    def local_update(
+    def begin(
         self,
         model: Module,
         global_state: dict[str, np.ndarray],
         client: Client,
         config: FederatedConfig,
         payload: dict,
-    ) -> ClientResult:
-        self.load_global_into(model, global_state, client, config)
+    ) -> dict:
+        super().begin(model, global_state, client, config, payload)
         # Anchor at the just-loaded global weights, in parameter order.
         anchor = [param.data.copy() for param in model.parameters()]
-        result = run_local_training(
-            model, client, config, proximal_mu=self.mu, anchor=anchor
-        )
-        return ClientResult(
-            client_id=client.client_id,
-            state=result.state,
-            num_steps=result.num_steps,
-            num_samples=result.num_samples,
-            mean_loss=result.mean_loss,
-            client_state=self.local_bn_state(result.state, config),
-        )
+        return {"proximal_mu": self.mu, "anchor": anchor}
 
     def __repr__(self) -> str:
         return f"FedProx(mu={self.mu})"

@@ -26,7 +26,7 @@ from repro.federated.aggregation import weighted_average_states
 from repro.federated.algorithms.base import ClientResult, FedAlgorithm
 from repro.federated.client import Client
 from repro.federated.config import FederatedConfig
-from repro.federated.trainer import full_batch_gradient, run_local_training
+from repro.federated.trainer import LocalTrainingResult, full_batch_gradient
 
 
 class Scaffold(FedAlgorithm):
@@ -65,67 +65,69 @@ class Scaffold(FedAlgorithm):
         """Ship the global control variate ``c`` (Algorithm 2, line 17)."""
         return {"server_control": self.server_control}
 
-    def local_update(
+    def _controls(self, client: Client, payload: dict):
+        """``(c, c_i)``; ``c_i`` is zero until the party's first refresh."""
+        c = payload["server_control"]
+        c_i = client.state.get("scaffold_c")
+        if c_i is None:
+            c_i = [np.zeros_like(cg) for cg in c]
+        return c, c_i
+
+    def begin(
         self,
         model: Module,
         global_state: dict[str, np.ndarray],
         client: Client,
         config: FederatedConfig,
         payload: dict,
+    ) -> dict:
+        super().begin(model, global_state, client, config, payload)
+        c, c_i = self._controls(client, payload)
+        return {
+            # Line 20: step on grad - c_i + c, i.e. add (c - c_i) to every grad.
+            "correction": [(cg - cl).astype(np.float32) for cg, cl in zip(c, c_i)],
+            "correction_mode": self.correction_mode,
+            # The round-start weights option (ii) refreshes c_i from; with
+            # proximal_mu left at 0 no optimizer reads them.
+            "anchor": [param.data.copy() for param in model.parameters()],
+        }
+
+    def finish(
+        self,
+        model: Module,
+        global_state: dict[str, np.ndarray],
+        client: Client,
+        config: FederatedConfig,
+        payload: dict,
+        terms: dict,
+        outcome: LocalTrainingResult,
     ) -> ClientResult:
-        self.load_global_into(model, global_state, client, config)
-        c = payload["server_control"]
-        # c_i defaults to zero for a party's first participation; the
-        # refreshed value is *returned* (client_state), not written here,
-        # so this hook stays pure for parallel execution.
-        c_i = client.state.get("scaffold_c")
-        if c_i is None:
-            c_i = [np.zeros_like(cg) for cg in c]
-        global_params = [param.data.copy() for param in model.parameters()]
-
-        # Line 20: step on grad - c_i + c, i.e. add (c - c_i) to every grad.
-        correction = [
-            (cg - cl).astype(np.float32) for cg, cl in zip(c, c_i)
-        ]
-        result = run_local_training(
-            model, client, config,
-            correction=correction,
-            correction_mode=self.correction_mode,
+        result = super().finish(
+            model, global_state, client, config, payload, terms, outcome
         )
-
-        # Line 23: refresh the local control variate.
+        c, c_i = self._controls(client, payload)
+        # Line 23: refresh the local control variate.  The refreshed value
+        # is *returned* (client_state), not written, so the round stays pure.
         if self.option == 1:
             # Gradient at the *global* model: reload it, differentiate, then
             # restore the trained weights (the gradient pass also perturbs
             # BN running stats, so we snapshot/restore the full state).
-            trained_state = result.state
             model.load_state_dict(global_state)
             c_star = [g.astype(np.float64) for g in full_batch_gradient(model, client, config)]
-            model.load_state_dict(trained_state)
+            model.load_state_dict(outcome.state)
         else:
             local_params = [
-                np.asarray(result.state[key], dtype=np.float64)
+                np.asarray(outcome.state[key], dtype=np.float64)
                 for key in self.param_keys
             ]
-            scale = 1.0 / (result.num_steps * config.lr)
+            scale = 1.0 / (outcome.num_steps * config.lr)
             c_star = [
                 ci - cg + scale * (gw.astype(np.float64) - lw)
-                for ci, cg, gw, lw in zip(c_i, c, global_params, local_params)
+                for ci, cg, gw, lw in zip(c_i, c, terms["anchor"], local_params)
             ]
-
-        delta_c = [new - old for new, old in zip(c_star, c_i)]
-        client_state = {"scaffold_c": c_star}
-        client_state.update(self.local_bn_state(result.state, config))
-
-        return ClientResult(
-            client_id=client.client_id,
-            state=result.state,
-            num_steps=result.num_steps,
-            num_samples=result.num_samples,
-            mean_loss=result.mean_loss,
-            payload={"delta_c": delta_c},
-            client_state=client_state,
-        )
+        result.payload = {"delta_c": [new - old for new, old in zip(c_star, c_i)]}
+        result.client_state = {"scaffold_c": c_star, **result.client_state}
+        return result
 
     def round_payload_floats(self) -> tuple[int, int]:
         """Model state both ways plus control variates both ways."""

@@ -66,7 +66,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -84,33 +83,19 @@ from repro.federated.systems import SystemModel
 #: the mixed-staleness delta path is exact in semantics
 DELTA_SAFE_ALGORITHMS = ("fedavg", "fedprox")
 
-#: event kind -> event class; every kind must have a matching
-#: ``AsyncFederation._handle_<kind>`` method (enforced by tools/lint.py)
-EVENT_TYPES: dict[str, type] = {}
 
-
-def register_event(cls):
-    """Class decorator: register an event type under its ``kind``."""
-    EVENT_TYPES[cls.kind] = cls
-    return cls
-
-
-@register_event
 @dataclass(frozen=True)
 class ClientUpdate:
     """A client's upload arrives at the server."""
 
-    kind: ClassVar[str] = "client_update"
     party: int
     slot: int
 
 
-@register_event
 @dataclass(frozen=True)
 class ClientFailure:
     """An in-flight client is lost (mid-training crash)."""
 
-    kind: ClassVar[str] = "client_failure"
     party: int
     slot: int
     reason: str
@@ -262,6 +247,12 @@ class AsyncFederation:
         self.population.release(event.party)
         self._epoch_dropped.append(event.party)
         self._epoch_drop_reasons.append(event.reason)
+
+    #: event class -> handler; the one table :meth:`fit` dispatches through
+    _HANDLERS = {
+        ClientUpdate: _handle_client_update,
+        ClientFailure: _handle_client_failure,
+    }
 
     # ------------------------------------------------------------------
     # Dispatch: sample, execute (compute happens now; arrival is later)
@@ -489,7 +480,7 @@ class AsyncFederation:
         while self._flushes < target and self._events:
             time, _seq, event = heapq.heappop(self._events)
             self._clock = time
-            getattr(self, f"_handle_{event.kind}")(event)
+            self._HANDLERS[type(event)](self, event)
             # Barrier mode waits for the whole dispatch group — which can
             # exceed the nominal cohort under fault over-sampling — so it
             # aggregates exactly the sync round's survivors.  Buffered

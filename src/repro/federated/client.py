@@ -63,6 +63,10 @@ class Client:
     def num_samples(self) -> int:
         return len(self.dataset)
 
+    def epochs(self, default: int) -> int:
+        """Local epochs per round: this party's override, else ``default``."""
+        return default if self.local_epochs is None else self.local_epochs
+
     def loader(self, batch_size: int) -> DataLoader:
         """A shuffling loader over the local data for one round."""
         return DataLoader(self.dataset, batch_size, shuffle=True, rng=self.rng)

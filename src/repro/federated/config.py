@@ -246,10 +246,7 @@ class FederatedConfig:
         from repro.federated.executor import EXECUTORS
 
         if self.executor not in EXECUTORS:
-            raise ValueError(
-                f"unknown executor {self.executor!r}; "
-                f"available: {list(EXECUTORS.names())}"
-            )
+            raise ValueError(EXECUTORS.unknown(self.executor))
         if self.stack_size < 2:
             raise ValueError(
                 f"stack_size must be >= 2, got {self.stack_size}"
@@ -259,12 +256,10 @@ class FederatedConfig:
                 f"stacked_tolerance must be non-negative, "
                 f"got {self.stacked_tolerance}"
             )
-        from repro.comm import CODEC_NAMES
+        from repro.comm import CODECS
 
-        if self.codec not in CODEC_NAMES:
-            raise ValueError(
-                f"unknown codec {self.codec!r}; available: {list(CODEC_NAMES)}"
-            )
+        if self.codec not in CODECS:
+            raise ValueError(CODECS.unknown(self.codec))
         if not 1 <= self.codec_bits <= 16:
             raise ValueError(
                 f"codec_bits must be in [1, 16], got {self.codec_bits}"

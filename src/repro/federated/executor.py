@@ -9,10 +9,10 @@ single definition of how a round of those tasks runs, and the server
   ``float32`` reference vector delta-mode codecs need is built only when
   the channel's codec is lossy;
 - every party a backend does not finish in bulk goes through
-  :meth:`ClientExecutor._resolve_party`, and
-  :meth:`ClientExecutor._run_one` is the only code that runs one party's
-  task (fault arming, ``local_update``, uplink coding via
-  :func:`process_upload`);
+  :meth:`ClientExecutor._resolve_party`, whose
+  :meth:`ClientExecutor._run_one` is one party's task (fault arming,
+  ``local_update``, then :meth:`ClientExecutor._upload` — the uplink
+  coding via :func:`process_upload` that bulk-finished parties share);
 - **bounded retry** — a task raising an unexpected exception is retried
   up to ``config.max_retries`` times from the same pre-task generator
   snapshot, so a *transient* fault recovers bitwise-identically to a
@@ -36,7 +36,7 @@ bulk and hands the rest back to the per-party path:
   none — every party runs one after another on the server's model;
 - :class:`StackedExecutor` (``executor="stacked"``) trains groups of
   shape-compatible parties as one compiled program with a leading
-  client axis.
+  client axis, between the algorithm's own ``begin`` and ``finish``.
 
 Both are registered in :data:`EXECUTORS`, which construction
 (:func:`make_executor`), config validation and the CLI all read.  A run
@@ -48,7 +48,7 @@ Purity contract
 ---------------
 Bulk execution, the retry above and the async engine's out-of-order
 arrivals are sound because of the algorithm purity contract (see
-:meth:`repro.federated.algorithms.base.FedAlgorithm.local_update`): a
+:mod:`repro.federated.algorithms.base`): a
 client round is a pure function of ``(global_state, client payload,
 config)`` and the party's private generator; it may use its ``model``
 argument only as scratch workspace and must report persistent per-party
@@ -66,12 +66,9 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from repro.comm.channel import RESIDUAL_KEY, CommChannel
+from repro.federated.algorithms.base import FedAlgorithm
 from repro.federated.faults import InjectedCrash, PartyFault
-from repro.federated.trainer import (
-    LocalTrainingResult,
-    local_training_hook,
-    run_local_training,
-)
+from repro.federated.trainer import LocalTrainingResult
 from repro.grad.capture import stacked_engine
 from repro.grad.optim import StackedSGD
 from repro.grad.serialize import state_dict_to_vector
@@ -79,7 +76,7 @@ from repro.registry import Registry
 
 if TYPE_CHECKING:
     from repro.grad.nn.module import Module
-    from repro.federated.algorithms.base import ClientResult, FedAlgorithm
+    from repro.federated.algorithms.base import ClientResult
     from repro.federated.client import Client
     from repro.federated.config import FederatedConfig
 
@@ -264,6 +261,10 @@ class ClientExecutor:
             )
         finally:
             client.crash_after_steps = None
+        return self._upload(result, client, work)
+
+    def _upload(self, result, client, work: _Round):
+        """The uplink step every finished party goes through."""
         if self.channel is not None:
             process_upload(
                 self.channel, self.algorithm, result, client,
@@ -292,38 +293,13 @@ class StackedDriftError(RuntimeError):
     """
 
 
-class _StackCall:
-    """One intercepted ``run_local_training`` call, frozen for replay."""
-
-    __slots__ = ("state0", "proximal_mu", "anchor", "correction", "correction_mode")
-
-    def __init__(self, state0, proximal_mu, anchor, correction, correction_mode):
-        self.state0 = state0
-        self.proximal_mu = proximal_mu
-        self.anchor = anchor
-        self.correction = correction
-        self.correction_mode = correction_mode
-
-
-class _StackDeferred(Exception):
-    """Unwinds ``local_update`` at the training call during recording."""
-
-    def __init__(self, call: _StackCall):
-        super().__init__("local training deferred to the stacked program")
-        self.call = call
-
-
-class _StackRecord:
-    """Per-party bookkeeping across the stacked phases."""
-
-    __slots__ = ("party", "client", "call", "result", "post_rng")
-
-    def __init__(self, party, client, call):
-        self.party = party
-        self.client = client
-        self.call = call
-        self.result: LocalTrainingResult | None = None
-        self.post_rng = None
+def _stack_signature(terms: dict) -> tuple:
+    """The part of a party's training terms a whole stack must share."""
+    return (
+        terms.get("proximal_mu", 0.0),
+        terms.get("correction") is None,
+        terms.get("correction_mode", "step"),
+    )
 
 
 class StackedExecutor(ClientExecutor):
@@ -335,27 +311,23 @@ class StackedExecutor(ClientExecutor):
     through a single :class:`~repro.grad.capture.StackedStep` whose
     buffers carry a leading client axis, so every local SGD step of the
     whole group is a handful of large NumPy ops instead of K small
-    Python loops.  Everything around the training loop — the algorithm's
-    ``local_update`` body, uplink codecs, fault injection, retries — is
-    the shared round template, driven via the trainer hook in two
-    passes:
-
-    1. **record**: ``local_update`` runs until it calls
-       ``run_local_training``; the hook captures the loaded start state
-       and optimizer arguments and unwinds;
-    2. **replay**: after the batched training, ``local_update`` runs
-       again and the hook hands it the precomputed result.
+    Python loops.  A stacked party still runs the algorithm's one round
+    template (:meth:`FedAlgorithm.local_update`), once: ``begin`` for
+    each of the K parties, the batched loop in place of K
+    ``run_local_training`` calls, then ``finish`` and the shared uplink
+    step per party.
 
     Determinism: per-client generator draws (the per-epoch shuffles, any
     codec draws) happen in the exact serial order, and all stacked
     kernels are per-slice bitwise mirrors of the serial compiled step, so
     with ``tolerance == 0.0`` results are required to be bit-identical to
     :class:`SerialExecutor` — verified once per run by re-running the
-    first stacked group serially (:class:`StackedDriftError` on
-    violation).  Parties that do not fit the stacking contract (ragged
-    batches, armed crash faults, non-SGD optimizer, DP noise, models the
-    stacked compile rejects) go through the per-party path, per party
-    or per group.
+    first stacked group through ``local_update`` itself
+    (:class:`StackedDriftError` on violation).  Parties that do not fit
+    the stacking contract (ragged batches, armed crash faults, non-SGD
+    optimizer, DP noise, an algorithm with its own ``local_update``,
+    parties whose training terms disagree, models the stacked compile
+    rejects) go through the per-party path, per party or per group.
     """
 
     def __init__(self, stack_size: int = 16, tolerance: float = 0.0):
@@ -382,15 +354,20 @@ class StackedExecutor(ClientExecutor):
     def _plan(self, participants, faults):
         """Split the round into stackable groups and serial leftovers.
 
-        A party is stackable when its local work is shape-static: SGD
-        without DP, no armed crash fault, and a sample count that is a
-        positive multiple of the batch size (no ragged last batch).
-        Stackable parties are grouped by (epochs, num_samples) and
-        chunked to ``stack_size`` in participant order; singleton chunks
-        gain nothing from batching and stay serial.
+        A party is stackable when its local work is shape-static: the
+        algorithm's round is the base template, SGD without DP, no armed
+        crash fault, and a sample count that is a positive multiple of
+        the batch size (no ragged last batch).  Stackable parties are
+        grouped by (epochs, num_samples) and chunked to ``stack_size`` in
+        participant order; singleton chunks gain nothing from batching
+        and stay serial.
         """
         config = self.config
-        config_ok = config.optimizer == "sgd" and config.dp is None
+        config_ok = (
+            config.optimizer == "sgd"
+            and config.dp is None
+            and type(self.algorithm).local_update is FedAlgorithm.local_update
+        )
         serial: list[int] = []
         by_key: dict[tuple, list[int]] = {}
         for party in participants:
@@ -405,12 +382,8 @@ class StackedExecutor(ClientExecutor):
             ):
                 serial.append(party)
                 continue
-            epochs = (
-                client.local_epochs
-                if client.local_epochs is not None
-                else config.local_epochs
-            )
-            by_key.setdefault((epochs, samples), []).append(party)
+            key = (client.epochs(config.local_epochs), samples)
+            by_key.setdefault(key, []).append(party)
         groups: list[list[int]] = []
         for parties in by_key.values():
             for start in range(0, len(parties), self.stack_size):
@@ -430,85 +403,61 @@ class StackedExecutor(ClientExecutor):
         state.  :class:`StackedDriftError` propagates — a broken
         exactness contract must not be silently papered over.
         """
+        algorithm, model, config = self.algorithm, self.model, self.config
         clients = [self.clients[party] for party in group]
         snapshots = [client.rng.bit_generator.state for client in clients]
-
-        def restore():
-            for client, snapshot in zip(clients, snapshots):
-                client.rng.bit_generator.state = snapshot
-            for party in group:
-                work.staged_rng.pop(party, None)
-                work.results.pop(party, None)
-
-        records = self._record_group(group, work.global_state, work.payload)
-        if records is None:
-            restore()
-            return False
         try:
-            self._train_stack(records)
+            starts = []
+            for client in clients:
+                terms = algorithm.begin(
+                    model, work.global_state, client, config, work.payload
+                )
+                starts.append((model.state_dict(), terms))
+            if len({_stack_signature(terms) for _, terms in starts}) > 1:
+                return False
+            outcomes = self._train_stack(clients, starts)
             if not self._drift_checked:
-                self._check_drift(records, snapshots)
+                self._check_drift(group, snapshots, outcomes, work)
                 self._drift_checked = True
-            self._replay_group(records, snapshots, work)
+            # Each generator now sits where serial training leaves it, so
+            # anything after the training call (SCAFFOLD option-1 full-batch
+            # pass, codec draws) sees the serial sequence.
+            finished = []
+            for client, (_, terms), outcome in zip(clients, starts, outcomes):
+                model.load_state_dict(outcome.state)
+                result = algorithm.finish(
+                    model, work.global_state, client, config, work.payload,
+                    terms, outcome,
+                )
+                result = self._upload(result, client, work)
+                finished.append((result, client.rng.bit_generator.state))
         except StackedDriftError:
-            restore()
             raise
         except Exception:
-            # CaptureError (model the compiler rejects — memoized, so
-            # later rounds skip the attempt) or anything unexpected: the
-            # serial rerun either succeeds or surfaces the real error
-            # through the retry machinery.
-            restore()
+            # A fault in ``begin`` / ``finish``, CaptureError (model the
+            # compiler rejects — memoized, so later rounds skip the
+            # attempt) or anything unexpected: the serial rerun either
+            # succeeds or surfaces the real error through the retry
+            # machinery.
             return False
+        finally:
+            for client, snapshot in zip(clients, snapshots):
+                client.rng.bit_generator.state = snapshot
+        for party, (result, rng_state) in zip(group, finished):
+            work.results[party] = result
+            work.staged_rng[party] = rng_state
         return True
 
-    def _record_group(self, group, global_state, payload):
-        """Phase 1: intercept each party's training call (no rng draws)."""
+    def _train_stack(self, clients, starts) -> "list[LocalTrainingResult]":
+        """The group's local SGD as one batched program.
 
-        def recording_hook(
-            model, client, config, proximal_mu, anchor, correction, correction_mode
-        ):
-            raise _StackDeferred(
-                _StackCall(
-                    model.state_dict(), proximal_mu, anchor, correction,
-                    correction_mode,
-                )
-            )
-
-        records = []
-        for party in group:
-            client = self.clients[party]
-            try:
-                with local_training_hook(recording_hook):
-                    self.algorithm.local_update(
-                        self.model, global_state, client, self.config, payload
-                    )
-            except _StackDeferred as deferred:
-                records.append(_StackRecord(party, client, deferred.call))
-                continue
-            except Exception:
-                return None
-            # local_update finished without calling run_local_training —
-            # an algorithm shape the two-phase protocol cannot batch.
-            return None
-        first = records[0].call
-        for record in records[1:]:
-            call = record.call
-            if (
-                call.proximal_mu != first.proximal_mu
-                or (call.anchor is None) != (first.anchor is None)
-                or (call.correction is None) != (first.correction is None)
-                or call.correction_mode != first.correction_mode
-            ):
-                return None
-        return records
-
-    def _train_stack(self, records) -> None:
-        """Phase 2: run the group's local SGD as one batched program."""
+        ``starts`` holds each party's ``(start state, training terms)``
+        from ``begin``; the terms' scalar part agrees across the group.
+        """
         config = self.config
         model = self.model
-        stack = len(records)
-        first_client = records[0].client
+        stack = len(clients)
+        first_client = clients[0]
         features = first_client.dataset.features
         labels = first_client.dataset.labels
         batch = config.batch_size
@@ -519,39 +468,32 @@ class StackedExecutor(ClientExecutor):
         )
         param_keys = [name for name, _ in model.named_parameters()]
         stacks = [program.param_stack(i) for i in range(len(param_keys))]
-        for k, record in enumerate(records):
-            state0 = record.call.state0
+        for k, (state0, _) in enumerate(starts):
             for buffer, key in zip(stacks, param_keys):
                 if buffer is not None:
                     buffer[k] = state0[key]
-        call = records[0].call
+
+        def per_client(name):
+            return [
+                np.stack([terms[name][i] for _, terms in starts])
+                for i in range(len(param_keys))
+            ]
+
+        terms = starts[0][1]
         optimizer = StackedSGD(
             stacks,
             lr=config.lr,
             momentum=config.momentum,
             weight_decay=config.weight_decay,
-            proximal_mu=call.proximal_mu,
+            proximal_mu=terms.get("proximal_mu", 0.0),
         )
-        if call.anchor is not None:
-            optimizer.set_anchor(
-                [
-                    np.stack([record.call.anchor[i] for record in records])
-                    for i in range(len(param_keys))
-                ]
-            )
-        if call.correction is not None:
+        if optimizer.proximal_mu > 0:
+            optimizer.set_anchor(per_client("anchor"))
+        if terms.get("correction") is not None:
             optimizer.set_correction(
-                [
-                    np.stack([record.call.correction[i] for record in records])
-                    for i in range(len(param_keys))
-                ],
-                mode=call.correction_mode,
+                per_client("correction"), mode=terms.get("correction_mode", "step")
             )
-        epochs = (
-            first_client.local_epochs
-            if first_client.local_epochs is not None
-            else config.local_epochs
-        )
+        epochs = first_client.epochs(config.local_epochs)
         samples = first_client.num_samples
         steps_per_epoch = samples // batch
         # All shuffle orders are drawn up front, per client in epoch
@@ -560,16 +502,14 @@ class StackedExecutor(ClientExecutor):
         # the phase in its serial post-training state.
         orders = []
         data = []
-        for record in records:
+        for client in clients:
             client_orders = []
             for _ in range(epochs):
                 order = np.arange(samples)
-                record.client.rng.shuffle(order)
+                client.rng.shuffle(order)
                 client_orders.append(order)
             orders.append(client_orders)
-            data.append(
-                (record.client.dataset.features, record.client.dataset.labels)
-            )
+            data.append((client.dataset.features, client.dataset.labels))
         feature_buf = program.features
         label_buf = program.labels
         totals = [0.0] * stack
@@ -587,45 +527,42 @@ class StackedExecutor(ClientExecutor):
                 for k in range(stack):
                     totals[k] += float(losses[k])
                 steps += 1
-        for k, record in enumerate(records):
-            state = dict(record.call.state0)
+        outcomes = []
+        for k, (state0, _) in enumerate(starts):
+            state = dict(state0)
             for buffer, key in zip(stacks, param_keys):
                 if buffer is not None:
                     state[key] = buffer[k].copy()
-            record.result = LocalTrainingResult(
-                state=state,
-                num_steps=steps,
-                num_samples=samples,
-                mean_loss=totals[k] / max(steps, 1),
+            outcomes.append(
+                LocalTrainingResult(
+                    state=state,
+                    num_steps=steps,
+                    num_samples=samples,
+                    mean_loss=totals[k] / max(steps, 1),
+                )
             )
-            record.post_rng = record.client.rng.bit_generator.state
+        return outcomes
 
-    def _check_drift(self, records, snapshots) -> None:
-        """Re-run the group serially and compare (first group per run).
+    def _check_drift(self, group, snapshots, outcomes, work) -> None:
+        """Re-run the group through ``local_update`` and compare.
 
-        ``tolerance == 0.0`` demands bitwise identity; a positive
-        tolerance bounds the max-abs per-element deviation instead.
+        Once per run, on the first stacked group.  ``tolerance == 0.0``
+        demands bitwise identity; a positive tolerance bounds the max-abs
+        per-element deviation instead.
         """
-        model = self.model
         tolerance = self.tolerance
-        for record, snapshot in zip(records, snapshots):
-            client = record.client
+        for party, snapshot, stacked in zip(group, snapshots, outcomes):
+            client = self.clients[party]
+            post_rng = client.rng.bit_generator.state
             client.rng.bit_generator.state = snapshot
-            model.load_state_dict(record.call.state0)
-            call = record.call
-            serial = run_local_training(
-                model, client, self.config,
-                proximal_mu=call.proximal_mu,
-                anchor=call.anchor,
-                correction=call.correction,
-                correction_mode=call.correction_mode,
+            serial = self.algorithm.local_update(
+                self.model, work.global_state, client, self.config, work.payload
             )
-            client.rng.bit_generator.state = record.post_rng
-            stacked = record.result
+            client.rng.bit_generator.state = post_rng
             if serial.num_steps != stacked.num_steps:
                 raise StackedDriftError(
                     f"stacked replay ran {stacked.num_steps} steps for party "
-                    f"{record.party} where serial ran {serial.num_steps}"
+                    f"{party} where serial ran {serial.num_steps}"
                 )
             drift = 0.0
             for key, reference in serial.state.items():
@@ -636,7 +573,7 @@ class StackedExecutor(ClientExecutor):
                 if tolerance == 0.0:
                     raise StackedDriftError(
                         f"stacked replay diverged from serial on party "
-                        f"{record.party} key {key!r} with tolerance 0.0; "
+                        f"{party} key {key!r} with tolerance 0.0; "
                         "this host's batched GEMM is not bitwise exact — "
                         "pass --stacked-tolerance to accept bounded drift"
                     )
@@ -654,31 +591,8 @@ class StackedExecutor(ClientExecutor):
             if drift > tolerance:
                 raise StackedDriftError(
                     f"stacked replay drifted {drift:.3e} from serial on "
-                    f"party {record.party}, above tolerance {tolerance:.3e}"
+                    f"party {party}, above tolerance {tolerance:.3e}"
                 )
-
-    def _replay_group(self, records, snapshots, work) -> None:
-        """Phase 3: feed results back through each ``local_update``."""
-        for record, snapshot in zip(records, snapshots):
-            client = record.client
-            outcome = record.result
-
-            def replay_hook(
-                model, hook_client, config, proximal_mu, anchor, correction,
-                correction_mode,
-            ):
-                model.load_state_dict(outcome.state)
-                return outcome
-
-            # Post-training state first: anything after the training call
-            # (SCAFFOLD option-1 full-batch pass, codec draws) must see
-            # the same generator sequence the serial path would.
-            client.rng.bit_generator.state = record.post_rng
-            with local_training_hook(replay_hook):
-                result = self._run_one(client, None, work)
-            work.staged_rng[record.party] = client.rng.bit_generator.state
-            client.rng.bit_generator.state = snapshot
-            work.results[record.party] = result
 
     def __repr__(self) -> str:
         return (
@@ -711,8 +625,6 @@ def make_executor(config: "FederatedConfig") -> ClientExecutor:
     configs are validated on construction, but one mutated afterwards
     must not silently degrade to serial.
     """
-    try:
-        factory = EXECUTORS.get(config.executor)
-    except KeyError as error:
-        raise ValueError(error.args[0]) from None
-    return factory(config)
+    if config.executor not in EXECUTORS:
+        raise ValueError(EXECUTORS.unknown(config.executor))
+    return EXECUTORS.build(config.executor, config)

@@ -13,7 +13,6 @@ quantity FedNova's normalization needs — and the trained state dict.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,34 +37,6 @@ class LocalTrainingResult:
     mean_loss: float
 
 
-#: Interception point for alternative local-training backends.  The
-#: algorithms bind ``run_local_training`` at import time, so a backend
-#: (the stacked executor) cannot monkeypatch the name — it installs a
-#: hook here instead.  The hook sees the exact call the algorithm makes
-#: (model already loaded with this party's start state) and may return a
-#: finished :class:`LocalTrainingResult` to short-circuit, raise to
-#: abort, or return None to fall through to the normal loop.
-_TRAINING_HOOK = None
-
-
-@contextmanager
-def local_training_hook(hook):
-    """Install ``hook`` for the duration of the ``with`` block.
-
-    ``hook(model, client, config, proximal_mu, anchor, correction,
-    correction_mode)`` runs at the top of :func:`run_local_training`.
-    Hooks do not nest: installing one while another is active raises.
-    """
-    global _TRAINING_HOOK
-    if _TRAINING_HOOK is not None:
-        raise RuntimeError("a local-training hook is already installed")
-    _TRAINING_HOOK = hook
-    try:
-        yield
-    finally:
-        _TRAINING_HOOK = None
-
-
 def run_local_training(
     model: Module,
     client: Client,
@@ -80,12 +51,6 @@ def run_local_training(
     The model is mutated in place; callers snapshot ``model.state_dict()``
     from the returned result.
     """
-    if _TRAINING_HOOK is not None:
-        result = _TRAINING_HOOK(
-            model, client, config, proximal_mu, anchor, correction, correction_mode
-        )
-        if result is not None:
-            return result
     # Single gate for every non-SGD local optimizer (adam AND amsgrad):
     # SCAFFOLD's drift correction is defined on the SGD update rule, so
     # reject it here once instead of scattering per-optimizer checks.
@@ -134,8 +99,7 @@ def run_local_training(
     engine = training_engine(model) if config.compile else None
     steps = 0
     total_loss = 0.0
-    epochs = client.local_epochs if client.local_epochs is not None else config.local_epochs
-    for _ in range(epochs):
+    for _ in range(client.epochs(config.local_epochs)):
         for features, labels in loader:
             optimizer.zero_grad()
             loss_value = engine.step(features, labels) if engine is not None else None

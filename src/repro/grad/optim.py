@@ -80,18 +80,13 @@ class SGD(Optimizer):
         self.weight_decay = weight_decay
         self.proximal_mu = proximal_mu
         self._velocity: list[np.ndarray | None] = [None] * len(self.params)
-        self._anchor: list[np.ndarray] | None = None
-        self._correction: list[np.ndarray] | None = None
+        self._anchor: list[np.ndarray | None] | None = None
+        self._correction: list[np.ndarray | None] | None = None
         self._correction_mode = "step"
 
     def set_anchor(self, anchor: Sequence[np.ndarray] | None) -> None:
         """Fix the proximal anchor (the global model of the current round)."""
-        if anchor is None:
-            self._anchor = None
-            return
-        anchor = [np.asarray(a) for a in anchor]
-        self._check_shapes(anchor, "anchor")
-        self._anchor = anchor
+        self._anchor = None if anchor is None else self._checked(anchor, "anchor")
 
     def set_correction(
         self, correction: Sequence[np.ndarray] | None, mode: str = "step"
@@ -115,55 +110,67 @@ class SGD(Optimizer):
         if correction is None:
             self._correction = None
             return
-        correction = [np.asarray(c) for c in correction]
-        self._check_shapes(correction, "correction")
-        self._correction = correction
+        self._correction = self._checked(correction, "correction")
         self._correction_mode = mode
 
-    def _check_shapes(self, arrays: Sequence[np.ndarray], label: str) -> None:
-        if len(arrays) != len(self.params):
+    def _shapes(self) -> list[tuple | None]:
+        """Per-entry shape an anchor / correction array must have."""
+        return [param.data.shape for param in self.params]
+
+    def _checked(self, arrays, label: str) -> list[np.ndarray | None]:
+        arrays = [None if a is None else np.asarray(a) for a in arrays]
+        shapes = self._shapes()
+        if len(arrays) != len(shapes):
             raise ValueError(
-                f"{label} has {len(arrays)} entries for {len(self.params)} params"
+                f"{label} has {len(arrays)} entries for {len(shapes)} params"
             )
-        for array, param in zip(arrays, self.params):
-            if array.shape != param.data.shape:
+        for array, shape in zip(arrays, shapes):
+            if array is not None and shape is not None and array.shape != shape:
                 raise ValueError(
                     f"{label} shape {array.shape} does not match "
-                    f"parameter shape {param.data.shape}"
+                    f"parameter shape {shape}"
                 )
+        return arrays
+
+    def _direction(self, index: int, data: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """What entry ``index`` steps along, given its values and gradient.
+
+        The whole update rule short of the final write.  Every term is
+        elementwise, so ``data`` / ``grad`` may carry a leading client axis
+        (:class:`StackedSGD`) and each slice still rounds exactly like a
+        lone run.
+        """
+        if self.weight_decay:
+            grad = grad + self.weight_decay * data
+        if self.proximal_mu > 0:
+            if self._anchor is None:
+                raise RuntimeError(
+                    "proximal_mu > 0 but no anchor set; call set_anchor()"
+                )
+            grad = grad + self.proximal_mu * (data - self._anchor[index])
+        correction = self._correction
+        if correction is not None and self._correction_mode == "grad":
+            grad = grad + correction[index]
+        if self.momentum:
+            velocity = self._velocity[index]
+            if velocity is None:
+                velocity = self._velocity[index] = np.array(grad, copy=True)
+            else:
+                # In place, same rounding as `m * v + g`: scale then add.
+                np.multiply(velocity, self.momentum, out=velocity)
+                velocity += grad
+            grad = velocity
+        if correction is not None and self._correction_mode == "step":
+            grad = grad + correction[index]
+        return grad
 
     def step(self) -> None:
         """Apply one update; parameters without gradients are skipped."""
-        if self.proximal_mu > 0 and self._anchor is None:
-            raise RuntimeError("proximal_mu > 0 but no anchor set; call set_anchor()")
-        momentum = self.momentum
-        weight_decay = self.weight_decay
-        proximal_mu = self.proximal_mu
-        correction = self._correction
-        velocities = self._velocity
         neg_lr = -self.lr
         for index, param in enumerate(self.params):
             if param.grad is None:
                 continue
-            grad = param.grad
-            if weight_decay:
-                grad = grad + weight_decay * param.data
-            if proximal_mu > 0:
-                grad = grad + proximal_mu * (param.data - self._anchor[index])
-            if correction is not None and self._correction_mode == "grad":
-                grad = grad + correction[index]
-            if momentum:
-                velocity = velocities[index]
-                if velocity is None:
-                    velocity = np.array(grad, copy=True)
-                    velocities[index] = velocity
-                else:
-                    # In place, same rounding as `m * v + g`: scale then add.
-                    np.multiply(velocity, momentum, out=velocity)
-                    velocity += grad
-                grad = velocity
-            if correction is not None and self._correction_mode == "step":
-                grad = grad + correction[index]
+            grad = self._direction(index, param.data, param.grad)
             # One temporary instead of two; (-lr) * g + w rounds exactly
             # like w - lr * g, so the update stays bit-identical.  The
             # explicit ``out=`` keeps the parameter's memory layout: linear
@@ -181,15 +188,17 @@ class SGD(Optimizer):
         self._velocity = [None] * len(self.params)
 
 
-class StackedSGD:
-    """SGD over ``(K, ...)`` parameter stacks for stacked-client replay.
+class StackedSGD(SGD):
+    """:class:`SGD` over ``(K, ...)`` parameter stacks for stacked-client replay.
 
-    The elementwise mirror of :meth:`SGD.step`: every expression is the
-    same NumPy ufunc in the same order, just with a leading client axis,
-    so each slice updates bit-identically to a serial :class:`SGD` run.
-    The final write is an in-place ``np.copyto`` rather than a rebind —
-    the stacks are arena buffers a compiled :class:`~repro.grad.capture.
-    StackedStep` holds views into, and rebinding would orphan them.
+    The update rule is :meth:`SGD._direction` itself, applied with a
+    leading client axis, so each slice updates bit-identically to a serial
+    :class:`SGD` run.  What differs is the plumbing: gradients arrive as
+    an argument to :meth:`step` (``zero_grad`` has nothing to clear and
+    does not apply), and the final write is an in-place ``np.copyto``
+    rather than a rebind — the stacks are arena buffers a compiled
+    :class:`~repro.grad.capture.StackedStep` holds views into, and
+    rebinding would orphan them.
 
     ``stacks`` aligns with ``model.parameters()``; None entries (and None
     gradients) are skipped exactly like parameters without gradients.
@@ -204,97 +213,21 @@ class StackedSGD:
         weight_decay: float = 0.0,
         proximal_mu: float = 0.0,
     ):
-        self.stacks = list(stacks)
-        if not self.stacks:
-            raise ValueError("optimizer got an empty parameter-stack list")
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        if proximal_mu < 0:
-            raise ValueError(f"proximal_mu must be non-negative, got {proximal_mu}")
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self.proximal_mu = proximal_mu
-        self._velocity: list[np.ndarray | None] = [None] * len(self.stacks)
-        self._anchor: list[np.ndarray | None] | None = None
-        self._correction: list[np.ndarray | None] | None = None
-        self._correction_mode = "step"
+        super().__init__(stacks, lr, momentum, weight_decay, proximal_mu)
+        self.stacks = self.params
 
-    def _check_stacked(self, arrays, label: str) -> list[np.ndarray | None]:
-        arrays = [None if a is None else np.asarray(a) for a in arrays]
-        if len(arrays) != len(self.stacks):
-            raise ValueError(
-                f"{label} has {len(arrays)} entries for {len(self.stacks)} stacks"
-            )
-        for array, stack in zip(arrays, self.stacks):
-            if array is None or stack is None:
-                continue
-            if array.shape != stack.shape:
-                raise ValueError(
-                    f"{label} shape {array.shape} does not match "
-                    f"stack shape {stack.shape}"
-                )
-        return arrays
-
-    def set_anchor(self, anchor: Sequence[np.ndarray | None] | None) -> None:
-        """Fix the stacked proximal anchor (each client's round-start weights)."""
-        if anchor is None:
-            self._anchor = None
-            return
-        self._anchor = self._check_stacked(anchor, "anchor")
-
-    def set_correction(
-        self, correction: Sequence[np.ndarray | None] | None, mode: str = "step"
-    ) -> None:
-        """Fix the stacked additive correction (see :meth:`SGD.set_correction`)."""
-        if mode not in ("step", "grad"):
-            raise ValueError(f"mode must be 'step' or 'grad', got {mode!r}")
-        if correction is None:
-            self._correction = None
-            return
-        self._correction = self._check_stacked(correction, "correction")
-        self._correction_mode = mode
+    def _shapes(self) -> list[tuple | None]:
+        return [None if stack is None else stack.shape for stack in self.stacks]
 
     def step(self, grads: Sequence[np.ndarray | None]) -> None:
         """Apply one update from ``grads`` (aligned with the stacks)."""
-        if self.proximal_mu > 0 and self._anchor is None:
-            raise RuntimeError("proximal_mu > 0 but no anchor set; call set_anchor()")
-        momentum = self.momentum
-        weight_decay = self.weight_decay
-        proximal_mu = self.proximal_mu
-        correction = self._correction
-        velocities = self._velocity
         neg_lr = -self.lr
         for index, stack in enumerate(self.stacks):
-            grad = grads[index]
-            if stack is None or grad is None:
+            if stack is None or grads[index] is None:
                 continue
-            if weight_decay:
-                grad = grad + weight_decay * stack
-            if proximal_mu > 0:
-                grad = grad + proximal_mu * (stack - self._anchor[index])
-            if correction is not None and self._correction_mode == "grad":
-                grad = grad + correction[index]
-            if momentum:
-                velocity = velocities[index]
-                if velocity is None:
-                    velocity = np.array(grad, copy=True)
-                    velocities[index] = velocity
-                else:
-                    np.multiply(velocity, momentum, out=velocity)
-                    velocity += grad
-                grad = velocity
-            if correction is not None and self._correction_mode == "step":
-                grad = grad + correction[index]
-            update = np.multiply(grad, neg_lr)
+            update = np.multiply(self._direction(index, stack, grads[index]), neg_lr)
             update += stack
             np.copyto(stack, update)
-
-    def reset_state(self) -> None:
-        """Drop momentum buffers (each group starts a fresh optimizer)."""
-        self._velocity = [None] * len(self.stacks)
 
 
 class Adam(Optimizer):

@@ -112,8 +112,4 @@ def build_model(
     key = name.lower()
     if key == "default":
         key = default_model_for(info)
-    try:
-        factory = MODELS.get(key)
-    except KeyError:
-        raise KeyError(f"unknown model {name!r}; available: {MODEL_NAMES}") from None
-    return factory(info, rng, **kwargs)
+    return MODELS.build(key, info, rng, **kwargs)

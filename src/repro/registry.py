@@ -75,13 +75,15 @@ class Registry:
             return _register
         return _register(factory)
 
+    def unknown(self, name: str) -> str:
+        """The one "unknown X; available: [...]" sentence for this family."""
+        return f"unknown {self.kind} {name!r}; available: {list(self.names())}"
+
     def get(self, name: str) -> Callable:
         """The factory registered under ``name``; KeyError lists options."""
         key = self._normalize(name)
         if key not in self._entries:
-            raise KeyError(
-                f"unknown {self.kind} {name!r}; available: {list(self.names())}"
-            )
+            raise KeyError(self.unknown(name))
         return self._entries[key].factory
 
     def build(self, name: str, *args, **kwargs):

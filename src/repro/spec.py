@@ -475,20 +475,11 @@ class RunSpec:
 
         problems = []
         if self.data.name not in DATASETS:
-            problems.append(
-                f"unknown dataset {self.data.name!r}; "
-                f"available: {list(DATASETS.names())}"
-            )
+            problems.append(DATASETS.unknown(self.data.name))
         if self.model.name != "default" and self.model.name not in MODELS:
-            problems.append(
-                f"unknown model {self.model.name!r}; "
-                f"available: {list(MODELS.names())}"
-            )
+            problems.append(MODELS.unknown(self.model.name))
         if self.algorithm.name not in ALGORITHMS:
-            problems.append(
-                f"unknown algorithm {self.algorithm.name!r}; "
-                f"available: {list(ALGORITHMS.names())}"
-            )
+            problems.append(ALGORITHMS.unknown(self.algorithm.name))
         try:
             parse_strategy(self.partition.strategy)
         except ValueError as error:

@@ -224,9 +224,10 @@ class TestCrashRecovery:
         assert all(p.suffix == ".json" for p in store.root.glob("*.json"))
 
     def test_killed_worker_matrix_still_completes(self, tmp_path):
-        """kill -9 a claimed worker: a survivor steals the cell and the
-        same invocation completes the matrix with zero duplicate or
-        corrupt records."""
+        """kill -9 a claimed worker: a survivor steals the cell at once
+        (same-host pid probe, not the heartbeat timeout) and the same
+        invocation completes the matrix with zero duplicate or corrupt
+        records."""
         store = ResultStore(tmp_path)
         specs = tiny_specs(3, preset=SLOW)
         claims = tmp_path / CLAIMS_DIR
@@ -247,12 +248,17 @@ class TestCrashRecovery:
 
         thread = threading.Thread(target=assassin)
         thread.start()
+        started = time.time()
+        # The heartbeat fallback is set far beyond the bound below, so only
+        # an immediate steal of the dead worker's claim can finish in time.
         report = run_cells(
-            specs, store=store, jobs=2, poll_interval=0.05,
+            specs, store=store, jobs=2, poll_interval=0.05, stale_after=60.0,
         )
+        elapsed = time.time() - started
         thread.join()
         assert killed, "assassin never found a claimed worker"
         report.raise_on_failure()
+        assert elapsed < 25.0, f"stolen only after {elapsed:.0f}s"
         records = store.records()
         assert len(records) == 3
         assert sorted(r["run_id"] for r in records) == sorted(

@@ -23,6 +23,7 @@ from repro.federated import (
     make_algorithm,
     make_clients,
 )
+from repro.federated.trainer import run_local_training
 from repro.models import TabularMLP
 from repro.partition import HomogeneousPartitioner, Partition, QuantitySkew
 
@@ -91,6 +92,46 @@ class TestMakeAlgorithm:
             Scaffold(option=3)
         with pytest.raises(ValueError):
             FedOpt(variant="rmsprop")
+
+
+class TestRoundTemplate:
+    """``local_update`` ≡ ``begin`` → ``run_local_training`` → ``finish``:
+    the two hooks a batching backend calls around its own training loop."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [FedAvg, FedProx, Scaffold, lambda: Scaffold(option=1), FedNova, FedOpt],
+        ids=["fedavg", "fedprox", "scaffold", "scaffold-option1", "fednova", "fedopt"],
+    )
+    def test_hand_composed_round_equals_local_update(self, build):
+        def party_round(composed):
+            server = make_setup(build())
+            server.fit(1)  # so control variates are no longer all zero
+            algorithm, client = server.algorithm, server.clients[0]
+            args = (
+                server.model, server.global_state, client, server.config,
+                algorithm.broadcast_payload(),
+            )
+            if composed:
+                terms = algorithm.begin(*args)
+                before = client.rng.bit_generator.state
+                outcome = run_local_training(
+                    server.model, client, server.config, **terms
+                )
+                result = algorithm.finish(*args, terms, outcome)
+            else:
+                before = client.rng.bit_generator.state
+                result = algorithm.local_update(*args)
+            return result, before, client.rng.bit_generator.state
+
+        direct, start, end = party_round(composed=False)
+        composed, after_begin, composed_end = party_round(composed=True)
+        assert after_begin == start, "begin drew from the party's generator"
+        assert composed_end == end
+        assert composed.num_steps == direct.num_steps
+        np.testing.assert_equal(composed.state, direct.state)
+        np.testing.assert_equal(composed.payload, direct.payload)
+        np.testing.assert_equal(composed.client_state, direct.client_state)
 
 
 class TestFedAvg:

@@ -19,7 +19,6 @@ from repro.federated import (
     VirtualPopulation,
     make_clients,
 )
-from repro.federated.async_engine import EVENT_TYPES
 from repro.federated.systems import SystemModel
 from repro.grad import nn
 from repro.partition import HomogeneousPartitioner
@@ -227,11 +226,6 @@ class TestEngineValidation:
             AsyncFederation(
                 model, Scaffold(), MaterializedPopulation(clients), config
             )
-
-    def test_event_registry_is_complete(self):
-        # The lint gate proves this statically; assert it at runtime too.
-        for kind in EVENT_TYPES:
-            assert callable(getattr(AsyncFederation, f"_handle_{kind}"))
 
 
 _DETERMINISM_CHILD = """

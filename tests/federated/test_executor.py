@@ -109,18 +109,18 @@ class TestExecutorSelection:
 
 
 class _Flaky:
-    """Mixin: ``local_update`` raises for ``party``, ``failures`` times."""
+    """Mixin: the party's round raises for ``party``, ``failures`` times."""
 
     def __init__(self, party, failures):
         super().__init__()
         self.party = party
         self.failures = failures
 
-    def local_update(self, model, global_state, client, config, payload):
+    def begin(self, model, global_state, client, config, payload):
         if client.client_id == self.party and self.failures > 0:
             self.failures -= 1
             raise OSError("transient: connection reset")
-        return super().local_update(model, global_state, client, config, payload)
+        return super().begin(model, global_state, client, config, payload)
 
 
 class FlakyFedAvg(_Flaky, FedAvg):

@@ -8,11 +8,16 @@ runs in the documented tolerance mode instead, so the equivalence suite
 is meaningful on every host.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro.data import ArrayDataset
 from repro.federated import (
+    FedAlgorithm,
+    FedAvg,
+    FedProx,
     FederatedConfig,
     FederatedServer,
     StackedDriftError,
@@ -22,6 +27,8 @@ from repro.federated import (
     make_executor,
 )
 from repro.federated import executor as executor_mod
+from repro.federated.algorithms import ClientResult
+from repro.federated.trainer import run_local_training
 from repro.grad import nn
 from repro.grad.capture import stacked_matmul_is_exact
 from repro.grad.optim import StackedSGD
@@ -60,7 +67,10 @@ def make_server(
     seed=11,
     **config_kwargs,
 ):
-    """A server whose party sizes divide the batch size (stackable)."""
+    """A server whose party sizes divide the batch size (stackable).
+
+    ``algorithm`` is a registered name or a :class:`FedAlgorithm` subclass.
+    """
     if model_kind == "mlp":
         train = tabular_split(n=64 * num_parties)
         rng = np.random.default_rng(1)
@@ -87,9 +97,11 @@ def make_server(
     defaults.update(config_kwargs)
     config = FederatedConfig(**defaults)
     clients = make_clients(part, train, seed=config.seed)
-    return FederatedServer(
-        model, make_algorithm(algorithm), clients, config, test_dataset=train
-    )
+    if isinstance(algorithm, str):
+        algorithm = make_algorithm(algorithm)
+    else:
+        algorithm = algorithm()
+    return FederatedServer(model, algorithm, clients, config, test_dataset=train)
 
 
 def assert_states_match(serial, stacked):
@@ -131,19 +143,98 @@ class TestEquivalenceMatrix:
 
     def test_stacked_path_actually_runs(self, monkeypatch):
         """Guard against the matrix silently passing via serial fallback."""
-        ran = []
-        original = StackedExecutor._train_stack
-
-        def spy(self, records):
-            ran.append(len(records))
-            return original(self, records)
-
-        monkeypatch.setattr(StackedExecutor, "_train_stack", spy)
+        ran = spy_on_train_stack(monkeypatch)
         server = make_server(executor="stacked")
         with server:
             server.fit(1)
         assert ran, "no group ever reached the batched training phase"
         assert max(ran) >= 2
+
+
+def spy_on_train_stack(monkeypatch):
+    """Sizes of the groups that reach the batched training loop."""
+    ran = []
+    original = StackedExecutor._train_stack
+
+    def spy(self, clients, starts):
+        ran.append(len(clients))
+        return original(self, clients, starts)
+
+    monkeypatch.setattr(StackedExecutor, "_train_stack", spy)
+    return ran
+
+
+class TestOneRoundTemplate:
+    """A stacked party runs the algorithm's ``begin`` / ``finish`` once."""
+
+    def test_hooks_run_once_per_stacked_party(self, monkeypatch):
+        calls = Counter()
+
+        class Counting(FedAvg):
+            def begin(self, *args):
+                calls["begin"] += 1
+                return super().begin(*args)
+
+            def finish(self, *args):
+                calls["finish"] += 1
+                return super().finish(*args)
+
+        # Counted on the base class: overriding ``local_update`` would (by
+        # design) keep the algorithm off the stacked path altogether.
+        template = FedAlgorithm.local_update
+
+        def counted(self, *args):
+            calls["local_update"] += 1
+            return template(self, *args)
+
+        monkeypatch.setattr(FedAlgorithm, "local_update", counted)
+        ran = spy_on_train_stack(monkeypatch)
+        server = make_server(Counting, executor="stacked")  # 6 parties, 2 rounds
+        with server:
+            server.fit()
+        assert ran == [4, 2, 4, 2]  # every party of every round stacked
+        # ``local_update`` is entered only by the once-per-run drift check,
+        # which re-runs the first group (and with it ``begin``/``finish``).
+        assert calls == {"begin": 12 + 4, "finish": 12 + 4, "local_update": 4}
+
+    def test_disagreeing_terms_degrade_to_per_party(self, monkeypatch):
+        class PerPartyProx(FedProx):
+            def begin(self, model, global_state, client, config, payload):
+                terms = super().begin(model, global_state, client, config, payload)
+                terms["proximal_mu"] = 0.01 * (1 + client.client_id)
+                return terms
+
+        ran = spy_on_train_stack(monkeypatch)
+        serial, stacked = run_pair(algorithm=PerPartyProx)
+        assert not ran
+        assert [r.fallback for r in serial.history.records] == [None, None]
+        assert [r.fallback for r in stacked.history.records] == ["stacked:serial"] * 2
+        for key in serial.global_state:
+            np.testing.assert_array_equal(
+                serial.global_state[key], stacked.global_state[key], err_msg=key
+            )
+
+    def test_own_local_update_is_never_stacked(self, monkeypatch):
+        class OwnRound(FedAvg):
+            def local_update(self, model, global_state, client, config, payload):
+                model.load_state_dict(global_state)
+                outcome = run_local_training(model, client, config)
+                return ClientResult(
+                    client_id=client.client_id,
+                    state=outcome.state,
+                    num_steps=outcome.num_steps,
+                    num_samples=outcome.num_samples,
+                    mean_loss=outcome.mean_loss,
+                )
+
+        ran = spy_on_train_stack(monkeypatch)
+        serial, stacked = run_pair(algorithm=OwnRound)
+        assert not ran
+        assert [r.fallback for r in stacked.history.records] == [None, None]
+        for key in serial.global_state:
+            np.testing.assert_array_equal(
+                serial.global_state[key], stacked.global_state[key], err_msg=key
+            )
 
 
 class TestFallbacks:

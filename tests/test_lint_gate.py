@@ -10,58 +10,6 @@ lint = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(lint)
 
 
-class TestEventRegistry:
-    def test_current_engine_passes(self):
-        assert lint.check_event_registry(REPO / lint.ASYNC_ENGINE_FILE) == []
-
-    def test_unhandled_kind_rejected(self, tmp_path):
-        bad = tmp_path / "async_engine.py"
-        bad.write_text(
-            "@register_event\n"
-            "class Orphan:\n"
-            "    kind = 'orphan'\n"
-            "class AsyncFederation:\n"
-            "    def _handle_client_update(self, event):\n"
-            "        pass\n"
-        )
-        problems = lint.check_event_registry(bad)
-        assert any("no _handle_orphan" in p for p in problems)
-
-    def test_dead_handler_rejected(self, tmp_path):
-        bad = tmp_path / "async_engine.py"
-        bad.write_text(
-            "class AsyncFederation:\n"
-            "    def _handle_ghost(self, event):\n"
-            "        pass\n"
-        )
-        problems = lint.check_event_registry(bad)
-        assert any("_handle_ghost" in p and "no registered" in p for p in problems)
-
-    def test_event_without_kind_rejected(self, tmp_path):
-        bad = tmp_path / "async_engine.py"
-        bad.write_text(
-            "@register_event\n"
-            "class Nameless:\n"
-            "    pass\n"
-            "class AsyncFederation:\n"
-            "    pass\n"
-        )
-        problems = lint.check_event_registry(bad)
-        assert any("no literal string `kind`" in p for p in problems)
-
-    def test_matched_pair_passes(self, tmp_path):
-        good = tmp_path / "async_engine.py"
-        good.write_text(
-            "@register_event\n"
-            "class Tick:\n"
-            "    kind = 'tick'\n"
-            "class AsyncFederation:\n"
-            "    def _handle_tick(self, event):\n"
-            "        pass\n"
-        )
-        assert lint.check_event_registry(good) == []
-
-
 class TestTrackedArtifacts:
     def test_current_repo_passes(self):
         assert lint.check_tracked_artifacts(REPO) == []

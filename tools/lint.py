@@ -143,96 +143,6 @@ def _fallback(roots: list[str]) -> int:
     return 1 if problems else 0
 
 
-#: the async engine's event registry: the virtual-clock loop dispatches
-#: events via ``getattr(self, f"_handle_{event.kind}")``, so an event
-#: class without a handler (or vice versa) only fails at simulation time.
-ASYNC_ENGINE_FILE = Path("src/repro/federated/async_engine.py")
-ASYNC_ENGINE_CLASS = "AsyncFederation"
-EVENT_DECORATOR = "register_event"
-HANDLER_PREFIX = "_handle_"
-
-
-def check_event_registry(path: Path = ASYNC_ENGINE_FILE) -> list[str]:
-    """Keep scheduler event types and their handlers in lockstep.
-
-    Every ``@register_event`` class must declare a string ``kind`` with a
-    matching ``AsyncFederation._handle_<kind>`` method, and every
-    ``_handle_*`` method must correspond to a registered kind — the event
-    loop resolves handlers by name at dispatch time, so a mismatch is a
-    runtime AttributeError (or dead code) this gate catches statically.
-    """
-    if not path.is_file():
-        return [f"{path}: missing (event-registry check expects it here)"]
-    try:
-        tree = ast.parse(path.read_text(), filename=str(path))
-    except SyntaxError:
-        return []  # the syntax error is reported by the main lint pass
-    problems = []
-    kinds: dict[str, int] = {}
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        decorated = any(
-            isinstance(dec, ast.Name) and dec.id == EVENT_DECORATOR
-            for dec in node.decorator_list
-        )
-        if not decorated:
-            continue
-        kind = None
-        for item in node.body:
-            if (
-                isinstance(item, (ast.Assign, ast.AnnAssign))
-                and isinstance(item.value, ast.Constant)
-                and isinstance(item.value.value, str)
-            ):
-                targets = (
-                    item.targets if isinstance(item, ast.Assign) else [item.target]
-                )
-                if any(
-                    isinstance(t, ast.Name) and t.id == "kind" for t in targets
-                ):
-                    kind = item.value.value
-        if kind is None:
-            problems.append(
-                f"{path}:{node.lineno}: event class {node.name} has no "
-                "literal string `kind` attribute"
-            )
-            continue
-        kinds[kind] = node.lineno
-    engine = next(
-        (
-            node
-            for node in ast.walk(tree)
-            if isinstance(node, ast.ClassDef) and node.name == ASYNC_ENGINE_CLASS
-        ),
-        None,
-    )
-    if engine is None:
-        return problems + [
-            f"{path}: {ASYNC_ENGINE_CLASS} not found (event-registry check)"
-        ]
-    handlers = {
-        item.name[len(HANDLER_PREFIX):]: item.lineno
-        for item in engine.body
-        if isinstance(item, ast.FunctionDef)
-        and item.name.startswith(HANDLER_PREFIX)
-    }
-    for kind, lineno in sorted(kinds.items()):
-        if kind not in handlers:
-            problems.append(
-                f"{path}:{lineno}: event kind {kind!r} is registered but "
-                f"{ASYNC_ENGINE_CLASS} defines no {HANDLER_PREFIX}{kind}"
-            )
-    for kind, lineno in sorted(handlers.items()):
-        if kind not in kinds:
-            problems.append(
-                f"{path}:{lineno}: {HANDLER_PREFIX}{kind} has no registered "
-                f"event class with kind={kind!r}; dead handler or missing "
-                f"@{EVENT_DECORATOR}"
-            )
-    return problems
-
-
 #: path fragments that are build/run artifacts, never source: a tracked
 #: match means someone `git add`-ed cache or output files (PR 7 shipped
 #: 75 .pyc files this way).  Checked against `git ls-files`.
@@ -279,7 +189,7 @@ def main(argv: list[str] | None = None) -> int:
     code = _try_external(roots)
     if code is None:
         code = _fallback(roots)
-    structural_problems = check_event_registry() + check_tracked_artifacts()
+    structural_problems = check_tracked_artifacts()
     for problem in structural_problems:
         print(problem)
     if structural_problems:
