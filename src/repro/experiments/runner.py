@@ -174,16 +174,13 @@ def run_spec(spec: RunSpec, resume: str | None = None) -> ExperimentOutcome:
     net = build_model(spec.model.name, info, seed=spec.seed + 53, **spec.model.kwargs)
     algo = make_algorithm(spec.algorithm.name, **spec.algorithm.kwargs)
     if on_event_engine:
-        with AsyncFederation(net, algo, population, config, test_dataset=test) as engine:
-            history = engine.fit()
+        engine = AsyncFederation(net, algo, population, config, test_dataset=test)
     else:
-        with FederatedServer(net, algo, clients, config, test_dataset=test) as server:
-            if resume is not None:
-                server.resume(resume)
-                remaining = max(0, config.num_rounds - len(server.history))
-                history = server.fit(remaining)
-            else:
-                history = server.fit()
+        engine = FederatedServer(net, algo, clients, config, test_dataset=test)
+    with engine:
+        if resume is not None:
+            engine.resume(resume)
+        history = engine.fit(max(0, config.num_rounds - len(engine.history)))
 
     return ExperimentOutcome(
         dataset=info.name,

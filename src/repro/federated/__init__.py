@@ -7,7 +7,9 @@
 - :class:`FedOpt` — extension: server-side optimizer (momentum/Adam), cited
   by the paper as related work.
 
-Orchestration lives in :class:`FederatedServer`; per-party state (local
+One round is :class:`Federation`'s; :class:`FederatedServer` (the paper's
+synchronous server) and :class:`AsyncFederation` (virtual-clock, buffered)
+are arrival policies over it.  Per-party state (local
 datasets, SCAFFOLD control variates, retained BN statistics) lives in
 :class:`Client`.
 """
@@ -15,7 +17,7 @@ datasets, SCAFFOLD control variates, retained BN statistics) lives in
 from repro.federated.config import FederatedConfig
 from repro.federated.client import Client, heterogeneous_epochs, make_clients
 from repro.federated.history import History, RoundRecord
-from repro.federated.server import FederatedServer
+from repro.federated.server import FederatedServer, Federation
 from repro.federated.algorithms import (
     ALGORITHM_NAMES,
     FedAlgorithm,
@@ -51,13 +53,14 @@ from repro.federated.population import (
 from repro.federated.async_engine import AsyncFederation
 from repro.federated.privacy import DifferentialPrivacy, approximate_epsilon
 from repro.federated.systems import SystemModel
-from repro.federated.sampling import StratifiedSampler, sample_clients, sample_parties
+from repro.federated.sampling import StratifiedSampler, sample_clients
 
 __all__ = [
     "FederatedConfig",
     "Client",
     "make_clients",
     "heterogeneous_epochs",
+    "Federation",
     "FederatedServer",
     "History",
     "RoundRecord",
@@ -87,7 +90,6 @@ __all__ = [
     "approximate_epsilon",
     "SystemModel",
     "StratifiedSampler",
-    "sample_parties",
     "sample_clients",
     "ClientPopulation",
     "ClientView",

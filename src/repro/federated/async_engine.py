@@ -5,7 +5,10 @@ barrier: every round waits for the slowest sampled party.  Deployed
 cross-device systems instead keep a *cohort* of clients in flight,
 apply updates as soon as a buffer of ``M`` uploads fills (FedBuff), and
 let stragglers' deltas land in later server steps with recorded
-staleness.  This module simulates that server on a **virtual clock**:
+staleness.  The round itself is :class:`~repro.federated.server.
+Federation`'s (``_sample`` → ``_dispatch`` → ``_server_step``); this
+module is the *arrival policy* between its two halves, simulated on a
+**virtual clock**:
 
 - a discrete-event scheduler over a heap of ``(virtual_time, seq,
   event)`` — no wall-clock reads anywhere, so the same spec seed yields
@@ -14,10 +17,9 @@ staleness.  This module simulates that server on a **virtual clock**:
   SystemModel` (per-party compute speed and bandwidth) and
   :class:`~repro.federated.faults.FaultModel` (straggler slowdowns,
   dropouts, mid-training crashes), both already pure seeded draws;
-- client *compute* runs through the ordinary
-  :class:`~repro.federated.executor.ClientExecutor` backends — each
-  dispatch group is one ``execute_round`` batch, so serial and stacked
-  execution plug in underneath unchanged;
+- client *compute* happens at dispatch (one ``Federation._dispatch``
+  per group, so serial and stacked execution plug in underneath
+  unchanged); only the *upload* travels, arriving as an event;
 - parties come from a :class:`~repro.federated.population.
   ClientPopulation`: checked out at dispatch, released (state spilled
   cold) when their upload lands or they fail — memory stays
@@ -25,11 +27,10 @@ staleness.  This module simulates that server on a **virtual clock**:
 
 Scheduler invariants
 --------------------
-1. ``outstanding + len(buffer) <= cohort`` whenever an explicit
-   ``buffer_size`` is set (fault over-sampling may push a *barrier*
-   dispatch group past the nominal cohort, exactly like the sync
-   server's over-sampled rounds); failures are replaced only at flush
-   boundaries, so a server step is never silently backfilled.
+1. The engine only ever tops the in-flight set *up to* ``cohort``
+   (fault over-sampling may size one dispatch group past the nominal
+   cohort, as it does a synchronous round); failures are replaced only
+   at flush boundaries, so a server step is never silently backfilled.
 2. In buffered mode a server step (flush) happens when the buffer
    reaches ``M = buffer_size`` **or** the last in-flight client
    resolves — whichever comes first; the second clause guarantees
@@ -39,7 +40,11 @@ Scheduler invariants
    record NaN) — the synchronous round, replayed on the virtual clock.
 3. After each flush the engine dispatches ``cohort - outstanding``
    freshly sampled parties at the current clock, so every dispatch
-   group trains from one well-defined model version.
+   group trains from one well-defined model version.  With nothing in
+   flight the group is sized from the configured participation itself
+   (``sample_fraction``, or ``sample_per_round`` of the population) —
+   the server's own ``_sample`` call, so a barrier run draws the
+   synchronous server's parties.
 
 Staleness semantics
 -------------------
@@ -47,10 +52,13 @@ An update's staleness is the number of server steps committed between
 its dispatch and its application.  A flush whose updates are *all*
 staleness-0 (every barrier flush, and the common async case) aggregates
 through the algorithm's own :meth:`aggregate` over absolute client
-states — which is why ``buffer == cohort`` reproduces the synchronous
-server **bitwise**.  A flush that mixes model versions cannot (the
-absolute states disagree about everything the missed steps changed);
-it applies a staleness-weighted delta average instead::
+states — which is why a barrier run reproduces the synchronous server
+**bitwise** (``test_barrier_equals_server`` holds the two to equal
+histories, weights, generators and per-party state across algorithms,
+codecs, faults, samplers and executors).  A flush that mixes model
+versions cannot (the absolute states disagree about everything the
+missed steps changed); it applies a staleness-weighted delta average
+instead::
 
     global += server_lr * sum_i w_i * (state_i - dispatch_version_i)
     w_i  proportional to  num_samples_i * (1 + staleness_i) ** -a
@@ -69,14 +77,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.comm import CommChannel
 from repro.federated.config import FederatedConfig
-from repro.federated.evaluation import evaluate as evaluate_model
-from repro.federated.executor import make_executor
-from repro.federated.faults import NO_FAULT, FaultModel
+from repro.federated.faults import NO_FAULT
 from repro.federated.history import History, RoundRecord
-from repro.federated.population import ClientPopulation
-from repro.federated.sampling import sample_clients
+from repro.federated.population import ClientPopulation, ClientView
+from repro.federated.server import Federation
 from repro.federated.systems import SystemModel
 
 #: algorithms whose aggregation is plain weighted averaging, for which
@@ -129,7 +134,7 @@ class _InFlight:
         self.slowdown = slowdown
 
 
-class AsyncFederation:
+class AsyncFederation(Federation):
     """Buffered-asynchronous federated training on a virtual clock.
 
     Parameters mirror :class:`~repro.federated.server.FederatedServer`
@@ -151,22 +156,21 @@ class AsyncFederation:
         channel=None,
         system: SystemModel | None = None,
     ):
-        self.model = model
-        self.algorithm = algorithm
         self.population = population
-        self.config = config
-        self.test_dataset = test_dataset
         self.system = system if system is not None else SystemModel()
-        self.global_state = model.state_dict()
-        self.history = History()
-        self._sampler_rng = np.random.default_rng(config.seed)
-        self.fault_model = FaultModel.from_config(config)
-        if config.sample_per_round is not None:
-            self.cohort = config.sample_per_round
-        else:
-            self.cohort = max(
-                1, int(round(config.sample_fraction * population.size))
-            )
+        per_round = config.sample_per_round
+        self.cohort = (
+            per_round
+            if per_round is not None
+            else max(1, int(round(config.sample_fraction * population.size)))
+        )
+        #: what a group dispatched into an empty engine asks ``_sample``
+        #: for — the configured participation itself, not the rounded cohort
+        self._fraction = (
+            config.sample_fraction
+            if per_round is None
+            else per_round / population.size
+        )
         if self.cohort > population.size:
             raise ValueError(
                 f"cohort ({self.cohort}) exceeds the population "
@@ -184,6 +188,16 @@ class AsyncFederation:
                 f"buffer_size ({self.buffer_size}) cannot exceed the cohort "
                 f"({self.cohort})"
             )
+        parties = population.client_view()
+        if config.sampler == "stratified" and isinstance(parties, ClientView):
+            raise ValueError(
+                "sampler='stratified' needs every party's label counts, which "
+                f"a lazy population ({type(population).__name__}) never "
+                "materializes; use sampler='uniform'"
+            )
+        super().__init__(
+            model, algorithm, parties, config, test_dataset, executor, channel
+        )
         if (
             not self._barrier
             and algorithm.name not in DELTA_SAFE_ALGORITHMS
@@ -197,56 +211,37 @@ class AsyncFederation:
                 "silently drop.  Omit buffer_size (a barrier) or use a "
                 "FedAvg-family algorithm."
             )
-        self._view = population.client_view()
-        algorithm.prepare(model, self._view, config)
-        self.channel = (
-            channel if channel is not None else CommChannel.from_config(config)
-        )
-        self._comm_keys = sorted(self.global_state)
-        self.executor = executor if executor is not None else make_executor(config)
-        self.executor.setup(model, algorithm, self._view, config, channel=self.channel)
-
         # -- scheduler state -------------------------------------------
         self._clock = 0.0
-        self._event_seq = 0
         self._group_seq = 0
+        #: heap of ``(virtual_time, slot, event)``; a slot is issued per
+        #: dispatched client in dispatch order, so it breaks time ties
         self._events: list[tuple[float, int, object]] = []
-        self._inflight: dict[int, _InFlight] = {}
         self._slot_seq = 0
-        self._outstanding = 0
+        #: slot -> the dispatched clients whose event has not fired yet
+        self._inflight: dict[int, _InFlight] = {}
         self._buffer: list[_InFlight] = []
-        self._flushes = 0
-        # per-epoch (since last flush) accounting for the RoundRecord
-        self._epoch_sampled: list[int] = []
-        self._epoch_dropped: list[int] = []
-        self._epoch_drop_reasons: list[str] = []
-        self._epoch_bytes_down = 0
-        self._epoch_fallback: str | None = None
 
     @property
     def virtual_time(self) -> float:
         """Current reading of the virtual clock (seconds)."""
         return self._clock
 
-    # ------------------------------------------------------------------
-    # Event plumbing
-    # ------------------------------------------------------------------
-    def _schedule(self, time: float, event) -> None:
-        heapq.heappush(self._events, (time, self._event_seq, event))
-        self._event_seq += 1
+    # ``benchmarks/e2e/tracing.TARGETS`` resolves ``evaluate`` in this
+    # class's own ``__dict__`` (hit on async runs, zero on sync ones).
+    evaluate = Federation.evaluate
 
+    # ------------------------------------------------------------------
+    # Event handlers
+    # ------------------------------------------------------------------
     def _handle_client_update(self, event: ClientUpdate) -> None:
-        entry = self._inflight.pop(event.slot)
-        self._outstanding -= 1
+        self._buffer.append(self._inflight.pop(event.slot))
         self.population.release(event.party)
-        self._buffer.append(entry)
 
     def _handle_client_failure(self, event: ClientFailure) -> None:
         self._inflight.pop(event.slot)
-        self._outstanding -= 1
         self.population.release(event.party)
-        self._epoch_dropped.append(event.party)
-        self._epoch_drop_reasons.append(event.reason)
+        self._epoch.drop(event.party, event.reason)
 
     #: event class -> handler; the one table :meth:`fit` dispatches through
     _HANDLERS = {
@@ -255,26 +250,11 @@ class AsyncFederation:
     }
 
     # ------------------------------------------------------------------
-    # Dispatch: sample, execute (compute happens now; arrival is later)
+    # Dispatch: compute happens now; arrival is later
     # ------------------------------------------------------------------
-    def _sample_group(self, count: int) -> list[int]:
-        """Draw a dispatch group, over-sampling under active faults.
-
-        Mirrors ``FederatedServer._sample_round``: with an expected drop
-        fraction ``d``, dispatching ``count / (1 - d)`` keeps expected
-        completions at ``count`` (the adjustment applies to the count
-        rather than the fraction — same math, absolute form).
-        """
-        size = self.population.size
-        if (
-            self.fault_model is not None
-            and self.config.over_sample
-            and count < size
-        ):
-            drop = self.fault_model.expected_drop_rate(self.config.deadline)
-            if drop > 0.0:
-                count = min(size, max(1, int(round(count / (1.0 - drop)))))
-        return [int(p) for p in sample_clients(size, count, self._sampler_rng)]
+    def _checkout(self, participants: list[int]) -> None:
+        for party in participants:
+            self.population.checkout(party)
 
     def _party_duration(self, party: int, steps: int, up_bytes: int,
                         down_bytes: int, slowdown: float) -> float:
@@ -284,99 +264,49 @@ class AsyncFederation:
         transfer = (down_bytes + up_bytes) / self.system._bandwidth(party)
         return compute + transfer + self.system.server_overhead
 
-    def _dispatch(self, count: int) -> None:
-        """Sample ``count`` parties, run their local rounds against the
-        current model version, and schedule their arrivals/failures."""
-        if count <= 0:
-            return
-        sampled = self._sample_group(count)
-        self._epoch_sampled.extend(sampled)
-        step = self._flushes
-        faults = (
-            self.fault_model.round_faults(step, sampled)
-            if self.fault_model is not None
-            else {}
+    def _dispatch_group(self, fraction: float) -> None:
+        """Sample ``fraction`` of the population, run the group's local
+        rounds against the current model version (persistent per-party
+        state commits now — the client finished training; only its
+        upload is still traveling) and schedule arrivals / failures."""
+        step = len(self.history)
+        participants, faults, execution, down_per_client = self._dispatch(
+            step, self._sample(fraction)
         )
-        deadline = self.config.deadline
-        participants: list[int] = []
-        dispatch_faults = {}
-        for party in sampled:
-            fault = faults.get(party, NO_FAULT)
-            if fault.dropped:
-                self._epoch_dropped.append(party)
-                self._epoch_drop_reasons.append("dropout")
-                continue
-            if deadline is not None and fault.slowdown > deadline:
-                self._epoch_dropped.append(party)
-                self._epoch_drop_reasons.append("deadline")
-                continue
-            participants.append(party)
-            if not fault.ok:
-                dispatch_faults[party] = fault
-        for party in participants:
-            self.population.checkout(party)
-        extras = self.algorithm.broadcast_payload()
-        broadcast_state, extras, down_per_client = self.channel.broadcast(
-            self.global_state, extras, self._comm_keys
-        )
-        self._epoch_bytes_down += down_per_client * len(sampled)
-        execution = self.executor.execute_round(
-            broadcast_state, participants, extras,
-            faults=dispatch_faults or None,
-        )
-        if execution.fallback is not None and self._epoch_fallback is None:
-            self._epoch_fallback = execution.fallback
-        # Persistent per-party state commits at compute time (the client
-        # finished training now, in virtual time; only its *upload* is
-        # still traveling), in participant order like the sync server.
-        for party, result in zip(execution.completed, execution.results):
-            self.algorithm.commit(self._view[party], result)
         group = _DispatchGroup(self._group_seq, step, self.global_state)
         self._group_seq += 1
         completed = dict(zip(execution.completed, execution.results))
         for index, party in enumerate(participants):
-            fault = dispatch_faults.get(party, NO_FAULT)
+            fault = faults.get(party, NO_FAULT)
+            result = completed.get(party)
             slot = self._slot_seq
             self._slot_seq += 1
-            if party in completed:
-                result = completed[party]
-                entry = _InFlight(party, group, index, result, fault.slowdown)
-                self._inflight[slot] = entry
-                self._outstanding += 1
-                duration = self._party_duration(
-                    party, result.num_steps, result.upload_nbytes,
-                    down_per_client, fault.slowdown,
-                )
-                self._schedule(self._clock + duration, ClientUpdate(party, slot))
-            elif party in execution.failed:
+            self._inflight[slot] = _InFlight(
+                party, group, index, result, fault.slowdown
+            )
+            if result is not None:
+                event = ClientUpdate(party, slot)
+                steps, up_bytes = result.num_steps, result.upload_nbytes
+            else:
                 # Mid-training crash: the party occupies its slot for the
                 # steps it survived, then is lost (no upload in flight).
-                steps_done = fault.crash_after_steps or 0
-                self._inflight[slot] = _InFlight(
-                    party, group, index, None, fault.slowdown
-                )
-                self._outstanding += 1
-                duration = self._party_duration(
-                    party, steps_done, 0, down_per_client, fault.slowdown
-                )
-                self._schedule(
-                    self._clock + duration,
-                    ClientFailure(party, slot, execution.failed[party]),
-                )
-            else:  # pragma: no cover - executor contract: completed or failed
-                self.population.release(party)
+                event = ClientFailure(party, slot, execution.failed[party])
+                steps, up_bytes = fault.crash_after_steps or 0, 0
+            duration = self._party_duration(
+                party, steps, up_bytes, down_per_client, fault.slowdown
+            )
+            heapq.heappush(self._events, (self._clock + duration, slot, event))
 
     # ------------------------------------------------------------------
     # Flush: one server step
     # ------------------------------------------------------------------
-    def _aggregate_delta(self, entries: list[_InFlight]) -> dict:
+    def _aggregate_delta(self, entries: list[_InFlight], staleness: list[int]) -> dict:
         """Staleness-weighted delta average (the mixed-version path)."""
         exponent = self.config.staleness_exponent
         weights = np.array(
             [
-                entry.result.num_samples
-                * (1.0 + (self._flushes - entry.group.server_step)) ** -exponent
-                for entry in entries
+                entry.result.num_samples * (1.0 + stale) ** -exponent
+                for entry, stale in zip(entries, staleness)
             ],
             dtype=np.float64,
         )
@@ -401,70 +331,35 @@ class AsyncFederation:
         """Apply the buffered updates as one server step and record it."""
         entries = sorted(self._buffer, key=lambda e: (e.group.seq, e.index))
         self._buffer = []
-        staleness = [
-            self._flushes - entry.group.server_step for entry in entries
-        ]
-        results = [entry.result for entry in entries]
-        if entries:
-            if all(s == 0 for s in staleness):
-                # Single model version: the algorithm's own aggregation
-                # over absolute states — bitwise the sync server's path.
-                self.global_state = self.algorithm.aggregate(
-                    self.global_state, results, self.config
-                )
-            else:
-                self.global_state = self._aggregate_delta(entries)
-        self._flushes += 1
-        accuracy = None
-        if self.test_dataset is not None and (
-            self._flushes % self.config.eval_every == 0
-        ):
-            accuracy = self.evaluate()
-        client_bytes_up = [r.upload_nbytes for r in results]
-        bytes_up = sum(client_bytes_up)
-        record = RoundRecord(
-            round_index=self._flushes - 1,
-            test_accuracy=accuracy,
-            train_loss=(
-                float(np.mean([r.mean_loss for r in results]))
-                if results
-                else float("nan")
-            ),
-            participants=[entry.party for entry in entries],
-            bytes_communicated=self._epoch_bytes_down + bytes_up,
-            client_steps=[r.num_steps for r in results],
-            bytes_down=self._epoch_bytes_down,
-            bytes_up=bytes_up,
-            client_bytes_up=client_bytes_up,
-            sampled=self._epoch_sampled,
-            dropped=self._epoch_dropped,
-            drop_reasons=self._epoch_drop_reasons,
-            slowdowns=(
-                [entry.slowdown for entry in entries]
-                if self.fault_model is not None
-                else []
-            ),
-            fallback=self._epoch_fallback,
+        step = len(self.history)
+        staleness = [step - entry.group.server_step for entry in entries]
+        # A single model version goes through the algorithm's own
+        # aggregation over absolute states — bitwise the sync server's.
+        mixed = self._aggregate_delta(entries, staleness) if any(staleness) else None
+        return self._server_step(
+            step,
+            [entry.party for entry in entries],
+            [entry.result for entry in entries],
+            [entry.slowdown for entry in entries],
+            mixed,
             virtual_time=self._clock,
             staleness=staleness,
             buffer_flush=len(entries),
         )
-        self.history.append(record)
-        self._epoch_sampled = []
-        self._epoch_dropped = []
-        self._epoch_drop_reasons = []
-        self._epoch_bytes_down = 0
-        self._epoch_fallback = None
-        return record
 
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
     def _replenish(self, target: int) -> None:
         """Top the cohort back up; flush-through if everyone drops."""
-        while self._flushes < target:
-            self._dispatch(self.cohort - self._outstanding)
-            if self._outstanding > 0:
+        while len(self.history) < target:
+            if not self._inflight:
+                self._dispatch_group(self._fraction)
+            elif len(self._inflight) < self.cohort:
+                self._dispatch_group(
+                    (self.cohort - len(self._inflight)) / self.population.size
+                )
+            if self._inflight:
                 return
             # Every dispatched party dropped before compute: the sync
             # server records such a round as NaN; so does the engine.
@@ -475,11 +370,10 @@ class AsyncFederation:
         rounds = (
             num_rounds if num_rounds is not None else self.config.num_rounds
         )
-        target = self._flushes + rounds
+        target = len(self.history) + rounds
         self._replenish(target)
-        while self._flushes < target and self._events:
-            time, _seq, event = heapq.heappop(self._events)
-            self._clock = time
+        while len(self.history) < target and self._events:
+            self._clock, _slot, event = heapq.heappop(self._events)
             self._HANDLERS[type(event)](self, event)
             # Barrier mode waits for the whole dispatch group — which can
             # exceed the nominal cohort under fault over-sampling — so it
@@ -488,31 +382,7 @@ class AsyncFederation:
             # has resolved, which prevents deadlock on heavy dropout).
             if (
                 not self._barrier and len(self._buffer) >= self.buffer_size
-            ) or self._outstanding == 0:
+            ) or not self._inflight:
                 self._flush()
                 self._replenish(target)
         return self.history
-
-    def evaluate(self, dataset=None) -> float:
-        """Top-1 accuracy of the current global model."""
-        target = dataset if dataset is not None else self.test_dataset
-        if target is None:
-            raise ValueError("no test dataset provided")
-        self.model.load_state_dict(self.global_state)
-        result = evaluate_model(
-            self.model,
-            target,
-            self.config.eval_batch_size,
-            compiled=self.config.compile,
-        )
-        return result.accuracy
-
-    def close(self) -> None:
-        """Release the executor's resources; idempotent."""
-        self.executor.close()
-
-    def __enter__(self) -> "AsyncFederation":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

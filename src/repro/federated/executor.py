@@ -159,12 +159,11 @@ class ClientExecutor:
         algorithm: "FedAlgorithm",
         clients: "list[Client]",
         config: "FederatedConfig",
-        channel: CommChannel | None = None,
+        channel: CommChannel,
     ) -> None:
-        """Bind the run's shared objects; called once by the server.
+        """Bind the run's shared objects; called once by the federation.
 
-        ``channel`` enables uplink codec processing + byte metering; when
-        ``None`` (standalone executor use) results pass through raw.
+        ``channel`` is the run's uplink codec + byte meter.
         """
         self.model = model
         self.algorithm = algorithm
@@ -191,7 +190,7 @@ class ClientExecutor:
             payload = self.algorithm.broadcast_payload()
         keys: list[str] | None = None
         reference: np.ndarray | None = None
-        if self.channel is not None and not self.channel.codec.lossless:
+        if not self.channel.codec.lossless:
             keys = sorted(global_state)
             reference = state_dict_to_vector(global_state, keys=keys)
         work = _Round(global_state, payload, faults or {}, reference, keys)
@@ -265,11 +264,9 @@ class ClientExecutor:
 
     def _upload(self, result, client, work: _Round):
         """The uplink step every finished party goes through."""
-        if self.channel is not None:
-            process_upload(
-                self.channel, self.algorithm, result, client,
-                work.reference, work.keys,
-            )
+        process_upload(
+            self.channel, self.algorithm, result, client, work.reference, work.keys
+        )
         return result
 
     def close(self) -> None:

@@ -1,8 +1,11 @@
 """Party sampling for partial participation (paper Sections 5.6 and 6.1).
 
-Two samplers:
+Two samplers, both taking the party *count* that
+:meth:`repro.federated.server.Federation._sample` computed from the
+configured participation (``max(1, round(fraction * N))``, over-sampled
+under faults):
 
-- :func:`sample_parties` — uniform random sampling, the paper's default
+- :func:`sample_clients` — uniform random sampling, the paper's default
   (Algorithm 1 line 6), whose instability Figure 12 documents;
 - :class:`StratifiedSampler` — the paper's Section 6.1 proposal made
   concrete: "instead of random sampling, selective sampling according to
@@ -18,44 +21,22 @@ from __future__ import annotations
 import numpy as np
 
 
-def sample_parties(
-    num_parties: int, fraction: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Uniformly sample ``max(1, round(fraction * N))`` distinct parties.
-
-    The paper's scalability experiment uses 100 parties with fraction 0.1;
-    full participation (fraction 1.0) returns all parties in index order so
-    runs are byte-for-byte reproducible across sampler versions.
-    """
-    if num_parties <= 0:
-        raise ValueError(f"num_parties must be positive, got {num_parties}")
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    if fraction == 1.0:
-        return np.arange(num_parties)
-    count = max(1, int(round(fraction * num_parties)))
-    return np.sort(rng.choice(num_parties, size=count, replace=False))
-
-
 def sample_clients(
     population: int, count: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Uniformly sample ``count`` distinct parties from ``population``.
 
-    The count-based sibling of :func:`sample_parties`, used by the async
-    engine where cohorts are sized absolutely (``sample_per_round=100``
-    out of a million) rather than as a fraction.  Guards explicitly:
+    The paper's scalability experiment samples 10 of 100 parties.
     ``count`` must satisfy ``0 < count <= population`` — asking for more
-    clients than exist (the fraction-form equivalent of ``fraction > 1``)
-    is an error, not a silent clamp to the full population.
+    clients than exist is an error, not a silent clamp to the full
+    population.
 
-    The draw is the exact same ``rng.choice(N, size=count,
-    replace=False)`` call as :func:`sample_parties` (numpy implements it
-    with Floyd's algorithm — O(count) time and memory, no O(population)
-    permutation, so million-client populations stay flat), which means a
-    barrier-mode async run consumes the sampler RNG identically to the
-    synchronous server.  ``count == population`` returns all parties in
-    index order without touching the RNG, mirroring ``fraction == 1.0``.
+    The draw is ``rng.choice(N, size=count, replace=False)`` (numpy
+    implements it with Floyd's algorithm — O(count) time and memory, no
+    O(population) permutation, so million-client populations stay flat).
+    ``count == population`` (full participation) returns all parties in
+    index order without touching the RNG, so runs are byte-for-byte
+    reproducible across sampler versions.
     """
     if population <= 0:
         raise ValueError(f"population must be positive, got {population}")
@@ -105,17 +86,19 @@ class StratifiedSampler:
         q = pooled / max(pooled.sum(), eps) + eps
         return float(np.sum(p * np.log(p / q)))
 
-    def sample(self, fraction: float, rng: np.random.Generator) -> np.ndarray:
-        """Select parties whose pooled labels approximate the global mix.
+    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        """Select ``count`` parties whose pooled labels approximate the
+        global mix.
 
         Greedy: start from a random seed party, then repeatedly add the
         party that most reduces KL(global || pooled-sample).
         """
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-        if fraction == 1.0:
+        if not 0 < count <= self.num_parties:
+            raise ValueError(
+                f"count must be in [1, {self.num_parties}], got {count}"
+            )
+        if count == self.num_parties:
             return np.arange(self.num_parties)
-        count = max(1, int(round(fraction * self.num_parties)))
         chosen: list[int] = [int(rng.integers(self.num_parties))]
         pooled = self.label_counts[chosen[0]].copy()
         remaining = set(range(self.num_parties)) - set(chosen)

@@ -503,6 +503,11 @@ class RunSpec:
                 f"exceeds population.size ({pop.size}): cannot sample "
                 "more clients per round than the population holds"
             )
+        if pop.size is not None and self.train.sampler == "stratified":
+            problems.append(
+                "sampler='stratified' needs every party's label counts, which a "
+                "virtual population (population.size) never materializes"
+            )
         if pop.samples_per_client <= 0:
             problems.append(
                 "population.samples_per_client must be positive, "

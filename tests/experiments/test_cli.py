@@ -183,6 +183,8 @@ class TestNewCommands:
             main([*argv, "--stacked-tolerance", "-1"])
         with pytest.raises(SystemExit):  # choices= come from EXECUTORS
             main([*argv, "--executor", "parallel"])
+        with pytest.raises(ValueError, match="invalid RunSpec:\n.*stratified"):
+            main([*argv, "--population", "1000", "--party-sampler", "stratified"])
 
     def test_population_run_rejects_checkpointing(self, tmp_path):
         """AsyncFederation has no checkpoint path: asking for one must fail

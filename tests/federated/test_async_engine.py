@@ -17,8 +17,10 @@ from repro.federated import (
     MaterializedPopulation,
     Scaffold,
     VirtualPopulation,
+    make_algorithm,
     make_clients,
 )
+from repro.grad.capture import stacked_matmul_is_exact
 from repro.federated.systems import SystemModel
 from repro.grad import nn
 from repro.partition import HomogeneousPartitioner
@@ -59,71 +61,83 @@ def build_fixture(seed=0, num_parties=6, **config_kwargs):
     return toy_model(seed), clients, config, test
 
 
+ENGINE_ONLY = ("virtual_time", "staleness", "buffer_flush")
+
+#: one row per composition the barrier contract is held to; every row runs
+#: the same config through both engines (``aggregation`` aside)
+BARRIER_ROWS = {
+    **{
+        f"{name}-{fraction}": dict(algorithm=name, sample_fraction=fraction)
+        for name in ("fedavg", "fedprox", "scaffold", "fednova")
+        for fraction in (1.0, 0.5)
+    },
+    "qsgd-8": dict(sample_fraction=0.5, codec="qsgd", codec_bits=8),
+    "randk": dict(sample_fraction=0.5, codec="randk", codec_k=0.1),
+    "dropout": dict(sample_fraction=0.5, dropout_prob=0.3, num_rounds=4),
+    "crash": dict(sample_fraction=0.5, crash_prob=0.3, num_rounds=4),
+    "crash+dropout": dict(
+        sample_fraction=0.5, crash_prob=0.3, dropout_prob=0.3, num_rounds=4
+    ),
+    "straggler-deadline": dict(
+        sample_fraction=0.5, straggler_prob=0.5, straggler_factor=3.0,
+        deadline=2.0, num_rounds=4,
+    ),
+    # round(0.25 * 10) = 2 over-samples to 3, round(0.25 / 0.7 * 10) to 4:
+    # the two loops used to disagree here.
+    "oversample-rounding": dict(
+        num_parties=10, sample_fraction=0.25, dropout_prob=0.3
+    ),
+    "stratified": dict(sample_fraction=0.5, sampler="stratified"),
+    "stacked": dict(sample_fraction=0.5, executor="stacked", batch_size=8),
+    "explicit-buffer": dict(
+        sample_fraction=0.5, engine=dict(sample_per_round=3, buffer_size=3)
+    ),
+}
+
+
 class TestBarrierEqualsSync:
-    @pytest.mark.parametrize("sample_fraction", [1.0, 0.5])
-    def test_bitwise_equal_global_state(self, sample_fraction):
-        model, clients, config, test = build_fixture(
-            sample_fraction=sample_fraction
-        )
-        with FederatedServer(model, FedAvg(), clients, config, test_dataset=test) as server:
-            sync_history = server.fit()
-        sync_state = {k: np.copy(v) for k, v in server.global_state.items()}
+    @pytest.mark.parametrize("row", BARRIER_ROWS)
+    def test_barrier_equals_server(self, row):
+        kwargs = dict(BARRIER_ROWS[row])
+        algorithm = kwargs.pop("algorithm", "fedavg")
+        engine_kwargs = kwargs.pop("engine", {})
+        if kwargs.get("executor") == "stacked" and not stacked_matmul_is_exact():
+            pytest.skip("stacked matmul is not bitwise-exact on this BLAS")
 
-        model, clients, config, test = build_fixture(
-            sample_fraction=sample_fraction, aggregation="async"
-        )
-        population = MaterializedPopulation(clients)
-        with AsyncFederation(
-            model, FedAvg(), population, config, test_dataset=test
-        ) as engine:
-            async_history = engine.fit()
-
-        for key in sync_state:
-            assert np.array_equal(sync_state[key], engine.global_state[key]), key
-        assert np.array_equal(sync_history.accuracies, async_history.accuracies)
-        assert np.array_equal(sync_history.losses, async_history.losses)
-        for s, a in zip(sync_history.records, async_history.records):
-            assert s.participants == a.participants
-            assert s.bytes_communicated == a.bytes_communicated
-            assert a.staleness == [0] * len(a.participants)
-            assert a.buffer_flush == len(a.participants)
-
-    def test_explicit_buffer_equal_to_cohort_matches_sync(self):
-        model, clients, config, test = build_fixture(sample_fraction=0.5)
-        with FederatedServer(model, FedAvg(), clients, config, test_dataset=test) as server:
-            sync_history = server.fit()
-
-        model, clients, config, test = build_fixture(
-            aggregation="async", sample_per_round=3, buffer_size=3
-        )
-        with AsyncFederation(
-            model, FedAvg(), MaterializedPopulation(clients), config, test_dataset=test
-        ) as engine:
-            async_history = engine.fit()
-
-        assert np.array_equal(sync_history.accuracies, async_history.accuracies)
-        for key, value in server.global_state.items():
-            assert np.array_equal(value, engine.global_state[key]), key
-
-    def test_barrier_with_dropout_matches_sync(self):
-        kwargs = dict(sample_fraction=0.5, dropout_prob=0.3, num_rounds=4)
         model, clients, config, test = build_fixture(**kwargs)
-        with FederatedServer(model, FedAvg(), clients, config, test_dataset=test) as server:
+        with FederatedServer(
+            model, make_algorithm(algorithm), clients, config, test_dataset=test
+        ) as server:
             sync_history = server.fit()
 
-        model, clients, config, test = build_fixture(aggregation="async", **kwargs)
+        model, engine_clients, config, test = build_fixture(
+            aggregation="async", **{**kwargs, **engine_kwargs}
+        )
         with AsyncFederation(
-            model, FedAvg(), MaterializedPopulation(clients), config, test_dataset=test
+            model, make_algorithm(algorithm), MaterializedPopulation(engine_clients),
+            config, test_dataset=test,
         ) as engine:
             async_history = engine.fit()
 
-        for s, a in zip(sync_history.records, async_history.records):
-            assert s.participants == a.participants
-            assert s.sampled == a.sampled
-            assert s.dropped == a.dropped
-        assert np.array_equal(sync_history.accuracies, async_history.accuracies)
+        sync_records = [r.to_dict() for r in sync_history.records]
+        async_records = [r.to_dict() for r in async_history.records]
+        times = [record["virtual_time"] for record in async_records]
+        assert times == sorted(times)
+        for sync_record, async_record in zip(sync_records, async_records):
+            completed = len(async_record["participants"])
+            assert async_record["staleness"] == [0] * completed
+            assert async_record["buffer_flush"] == completed
+            for key in ENGINE_ONLY:
+                sync_record.pop(key)
+                async_record.pop(key)
+        np.testing.assert_equal(async_records, sync_records)
+        if server.fault_model is not None:  # the row exercises what it names
+            assert any(record["dropped"] for record in sync_records)
         for key, value in server.global_state.items():
             assert np.array_equal(value, engine.global_state[key]), key
+        for a, b in zip(clients, engine_clients):
+            assert a.rng.bit_generator.state == b.rng.bit_generator.state
+            np.testing.assert_equal(b.state, a.state)
 
 
 class TestBufferedAsync:
@@ -226,6 +240,34 @@ class TestEngineValidation:
             AsyncFederation(
                 model, Scaffold(), MaterializedPopulation(clients), config
             )
+
+
+class TestStratifiedOnTheEventEngine:
+    """``sampler`` is part of ``run_id``; the engine used to ignore it."""
+
+    def sampled(self, **knobs):
+        from repro.experiments.runner import run_federated_experiment
+        from repro.experiments.scale import SMOKE
+
+        outcome = run_federated_experiment(
+            "adult", "dir(0.5)", "fedavg", preset=SMOKE, num_rounds=3,
+            sample_fraction=0.3, **knobs,
+        )
+        return [record.sampled for record in outcome.history.records]
+
+    def test_honoured_over_materialized_clients(self):
+        stratified = self.sampled(sampler="stratified", aggregation="async")
+        assert stratified == self.sampled(sampler="stratified")
+        assert stratified != self.sampled(sampler="uniform", aggregation="async")
+
+    def test_rejected_over_a_virtual_population(self):
+        train, test = toy_split()
+        population = VirtualPopulation(train, size=50, samples_per_client=16)
+        config = FederatedConfig(
+            aggregation="async", sample_per_round=5, sampler="stratified"
+        )
+        with pytest.raises(ValueError, match="stratified.*VirtualPopulation"):
+            AsyncFederation(toy_model(), FedAvg(), population, config)
 
 
 _DETERMINISM_CHILD = """

@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 from repro.data import ArrayDataset
-from repro.federated import Client, FederatedConfig, History, RoundRecord, make_clients
+from repro.federated import (
+    Client,
+    FedAvg,
+    FederatedConfig,
+    FederatedServer,
+    History,
+    RoundRecord,
+    make_clients,
+)
 from repro.federated.aggregation import (
     apply_update,
     merge_states,
@@ -13,7 +21,8 @@ from repro.federated.aggregation import (
     weighted_average_states,
 )
 from repro.federated.evaluation import evaluate_accuracy, evaluate_loss
-from repro.federated.sampling import sample_parties
+from repro.federated.sampling import sample_clients
+from repro.grad import nn
 from repro.partition import HomogeneousPartitioner
 
 
@@ -104,32 +113,51 @@ class TestClient:
         assert len(clients) == 1
 
 
+def sampling_server(num_parties, **config_kwargs):
+    """A server whose ``_sample`` draws from ``num_parties`` parties."""
+    dataset = small_dataset(n=num_parties)
+    part = HomogeneousPartitioner().partition(
+        dataset, num_parties, np.random.default_rng(0)
+    )
+    return FederatedServer(
+        nn.Linear(3, 4, rng=np.random.default_rng(0)),
+        FedAvg(),
+        make_clients(part, dataset, seed=0),
+        FederatedConfig(**config_kwargs),
+    )
+
+
 class TestSampling:
-    def test_full_participation_ordered(self, rng):
-        np.testing.assert_array_equal(sample_parties(5, 1.0, rng), np.arange(5))
+    def test_full_participation_ordered(self):
+        assert sampling_server(5)._sample(1.0) == list(range(5))
 
-    def test_fraction_count(self, rng):
-        assert len(sample_parties(100, 0.1, rng)) == 10
+    def test_fraction_count(self):
+        assert len(sampling_server(100)._sample(0.1)) == 10
 
-    def test_at_least_one(self, rng):
-        assert len(sample_parties(3, 0.01, rng)) == 1
+    def test_at_least_one(self):
+        assert len(sampling_server(3)._sample(0.01)) == 1
 
-    def test_no_duplicates(self, rng):
-        sampled = sample_parties(100, 0.5, rng)
-        assert len(np.unique(sampled)) == len(sampled)
+    def test_no_duplicates(self):
+        sampled = sampling_server(100)._sample(0.5)
+        assert len(np.unique(sampled)) == len(sampled) == 50
 
     def test_varies_across_calls(self):
-        gen = np.random.default_rng(0)
-        draws = {tuple(sample_parties(20, 0.25, gen)) for _ in range(10)}
+        server = sampling_server(20)
+        draws = {tuple(server._sample(0.25)) for _ in range(10)}
         assert len(draws) > 1
+
+    def test_certain_loss_samples_everyone(self):
+        # Over-sampling by 1 / (1 - d) used to divide by zero at d = 1.
+        server = sampling_server(6, dropout_prob=1.0)
+        assert server._sample(0.5) == list(range(6))
 
     def test_validation(self, rng):
         with pytest.raises(ValueError):
-            sample_parties(0, 0.5, rng)
+            sample_clients(0, 1, rng)
         with pytest.raises(ValueError):
-            sample_parties(10, 0.0, rng)
+            FederatedConfig(sample_fraction=0.0)
         with pytest.raises(ValueError):
-            sample_parties(10, 1.0001, rng)
+            FederatedConfig(sample_fraction=1.0001)
 
 
 class TestAggregation:

@@ -28,20 +28,22 @@ class TestValidation:
         with pytest.raises(ValueError):
             StratifiedSampler(np.zeros((3, 2)))
 
-    def test_fraction_range(self, rng):
+    def test_fraction_range(self, rng):  # the amount is a party count
         sampler = StratifiedSampler(single_label_counts())
         with pytest.raises(ValueError):
-            sampler.sample(0.0, rng)
+            sampler.sample(0, rng)
+        with pytest.raises(ValueError):
+            sampler.sample(11, rng)
 
 
 class TestSampling:
     def test_full_participation(self, rng):
         sampler = StratifiedSampler(single_label_counts())
-        np.testing.assert_array_equal(sampler.sample(1.0, rng), np.arange(10))
+        np.testing.assert_array_equal(sampler.sample(10, rng), np.arange(10))
 
     def test_count_and_uniqueness(self, rng):
         sampler = StratifiedSampler(single_label_counts(num_parties=20))
-        chosen = sampler.sample(0.25, rng)
+        chosen = sampler.sample(5, rng)
         assert len(chosen) == 5
         assert len(np.unique(chosen)) == 5
 
@@ -51,12 +53,12 @@ class TestSampling:
         # approximate the uniform global mix).
         counts = single_label_counts(num_parties=10, num_classes=10)
         sampler = StratifiedSampler(counts)
-        chosen = sampler.sample(0.5, rng)
+        chosen = sampler.sample(5, rng)
         classes = {int(counts[party].argmax()) for party in chosen}
         assert len(classes) == 5
 
     def test_beats_uniform_sampling_on_label_balance(self):
-        from repro.federated.sampling import sample_parties
+        from repro.federated.sampling import sample_clients
 
         counts = single_label_counts(num_parties=20, num_classes=10)
         sampler = StratifiedSampler(counts)
@@ -68,11 +70,11 @@ class TestSampling:
 
         rng = np.random.default_rng(0)
         stratified = np.mean(
-            [pooled_kl(sampler.sample(0.2, rng)) for _ in range(20)]
+            [pooled_kl(sampler.sample(4, rng)) for _ in range(20)]
         )
         rng = np.random.default_rng(0)
         uniform = np.mean(
-            [pooled_kl(sample_parties(20, 0.2, rng)) for _ in range(20)]
+            [pooled_kl(sample_clients(20, 4, rng)) for _ in range(20)]
         )
         assert stratified < uniform
 
@@ -85,7 +87,7 @@ class TestSampling:
         draws = set()
         for _ in range(10):
             rng = np.random.default_rng(3)
-            draws.add(tuple(int(p) for p in sampler.sample(0.5, rng)))
+            draws.add(tuple(int(p) for p in sampler.sample(3, rng)))
         assert len(draws) == 1
         chosen = next(iter(draws))
         seed_party = int(np.random.default_rng(3).integers(6))
@@ -99,7 +101,7 @@ class TestSampling:
     def test_rotates_across_rounds(self):
         sampler = StratifiedSampler(single_label_counts(num_parties=10))
         rng = np.random.default_rng(0)
-        draws = {tuple(sampler.sample(0.3, rng)) for _ in range(10)}
+        draws = {tuple(sampler.sample(3, rng)) for _ in range(10)}
         assert len(draws) > 1  # random seed party rotates coverage
 
 

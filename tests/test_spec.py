@@ -390,6 +390,8 @@ class TestValidate:
             ({"num_rounds": 0}, "num_rounds"),
             ({"lr": -1.0}, "lr"),
             ({"sample_fraction": 0.0}, "sample_fraction"),
+            # no per-party label counts to stratify a virtual population on
+            ({"population": 1000, "sampler": "stratified"}, "stratified"),
         ],
     )
     def test_invalid_specs_rejected(self, override, fragment):
