@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-stacked test-async test-concurrent test-capture test-bench-harness lint bench bench-smoke bench-e2e
+.PHONY: test test-stacked test-async test-concurrent test-capture test-kernels test-bench-harness lint bench bench-smoke bench-e2e
 
 test: lint
 	$(PYTHON) -m pytest -x -q
@@ -23,6 +23,12 @@ test-concurrent:
 # optimized-vs-eager bitwise differentials, and the build cache.
 test-capture:
 	$(PYTHON) -m pytest -x -q -m capture
+
+# Just the array kernels: hypothesis oracles against the reference
+# formulations, the same-bits gate over four SMOKE cells, and the
+# eager/compiled/stacked op table (< 30 s).
+test-kernels:
+	$(PYTHON) -m pytest -x -q -m kernels
 
 # The end-to-end benchmark harness's self-test (not part of tier-1: it
 # runs every workload at reduced size in fresh interpreters, < 60 s).

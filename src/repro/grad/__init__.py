@@ -12,7 +12,7 @@ This package is the substrate that replaces PyTorch in this reproduction
 - :mod:`repro.grad.init`: weight initialization schemes.
 
 The engine supports full NumPy-style broadcasting for elementwise ops and
-implements convolution/pooling with im2col so CPU training of the paper's
+implements convolution with im2col so CPU training of the paper's
 CNNs is practical at reduced scale.
 """
 

@@ -16,10 +16,10 @@ kernel runs the *same NumPy calls on arrays of the same memory layout*:
 * forward output buffers are ``np.empty_like`` copies of the eager
   outputs (layout-preserving), filled with the same ufunc/``matmul``/
   reduction calls via ``out=``;
-* composite kernels (conv, pooling, cross-entropy) lazily warm their
-  product buffers on the first replay by evaluating the literal eager
-  expression, then reuse those buffers with ``out=`` — so reductions see
-  the same strides and produce the same pairwise-summation bits;
+* ReLU, the max pool and col2im call the eager kernels themselves with
+  kept buffers; the other composites (conv, cross-entropy) warm theirs
+  on the first replay with the literal eager expression, then reuse them
+  with ``out=``, so reductions see the same strides and bits;
 * gradient accumulation mirrors :meth:`Tensor._accumulate`: the first
   write per step copies (or ``np.copyto``-refreshes) the freshly
   computed value, later writes use ``+=`` in the same order as the eager
@@ -68,7 +68,7 @@ from numpy.lib.stride_tricks import as_strided
 from repro.grad import functional as F
 from repro.grad import tensor as tensor_mod
 from repro.grad.nn.module import Parameter
-from repro.grad.tensor import Tensor, _swap_last, _unbroadcast
+from repro.grad.tensor import Tensor, _swap_last, _unbroadcast, relu_forward
 
 
 class CaptureError(RuntimeError):
@@ -772,9 +772,7 @@ def _relu(c, rec, o, a):
     buf, mask, cell = c.out_buf(rec), c.mask_buf(rec), _Cell()
 
     def fwd():
-        # Bit-identical to np.where(x > 0, x, 0.0): for x <= 0 both
-        # pick the +0.0 operand, and positives pass through untouched.
-        np.maximum(arena[a], 0.0, out=buf)
+        relu_forward(arena[a], out=buf)
 
     def bwd():
         # The input buffer is still intact at backward time, so the
@@ -912,18 +910,10 @@ def _im2col(lead, n, ch, oh, ow, kernel, stride, dtype):
     """
     cols = np.empty(lead + (n, oh, ow, ch, kernel, kernel), dtype=dtype)
     cols2 = cols.reshape(lead + (n * oh * ow, ch * kernel * kernel))
-    shape = lead + (n, ch, oh, ow, kernel, kernel)
     perm = _perm(len(lead), 0, 2, 3, 1, 4, 5)
 
     def fill(img):
-        s = img.strides
-        windows = as_strided(
-            img,
-            shape=shape,
-            strides=s[:-2] + (s[-2] * stride, s[-1] * stride, s[-2], s[-1]),
-            writeable=False,
-        )
-        np.copyto(cols, windows.transpose(perm))
+        np.copyto(cols, F.sliding_windows(img, kernel, stride).transpose(perm))
 
     return fill, cols2
 
@@ -943,11 +933,12 @@ def _conv2d(c, rec, o, sx, sw, sb=None):
     flat_weight_shape = (lead if sw in c.stacked else ()) + (oc, ch * kernel * kernel)
     weight_shape = lead + rec.parents[1].data.shape
     padded_shape = lead + (n, ch, h + 2 * padding, w + 2 * padding)
+    image_shape = lead + (n, ch, h, w)
     to_nchw, to_nhwc = _perm(n_lead, 0, 3, 1, 2), _perm(n_lead, 0, 2, 3, 1)
-    cols_to_taps = (n_lead + 4, n_lead + 5) + to_nchw
     fill_cols, cols2 = _im2col(lead, n, ch, oh, ow, kernel, stride, dtype)
     mm_cell, bias_cell, gw_cell, gc_cell = _Cell(), _Cell(), _Cell(), _Cell()
     st: dict = {}
+    col2im_scratch: dict = {}
 
     def fwd():
         img = arena[sx]
@@ -964,33 +955,6 @@ def _conv2d(c, rec, o, sx, sw, sb=None):
             out_flat = _binout(bias_cell, np.add, out_flat, read_bias())
         arena[o] = out_flat.reshape(lead + (n, oh, ow, oc)).transpose(to_nchw)
 
-    def col2im_replay(gc):
-        # Same slice-add sequence as F.col2im, but the columns are first
-        # rearranged into a (k, k, ..., n, c, oh, ow)-contiguous scratch
-        # so each of the k*k adds streams over contiguous memory instead
-        # of stride-k*k gathers.  Contribution order per output element
-        # is unchanged, so the result is bit-identical.
-        taps = st.get("taps")
-        if taps is None:
-            taps = st["taps"] = np.empty(
-                (kernel, kernel) + lead + (n, ch, oh, ow), dtype=gc.dtype
-            )
-            st["gpad"] = np.zeros(padded_shape, dtype=gc.dtype)
-        np.copyto(
-            taps,
-            gc.reshape(lead + (n, oh, ow, ch, kernel, kernel)).transpose(cols_to_taps),
-        )
-        gpad = st["gpad"]
-        gpad.fill(0.0)
-        for ki in range(kernel):
-            h_stop = ki + stride * oh
-            for kj in range(kernel):
-                w_stop = kj + stride * ow
-                gpad[..., ki:h_stop:stride, kj:w_stop:stride] += taps[ki, kj]
-        if padding > 0:
-            return gpad[..., padding:-padding, padding:-padding]
-        return gpad
-
     def bwd():
         grad_flat = gbufs[o].transpose(to_nhwc).reshape(lead + (n * oh * ow, oc))
         if w_req:
@@ -1001,81 +965,33 @@ def _conv2d(c, rec, o, sx, sw, sb=None):
         if x_req:
             flat_weight = arena[sw].reshape(flat_weight_shape)
             gc = _binout(gc_cell, np.matmul, grad_flat, flat_weight)
-            acc(sx, col2im_replay(gc), fresh=True)
+            grad_image = F.col2im(
+                gc, image_shape, kernel, stride, padding, col2im_scratch
+            )
+            acc(sx, grad_image, fresh=True)
 
     return fwd, bwd
-
-
-def _pool_geometry(c, rec):
-    """``(planes, h, w, oh, ow, kernel, stride, plane_shape)`` of a pool.
-
-    All ``lead * n * c`` image planes form one flat batch: pooling never
-    mixes planes, so one geometry serves serial and stacked programs.
-    """
-    meta = rec.meta
-    n, ch, h, w = meta["image_shape"]
-    _, _, oh, ow = meta["out_shape"]
-    plane_shape = c.lead + (n, ch)
-    planes = math.prod(plane_shape)
-    return planes, h, w, oh, ow, meta["kernel"], meta["stride"], plane_shape
 
 
 @_op("max_pool2d", may_alias=False, bwd_reads=(), planned=False)
 def _max_pool2d(c, rec, o, sx):
     arena, acc, gbufs = c.arena, c.acc, c.gbufs
-    planes, h, w, oh, ow, kernel, stride, plane_shape = _pool_geometry(c, rec)
-    dtype = rec.out.data.dtype
-    window = kernel * kernel
-    count = planes * oh * ow
-    rows = np.arange(count)
-    flat_base = rows * window  # flat start of each patch row
-    fill_cols, cols2 = _im2col((), planes, 1, oh, ow, kernel, stride, dtype)
-    arg = np.empty(count, dtype=np.intp)
-    idx = np.empty(count, dtype=np.intp)
-    out = np.empty(plane_shape + (oh, ow), dtype=dtype)
+    kernel, stride = rec.meta["kernel"], rec.meta["stride"]
+    image_shape = c.lead + rec.meta["image_shape"]
+    fwd_scratch: dict = {}
+    bwd_scratch: dict = {}
+    st: dict = {}
 
     def fwd():
-        fill_cols(arena[sx].reshape(planes, 1, h, w))
-        np.argmax(cols2, axis=1, out=arg)
-        # Single flat take instead of a two-array fancy gather.
-        np.add(flat_base, arg, out=idx)
-        np.take(cols2.reshape(-1), idx, out=out.reshape(-1))
-        arena[o] = out
-
-    if stride >= kernel:
-        # Windows are disjoint, so col2im's scatter-add places each
-        # gradient exactly once: route it straight into the image via a
-        # static column-flat -> image-flat index map.
-        ki, kj = np.divmod(np.arange(window), kernel)
-        plane, rem = np.divmod(rows, oh * ow)
-        a_h, a_w = np.divmod(rem, ow)
-        col_to_img = (
-            plane[:, None] * (h * w)
-            + (a_h[:, None] * stride + ki[None, :]) * w
-            + (a_w[:, None] * stride + kj[None, :])
-        ).ravel()
-        gimg = np.empty(planes * h * w, dtype=dtype)
-        imgidx = np.empty(count, dtype=np.intp)
-        gtmp = np.empty(count, dtype=dtype)
-
-        def bwd():
-            gimg.fill(0.0)
-            np.take(col_to_img, idx, out=imgidx)
-            # The explicit `+ 0.0` mirrors the `0.0 + v` of col2im's
-            # add, which flushes a -0.0 gradient to +0.0.
-            np.add(gbufs[o].reshape(-1), 0.0, out=gtmp)
-            gimg[imgidx] = gtmp
-            acc(sx, gimg.reshape(plane_shape + (h, w)), fresh=True)
-
-        return fwd, bwd
-
-    gc = np.empty_like(cols2)
+        arena[o], st["arg"] = F.max_pool_forward(
+            arena[sx], kernel, stride, fwd_scratch
+        )
 
     def bwd():
-        gc.fill(0.0)
-        gc[rows, arg] = gbufs[o].reshape(-1)
-        grad_images = F.col2im(gc, (planes, 1, h, w), kernel, stride, 0)
-        acc(sx, grad_images.reshape(plane_shape + (h, w)), fresh=True)
+        grad_image = F.max_pool_backward(
+            gbufs[o], st["arg"], image_shape, kernel, stride, bwd_scratch
+        )
+        acc(sx, grad_image, fresh=True)
 
     return fwd, bwd
 
@@ -1083,7 +999,12 @@ def _max_pool2d(c, rec, o, sx):
 @_op("avg_pool2d", may_alias=False, bwd_reads=(), planned=False)
 def _avg_pool2d(c, rec, o, sx):
     arena, acc, gbufs = c.arena, c.acc, c.gbufs
-    planes, h, w, oh, ow, kernel, stride, plane_shape = _pool_geometry(c, rec)
+    n, ch, h, w = rec.meta["image_shape"]
+    _, _, oh, ow = rec.meta["out_shape"]
+    kernel, stride = rec.meta["kernel"], rec.meta["stride"]
+    # All lead * n * ch planes form one flat batch: pooling never mixes them.
+    plane_shape = c.lead + (n, ch)
+    planes = math.prod(plane_shape)
     window = kernel * kernel
     fill_cols, cols2 = _im2col(
         (), planes, 1, oh, ow, kernel, stride, rec.out.data.dtype

