@@ -13,7 +13,6 @@ import numpy as np
 from repro.experiments.scale import ScalePreset
 from repro.data import load_dataset
 from repro.federated import (
-    DifferentialPrivacy,
     FedAvg,
     FederatedConfig,
     FederatedServer,
@@ -38,9 +37,6 @@ def run_sweep():
     part = parse_strategy("dir(0.5)").partition(train, 10, np.random.default_rng(21))
     rows = {}
     for noise in NOISE_LEVELS:
-        dp = None
-        if noise > 0:
-            dp = DifferentialPrivacy(clip_norm=1.0, noise_multiplier=noise, seed=21)
         clients = make_clients(part, train, seed=21, drop_empty=True)
         model = build_model("cnn", info, seed=21)
         config = FederatedConfig(
@@ -49,7 +45,7 @@ def run_sweep():
             batch_size=PRESET.batch_size,
             lr=0.01,
             seed=21,
-            dp=dp,
+            dp_noise_multiplier=noise,
         )
         server = FederatedServer(model, FedAvg(), clients, config, test_dataset=test)
         history = server.fit()

@@ -1,6 +1,6 @@
 """Ablation: server-side optimization (FedOpt extension).
 
-The paper treats the server step as plain averaging (server_lr = 1); the
+The paper treats the server step as plain averaging (a step of 1); the
 FedOpt line of work (cited in its related work) adds server momentum or
 Adam over the round's pseudo-gradient.  This bench compares them under
 label skew.

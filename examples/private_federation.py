@@ -11,7 +11,6 @@ Run:  python examples/private_federation.py     (~1 minute on CPU)
 
 from repro.data import load_dataset
 from repro.federated import (
-    DifferentialPrivacy,
     FedAvg,
     FederatedConfig,
     FederatedServer,
@@ -35,14 +34,11 @@ def main() -> None:
     print(f"{'noise':>6s} | {'final acc':>9s} | {'~epsilon (coarse upper bound)':>30s}")
     print("-" * 52)
     for noise in NOISE_LEVELS:
-        dp = None
-        if noise > 0:
-            dp = DifferentialPrivacy(clip_norm=1.0, noise_multiplier=noise, seed=8)
         clients = make_clients(partition, train, seed=8, drop_empty=True)
         model = build_model("cnn", info, seed=8)
         config = FederatedConfig(
             num_rounds=ROUNDS, local_epochs=LOCAL_EPOCHS, batch_size=32,
-            lr=0.01, seed=8, dp=dp,
+            lr=0.01, seed=8, dp_noise_multiplier=noise,
         )
         server = FederatedServer(model, FedAvg(), clients, config, test_dataset=test)
         history = server.fit()

@@ -93,7 +93,7 @@ def bench_local_round(repeats: int = 3, seed: int = 0) -> dict:
     """Time one party's local training round on the paper CNN."""
     model, clients = _build_fixture(seed=seed)
     config = FederatedConfig(
-        num_rounds=1, local_epochs=1, batch_size=32, lr=0.01, momentum=0.9, seed=0
+        num_rounds=1, local_epochs=1, batch_size=32, lr=0.01, seed=0
     )
     client = clients[0]
     state = model.state_dict()

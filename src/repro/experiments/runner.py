@@ -49,7 +49,6 @@ class ExperimentOutcome:
     #: ``(seed, party)`` — there is no materialized partition)
     partition_result: Partition | None
     info: DatasetInfo
-    config: FederatedConfig
     #: the resolved spec this outcome was produced from (content address
     #: via ``spec.run_id()``; the key :class:`ResultStore` saves it under)
     spec: RunSpec
@@ -115,14 +114,12 @@ def run_spec(spec: RunSpec, resume: str | None = None) -> ExperimentOutcome:
     # partition ``seed + 17``, clients ``seed + 29``, config ``seed + 41``,
     # model ``seed + 53``), so an async-barrier run over materialized
     # clients reproduces the sync server bit for bit.
-    on_event_engine = (
-        spec.population.size is not None or spec.population.aggregation == "async"
-    )
-    if on_event_engine and (resume is not None or spec.exec.checkpoint_every > 0):
+    on_event_engine = spec.population.on_event_engine
+    if on_event_engine and resume is not None:
         raise ValueError(
-            "resume and checkpoint_every are not supported for async/population "
-            "runs: AsyncFederation writes no checkpoints — the event loop "
-            "replays deterministically from the spec seed instead"
+            "resume is not supported for async/population runs: AsyncFederation "
+            "writes no checkpoints — the event loop replays deterministically "
+            "from the spec seed instead"
         )
 
     dataset_kwargs = dict(spec.data.kwargs)
@@ -191,7 +188,6 @@ def run_spec(spec: RunSpec, resume: str | None = None) -> ExperimentOutcome:
         history=history,
         partition_result=partition_result,
         info=info,
-        config=config,
         spec=spec,
     )
 

@@ -23,8 +23,16 @@ from repro.experiments.leaderboard import Leaderboard
 from repro.experiments.runner import ExperimentOutcome, TrialSummary
 
 
+#: the train knobs a record's ``config`` block restates from its spec
+_RECORD_TRAIN = (
+    "num_rounds", "local_epochs", "batch_size", "lr",
+    "sample_fraction", "sampler", "optimizer", "bn_policy",
+)
+
+
 def outcome_to_dict(outcome: ExperimentOutcome) -> dict:
     """Serialize an outcome to plain JSON-compatible data."""
+    train, comm = outcome.spec.train, outcome.spec.comm
     return {
         "dataset": outcome.dataset,
         "partition": outcome.partition,
@@ -42,17 +50,10 @@ def outcome_to_dict(outcome: ExperimentOutcome) -> dict:
             else None
         ),
         "config": {
-            "num_rounds": outcome.config.num_rounds,
-            "local_epochs": outcome.config.local_epochs,
-            "batch_size": outcome.config.batch_size,
-            "lr": outcome.config.lr,
-            "sample_fraction": outcome.config.sample_fraction,
-            "sampler": outcome.config.sampler,
-            "optimizer": outcome.config.optimizer,
-            "bn_policy": outcome.config.bn_policy,
-            "codec": outcome.config.codec,
-            "codec_bits": outcome.config.codec_bits,
-            "codec_k": outcome.config.codec_k,
+            **{name: getattr(train, name) for name in _RECORD_TRAIN},
+            "codec": comm.codec,
+            "codec_bits": comm.bits,
+            "codec_k": comm.k,
         },
         "spec": outcome.spec.to_dict(),
         "run_id": outcome.spec.run_id(),

@@ -51,7 +51,7 @@ from repro.federated.population import (
     VirtualPopulation,
 )
 from repro.federated.async_engine import AsyncFederation
-from repro.federated.privacy import DifferentialPrivacy, approximate_epsilon
+from repro.federated.privacy import approximate_epsilon
 from repro.federated.systems import SystemModel
 from repro.federated.sampling import StratifiedSampler, sample_clients
 
@@ -86,7 +86,6 @@ __all__ = [
     "FaultModel",
     "PartyFault",
     "InjectedCrash",
-    "DifferentialPrivacy",
     "approximate_epsilon",
     "SystemModel",
     "StratifiedSampler",

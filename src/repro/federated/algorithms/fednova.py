@@ -36,6 +36,7 @@ from repro.federated.aggregation import (
 from repro.federated.algorithms.base import ClientResult
 from repro.federated.algorithms.fedavg import FedAvg
 from repro.federated.config import FederatedConfig
+from repro.federated.trainer import MOMENTUM
 
 
 def effective_steps(tau: int, momentum: float) -> float:
@@ -60,7 +61,7 @@ class FedNova(FedAvg):
 
     def _normalizer(self, num_steps: int, config: FederatedConfig) -> float:
         if self.momentum_correction:
-            return effective_steps(num_steps, config.momentum)
+            return effective_steps(num_steps, MOMENTUM)
         return float(num_steps)
 
     def uplink_metadata_floats(self) -> int:
@@ -109,7 +110,7 @@ class FedNova(FedAvg):
                     direction[key] = contribution
 
         scaled = {key: tau_eff * value for key, value in direction.items()}
-        new_state = apply_update(global_state, scaled, config.server_lr)
+        new_state = apply_update(global_state, scaled, 1.0)
 
         # Buffers (BN statistics) are not gradient-like: average them.
         if self._buffer_keys:

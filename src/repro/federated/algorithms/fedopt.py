@@ -1,8 +1,8 @@
 """FedOpt extension: server-side adaptive optimization (Reddi et al.).
 
 Not one of the paper's four studied algorithms, but cited in its related
-work (FedML "provides ... FedOpt") and a natural ablation target for the
-``server_lr`` knob: the round's aggregated delta is treated as a
+work (FedML "provides ... FedOpt"), and the one owner of a server-side
+step size (``lr``): the round's aggregated delta is treated as a
 pseudo-gradient and fed to a server optimizer.
 
 Variants:
@@ -43,7 +43,7 @@ class FedOpt(FedAvg):
             raise ValueError(f"lr must be positive, got {lr}")
         self.variant = variant
         # Adam's effective step is ~lr per round regardless of gradient
-        # scale, so the FedAvg-compatible server_lr=1 default is far too
+        # scale, so the FedAvg-compatible step of 1 is far too
         # big; FedAdam needs its own, much smaller, default.
         self.lr = lr if lr is not None else (0.1 if variant == "adam" else 1.0)
         self.server_momentum = server_momentum

@@ -60,7 +60,7 @@ versions cannot (the absolute states disagree about everything the
 missed steps changed); it applies a staleness-weighted delta average
 instead::
 
-    global += server_lr * sum_i w_i * (state_i - dispatch_version_i)
+    global += sum_i w_i * (state_i - dispatch_version_i)
     w_i  proportional to  num_samples_i * (1 + staleness_i) ** -a
 
 with ``a = config.staleness_exponent`` (0 = pure sample weighting;
@@ -311,7 +311,6 @@ class AsyncFederation(Federation):
             dtype=np.float64,
         )
         weights = weights / weights.sum()
-        server_lr = self.config.server_lr
         new_state: dict[str, np.ndarray] = {}
         for key in self.algorithm.all_keys:
             base = np.asarray(self.global_state[key], dtype=np.float64)
@@ -321,7 +320,7 @@ class AsyncFederation(Federation):
                     entry.result.state[key], dtype=np.float64
                 ) - np.asarray(entry.group.reference[key], dtype=np.float64)
                 update += weight * delta
-            merged = base + server_lr * update
+            merged = base + update
             new_state[key] = merged.astype(
                 np.asarray(self.global_state[key]).dtype
             )

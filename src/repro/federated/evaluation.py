@@ -19,6 +19,9 @@ from repro.grad.capture import inference_engine
 from repro.grad.nn.module import Module
 from repro.grad.tensor import Tensor, no_grad
 
+#: batch size of evaluation passes (and SCAFFOLD's full-batch gradient)
+EVAL_BATCH_SIZE = 256
+
 
 @dataclass
 class EvalResult:
@@ -62,7 +65,7 @@ def _evaluate_inner(
 def evaluate(
     model: Module,
     dataset,
-    batch_size: int = 256,
+    batch_size: int = EVAL_BATCH_SIZE,
     compiled: bool = False,
 ) -> EvalResult:
     """Accuracy and mean cross-entropy from one forward pass per batch.
@@ -80,13 +83,15 @@ def evaluate(
             model.train()
 
 
-def evaluate_accuracy(model: Module, dataset, batch_size: int = 256) -> float:
+def evaluate_accuracy(
+    model: Module, dataset, batch_size: int = EVAL_BATCH_SIZE
+) -> float:
     """Top-1 accuracy of ``model`` on ``dataset`` (eval mode, no grad)."""
     return evaluate(model, dataset, batch_size).accuracy
 
 
 def evaluate_per_party(
-    model: Module, clients, batch_size: int = 256, compiled: bool = False
+    model: Module, clients, batch_size: int = EVAL_BATCH_SIZE, compiled: bool = False
 ) -> "np.ndarray":
     """Accuracy of one (global) model on every party's local data.
 
@@ -112,6 +117,8 @@ def evaluate_per_party(
     return np.array(accuracies)
 
 
-def evaluate_loss(model: Module, dataset, batch_size: int = 256) -> float:
+def evaluate_loss(
+    model: Module, dataset, batch_size: int = EVAL_BATCH_SIZE
+) -> float:
     """Mean cross-entropy of ``model`` on ``dataset``."""
     return evaluate(model, dataset, batch_size).loss

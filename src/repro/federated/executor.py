@@ -14,7 +14,7 @@ single definition of how a round of those tasks runs, and the server
   ``local_update``, then :meth:`ClientExecutor._upload` — the uplink
   coding via :func:`process_upload` that bulk-finished parties share);
 - **bounded retry** — a task raising an unexpected exception is retried
-  up to ``config.max_retries`` times from the same pre-task generator
+  up to :data:`MAX_RETRIES` times from the same pre-task generator
   snapshot, so a *transient* fault recovers bitwise-identically to a
   fault-free run (the round's ``fallback`` is then ``"retry"``);
 - **injected crashes** (:class:`~repro.federated.faults.InjectedCrash`)
@@ -39,7 +39,7 @@ bulk and hands the rest back to the per-party path:
   client axis, between the algorithm's own ``begin`` and ``finish``.
 
 Both are registered in :data:`EXECUTORS`, which construction
-(:func:`make_executor`), config validation and the CLI all read.  A run
+(:func:`make_executor`), spec validation and the CLI all read.  A run
 uses more than one core by running several cells at once
 (``--jobs``, :mod:`repro.experiments.scheduler`), not by splitting a
 round.
@@ -68,7 +68,7 @@ import numpy as np
 from repro.comm.channel import RESIDUAL_KEY, CommChannel
 from repro.federated.algorithms.base import FedAlgorithm
 from repro.federated.faults import InjectedCrash, PartyFault
-from repro.federated.trainer import LocalTrainingResult
+from repro.federated.trainer import MOMENTUM, LocalTrainingResult
 from repro.grad.capture import stacked_engine
 from repro.grad.optim import StackedSGD
 from repro.grad.serialize import state_dict_to_vector
@@ -79,6 +79,10 @@ if TYPE_CHECKING:
     from repro.federated.algorithms.base import ClientResult
     from repro.federated.client import Client
     from repro.federated.config import FederatedConfig
+
+#: retries of a party task that raised an unexpected (non-injected)
+#: exception before the round gives up with nothing committed
+MAX_RETRIES = 1
 
 
 def process_upload(channel, algorithm, result, client, reference, keys) -> None:
@@ -223,7 +227,7 @@ class ClientExecutor:
         staged in ``work`` and the live generator is restored to its
         pre-task snapshot; an injected crash records the party in
         ``work.execution.failed`` instead.  Unexpected exceptions retry
-        up to ``config.max_retries`` times and then propagate with
+        up to :data:`MAX_RETRIES` times and then propagate with
         nothing staged.
         """
         client = self.clients[party]
@@ -241,7 +245,7 @@ class ClientExecutor:
             except Exception:
                 client.rng.bit_generator.state = snapshot
                 attempts += 1
-                if attempts > self.config.max_retries:
+                if attempts > MAX_RETRIES:
                     raise
                 work.execution.fallback = "retry"
                 continue
@@ -285,8 +289,8 @@ class StackedDriftError(RuntimeError):
 
     Raised by :class:`StackedExecutor`'s automated drift check.  On hosts
     whose BLAS reassociates batched-GEMM reductions exactness is
-    impossible; pass ``--stacked-tolerance`` (``stacked_tolerance`` in
-    the config) to accept a bounded per-element deviation instead.
+    impossible; pass ``--stacked-tolerance`` (``exec.stacked_tolerance``)
+    to accept a bounded per-element deviation instead.
     """
 
 
@@ -362,7 +366,7 @@ class StackedExecutor(ClientExecutor):
         config = self.config
         config_ok = (
             config.optimizer == "sgd"
-            and config.dp is None
+            and not config.dp_noise_multiplier
             and type(self.algorithm).local_update is FedAlgorithm.local_update
         )
         serial: list[int] = []
@@ -480,8 +484,7 @@ class StackedExecutor(ClientExecutor):
         optimizer = StackedSGD(
             stacks,
             lr=config.lr,
-            momentum=config.momentum,
-            weight_decay=config.weight_decay,
+            momentum=MOMENTUM,
             proximal_mu=terms.get("proximal_mu", 0.0),
         )
         if optimizer.proximal_mu > 0:
@@ -599,7 +602,7 @@ class StackedExecutor(ClientExecutor):
 
 
 #: backend name -> factory taking the run's :class:`FederatedConfig`; the
-#: one table construction, config validation and the CLI read
+#: one table construction, spec validation and the CLI read
 EXECUTORS = Registry("executor")
 EXECUTORS.register(
     "serial",
@@ -616,12 +619,5 @@ EXECUTORS.register(
 
 
 def make_executor(config: "FederatedConfig") -> ClientExecutor:
-    """Build the executor a :class:`FederatedConfig` asks for.
-
-    Unknown names raise ``ValueError`` listing the registered backends —
-    configs are validated on construction, but one mutated afterwards
-    must not silently degrade to serial.
-    """
-    if config.executor not in EXECUTORS:
-        raise ValueError(EXECUTORS.unknown(config.executor))
+    """Build the executor a :class:`FederatedConfig` asks for."""
     return EXECUTORS.build(config.executor, config)

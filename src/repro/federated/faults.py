@@ -98,23 +98,20 @@ class FaultModel:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("dropout_prob", "straggler_prob", "crash_prob"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
-        if self.dropout_prob + self.crash_prob > 1.0:
-            raise ValueError(
-                "dropout_prob + crash_prob must not exceed 1, got "
-                f"{self.dropout_prob} + {self.crash_prob}"
-            )
-        if self.straggler_factor < 1.0:
-            raise ValueError(
-                f"straggler_factor must be >= 1, got {self.straggler_factor}"
-            )
-        if self.crash_after_steps < 1:
-            raise ValueError(
+        from repro.spec import FaultSpec
+
+        problems = FaultSpec(
+            dropout_prob=self.dropout_prob,
+            straggler_prob=self.straggler_prob,
+            straggler_factor=self.straggler_factor,
+            crash_prob=self.crash_prob,
+        ).problems()
+        if not self.crash_after_steps >= 1:
+            problems.append(
                 f"crash_after_steps must be >= 1, got {self.crash_after_steps}"
             )
+        if problems:
+            raise ValueError("; ".join(problems))
 
     @property
     def active(self) -> bool:
@@ -133,7 +130,6 @@ class FaultModel:
             straggler_prob=config.straggler_prob,
             straggler_factor=config.straggler_factor,
             crash_prob=config.crash_prob,
-            crash_after_steps=config.crash_after_steps,
             seed=config.seed + 318_211,
         )
         return model if model.active else None

@@ -6,9 +6,12 @@ accuracy loss while ensuring the differential privacy guarantee is a
 challenging research direction."  This module provides the standard
 DP-SGD mechanism at batch granularity:
 
-1. clip the (global) gradient norm of each mini-batch update to ``clip_norm``;
+1. clip the (global) gradient norm of each mini-batch update to
+   :data:`DP_CLIP_NORM`;
 2. add Gaussian noise ``N(0, (noise_multiplier * clip_norm / batch)^2)``.
 
+A run turns it on with ``train.dp_noise_multiplier > 0``; local training
+then draws the noise from the run seed combined with the party id.
 Batch-level clipping is the common lightweight approximation of
 per-example DP-SGD; :func:`approximate_epsilon` gives the corresponding
 coarse advanced-composition bound (a real deployment would use an RDP/
@@ -18,36 +21,11 @@ moments accountant — out of scope for this reproduction).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class DifferentialPrivacy:
-    """DP-SGD parameters for local training.
-
-    Attributes
-    ----------
-    clip_norm:
-        Maximum L2 norm of each batch gradient (over all parameters).
-    noise_multiplier:
-        Gaussian noise std as a multiple of ``clip_norm / batch_size``.
-    seed:
-        Seeds the noise generator (combined with the party id).
-    """
-
-    clip_norm: float = 1.0
-    noise_multiplier: float = 1.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.clip_norm <= 0:
-            raise ValueError(f"clip_norm must be positive, got {self.clip_norm}")
-        if self.noise_multiplier < 0:
-            raise ValueError(
-                f"noise_multiplier must be non-negative, got {self.noise_multiplier}"
-            )
+#: maximum L2 norm of each batch gradient (over all parameters) under DP
+DP_CLIP_NORM = 1.0
 
 
 def clip_gradients(grads: list[np.ndarray], clip_norm: float) -> float:

@@ -54,6 +54,9 @@ from repro.federated.sampling import StratifiedSampler, sample_clients
 
 #: version tag written into checkpoints; bumped on layout changes
 CHECKPOINT_FORMAT = 1
+#: under an active fault model with partial participation, sample extra
+#: parties so the expected *completed* count matches the configured share
+OVER_SAMPLE = True
 
 
 @dataclass
@@ -130,7 +133,7 @@ class Federation:
         in index order without touching the sampler generator.
         """
         size = len(self._parties)
-        if self.fault_model is not None and self.config.over_sample and fraction < 1.0:
+        if self.fault_model is not None and OVER_SAMPLE and fraction < 1.0:
             drop = self.fault_model.expected_drop_rate(self.config.deadline)
             fraction = min(1.0, fraction / (1.0 - drop)) if drop < 1.0 else 1.0
         count = max(1, int(round(fraction * size)))
@@ -246,12 +249,7 @@ class Federation:
         if target is None:
             raise ValueError("no test dataset provided")
         self.model.load_state_dict(self.global_state)
-        result = evaluate_model(
-            self.model,
-            target,
-            self.config.eval_batch_size,
-            compiled=self.config.compile,
-        )
+        result = evaluate_model(self.model, target, compiled=self.config.compile)
         return result.accuracy
 
     def close(self) -> None:

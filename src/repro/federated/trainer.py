@@ -22,9 +22,14 @@ from repro.grad.capture import training_engine
 from repro.grad.nn.module import Module
 from repro.grad.optim import Adam, SGD
 from repro.grad.tensor import Tensor
+from repro.federated import privacy
 from repro.federated.client import Client
 from repro.federated.config import FederatedConfig
+from repro.federated.evaluation import EVAL_BATCH_SIZE
 from repro.federated.faults import InjectedCrash
+
+#: local SGD momentum (the paper's 0.9)
+MOMENTUM = 0.9
 
 
 @dataclass
@@ -64,15 +69,13 @@ def run_local_training(
         optimizer = SGD(
             model.parameters(),
             lr=config.lr,
-            momentum=config.momentum,
-            weight_decay=config.weight_decay,
+            momentum=MOMENTUM,
             proximal_mu=proximal_mu,
         )
     else:
         optimizer = Adam(
             model.parameters(),
             lr=config.lr,
-            weight_decay=config.weight_decay,
             amsgrad=config.optimizer == "amsgrad",
             proximal_mu=proximal_mu,
         )
@@ -83,12 +86,10 @@ def run_local_training(
     if correction is not None:
         optimizer.set_correction(correction, mode=correction_mode)
 
-    dp = config.dp
+    noise = config.dp_noise_multiplier
     dp_rng = None
-    if dp is not None:
-        from repro.federated import privacy
-
-        dp_rng = np.random.default_rng(dp.seed + 7919 * client.client_id)
+    if noise:
+        dp_rng = np.random.default_rng(config.seed + 7919 * client.client_id)
 
     model.train()
     params = model.parameters()
@@ -108,11 +109,11 @@ def run_local_training(
                 loss = F.cross_entropy(logits, labels)
                 loss.backward()
                 loss_value = loss.item()
-            if dp is not None:
+            if dp_rng is not None:
                 grads = [p.grad for p in params if p.grad is not None]
-                privacy.clip_gradients(grads, dp.clip_norm)
+                privacy.clip_gradients(grads, privacy.DP_CLIP_NORM)
                 privacy.add_noise(
-                    grads, dp.clip_norm, dp.noise_multiplier, len(labels), dp_rng
+                    grads, privacy.DP_CLIP_NORM, noise, len(labels), dp_rng
                 )
             optimizer.step()
             steps += 1
@@ -147,7 +148,7 @@ def full_batch_gradient(
     # of this pass for no accuracy the downstream consumers can observe.
     accum = [np.zeros(p.data.shape, dtype=p.data.dtype) for p in params]
     total = 0
-    for features, labels in client.loader(config.eval_batch_size):
+    for features, labels in client.loader(EVAL_BATCH_SIZE):
         model.zero_grad()
         loss = F.cross_entropy(model(Tensor(features)), labels, reduction="sum")
         loss.backward()

@@ -24,9 +24,15 @@ excluded: executors are bitwise-identical by contract, so two runs
 differing only in how they were executed share one ``run_id`` — a
 result computed serially satisfies a stacked run's cache lookup.
 
-Validation happens against the unified component registries
-(:mod:`repro.registry`), so a spec naming an unknown dataset, model,
-algorithm or codec fails fast with the live list of alternatives.
+One declaration per knob
+------------------------
+A knob's name, type, default and range check are written once, on its
+section dataclass: the field, and a line in that section's
+``problems()``.  Names are checked against the unified component
+registries (:mod:`repro.registry`), so a spec naming an unknown dataset,
+model, algorithm or codec fails fast with the live list of alternatives.
+:class:`repro.federated.config.FederatedConfig` is a flat read-only view
+of the engine-facing sections and declares nothing of its own.
 """
 
 from __future__ import annotations
@@ -50,6 +56,15 @@ def _freeze_kwargs(kwargs: dict | None) -> dict:
     return kwargs
 
 
+def _failed(*checks: tuple[object, str]) -> list[str]:
+    """The messages of the ``(in_range, message)`` checks that fail.
+
+    Each check states its valid range as a predicate (``lr > 0``), so a
+    NaN, which compares false to everything, fails it.
+    """
+    return [message for in_range, message in checks if not in_range]
+
+
 @dataclass(frozen=True)
 class DataSpec:
     """Which dataset, at what size."""
@@ -61,6 +76,11 @@ class DataSpec:
     #: for rcv1, ...) — must be JSON-serializable
     kwargs: dict = field(default_factory=dict)
 
+    def problems(self) -> list[str]:
+        from repro.data.registry import DATASETS
+
+        return _failed((self.name in DATASETS, DATASETS.unknown(self.name)))
+
 
 @dataclass(frozen=True)
 class PartitionSpec:
@@ -69,6 +89,21 @@ class PartitionSpec:
     #: the paper's strategy notation (``"iid"``, ``"#C=2"``, ``"dir(0.5)"``)
     strategy: str
     num_parties: int = 10
+
+    def problems(self) -> list[str]:
+        from repro.partition import parse_strategy
+
+        try:
+            parse_strategy(self.strategy)
+            problems = []
+        except ValueError as error:
+            problems = [str(error)]
+        return problems + _failed(
+            (
+                self.num_parties > 0,
+                f"num_parties must be positive, got {self.num_parties}",
+            )
+        )
 
 
 @dataclass(frozen=True)
@@ -80,6 +115,13 @@ class ModelSpec:
     name: str = "default"
     kwargs: dict = field(default_factory=dict)
 
+    def problems(self) -> list[str]:
+        from repro.models.registry import MODELS
+
+        return _failed(
+            (self.name == "default" or self.name in MODELS, MODELS.unknown(self.name))
+        )
+
 
 @dataclass(frozen=True)
 class AlgorithmSpec:
@@ -90,29 +132,94 @@ class AlgorithmSpec:
     #: scaffold, ``server_momentum``/``variant`` for fedopt)
     kwargs: dict = field(default_factory=dict)
 
+    def problems(self) -> list[str]:
+        from repro.federated.algorithms import ALGORITHMS
+
+        return _failed((self.name in ALGORITHMS, ALGORITHMS.unknown(self.name)))
+
 
 @dataclass(frozen=True)
 class TrainSpec:
-    """The training protocol of a run (paper Section 5 knobs)."""
+    """The training protocol of a run (paper Section 5 knobs and defaults)."""
 
-    num_rounds: int
-    local_epochs: int
-    batch_size: int
-    lr: float
+    #: communication rounds T (50 for Table 3, 100 for Figure 7)
+    num_rounds: int = 50
+    #: local epochs E per round
+    local_epochs: int = 10
+    batch_size: int = 64
+    #: local learning rate (0.01; ``RunSpec.build`` gives rcv1 0.1)
+    lr: float = 0.01
+    #: local optimizer: "sgd" (the paper's), "adam" or "amsgrad";
+    #: SCAFFOLD's correction is defined on "sgd" only
     optimizer: str = "sgd"
+    #: share of parties sampled per round (1.0 = full participation)
     sample_fraction: float = 1.0
+    #: "uniform" (Algorithm 1 line 6) or "stratified" (label-mix-matched,
+    #: the paper's Section 6.1 proposal)
     sampler: str = "uniform"
+    #: "average" batch-norm entries like any weight (the paper's default)
+    #: or keep them "local" per party (FedBN-style, Section 6.2)
     bn_policy: str = "average"
+    #: evaluate the global model every k rounds
     eval_every: int = 1
+    #: DP-SGD Gaussian noise multiplier on each clipped batch gradient
+    #: (0 = DP off; see repro.federated.privacy)
+    dp_noise_multiplier: float = 0.0
+
+    def problems(self) -> list[str]:
+        return _failed(
+            (self.num_rounds > 0, f"num_rounds must be positive, got {self.num_rounds}"),
+            (
+                self.local_epochs > 0,
+                f"local_epochs must be positive, got {self.local_epochs}",
+            ),
+            (self.batch_size > 0, f"batch_size must be positive, got {self.batch_size}"),
+            (self.lr > 0, f"lr must be positive, got {self.lr}"),
+            (
+                self.optimizer in ("sgd", "adam", "amsgrad"),
+                f"optimizer must be 'sgd', 'adam' or 'amsgrad', got {self.optimizer!r}",
+            ),
+            (
+                0.0 < self.sample_fraction <= 1.0,
+                f"sample_fraction must be in (0, 1], got {self.sample_fraction}",
+            ),
+            (
+                self.sampler in ("uniform", "stratified"),
+                f"sampler must be 'uniform' or 'stratified', got {self.sampler!r}",
+            ),
+            (
+                self.bn_policy in ("average", "local"),
+                f"bn_policy must be 'average' or 'local', got {self.bn_policy!r}",
+            ),
+            (self.eval_every > 0, f"eval_every must be positive, got {self.eval_every}"),
+            (
+                self.dp_noise_multiplier >= 0,
+                "dp_noise_multiplier must be non-negative, "
+                f"got {self.dp_noise_multiplier}",
+            ),
+        )
 
 
 @dataclass(frozen=True)
 class CommSpec:
     """Update-compression settings (see :mod:`repro.comm`)."""
 
+    #: codec on both transport directions ("identity" = the paper's
+    #: float32 wire; see repro.comm.CODECS)
     codec: str = "identity"
+    #: bit width of the "qsgd" codec
     bits: int = 8
+    #: kept fraction of the "topk" / "randk" codecs
     k: float = 0.1
+
+    def problems(self) -> list[str]:
+        from repro.comm import CODECS
+
+        return _failed(
+            (self.codec in CODECS, CODECS.unknown(self.codec)),
+            (1 <= self.bits <= 16, f"codec_bits must be in [1, 16], got {self.bits}"),
+            (0.0 < self.k <= 1.0, f"codec_k must be a fraction in (0, 1], got {self.k}"),
+        )
 
 
 @dataclass(frozen=True)
@@ -120,10 +227,40 @@ class FaultSpec:
     """Fault-injection settings (see :mod:`repro.federated.faults`)."""
 
     dropout_prob: float = 0.0
+    #: probability a responding party runs slowed, and by what factor
     straggler_prob: float = 0.0
     straggler_factor: float = 1.0
     crash_prob: float = 0.0
+    #: round deadline relative to a fault-free party's time (1.0);
+    #: slower parties time out.  None waits for every responder
     deadline: float | None = None
+
+    def problems(self) -> list[str]:
+        probabilities = {
+            "dropout_prob": self.dropout_prob,
+            "straggler_prob": self.straggler_prob,
+            "crash_prob": self.crash_prob,
+        }
+        return _failed(
+            *(
+                (0.0 <= value <= 1.0, f"{name} must be in [0, 1], got {value}")
+                for name, value in probabilities.items()
+            ),
+            (
+                self.dropout_prob + self.crash_prob <= 1.0,
+                "dropout_prob + crash_prob must not exceed 1, got "
+                f"{self.dropout_prob} + {self.crash_prob}",
+            ),
+            (
+                self.straggler_factor >= 1.0,
+                f"straggler_factor must be >= 1, got {self.straggler_factor}",
+            ),
+            (
+                self.deadline is None or self.deadline >= 1.0,
+                "deadline is relative to a fault-free party's round time "
+                f"(1.0) and must be >= 1, got {self.deadline}",
+            ),
+        )
 
 
 @dataclass(frozen=True)
@@ -157,6 +294,52 @@ class PopulationSpec:
     #: staleness discount exponent for mixed-version async flushes
     staleness_exponent: float = 0.0
 
+    @property
+    def on_event_engine(self) -> bool:
+        """Whether the run needs the event engine rather than the server."""
+        return self.size is not None or self.aggregation == "async"
+
+    def problems(self) -> list[str]:
+        size, per_round, buffer = self.size, self.sample_per_round, self.buffer_size
+        return _failed(
+            (size is None or size > 0, f"population.size must be positive, got {size}"),
+            (
+                per_round is None or per_round >= 1,
+                f"sample_per_round must be >= 1, got {per_round}",
+            ),
+            (
+                size is None or per_round is None or per_round <= size,
+                f"population.sample_per_round ({per_round}) exceeds "
+                f"population.size ({size}): cannot sample more clients per "
+                "round than the population holds",
+            ),
+            (
+                self.samples_per_client > 0,
+                "population.samples_per_client must be positive, "
+                f"got {self.samples_per_client}",
+            ),
+            (
+                self.skew_beta is None or self.skew_beta > 0,
+                f"population.skew_beta must be positive, got {self.skew_beta}",
+            ),
+            (
+                self.aggregation in ("sync", "async"),
+                f"aggregation must be 'sync' or 'async', got {self.aggregation!r}",
+            ),
+            (buffer is None or buffer >= 1, f"buffer_size must be >= 1, got {buffer}"),
+            (
+                buffer is None or per_round is None or buffer <= per_round,
+                f"buffer_size ({buffer}) cannot exceed the cohort "
+                f"(sample_per_round={per_round}): the buffer can never fill "
+                "with fewer clients in flight than it holds",
+            ),
+            (
+                self.staleness_exponent >= 0,
+                "staleness_exponent must be non-negative, "
+                f"got {self.staleness_exponent}",
+            ),
+        )
+
 
 @dataclass(frozen=True)
 class ExecSpec:
@@ -167,17 +350,40 @@ class ExecSpec:
     spec produces.
     """
 
+    #: client-execution backend, a name in repro.federated.executor.EXECUTORS
     executor: str = "serial"
     #: clients per stack for ``executor="stacked"``
     stack_size: int = 16
     #: max drift the stacked executor's serial-vs-stacked check accepts
     #: (0.0 = bitwise, the contract on hosts with slice-exact kernels)
     stacked_tolerance: float = 0.0
+    #: save a run checkpoint to ``checkpoint_path`` every k rounds (0 = never)
     checkpoint_every: int = 0
     checkpoint_path: str | None = None
     #: capture & replay training/inference steps (bitwise-identical to
     #: eager by contract, hence exec-section; see repro.grad.capture)
     compile: bool = False
+
+    def problems(self) -> list[str]:
+        from repro.federated.executor import EXECUTORS
+
+        return _failed(
+            (self.executor in EXECUTORS, EXECUTORS.unknown(self.executor)),
+            (self.stack_size >= 2, f"stack_size must be >= 2, got {self.stack_size}"),
+            (
+                self.stacked_tolerance >= 0,
+                "stacked_tolerance must be non-negative, "
+                f"got {self.stacked_tolerance}",
+            ),
+            (
+                self.checkpoint_every >= 0,
+                f"checkpoint_every must be non-negative, got {self.checkpoint_every}",
+            ),
+            (
+                self.checkpoint_every <= 0 or self.checkpoint_path,
+                "checkpoint_every > 0 needs a checkpoint_path to write to",
+            ),
+        )
 
 
 #: RunSpec section name -> section dataclass (the order of to_dict output)
@@ -214,7 +420,7 @@ _ALIASES: dict[str, tuple[str | None, str]] = {
 #: flat override name -> (section, field) accepted by ``with_overrides``:
 #: every section field under its own name unless :data:`_ALIASES` renames
 #: it.  A section field is the one declaration of a knob; this table,
-#: ``RunSpec.build``, ``FederatedConfig.from_spec`` and the CLI follow it.
+#: ``RunSpec.build``, ``FederatedConfig`` and the CLI follow it.
 OVERRIDE_PATHS: dict[str, tuple[str | None, str]] = {
     **{
         f.name: (section, f.name)
@@ -343,10 +549,17 @@ class RunSpec:
     # -- serialization --------------------------------------------------
 
     def to_dict(self) -> dict:
-        """Plain nested dict, the inverse of :meth:`from_dict`."""
+        """Plain nested dict, the inverse of :meth:`from_dict`.
+
+        Every field is written except ``train.dp_noise_multiplier`` at 0
+        (DP off): it joined the spec after run ids and store records were
+        published, so a DP-free spec keeps its bytes and its run id.
+        """
         out: dict[str, Any] = {
             name: _section_to_dict(getattr(self, name)) for name in SECTIONS
         }
+        if not self.train.dp_noise_multiplier:
+            del out["train"]["dp_noise_multiplier"]
         out["seed"] = self.seed
         return out
 
@@ -458,69 +671,29 @@ class RunSpec:
     # -- validation ------------------------------------------------------
 
     def validate(self) -> "RunSpec":
-        """Check names against the component registries, then every range.
+        """Every section's ``problems()``, then the cross-section rules.
 
         Returns ``self`` so call sites can chain
-        ``RunSpec.from_dict(...).validate()``.  Only the checks a spec
-        alone can make live here (registry names, the partition string,
-        the population's shape); numeric ranges are declared once, in
-        :class:`repro.federated.config.FederatedConfig`, and surface here
-        by building the config the run would use.
+        ``RunSpec.from_dict(...).validate()``.  Each knob's range and
+        name check lives on its section; only rules tying two sections
+        together live here.  Every problem is reported at once, under
+        one ``invalid RunSpec:`` header.
         """
-        from repro.data.registry import DATASETS
-        from repro.federated.algorithms import ALGORITHMS
-        from repro.federated.config import FederatedConfig
-        from repro.models.registry import MODELS
-        from repro.partition import parse_strategy
-
-        problems = []
-        if self.data.name not in DATASETS:
-            problems.append(DATASETS.unknown(self.data.name))
-        if self.model.name != "default" and self.model.name not in MODELS:
-            problems.append(MODELS.unknown(self.model.name))
-        if self.algorithm.name not in ALGORITHMS:
-            problems.append(ALGORITHMS.unknown(self.algorithm.name))
-        try:
-            parse_strategy(self.partition.strategy)
-        except ValueError as error:
-            problems.append(str(error))
-        if self.partition.num_parties <= 0:
-            problems.append(
-                f"num_parties must be positive, got {self.partition.num_parties}"
-            )
-        pop = self.population
-        if pop.size is not None and pop.size <= 0:
-            problems.append(
-                f"population.size must be positive, got {pop.size}"
-            )
-        if (
-            pop.size is not None
-            and pop.sample_per_round is not None
-            and pop.sample_per_round > pop.size
-        ):
-            problems.append(
-                f"population.sample_per_round ({pop.sample_per_round}) "
-                f"exceeds population.size ({pop.size}): cannot sample "
-                "more clients per round than the population holds"
-            )
-        if pop.size is not None and self.train.sampler == "stratified":
-            problems.append(
+        population = self.population
+        problems = [p for name in SECTIONS for p in getattr(self, name).problems()]
+        problems += _failed(
+            (
+                population.size is None or self.train.sampler != "stratified",
                 "sampler='stratified' needs every party's label counts, which a "
-                "virtual population (population.size) never materializes"
-            )
-        if pop.samples_per_client <= 0:
-            problems.append(
-                "population.samples_per_client must be positive, "
-                f"got {pop.samples_per_client}"
-            )
-        if pop.skew_beta is not None and pop.skew_beta <= 0:
-            problems.append(
-                f"population.skew_beta must be positive, got {pop.skew_beta}"
-            )
-        try:
-            FederatedConfig.from_spec(self)
-        except ValueError as error:
-            problems.append(str(error))
+                "virtual population (population.size) never materializes",
+            ),
+            (
+                not population.on_event_engine or self.exec.checkpoint_every <= 0,
+                "checkpoint_every is not supported for async/population runs: "
+                "AsyncFederation writes no checkpoints — the event loop replays "
+                "deterministically from the spec seed instead",
+            ),
+        )
         if problems:
             raise ValueError("invalid RunSpec:\n  " + "\n  ".join(problems))
         return self

@@ -159,19 +159,6 @@ class TestFedAvg:
         out = algo.aggregate({"w": np.array([9.0])}, results, FederatedConfig())
         np.testing.assert_allclose(out["w"], [3.0])
 
-    def test_server_lr_scales_step(self):
-        from repro.federated.algorithms.base import ClientResult
-
-        algo = FedAvg()
-        algo._param_keys = ["w"]
-        algo._buffer_keys = []
-        algo._num_parties = 1
-        results = [ClientResult(0, {"w": np.array([0.0])}, 5, 10, 0.0)]
-        half = algo.aggregate(
-            {"w": np.array([4.0])}, results, FederatedConfig(server_lr=0.5)
-        )
-        np.testing.assert_allclose(half["w"], [2.0])  # halfway to the average
-
     def test_single_client_equals_local_training(self):
         # With one party holding everything, FedAvg round = E epochs of SGD.
         from repro.data.loader import DataLoader
@@ -183,7 +170,7 @@ class TestFedAvg:
         clients = make_clients(part, train, seed=3)
         model = TabularMLP(6, 3, rng=np.random.default_rng(3))
         config = FederatedConfig(
-            num_rounds=1, local_epochs=2, batch_size=16, lr=0.05, momentum=0.9, seed=3
+            num_rounds=1, local_epochs=2, batch_size=16, lr=0.05, seed=3
         )
         server = FederatedServer(model, FedAvg(), clients, config)
         server.run_round(0)
@@ -374,7 +361,7 @@ class TestScaffold:
 
 class TestFedOpt:
     def test_sgdm_learns(self):
-        server = make_setup(FedOpt(variant="sgdm"), seed=29, server_lr=1.0)
+        server = make_setup(FedOpt(variant="sgdm"), seed=29)
         assert server.fit(6).final_accuracy > 0.6
 
     def test_adam_learns(self):
@@ -421,14 +408,17 @@ class TestFedNovaMomentumCorrection:
             algo._param_keys = ["w"]
             algo._buffer_keys = []
             algo._num_parties = 2
-            return algo.aggregate(global_state, results, FederatedConfig(momentum=0.9))
+            return algo.aggregate(global_state, results, FederatedConfig())
 
         plain = aggregate(False)["w"]
         corrected = aggregate(True)["w"]
         assert not np.allclose(plain, corrected)
 
-    def test_corrected_equals_plain_without_momentum(self):
+    def test_corrected_equals_plain_without_momentum(self, monkeypatch):
+        from repro.federated.algorithms import fednova
         from repro.federated.algorithms.base import ClientResult
+
+        monkeypatch.setattr(fednova, "MOMENTUM", 0.0)
 
         global_state = {"w": np.array([10.0])}
         results = [ClientResult(0, {"w": np.array([8.0])}, 3, 50, 0.0)]
@@ -438,6 +428,6 @@ class TestFedNovaMomentumCorrection:
             algo._param_keys = ["w"]
             algo._buffer_keys = []
             algo._num_parties = 1
-            return algo.aggregate(global_state, results, FederatedConfig(momentum=0.0))
+            return algo.aggregate(global_state, results, FederatedConfig())
 
         np.testing.assert_allclose(aggregate(False)["w"], aggregate(True)["w"])

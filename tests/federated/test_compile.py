@@ -73,7 +73,7 @@ def make_server(name, algorithm, compile):
     )
     config = FederatedConfig(
         num_rounds=rounds, local_epochs=1, batch_size=batch_size,
-        lr=0.05, momentum=0.9, seed=17, compile=compile,
+        lr=0.05, seed=17, compile=compile,
     )
     clients = make_clients(partition, train, seed=config.seed)
     model = build_model(name, info, seed=61)
@@ -119,7 +119,7 @@ class TestResume:
         )
         config = FederatedConfig(
             num_rounds=4, local_epochs=1, batch_size=16, lr=0.05,
-            momentum=0.9, seed=29, compile=compile,
+            seed=29, compile=compile,
         )
         clients = make_clients(partition, train, seed=config.seed)
         model_rng = np.random.default_rng(2)

@@ -36,10 +36,12 @@ def small_dataset(n=40, classes=4, seed=0):
 
 class TestConfig:
     def test_defaults_match_paper(self):
+        from repro.federated.trainer import MOMENTUM
+
         config = FederatedConfig()
         assert config.local_epochs == 10
         assert config.batch_size == 64
-        assert config.momentum == 0.9
+        assert MOMENTUM == 0.9
         assert config.sample_fraction == 1.0
 
     @pytest.mark.parametrize(
@@ -51,7 +53,6 @@ class TestConfig:
             ("lr", 0.0),
             ("sample_fraction", 0.0),
             ("sample_fraction", 1.5),
-            ("server_lr", 0.0),
             ("bn_policy", "weird"),
             ("eval_every", 0),
         ],
@@ -59,6 +60,11 @@ class TestConfig:
     def test_validation(self, field, value):
         with pytest.raises(ValueError):
             FederatedConfig(**{field: value})
+
+    @pytest.mark.parametrize("name", ["momentum", "server_lr", "max_retries", "dp"])
+    def test_only_spec_knobs_accepted(self, name):
+        with pytest.raises(TypeError, match=f"unknown config knobs \\['{name}'\\]"):
+            FederatedConfig(**{name: 1})
 
 
 class TestClient:

@@ -1,6 +1,6 @@
 """Executor backends: one contract suite over every registered name.
 
-``EXECUTORS`` is the table construction, config validation and the CLI
+``EXECUTORS`` is the table construction, spec validation and the CLI
 read; registering a backend there is all it takes for it to be held to
 the round contract below — bitwise equality with ``serial``, the
 transactional commit, bounded retry and participant-order results.
@@ -24,6 +24,7 @@ from repro.federated import (
     make_clients,
     make_executor,
 )
+from repro.federated import executor as executor_module
 from repro.federated.executor import EXECUTORS
 from repro.grad import nn
 from repro.grad.capture import stacked_matmul_is_exact
@@ -220,7 +221,7 @@ class TestContract:
     def test_exhausted_retries_commit_nothing(self, backend, flaky):
         server = make_server(
             flaky(party=9, failures=0), executor=backend, batch_norm=False,
-            codec="randk", codec_k=0.1, max_retries=1,
+            codec="randk", codec_k=0.1,
         )
         server.fit(1)  # a clean round first, so there is state to corrupt
         before_rng = [c.rng.bit_generator.state for c in server.clients]
@@ -231,14 +232,15 @@ class TestContract:
         assert [c.rng.bit_generator.state for c in server.clients] == before_rng
         np.testing.assert_equal([c.state for c in server.clients], before_state)
 
-    def test_transient_failure_recovers_bitwise(self, backend):
-        # Two failures against max_retries=2: every backend has the
+    def test_transient_failure_recovers_bitwise(self, backend, monkeypatch):
+        # Two failures against two retries: every backend has the
         # attempts to absorb them, whichever of its paths they land on.
+        monkeypatch.setattr(executor_module, "MAX_RETRIES", 2)
         clean = make_server(FedAvg(), executor=backend, batch_norm=False)
         run_to_completion(clean)
         flaky = make_server(
             FlakyFedAvg(party=2, failures=2), executor=backend,
-            batch_norm=False, max_retries=2,
+            batch_norm=False,
         )
         run_to_completion(flaky)
         assert flaky.algorithm.failures == 0

@@ -1,6 +1,8 @@
 """Fault injection: dropout/straggler/crash schedules, deadline rounds,
 transactional commit, and retry recovery."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,10 @@ def toy_dataset(seed=7, n=240, dim=5, classes=3):
     return ArrayDataset(x, (x @ w).argmax(axis=1).astype(np.int64))
 
 
-def make_server(num_parties=8, algorithm=None, **config_kwargs):
+def make_server(
+    num_parties=8, algorithm=None, crash_after_steps=None, **config_kwargs
+):
+    """``crash_after_steps`` rebuilds the run's fault model with that crash step."""
     train = toy_dataset()
     part = HomogeneousPartitioner().partition(
         train, num_parties, np.random.default_rng(0)
@@ -43,9 +48,14 @@ def make_server(num_parties=8, algorithm=None, **config_kwargs):
     model = nn.Sequential(
         nn.Linear(5, 16, rng=rng), nn.ReLU(), nn.Linear(16, 3, rng=rng)
     )
-    return FederatedServer(
+    server = FederatedServer(
         model, algorithm or FedAvg(), clients, config, test_dataset=train
     )
+    if crash_after_steps is not None:
+        server.fault_model = dataclasses.replace(
+            server.fault_model, crash_after_steps=crash_after_steps
+        )
+    return server
 
 
 def rng_states(server):
@@ -116,10 +126,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             FederatedConfig(checkpoint_every=2)
 
-    def test_negative_retries_rejected(self):
-        with pytest.raises(ValueError):
-            FederatedConfig(max_retries=-1)
-
 
 class TestDropoutRounds:
     def test_run_completes_and_records_drops(self):
@@ -157,13 +163,16 @@ class TestDropoutRounds:
         slowdowns = [s for rec in history.records for s in rec.slowdowns]
         assert 2.0 in slowdowns  # stragglers completed, charged slow
 
-    def test_over_sampling_keeps_expected_participation(self):
+    def test_over_sampling_keeps_expected_participation(self, monkeypatch):
+        from repro.federated import server
+
         kwargs = dict(
             dropout_prob=0.4, sample_fraction=0.5, num_rounds=10,
             num_parties=10,
         )
         over = make_server(**kwargs).fit()
-        flat = make_server(over_sample=False, **kwargs).fit()
+        monkeypatch.setattr(server, "OVER_SAMPLE", False)
+        flat = make_server(**kwargs).fit()
         assert np.mean([len(r.sampled) for r in over.records]) > np.mean(
             [len(r.sampled) for r in flat.records]
         )
@@ -256,7 +265,7 @@ class TestRetryRecovery:
             def local_update(self, *args, **kwargs):
                 raise OSError("permanently broken")
 
-        server = make_server(num_rounds=1, algorithm=AlwaysFails(), max_retries=1)
+        server = make_server(num_rounds=1, algorithm=AlwaysFails())
         before = rng_states(server)
         with pytest.raises(OSError):
             server.run_round(0)
@@ -299,7 +308,10 @@ class TestExecutorDirect:
         assert after[1] == before[1]
         assert after[0] != before[0] and after[2] != before[2]
 
-    def test_injected_crash_is_not_retried(self):
+    def test_injected_crash_is_not_retried(self, monkeypatch):
+        from repro.federated import executor
+
+        monkeypatch.setattr(executor, "MAX_RETRIES", 3)
         calls = []
 
         class Counting(FedAvg):
@@ -307,7 +319,7 @@ class TestExecutorDirect:
                 calls.append(client.client_id)
                 return super().local_update(model, global_state, client, config, payload)
 
-        server = make_server(num_rounds=1, algorithm=Counting(), max_retries=3)
+        server = make_server(num_rounds=1, algorithm=Counting())
         server.executor.execute_round(
             server.global_state, [0], faults={0: PartyFault(crash_after_steps=1)}
         )

@@ -7,31 +7,25 @@ import pytest
 
 from repro.data import ArrayDataset
 from repro.federated import (
-    DifferentialPrivacy,
     FedAvg,
     FederatedConfig,
     FederatedServer,
     approximate_epsilon,
     make_clients,
 )
-from repro.federated.privacy import add_noise, clip_gradients
+from repro.federated.privacy import DP_CLIP_NORM, add_noise, clip_gradients
 from repro.grad import nn
 from repro.partition import HomogeneousPartitioner
 
 
 class TestConfigValidation:
-    def test_clip_norm_positive(self):
-        with pytest.raises(ValueError):
-            DifferentialPrivacy(clip_norm=0.0)
-
     def test_noise_nonnegative(self):
-        with pytest.raises(ValueError):
-            DifferentialPrivacy(noise_multiplier=-1.0)
+        with pytest.raises(ValueError, match="dp_noise_multiplier"):
+            FederatedConfig(dp_noise_multiplier=-1.0)
 
     def test_defaults(self):
-        dp = DifferentialPrivacy()
-        assert dp.clip_norm == 1.0
-        assert dp.noise_multiplier == 1.0
+        assert FederatedConfig().dp_noise_multiplier == 0.0  # DP off
+        assert DP_CLIP_NORM == 1.0
 
 
 class TestClipping:
@@ -95,7 +89,7 @@ class TestEpsilon:
 
 
 class TestDPTraining:
-    def make_server(self, dp, seed=0):
+    def make_server(self, noise, seed=0):
         rng = np.random.default_rng(seed)
         w = rng.standard_normal((5, 2)).astype(np.float32)
         x = rng.standard_normal((120, 5)).astype(np.float32)
@@ -104,42 +98,35 @@ class TestDPTraining:
         clients = make_clients(part, ds, seed=seed)
         model = nn.Sequential(nn.Linear(5, 2, rng=rng))
         config = FederatedConfig(
-            num_rounds=3, local_epochs=2, batch_size=20, lr=0.1, seed=seed, dp=dp
+            num_rounds=3, local_epochs=2, batch_size=20, lr=0.1, seed=seed,
+            dp_noise_multiplier=noise,
         )
         return FederatedServer(model, FedAvg(), clients, config, test_dataset=ds)
 
     def test_dp_training_runs_and_learns(self):
-        dp = DifferentialPrivacy(clip_norm=1.0, noise_multiplier=0.2, seed=1)
-        server = self.make_server(dp)
+        server = self.make_server(0.2)
         history = server.fit()
         assert history.final_accuracy > 0.6
 
     def test_dp_changes_trajectory(self):
-        clean = self.make_server(None, seed=2)
-        noisy = self.make_server(
-            DifferentialPrivacy(clip_norm=0.5, noise_multiplier=1.0, seed=2), seed=2
-        )
+        clean = self.make_server(0.0, seed=2)
+        noisy = self.make_server(1.0, seed=2)
         clean.fit(2)
         noisy.fit(2)
         key = next(iter(clean.global_state))
         assert not np.allclose(clean.global_state[key], noisy.global_state[key])
 
     def test_dp_deterministic_given_seed(self):
-        dp = DifferentialPrivacy(clip_norm=1.0, noise_multiplier=0.5, seed=5)
-        a = self.make_server(dp, seed=3)
-        b = self.make_server(dp, seed=3)
+        a = self.make_server(0.5, seed=3)
+        b = self.make_server(0.5, seed=3)
         a.fit(2)
         b.fit(2)
         for key in a.global_state:
             np.testing.assert_array_equal(a.global_state[key], b.global_state[key])
 
     def test_heavy_noise_hurts_accuracy(self):
-        gentle = self.make_server(
-            DifferentialPrivacy(clip_norm=1.0, noise_multiplier=0.1, seed=4), seed=4
-        )
-        harsh = self.make_server(
-            DifferentialPrivacy(clip_norm=1.0, noise_multiplier=20.0, seed=4), seed=4
-        )
+        gentle = self.make_server(0.1, seed=4)
+        harsh = self.make_server(20.0, seed=4)
         gentle_acc = gentle.fit(3).final_accuracy
         harsh_acc = harsh.fit(3).final_accuracy
         assert gentle_acc > harsh_acc - 0.05  # harsh should not be better

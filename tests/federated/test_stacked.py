@@ -8,6 +8,7 @@ runs in the documented tolerance mode instead, so the equivalence suite
 is meaningful on every host.
 """
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -20,6 +21,7 @@ from repro.federated import (
     FedProx,
     FederatedConfig,
     FederatedServer,
+    SerialExecutor,
     StackedDriftError,
     StackedExecutor,
     make_algorithm,
@@ -65,11 +67,13 @@ def make_server(
     executor="serial",
     num_parties=6,
     seed=11,
+    crash_after_steps=None,
     **config_kwargs,
 ):
     """A server whose party sizes divide the batch size (stackable).
 
-    ``algorithm`` is a registered name or a :class:`FedAlgorithm` subclass.
+    ``algorithm`` is a registered name or a :class:`FedAlgorithm` subclass;
+    ``crash_after_steps`` rebuilds the run's fault model with that crash step.
     """
     if model_kind == "mlp":
         train = tabular_split(n=64 * num_parties)
@@ -88,7 +92,6 @@ def make_server(
         local_epochs=2,
         batch_size=16,
         lr=0.05,
-        momentum=0.9,
         seed=seed,
         executor=executor,
         stack_size=4,
@@ -101,7 +104,12 @@ def make_server(
         algorithm = make_algorithm(algorithm)
     else:
         algorithm = algorithm()
-    return FederatedServer(model, algorithm, clients, config, test_dataset=train)
+    server = FederatedServer(model, algorithm, clients, config, test_dataset=train)
+    if crash_after_steps is not None:
+        server.fault_model = dataclasses.replace(
+            server.fault_model, crash_after_steps=crash_after_steps
+        )
+    return server
 
 
 def assert_states_match(serial, stacked):
@@ -405,11 +413,11 @@ class TestConstruction:
         assert executor.stack_size == 8
         assert executor.tolerance == 0.5
 
-    def test_make_executor_unknown_name(self):
+    def test_config_cannot_be_mutated_after_validation(self):
         config = FederatedConfig()
-        config.executor = "bogus"
-        with pytest.raises(ValueError, match="unknown executor 'bogus'"):
-            make_executor(config)
+        with pytest.raises(AttributeError, match="read-only"):
+            config.executor = "bogus"
+        assert isinstance(make_executor(config), SerialExecutor)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError, match="stack_size"):

@@ -69,7 +69,7 @@ def make_server(name, algorithm, compile, parties=2, **config_overrides):
     )
     defaults = dict(
         num_rounds=2, local_epochs=1, batch_size=4, lr=0.05,
-        momentum=0.9, seed=17, compile=compile,
+        seed=17, compile=compile,
     )
     defaults.update(config_overrides)
     config = FederatedConfig(**defaults)

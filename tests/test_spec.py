@@ -1,5 +1,7 @@
 """Tests for the typed, content-addressed experiment spec (``RunSpec``)."""
 
+import ast
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,6 +12,7 @@ import pytest
 
 from repro.spec import (
     OVERRIDE_PATHS,
+    SECTIONS,
     AlgorithmSpec,
     DataSpec,
     PartitionSpec,
@@ -47,6 +50,7 @@ KNOBS = {
     "sampler": ("stratified", "--party-sampler", {}),
     "bn_policy": ("local", None, {}),
     "eval_every": (2, None, {}),
+    "dp_noise_multiplier": (0.5, None, {}),
     "codec": ("qsgd", "--codec", {}),
     "codec_bits": (4, "--codec-bits", {}),
     "codec_k": (0.25, "--codec-k", {}),
@@ -236,10 +240,6 @@ class TestWithOverrides:
 
     def test_override_paths_cover_spec_fields(self):
         # Every flat name must resolve to a real dataclass field.
-        import dataclasses
-
-        from repro.spec import SECTIONS
-
         for name, (section, attr) in OVERRIDE_PATHS.items():
             if section is None:
                 assert attr == "seed"
@@ -263,16 +263,34 @@ class TestKnobLockstep:
 
     @pytest.mark.parametrize("name", sorted(KNOBS))
     def test_config_carries_every_field_it_shares(self, name):
-        import dataclasses
-
+        """The config view reads each engine-section knob, at its section
+        default and at the row value, and carries no other knob."""
         from repro.federated import FederatedConfig
+        from repro.federated.config import ENGINE_SECTIONS
 
         spec = knob_spec(name)
         config = FederatedConfig.from_spec(spec)
+        section, attr = knob_path(name)
         if name == "seed":
             assert config.seed == spec.seed + 41
-        elif name in {f.name for f in dataclasses.fields(FederatedConfig)}:
+            assert FederatedConfig().seed == 0
+        elif section in ENGINE_SECTIONS:
+            assert getattr(FederatedConfig(), name) == getattr(SECTIONS[section](), attr)
             assert getattr(config, name) == KNOBS[name][0]
+        else:
+            assert not hasattr(config, name)
+
+    def test_config_declares_no_field(self):
+        """``config.py`` holds no knob name, default or check of its own."""
+        from repro.federated import FederatedConfig, config
+
+        (view,) = [
+            node
+            for node in ast.parse(Path(config.__file__).read_text()).body
+            if isinstance(node, ast.ClassDef)
+        ]
+        assert all(isinstance(node, (ast.Expr, ast.FunctionDef)) for node in view.body)
+        assert not dataclasses.is_dataclass(FederatedConfig)
 
     def test_cli_restates_no_default(self):
         from repro.cli import build_parser
@@ -392,6 +410,21 @@ class TestValidate:
             ({"sample_fraction": 0.0}, "sample_fraction"),
             # no per-party label counts to stratify a virtual population on
             ({"population": 1000, "sampler": "stratified"}, "stratified"),
+            # the event engine writes no checkpoints
+            (
+                {"aggregation": "async", "checkpoint_every": 2, "checkpoint_path": "x"},
+                "checkpoint_every is not supported",
+            ),
+            # NaN fails every float knob's range predicate
+            *(
+                ({name: float("nan")}, f"{name.replace('population_', '')} .*got nan")
+                for name in (
+                    "lr", "sample_fraction", "dp_noise_multiplier", "codec_k",
+                    "dropout_prob", "straggler_prob", "straggler_factor",
+                    "crash_prob", "deadline", "population_skew_beta",
+                    "staleness_exponent", "stacked_tolerance",
+                )
+            ),
         ],
     )
     def test_invalid_specs_rejected(self, override, fragment):
