@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
              "fresh ones saved",
     )
     trials.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=_positive_int, default=1, metavar="N",
         help="worker processes claiming trials through the crash-safe "
              "scheduler (1 = run inline)",
     )
@@ -112,12 +112,23 @@ def build_parser() -> argparse.ArgumentParser:
              "ones saved — a killed matrix resumes where it stopped",
     )
     table3.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=_positive_int, default=1, metavar="N",
         help="worker processes claiming matrix cells through the "
              "crash-safe scheduler; kill -9 anything mid-run and "
              "re-invoking completes the matrix (1 = run inline)",
     )
     return parser
+
+
+def _positive_int(text: str) -> int:
+    """``--jobs`` parser: a bad count is a usage error, before any spec."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
 
 
 def _add_experiment_args(parser: argparse.ArgumentParser) -> None:

@@ -33,10 +33,15 @@ byte-identical records, no fork — so serial and parallel invocations
 can share one store and one resume story.  :func:`run_matrix` is the
 front door every multi-cell driver uses: validate, :func:`run_cells`,
 raise on failure, records back in spec order.
+
+Forked workers split the cores: each shrinks the OpenBLAS thread pool it
+inherited to ``cpus // workers`` (at least 1) before claiming a cell, so
+the pool does not oversubscribe the CPUs with BLAS threads.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
 import multiprocessing
 import os
@@ -397,9 +402,12 @@ def run_cells(
         The :class:`ResultStore` results land in and claims live under.
         Required: it *is* the scheduler's shared state.
     jobs:
-        Worker processes.  ``1`` runs inline (no fork); higher counts
-        fork workers that steal cells from a shared pending set.  On
-        fork-less hosts the pool degrades to inline execution.
+        Worker processes.  ``1`` runs inline (no fork) with the process's
+        BLAS pool as it is; higher counts fork ``min(jobs, pending
+        cells)`` workers that steal cells from a shared pending set,
+        each first shrinking its inherited OpenBLAS pool to
+        ``max(1, min(pool, cpus // workers))`` threads.  On fork-less
+        hosts the pool degrades to inline execution.
     progress:
         Optional callback receiving a :class:`CellEvent` as each cell
         resolves — "cached" events first (pre-scan, deterministic
@@ -501,6 +509,63 @@ def run_matrix(
     return [store.get(spec) for spec in specs]
 
 
+#: OpenBLAS thread-pool entry points as ``(getter, setter)``, one pair per
+#: symbol convention: plain builds, 64-bit-integer builds, and the
+#: ``scipy_openblas`` build bundled in numpy wheels.
+_OPENBLAS_SYMBOLS = (
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+)
+
+
+def _mapped_openblas() -> list[str]:
+    """Paths of the OpenBLAS shared objects mapped into this process."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in maps}
+    except OSError:
+        return []
+    return sorted(p for p in paths if "openblas" in p.lower() and ".so" in p)
+
+
+def _openblas_threads():
+    """``(get, set)`` for the thread pool of the loaded OpenBLAS, or None.
+
+    A call through ctypes is the only way to resize a running pool:
+    OpenBLAS reads ``OPENBLAS_NUM_THREADS`` once, when it loads, so a
+    forked worker cannot change its inherited pool through the environment.
+    """
+    for path in _mapped_openblas():
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_SYMBOLS:
+            get = getattr(library, get_name, None)
+            set_ = getattr(library, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+def _share_blas_threads(workers: int) -> None:
+    """Shrink this process's OpenBLAS pool to its share of the CPUs.
+
+    Only ever lowers the pool, so an explicit ``OPENBLAS_NUM_THREADS``
+    stays the ceiling; without a known OpenBLAS this does nothing.  Bits
+    do not move: OpenBLAS GEMM splits output blocks, not sums, across
+    threads (``tests/grad/test_kernels.py`` checks the paper's shapes).
+    """
+    blas = _openblas_threads()
+    if blas is None:
+        return
+    get, set_ = blas
+    set_(max(1, min(get(), len(os.sched_getaffinity(0)) // workers)))
+
+
 def _run_pool(
     todo, store, jobs, note, stale_after, heartbeat_every, poll_interval
 ) -> None:
@@ -509,6 +574,7 @@ def _run_pool(
     events: multiprocessing.Queue = ctx.Queue()
 
     def worker_main():
+        _share_blas_threads(jobs)
         try:
             _worker_loop(
                 todo, store.root, events.put, stale_after, heartbeat_every,

@@ -30,6 +30,21 @@ class TestParser:
                 ["run", "--dataset", "mnist", "--partition", "iid", "--alg", "fedsgd"]
             )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table3", "--datasets", "adult", "--jobs", "0"],
+            ["trials", "--dataset", "adult", "--partition", "iid",
+             "--alg", "fedavg", "--jobs", "-1"],
+        ],
+        ids=["table3", "trials"],
+    )
+    def test_nonpositive_jobs_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "argument --jobs: must be a positive integer" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_datasets(self, capsys):

@@ -20,9 +20,12 @@ import pytest
 from repro.spec import RunSpec
 from repro.experiments.runner import run_spec
 from repro.experiments.scale import ScalePreset
+import repro.experiments.scheduler as scheduler_module
 from repro.experiments.scheduler import (
     CLAIMS_DIR,
     _claim_path,
+    _openblas_threads,
+    _share_blas_threads,
     _try_claim,
     fork_available,
     run_cells,
@@ -69,8 +72,6 @@ class TestRunCells:
         specs = tiny_specs(2)
         run_cells(specs, store=store, jobs=1)
 
-        import repro.experiments.scheduler as scheduler_module
-
         def boom(spec, resume=None):
             raise AssertionError("completed cell re-ran")
 
@@ -113,6 +114,37 @@ class TestRunCells:
         }
         assert serial_files == parallel_files
         assert len(serial_files) == 3
+
+
+class TestBlasThreads:
+    @needs_fork
+    @pytest.mark.skipif(
+        _openblas_threads() is None, reason="needs a resizable OpenBLAS pool"
+    )
+    def test_forked_workers_split_the_cores(self, tmp_path, monkeypatch):
+        """Each of 2 workers runs its cells on ``cpus // 2`` BLAS threads,
+        not on the parent's pool it inherited."""
+        get, _ = _openblas_threads()
+        share = max(1, min(get(), len(os.sched_getaffinity(0)) // 2))
+        run_one = scheduler_module._run_one
+
+        def record_pool(store, spec, heartbeat_every):
+            get, _ = _openblas_threads()
+            (tmp_path / f"pool-{os.getpid()}").write_text(str(get()))
+            return run_one(store, spec, heartbeat_every)
+
+        monkeypatch.setattr(scheduler_module, "_run_one", record_pool)
+        report = run_cells(
+            tiny_specs(2), store=ResultStore(tmp_path / "store"), jobs=2
+        )
+        assert len(report.ran) == 2
+        pools = [int(p.read_text()) for p in tmp_path.glob("pool-*")]
+        assert pools and all(pool == share for pool in pools), (pools, share)
+
+    def test_no_openblas_leaves_the_pool_alone(self, monkeypatch):
+        monkeypatch.setattr(scheduler_module, "_mapped_openblas", lambda: [])
+        assert _openblas_threads() is None
+        _share_blas_threads(2)
 
 
 class TestClaims:

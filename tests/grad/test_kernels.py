@@ -10,14 +10,21 @@ as unsigned integers), shape, dtype and memory layout.
 The second half is the non-finite contract end to end: a model whose
 ReLU inputs hold NaN, ±inf or -0.0 evaluates and trains to the same bits
 eagerly, compiled, and as a slice of a stacked program.
+
+The last test holds the BLAS side of the bits: OpenBLAS GEMM gives the
+same bits at 1 and 2 threads at the paper models' shapes, which is what
+lets ``--jobs`` workers shrink their thread pools without moving results.
 """
+
+import os
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.data import ArrayDataset
-from repro.federated.evaluation import evaluate
+from repro.experiments.scheduler import _openblas_threads
+from repro.federated.evaluation import EVAL_BATCH_SIZE, evaluate
 from repro.grad import functional as F
 from repro.grad.capture import (
     compile_stacked_step,
@@ -237,3 +244,49 @@ def test_training_step_compiled_and_stacked_equal_eager(kind, poison):
         assert_bits(losses[k], want_loss, EXACT)
         for grad, want in zip(grads, want_grads):
             assert_bits(grad[k], want, EXACT)
+
+
+# ----------------------------------------------------------------------
+# GEMM bits do not depend on the BLAS thread count
+# ----------------------------------------------------------------------
+#: ``(rows per example, in, out)`` of every GEMM in the paper CNN on 16x16
+#: images (conv layers as im2col: one row per output pixel, ``in`` =
+#: channels x 5 x 5) and in the paper MLP on adult / covtype.
+GEMM_SHAPES = [
+    (16 * 16, 1 * 25, 6), (16 * 16, 3 * 25, 6), (8 * 8, 6 * 25, 16),
+    (1, 256, 120), (1, 120, 84), (1, 84, 10),
+    (1, 123, 32), (1, 54, 32), (1, 32, 16), (1, 16, 8), (1, 8, 2),
+]
+
+
+def gemm_products(batch_size):
+    """Forward and both backward products of each layer, as the ops run them."""
+    rng = np.random.default_rng(0)
+    out = []
+    for rows, fan_in, fan_out in GEMM_SHAPES:
+        x = rng.standard_normal((batch_size * rows, fan_in), dtype=np.float32)
+        w = rng.standard_normal((fan_out, fan_in), dtype=np.float32)
+        g = rng.standard_normal((batch_size * rows, fan_out), dtype=np.float32)
+        # conv2d's weight gradient is g.T @ x, Linear's is x.T @ g
+        out += [x @ w.T, g.T @ x, x.T @ g, g @ w]
+    return out
+
+
+@pytest.mark.skipif(
+    len(os.sched_getaffinity(0)) < 2 or _openblas_threads() is None,
+    reason="needs 2 CPUs and an OpenBLAS whose pool can be resized",
+)
+@pytest.mark.parametrize("batch_size", [64, EVAL_BATCH_SIZE])
+def test_gemm_bits_do_not_depend_on_blas_threads(batch_size):
+    get, set_ = _openblas_threads()
+    before = get()
+    try:
+        set_(1)
+        single = gemm_products(batch_size)
+        set_(2)
+        assert get() == 2
+        double = gemm_products(batch_size)
+    finally:
+        set_(before)
+    for got, want in zip(double, single):
+        assert_same(got, want)
