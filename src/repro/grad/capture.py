@@ -294,13 +294,6 @@ class _ArenaPlanner:
         """Reads of ``slot`` are reads of ``of_slot``'s storage."""
         self._roots[slot] = of_slot
 
-    def alias(self, slot, of_slot, step) -> None:
-        """``slot`` is written into ``of_slot``'s storage at ``step``."""
-        self._roots[slot] = of_slot
-        alloc = self._by_slot.get(self._root(of_slot))
-        if alloc is not None and step > alloc.last:
-            alloc.last = step
-
     def read(self, slot, step) -> None:
         alloc = self._by_slot.get(self._root(slot))
         if alloc is not None and step > alloc.last:
@@ -901,6 +894,42 @@ def _matmul(c, rec, o, a, b):
     return _binary_fwd(c, rec, np.matmul), bwd
 
 
+@_op("linear", may_alias=False, bwd_reads=("in",), planned=True)
+def _linear(c, rec, o, sx, sw, sb=None):
+    acc, gbufs, n_lead = c.acc, c.gbufs, len(c.lead)
+    x_nd = rec.parents[0].data.ndim
+    if c.lead and x_nd < 2:
+        raise CaptureError("stacked linear needs a >= 2-D input")
+    need_x, need_w = rec.parents[0].requires_grad, rec.parents[1].requires_grad
+    need_b = sb is not None and rec.parents[2].requires_grad
+    read_x, read_w, *read_b = c.readers(rec)
+    w_shape = c.shapes[sw]
+    wt_shape = w_shape[:-2] + (w_shape[-1], w_shape[-2])
+    buf, cell_x, cell_w = c.out_buf(rec), _Cell(), _Cell()
+
+    def fwd():
+        np.matmul(read_x(), _swap_last(read_w()), out=buf)
+        if read_b:
+            np.add(buf, read_b[0](), out=buf)
+
+    def bwd():
+        g = gbufs[o]
+        if need_x:
+            acc(sx, _binout(cell_x, np.matmul, g, read_w()), fresh=True)
+        if need_w:
+            if x_nd == 1:
+                gw = np.outer(read_x(), g)
+            else:
+                gw = _binout(cell_w, np.matmul, _swap_last(read_x()), g)
+            if gw.shape != wt_shape:
+                gw = _unbroadcast(gw, wt_shape, n_lead)
+            acc(sw, _swap_last(gw), fresh=True)
+        if need_b:
+            acc(sb, g)
+
+    return fwd, bwd
+
+
 def _im2col(lead, n, ch, oh, ow, kernel, stride, dtype):
     """``(fill, cols2)`` for one sliding-window geometry.
 
@@ -1135,14 +1164,9 @@ class _Compiler:
             id(t): (module, name, shape)
             for t, module, name, shape in tape.buffer_leaves
         }
-        self._records = [rec for kind, rec in tape.entries if kind == "op"]
-        self._recmap = {id(rec.out): rec for rec in self._records}
-        consumers: dict[int, int] = {}
-        for rec in self._records:
-            for parent in rec.parents:
-                key = id(parent)
-                consumers[key] = consumers.get(key, 0) + 1
-        self._consumers = consumers
+        self._recmap = {
+            id(rec.out): rec for kind, rec in tape.entries if kind == "op"
+        }
         self.acc = self._make_acc()
 
     # -- slots ----------------------------------------------------------
@@ -1390,8 +1414,6 @@ class _Compiler:
                 spec = _OPS[rec.kind]
                 if spec.view:
                     planner.view(o, self.slot(rec.parents[0]))
-                elif self._peephole_src(rec) is not None:
-                    planner.alias(o, self.slot(rec.parents[0]), step)
                 else:
                     managed = self._managed_spec(rec)
                     if managed is not None:
@@ -1428,30 +1450,6 @@ class _Compiler:
         planner.plan()
         self._planner = planner
 
-    def _peephole_src(self, rec: _OpRecord):
-        """The matmul record whose buffer a bias-add overwrites, or None.
-
-        When an add's left operand is a matmul whose only reader is this
-        add, the sum is written back into the matmul's buffer (the
-        cachelines are still hot, and no backward kernel reads the
-        pre-add values).  Decided on static facts only (record kinds,
-        consumer counts, eager shapes), so the planner and
-        :meth:`out_buf` always agree on whether the peephole fires.
-        """
-        if rec.kind != "add":
-            return None
-        src_rec = self._recmap.get(id(rec.parents[0]))
-        if (
-            src_rec is not None
-            and src_rec.kind == "matmul"
-            and self._consumers.get(id(rec.parents[0])) == 1
-            and rec.parents[0] is not self.output
-            and src_rec.out.data.shape == rec.out.data.shape
-            and src_rec.out.data.dtype == rec.out.data.dtype
-        ):
-            return src_rec
-        return None
-
     def _managed_spec(self, rec: _OpRecord):
         """(shape, dtype, strides) of a colorable output buffer, or None.
 
@@ -1479,15 +1477,10 @@ class _Compiler:
 
     def out_buf(self, rec: _OpRecord) -> np.ndarray:
         """The compile-time buffer ``rec``'s forward kernel writes, bound
-        to its output slot: the matmul buffer under a bias-add peephole
-        (built earlier in program order, so already bound), else the
-        planner's block view, else a dedicated allocation."""
+        to its output slot: the planner's block view, else a dedicated
+        allocation."""
         planner = self._planner
-        buf = None
-        if self._peephole_src(rec) is not None:
-            buf = self.arena[self.slot(rec.parents[0])]
-        elif planner is not None:
-            buf = planner.buffer(self.slot(rec.out))
+        buf = None if planner is None else planner.buffer(self.slot(rec.out))
         if buf is None:
             out = rec.out.data
             if self.lead:

@@ -14,7 +14,13 @@ import math
 
 import numpy as np
 
-from repro.grad.tensor import Tensor, active_tape, is_grad_enabled
+from repro.grad.tensor import (
+    Tensor,
+    _swap_last,
+    _unbroadcast,
+    active_tape,
+    is_grad_enabled,
+)
 
 
 # ----------------------------------------------------------------------
@@ -442,11 +448,33 @@ def mse_loss(pred: Tensor, target, reduction: str = "mean") -> Tensor:
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Affine map ``x @ weight.T + bias`` (PyTorch weight layout)."""
-    out = x.matmul(weight.T)
+    """Affine map ``x @ weight.T + bias`` (PyTorch weight layout), one op.
+
+    Each array call is the one ``x.matmul(weight.T) + bias`` would make,
+    on the same operands and layouts, so the bits are that composition's;
+    the weight gradient is handed over as the transposed view of
+    ``x.T @ grad``, F-ordered, just as the composition leaves it.
+    """
+    out_data = x.data @ weight.data.T
     if bias is not None:
-        out = out + bias
-    return out
+        out_data += bias.data
+    out = Tensor(out_data)
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    weight_t_shape = weight.data.T.shape
+
+    def backward(grad):
+        if x.requires_grad:
+            x._accumulate(grad @ weight.data, fresh=True)
+        if weight.requires_grad:
+            if x.data.ndim == 1:
+                grad_t = np.outer(x.data, grad)
+            else:
+                grad_t = _unbroadcast(_swap_last(x.data) @ grad, weight_t_shape)
+            weight._accumulate(grad_t.T, fresh=True)
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(grad)
+
+    return out._attach(parents, backward, "linear")
 
 
 def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Tensor:

@@ -4,8 +4,9 @@ Each function takes the arguments of the kernel it stands in for and
 computes it the textbook way, verbatim from the first implementation:
 ``np.where`` ReLU with a bool-mask backward, im2col + ``argmax`` + a
 fancy gather for the max pool, zeros + a nested-loop col2im for its
-backward.  :func:`swap_in` installs them everywhere the fast kernels are
-called, eager and compiled alike, so a whole run can be repeated on
+backward, and the linear layer as a ``transpose``/``matmul``/``add``
+composition.  :func:`swap_in` installs them everywhere the fast kernels
+are called, eager and compiled alike, so a whole run can be repeated on
 them.
 """
 
@@ -109,8 +110,17 @@ def max_pool_backward(grad, arg, image_shape, kernel, stride, scratch=None):
     return grad_images.reshape(image_shape)
 
 
+def linear(x, weight, bias=None):
+    out = x.matmul(weight.T)
+    if bias is not None:
+        out = out + bias
+    return out
+
+
 def swap_in(monkeypatch) -> None:
-    """Run every ReLU, max pool and col2im on the reference kernels."""
+    """Run every ReLU, max pool, col2im and linear layer on the reference
+    kernels."""
+    monkeypatch.setattr(F, "linear", linear)
     monkeypatch.setattr(Tensor, "relu", tensor_relu)
     monkeypatch.setattr(tensor_mod, "relu_forward", relu_forward)
     monkeypatch.setattr(capture, "relu_forward", relu_forward)

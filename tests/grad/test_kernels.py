@@ -1,10 +1,11 @@
 """The fast array kernels against the formulations they replaced.
 
-``kernel_reference.py`` keeps the first versions of ReLU, the max pool
-and col2im; hypothesis draws inputs full of what breaks kernels — NaN of
-both signs, ±inf, ±0.0, ties (ReLU'd inputs tie at zero), overlapping
-and non-divisible windows, padding, NHWC-strided views and a leading
-stack axis — and each result must match the reference in bits (compared
+``kernel_reference.py`` keeps the first versions of ReLU, the max pool,
+col2im and the linear layer; hypothesis draws inputs full of what breaks
+kernels — NaN of both signs, ±inf, ±0.0, ties (ReLU'd inputs tie at
+zero), overlapping and non-divisible windows, padding, NHWC-strided
+views, 1-D to 3-D linear inputs and a leading stack axis — and each
+result must match the reference in bits (compared
 as unsigned integers), shape, dtype and memory layout.
 
 The second half is the non-finite contract end to end: a model whose
@@ -154,6 +155,35 @@ def test_col2im_matches_nested_loop(drawn, kernel, stride, padding):
     for _ in range(2):  # the second call reuses the kept buffers
         got = F.col2im(columns, x.shape, kernel, stride, padding, scratch)
         assert_same(got, want, nan_payload=False)
+
+
+@st.composite
+def linear_inputs(draw):
+    """``(x, weight, bias or None, output grad)`` for 1-D to 3-D inputs."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    lead = draw(st.sampled_from([(), (5,), (2, 3)]))
+    fan_in, fan_out = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    share = draw(st.sampled_from([0.0, 0.3]))
+    x = draw_values(rng, lead + (fan_in,), dtype, share)
+    weight = draw_values(rng, (fan_out, fan_in), dtype, share)
+    bias = draw_values(rng, (fan_out,), dtype, share) if draw(st.booleans()) else None
+    return x, weight, bias, draw_values(rng, lead + (fan_out,), dtype, share)
+
+
+@settings(max_examples=MAX_EXAMPLES, deadline=None)
+@given(drawn=linear_inputs())
+def test_linear_matches_matmul_add(drawn):
+    x, weight, bias, grad = drawn
+    arrays = (x, weight) if bias is None else (x, weight, bias)
+    results = []
+    for linear in (F.linear, ref.linear):
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        out = linear(*leaves)
+        out.backward(grad)
+        results.append([out.data] + [t.grad for t in leaves])
+    for got, want in zip(*results):
+        assert_same(got, want)
 
 
 # ----------------------------------------------------------------------

@@ -142,6 +142,25 @@ CASES = [
         ((CLASSES, DIM), (CLASSES, DIM)),
     ),
     Case(
+        "linear",
+        {"linear"},
+        lambda x, w, b: F.linear(x, w, b),
+        ((CLASSES, DIM), B),
+    ),
+    Case(
+        "linear-no-bias-hidden",
+        {"linear", "relu"},
+        lambda x, w, v: F.linear(F.linear(x, w).relu(), v),
+        ((4, DIM), (CLASSES, 4)),
+    ),
+    Case(
+        "linear-3d-input",
+        {"linear", "sum"},
+        lambda x, w, b: F.linear(x, w, b).sum(axis=1),
+        ((CLASSES, 3), B),
+        (2, 3),
+    ),
+    Case(
         "conv2d-padded-strided",
         {"conv2d"},
         lambda x, w, b, head: (
