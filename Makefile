@@ -25,8 +25,9 @@ test-capture:
 	$(PYTHON) -m pytest -x -q -m capture
 
 # Just the array kernels: hypothesis oracles against the reference
-# formulations, the same-bits gate over four SMOKE cells, and the
-# eager/compiled/stacked op table (< 30 s).
+# formulations (the kernels and the flat-block SGD / StackedSGD update),
+# the same-bits gate over four SMOKE cells, and the eager/compiled/stacked
+# op table (< 30 s).
 test-kernels:
 	$(PYTHON) -m pytest -x -q -m kernels
 

@@ -50,16 +50,13 @@ def train_centralized(
     lr: float,
     batch_size: int = 64,
     momentum: float = 0.9,
-    weight_decay: float = 0.0,
     seed: int = 0,
 ) -> CentralizedResult:
     """Train ``model`` on pooled data; evaluate after every epoch."""
     if epochs <= 0:
         raise ValueError(f"epochs must be positive, got {epochs}")
     rng = np.random.default_rng(seed)
-    optimizer = SGD(
-        model.parameters(), lr=lr, momentum=momentum, weight_decay=weight_decay
-    )
+    optimizer = SGD(model.parameters(), lr=lr, momentum=momentum)
     loader = DataLoader(train_dataset, batch_size, shuffle=True, rng=rng)
     result = CentralizedResult()
     for _ in range(epochs):

@@ -68,6 +68,7 @@ from numpy.lib.stride_tricks import as_strided
 from repro.grad import functional as F
 from repro.grad import tensor as tensor_mod
 from repro.grad.nn.module import Parameter
+from repro.grad.serialize import column_views
 from repro.grad.tensor import Tensor, _swap_last, _unbroadcast, relu_forward
 
 
@@ -421,8 +422,9 @@ class CapturedStep:
         arena = self.arena
         if self.input_slot is not None:
             arena[self.input_slot] = features
-        # Parameters/buffers are rebound by the optimizer and state loads,
-        # so their slots are refreshed from the live objects every replay.
+        # Optimizers write parameters in place, but state loads rebind
+        # parameters and buffers, so their slots are refreshed from the
+        # live objects every replay.
         for slot, param in self.param_refresh:
             arena[slot] = param.data
         for slot, module, name, shape in self.buffer_refresh:
@@ -487,10 +489,12 @@ class StackedStep:
     """A compiled training step batched over a leading client axis.
 
     Every stacked slot holds a ``(K,) + base`` array.  Parameters live in
-    arena buffers *owned by the program*: the caller copies each client's
-    weights in (:meth:`param_stack`), an optimizer mutates them in place
-    between steps, and the trained values are read back out of the same
-    buffers — rebinding them would break the compiled views.
+    one ``(K, P)`` block *owned by the program*, each parameter's stack a
+    column view of it: the caller copies each client's weights in
+    (:meth:`param_stack`), a :class:`~repro.grad.optim.StackedSGD` updates
+    the whole block in place between steps, and the trained values are
+    read back out of the same buffers — rebinding them would break the
+    compiled views.
     """
 
     __slots__ = (
@@ -1172,7 +1176,8 @@ class _Compiler:
     # -- slots ----------------------------------------------------------
     def _new_slot(self, base_shape, dtype, stacked: bool) -> int:
         """A slot of ``lead + base_shape`` (``stacked``) or ``base_shape``;
-        program-owned stacked buffers are allocated by :meth:`_own`."""
+        program-owned stacked buffers are allocated by :meth:`_own` and
+        :meth:`_own_params`."""
         slot = len(self.arena)
         self.arena.append(None)
         self.shapes.append(self.lead + base_shape if stacked else base_shape)
@@ -1184,6 +1189,19 @@ class _Compiler:
 
     def _own(self, slot: int) -> None:
         self.arena[slot] = np.empty(self.shapes[slot], self.dtypes[slot])
+
+    def _own_params(self) -> None:
+        """Allocate the stacked parameter slots as column views of one
+        ``(K, P)`` block, in ``model.parameters()`` order, so
+        :class:`~repro.grad.optim.StackedSGD` updates them in one pass."""
+        slots = [slot for slot in self.param_slots if slot is not None]
+        bases = [self.shapes[slot][1:] for slot in slots]
+        block = np.empty(
+            (self.stack, sum(math.prod(base) for base in bases)),
+            self.dtypes[slots[0]],
+        )
+        for slot, view in zip(slots, column_views(block, bases)):
+            self.arena[slot] = view
 
     def slot(self, t: Tensor) -> int:
         return self.slots[id(t)]
@@ -1209,7 +1227,6 @@ class _Compiler:
                         "traced parameter is not in the model's parameter list"
                     )
                 self.param_slots[index] = slot
-                self._own(slot)
             else:
                 self.param_refresh.append((slot, t))
                 self.param_binds.append((t, slot))
@@ -1324,6 +1341,8 @@ class _Compiler:
 
         if id(self.output) not in self.slots:
             raise CaptureError("model output is not an op of the tape")
+        if lead and any(slot is not None for slot in self.param_slots):
+            self._own_params()
 
         sched: list = []
         seed = None

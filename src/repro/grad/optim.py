@@ -11,6 +11,10 @@
 
 Both follow the paper's formulation where the extra terms act on the raw
 gradient *before* momentum is applied.
+
+``SGD`` moves its parameters into one ``(P,)`` vector, each ``param.data``
+a view into it, and updates it in place (:class:`StackedSGD`: a stacked
+program's ``(K, P)`` block): hold a copy of ``param.data``, never a reference.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import numpy as np
 
 from repro.grad.functional import reset_im2col_workspace
 from repro.grad.nn.module import Parameter
+from repro.grad.serialize import column_ranges, column_views
 
 
 class Optimizer:
@@ -43,7 +48,7 @@ class Optimizer:
 
 
 class SGD(Optimizer):
-    """SGD with momentum, weight decay, proximal term and corrections.
+    """SGD with momentum, proximal term and corrections, over one vector.
 
     Parameters
     ----------
@@ -53,8 +58,6 @@ class SGD(Optimizer):
         Learning rate (the paper uses 0.01, or 0.1 for rcv1).
     momentum:
         Momentum factor (the paper uses 0.9).
-    weight_decay:
-        L2 penalty added to the gradient.
     proximal_mu:
         FedProx ``mu``.  When positive, :meth:`set_anchor` must be called
         with the round's global weights before training.
@@ -65,7 +68,6 @@ class SGD(Optimizer):
         params: Iterable[Parameter],
         lr: float,
         momentum: float = 0.0,
-        weight_decay: float = 0.0,
         proximal_mu: float = 0.0,
     ):
         super().__init__(params)
@@ -77,16 +79,28 @@ class SGD(Optimizer):
             raise ValueError(f"proximal_mu must be non-negative, got {proximal_mu}")
         self.lr = lr
         self.momentum = momentum
-        self.weight_decay = weight_decay
         self.proximal_mu = proximal_mu
-        self._velocity: list[np.ndarray | None] = [None] * len(self.params)
-        self._anchor: list[np.ndarray | None] | None = None
-        self._correction: list[np.ndarray | None] | None = None
+        self._anchor = self._correction = None
         self._correction_mode = "step"
+        self._block, self._shapes = self._block_and_shapes()
+        self._cols = column_ranges(self._shapes)
+        self._grad = np.empty_like(self._block)
+        self._grad_views = column_views(self._grad, self._shapes)
+        self._velocity = np.empty_like(self._block) if momentum else None
+        self._tmp = np.empty_like(self._block) if proximal_mu > 0 else None
+        self.reset_state()
+
+    def _block_and_shapes(self) -> tuple[np.ndarray, list]:
+        shapes = [param.data.shape for param in self.params]
+        block = np.concatenate([param.data.reshape(-1) for param in self.params])
+        self._views = column_views(block, shapes)
+        for param, view in zip(self.params, self._views):
+            param.data = view
+        return block, shapes
 
     def set_anchor(self, anchor: Sequence[np.ndarray] | None) -> None:
         """Fix the proximal anchor (the global model of the current round)."""
-        self._anchor = None if anchor is None else self._checked(anchor, "anchor")
+        self._anchor = None if anchor is None else self._flat(anchor, "anchor")
 
     def set_correction(
         self, correction: Sequence[np.ndarray] | None, mode: str = "step"
@@ -107,127 +121,108 @@ class SGD(Optimizer):
         """
         if mode not in ("step", "grad"):
             raise ValueError(f"mode must be 'step' or 'grad', got {mode!r}")
-        if correction is None:
-            self._correction = None
-            return
-        self._correction = self._checked(correction, "correction")
+        self._correction = (
+            None if correction is None else self._flat(correction, "correction")
+        )
         self._correction_mode = mode
 
-    def _shapes(self) -> list[tuple | None]:
-        """Per-entry shape an anchor / correction array must have."""
-        return [param.data.shape for param in self.params]
+    def _flat(self, arrays, label: str) -> np.ndarray:
+        """Per-entry arrays, shape-checked and laid out like the block, in
+        its dtype (the library passes float32)."""
+        arrays, lead = list(arrays), self._block.shape[:-1]
+        want = [None if shape is None else lead + shape for shape in self._shapes]
+        got = [None if w is None else np.shape(a) for a, w in zip(arrays, want)]
+        if len(arrays) != len(want) or got != want:
+            raise ValueError(f"{label} shapes {got} do not match {want}")
+        return np.concatenate(
+            [np.reshape(a, (*lead, -1)) for a, w in zip(arrays, want) if w is not None],
+            axis=-1,
+            dtype=self._block.dtype,
+        )
 
-    def _checked(self, arrays, label: str) -> list[np.ndarray | None]:
-        arrays = [None if a is None else np.asarray(a) for a in arrays]
-        shapes = self._shapes()
-        if len(arrays) != len(shapes):
-            raise ValueError(
-                f"{label} has {len(arrays)} entries for {len(shapes)} params"
-            )
-        for array, shape in zip(arrays, shapes):
-            if array is not None and shape is not None and array.shape != shape:
-                raise ValueError(
-                    f"{label} shape {array.shape} does not match "
-                    f"parameter shape {shape}"
-                )
-        return arrays
-
-    def _direction(self, index: int, data: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        """What entry ``index`` steps along, given its values and gradient.
-
-        The whole update rule short of the final write.  Every term is
-        elementwise, so ``data`` / ``grad`` may carry a leading client axis
-        (:class:`StackedSGD`) and each slice still rounds exactly like a
-        lone run.
-        """
-        if self.weight_decay:
-            grad = grad + self.weight_decay * data
+    def _direction(self, cols: slice) -> np.ndarray:
+        """What columns ``cols`` of the block step along: the update rule
+        short of the final write, in place, each term elementwise in the
+        per-tensor rule's operand order, so every element rounds as before."""
+        direction = grad = self._grad[..., cols]
         if self.proximal_mu > 0:
-            if self._anchor is None:
-                raise RuntimeError(
-                    "proximal_mu > 0 but no anchor set; call set_anchor()"
-                )
-            grad = grad + self.proximal_mu * (data - self._anchor[index])
-        correction = self._correction
-        if correction is not None and self._correction_mode == "grad":
-            grad = grad + correction[index]
+            tmp = self._tmp[..., cols]
+            np.subtract(self._block[..., cols], self._anchor[..., cols], out=tmp)
+            np.multiply(self.proximal_mu, tmp, out=tmp)
+            np.add(grad, tmp, out=grad)
+        if self._correction is not None and self._correction_mode == "grad":
+            np.add(grad, self._correction[..., cols], out=grad)
         if self.momentum:
-            velocity = self._velocity[index]
-            if velocity is None:
-                velocity = self._velocity[index] = np.array(grad, copy=True)
-            else:
-                # In place, same rounding as `m * v + g`: scale then add.
-                np.multiply(velocity, self.momentum, out=velocity)
-                velocity += grad
-            grad = velocity
-        if correction is not None and self._correction_mode == "step":
-            grad = grad + correction[index]
-        return grad
+            # `m * v + g`, scale then add; from v = -0.0 that is g's bits.
+            direction = self._velocity[..., cols]
+            np.multiply(direction, self.momentum, out=direction)
+            np.add(direction, grad, out=direction)
+        if self._correction is not None and self._correction_mode == "step":
+            np.add(direction, self._correction[..., cols], out=grad)
+            direction = grad
+        return direction
+
+    def _apply(self, grads: Sequence[np.ndarray | None]) -> None:
+        """Gather ``grads`` into the flat gradient and update in place: one
+        pass when every entry has a gradient, else one per entry that has."""
+        present = []
+        for index, (view, grad) in enumerate(zip(self._grad_views, grads)):
+            if view is not None and grad is not None:
+                np.copyto(view, grad)
+                present.append(index)
+        if present and self.proximal_mu > 0 and self._anchor is None:
+            raise RuntimeError("proximal_mu > 0 but no anchor set; call set_anchor()")
+        full = len(present) == len(self._cols) - self._cols.count(None)
+        for cols in [slice(None)] if full else [self._cols[i] for i in present]:
+            update, block = self._grad[..., cols], self._block[..., cols]
+            # (-lr) * d + w rounds exactly like w - lr * d.
+            np.multiply(self._direction(cols), -self.lr, out=update)
+            np.add(update, block, out=block)
 
     def step(self) -> None:
         """Apply one update; parameters without gradients are skipped."""
-        neg_lr = -self.lr
-        for index, param in enumerate(self.params):
-            if param.grad is None:
-                continue
-            grad = self._direction(index, param.data, param.grad)
-            # One temporary instead of two; (-lr) * g + w rounds exactly
-            # like w - lr * g, so the update stays bit-identical.  The
-            # explicit ``out=`` keeps the parameter's memory layout: linear
-            # weight grads are transposed views (F-contiguous), and letting
-            # ``np.multiply`` inherit that layout flips the weights to
-            # F-order after one step, which routes later GEMMs down a
-            # different BLAS path and breaks bitwise parity with replayed
-            # executions whose arenas are C-contiguous.
-            update = np.multiply(grad, neg_lr, out=np.empty_like(param.data))
-            update += param.data
-            param.data = update
+        for index, (param, view) in enumerate(zip(self.params, self._views)):
+            if param.data is not view:
+                raise RuntimeError(
+                    f"parameter {index} {view.shape} was rebound under its optimizer"
+                )
+        self._apply([param.grad for param in self.params])
 
     def reset_state(self) -> None:
         """Drop momentum buffers (used when a party starts a new round)."""
-        self._velocity = [None] * len(self.params)
+        if self._velocity is not None:
+            self._velocity.fill(-0.0)
 
 
 class StackedSGD(SGD):
     """:class:`SGD` over ``(K, ...)`` parameter stacks for stacked-client replay.
 
-    The update rule is :meth:`SGD._direction` itself, applied with a
-    leading client axis, so each slice updates bit-identically to a serial
-    :class:`SGD` run.  What differs is the plumbing: gradients arrive as
-    an argument to :meth:`step` (``zero_grad`` has nothing to clear and
-    does not apply), and the final write is an in-place ``np.copyto``
-    rather than a rebind — the stacks are arena buffers a compiled
-    :class:`~repro.grad.capture.StackedStep` holds views into, and
-    rebinding would orphan them.
-
-    ``stacks`` aligns with ``model.parameters()``; None entries (and None
-    gradients) are skipped exactly like parameters without gradients.
-    Anchors and corrections are per-client, i.e. ``(K,) + shape`` arrays.
+    The stacks (None entries and None gradients skipped) are in-order column
+    views of one ``(K, P)`` block, as ``StackedStep.param_stack`` hands them
+    out; each client row steps bit for bit like a serial :class:`SGD`.
+    Gradients arrive in :meth:`step`; anchors/corrections are ``(K,) + shape``.
     """
 
-    def __init__(
-        self,
-        stacks: Sequence[np.ndarray | None],
-        lr: float,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-        proximal_mu: float = 0.0,
-    ):
-        super().__init__(stacks, lr, momentum, weight_decay, proximal_mu)
+    def _block_and_shapes(self) -> tuple[np.ndarray, list]:
         self.stacks = self.params
-
-    def _shapes(self) -> list[tuple | None]:
-        return [None if stack is None else stack.shape for stack in self.stacks]
+        present = [stack for stack in self.stacks if stack is not None]
+        shapes = [None if stack is None else stack.shape[1:] for stack in self.stacks]
+        block = present[0].base if present else None
+        if (
+            not isinstance(block, np.ndarray)
+            or block.size != sum(stack.size for stack in present)
+            or any(
+                stack is not None
+                and stack.__array_interface__ != view.__array_interface__
+                for stack, view in zip(self.stacks, column_views(block, shapes))
+            )
+        ):
+            raise ValueError("stacks must be in-order column views of one block")
+        return block, shapes
 
     def step(self, grads: Sequence[np.ndarray | None]) -> None:
         """Apply one update from ``grads`` (aligned with the stacks)."""
-        neg_lr = -self.lr
-        for index, stack in enumerate(self.stacks):
-            if stack is None or grads[index] is None:
-                continue
-            update = np.multiply(self._direction(index, stack, grads[index]), neg_lr)
-            update += stack
-            np.copyto(stack, update)
+        self._apply(grads)
 
 
 class Adam(Optimizer):

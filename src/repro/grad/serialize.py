@@ -15,6 +15,8 @@ round-trip is lossless *and* allocation-half-price compared to the old
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.grad.nn.module import Parameter
@@ -33,8 +35,34 @@ def parameters_to_vector(params, dtype=TRANSPORT_DTYPE) -> np.ndarray:
     return np.concatenate([a.reshape(-1).astype(dtype, copy=False) for a in arrays])
 
 
+def column_ranges(shapes) -> list[slice | None]:
+    """Consecutive ranges of a flat axis, one per shape (None for None)."""
+    ranges, end = [], 0
+    for shape in shapes:
+        start, end = end, end + (0 if shape is None else math.prod(shape))
+        ranges.append(None if shape is None else slice(start, end))
+    return ranges
+
+
+def column_views(block: np.ndarray, shapes) -> list[np.ndarray | None]:
+    """``lead + shape`` views of consecutive ranges of the last axis of
+    ``block`` (``(P,)`` or ``(K, P)``); a None shape gets a None view.
+
+    How an optimizer lays parameters out in one block: writes into the
+    block show through the views, and the other way round.
+    """
+    return [
+        None if cols is None else block[..., cols].reshape(block.shape[:-1] + shape)
+        for cols, shape in zip(column_ranges(shapes), shapes)
+    ]
+
+
 def vector_to_parameters(vector: np.ndarray, params) -> None:
-    """Write a flat vector back into parameter arrays (in place)."""
+    """Write a flat vector back into parameter arrays (in place).
+
+    The values are copied into each existing ``param.data``, never rebound,
+    so an optimizer's views of the parameters survive the write.
+    """
     vector = np.asarray(vector)
     offset = 0
     params = list(params)
@@ -43,8 +71,7 @@ def vector_to_parameters(vector: np.ndarray, params) -> None:
         raise ValueError(f"vector has {vector.size} entries, parameters need {total}")
     for param in params:
         size = param.data.size
-        chunk = vector[offset : offset + size].reshape(param.data.shape)
-        param.data = chunk.astype(param.data.dtype)
+        np.copyto(param.data, vector[offset : offset + size].reshape(param.data.shape))
         offset += size
 
 

@@ -371,6 +371,34 @@ class TestCheckpointResume:
 
 
 class TestDriftCheck:
+    @pytest.mark.skipif(not EXACT, reason="this host's batched GEMM is not slice-exact")
+    def test_block_updates_pass_the_bitwise_check(self, monkeypatch):
+        # StackedSGD steps the program's (K, P) parameter block in one pass;
+        # the first group's rerun through serial SGD must still match it
+        # bit for bit (tolerance 0.0 raises on any difference).
+        blocks = set()
+        original = StackedSGD.step
+
+        def spy(self, grads):
+            assert all(stack.base is self._block for stack in self.stacks)
+            blocks.add(self._block.shape)
+            original(self, grads)
+
+        monkeypatch.setattr(executor_mod.StackedSGD, "step", spy)
+        checks = []
+        check = StackedExecutor._check_drift
+        monkeypatch.setattr(
+            StackedExecutor,
+            "_check_drift",
+            lambda self, *args: checks.append(check(self, *args)),
+        )
+        server = make_server("fedprox", executor="stacked", stacked_tolerance=0.0)
+        with server:
+            server.fit(1)
+        assert checks == [None]
+        # 6 parties in groups of 4 and 2; the MLP has P = 12*16+16 + 16*4+4.
+        assert blocks == {(4, 276), (2, 276)}
+
     def _perturbing(self, monkeypatch, scale):
         original = StackedSGD.step
 

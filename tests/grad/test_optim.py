@@ -59,13 +59,6 @@ class TestVanillaSGD:
         SGD([p], lr=0.1).step()
         np.testing.assert_allclose(p.data, [1.0])
 
-    def test_weight_decay(self):
-        p = make_param([2.0])
-        p.grad = np.array([0.0], dtype=np.float32)
-        SGD([p], lr=0.1, weight_decay=0.5).step()
-        # grad = 0 + 0.5 * 2 = 1 -> p = 2 - 0.1
-        np.testing.assert_allclose(p.data, [1.9])
-
     def test_momentum_accumulates(self):
         p = make_param([0.0])
         opt = SGD([p], lr=1.0, momentum=0.9)
@@ -176,6 +169,60 @@ class TestCorrection:
         opt = SGD([make_param([0.0])], lr=1.0)
         with pytest.raises(ValueError):
             opt.set_correction([np.array([1.0])], mode="late")
+
+
+class TestOneVector:
+    """SGD keeps its parameters as views into one C-contiguous vector."""
+
+    def make(self):
+        gen = np.random.default_rng(0)
+        model = nn.Sequential(nn.Linear(3, 4, rng=gen), nn.Linear(4, 2, rng=gen))
+        return model, SGD(model.parameters(), lr=0.1, momentum=0.9)
+
+    def step(self, model, optimizer):
+        for param in model.parameters():
+            param.grad = np.ones(param.data.shape, np.float32)
+        optimizer.step()
+
+    def test_parameters_share_one_vector(self):
+        model, optimizer = self.make()
+        params = model.parameters()
+        before = [param.data for param in params]
+        block = params[0].data.base
+        assert block.ndim == 1 and block.flags.c_contiguous
+        assert block.size == model.num_parameters()
+        for _ in range(3):
+            self.step(model, optimizer)
+        for param, view in zip(params, before):
+            assert param.data is view and view.base is block
+            assert np.shares_memory(view, block)
+
+    def test_rebinding_between_steps_raises(self):
+        model, optimizer = self.make()
+        self.step(model, optimizer)
+        bias = model.parameters()[1]
+        bias.data = bias.data.copy()
+        with pytest.raises(RuntimeError, match="parameter 1"):
+            self.step(model, optimizer)
+
+    def test_load_state_dict_between_steps_raises(self):
+        model, optimizer = self.make()
+        self.step(model, optimizer)
+        model.load_state_dict(model.state_dict())
+        with pytest.raises(RuntimeError, match="rebound"):
+            self.step(model, optimizer)
+
+    def test_vector_to_parameters_keeps_the_views(self):
+        from repro.grad import parameters_to_vector, vector_to_parameters
+
+        model, optimizer = self.make()
+        self.step(model, optimizer)
+        views = [param.data for param in model.parameters()]
+        vector = parameters_to_vector(model.parameters()) * 2
+        vector_to_parameters(vector, model.parameters())
+        assert all(p.data is view for p, view in zip(model.parameters(), views))
+        np.testing.assert_array_equal(parameters_to_vector(model.parameters()), vector)
+        self.step(model, optimizer)  # still the optimizer's vector
 
 
 class TestSerializeHelpers:

