@@ -38,7 +38,7 @@ test-bench-harness:
 
 # Uses ruff or pyflakes when installed; otherwise a stdlib AST fallback.
 lint:
-	$(PYTHON) tools/lint.py src tests
+	$(PYTHON) tools/lint.py src tests examples tools benchmarks
 
 bench:
 	$(PYTHON) -m repro.experiments.bench --output BENCH_core.json

@@ -9,8 +9,6 @@ final accuracy (spread across E values is non-trivial) under label skew.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.experiments import run_federated_experiment
 from repro.experiments.scale import ScalePreset
 

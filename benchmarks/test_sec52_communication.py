@@ -8,8 +8,6 @@ round and the accuracy reached per megabyte communicated.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.experiments import run_federated_experiment
 from repro.experiments.scale import ScalePreset
 

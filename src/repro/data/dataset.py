@@ -61,6 +61,9 @@ class ArrayDataset:
             raise ValueError(f"labels must be 1-D, got shape {labels.shape}")
         if not np.issubdtype(labels.dtype, np.integer):
             raise TypeError(f"labels must be integers, got {labels.dtype}")
+        if labels.size and labels.min() < 0:
+            # A negative index would silently wrap to the last classes.
+            raise ValueError(f"labels must be non-negative, got {labels.min()}")
         if groups is not None:
             groups = np.asarray(groups)
             if groups.shape != labels.shape:

@@ -7,8 +7,8 @@ This package is the substrate that replaces PyTorch in this reproduction
   the operations applied to it and can backpropagate gradients.
 - :mod:`repro.grad.nn`: neural-network building blocks (``Module``,
   ``Linear``, ``Conv2d``, ``BatchNorm2d``, losses, ...).
-- :mod:`repro.grad.optim`: SGD with momentum, weight decay, a proximal
-  term (FedProx) and additive gradient corrections (SCAFFOLD).
+- :mod:`repro.grad.optim`: SGD with momentum, a proximal term (FedProx)
+  and additive gradient corrections (SCAFFOLD).
 - :mod:`repro.grad.init`: weight initialization schemes.
 
 The engine supports full NumPy-style broadcasting for elementwise ops and

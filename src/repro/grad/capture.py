@@ -50,11 +50,14 @@ axis: a batched GEMM need not match the 2-D one bit for bit, see
 
 Fallback
 --------
-Capture is best-effort.  Ops without a capture kernel (``abs``, ``clip``,
-``max``, indexing, ...) or dropout (fresh mask per step) invalidate the
-tape, and a batch with fewer rows than the engine's program is never
-captured: those steps run eagerly — correctness never depends on
-capture succeeding.
+Capture is best-effort: a step it declines runs eagerly, and correctness
+never depends on capture succeeding.  Every op the library emits has a
+row in the table, so only two things decline: a batch with fewer rows
+than the engine's program (a loader's ragged tail), and a tape the
+compiler rejects with a :class:`CaptureError` (batch norm in a stacked
+program, say), whose reason is memoized per shape.  :meth:`Tape.record`
+still refuses a kind the table lacks, which keeps eager autograd and
+the table in step.
 """
 
 from __future__ import annotations
@@ -105,7 +108,7 @@ class Tape:
         if self.failed is not None:
             return
         if kind not in _OPS:
-            self.failed = "op without a capture kernel"
+            self.failed = f"op kind {kind!r} has no capture kernel"
             return
         self.entries.append(("op", _OpRecord(kind, out, parents, meta)))
 
@@ -118,10 +121,6 @@ class Tape:
         """A leaf that must be re-read from ``module`` on every replay."""
         if self.failed is None:
             self.buffer_leaves.append((tensor, module, name, tuple(shape)))
-
-    def invalidate(self, reason: str) -> None:
-        if self.failed is None:
-            self.failed = reason
 
 
 class _Cell:
@@ -613,15 +612,6 @@ def _perm(n_lead: int, *axes: int) -> tuple:
     return tuple(range(n_lead)) + tuple(n_lead + ax for ax in axes)
 
 
-def _unary_fwd(c, rec, a, fn):
-    arena, buf = c.arena, c.out_buf(rec)
-
-    def fwd():
-        fn(arena[a], out=buf)
-
-    return fwd
-
-
 def _binary_fwd(c, rec, fn):
     read_a, read_b = c.readers(rec)
     buf = c.out_buf(rec)
@@ -693,74 +683,6 @@ def _div(c, rec, o, a, b):
             acc(b, -g * read_a() / (read_b() ** 2), fresh=True)
 
     return _binary_fwd(c, rec, np.divide), bwd
-
-
-@_op("neg", may_alias=True, bwd_reads=(), planned=True)
-def _neg(c, rec, o, a):
-    acc, gbufs, cell = c.acc, c.gbufs, _Cell()
-
-    def bwd():
-        acc(a, _unout(cell, np.negative, gbufs[o]), fresh=True)
-
-    return _unary_fwd(c, rec, a, np.negative), bwd
-
-
-@_op("exp", may_alias=True, bwd_reads=("out",), planned=True)
-def _exp(c, rec, o, a):
-    arena, acc, gbufs, cell = c.arena, c.acc, c.gbufs, _Cell()
-
-    def bwd():
-        acc(a, _binout(cell, np.multiply, gbufs[o], arena[o]), fresh=True)
-
-    return _unary_fwd(c, rec, a, np.exp), bwd
-
-
-@_op("log", may_alias=True, bwd_reads=("in",), planned=True)
-def _log(c, rec, o, a):
-    arena, acc, gbufs, cell = c.arena, c.acc, c.gbufs, _Cell()
-
-    def bwd():
-        acc(a, _binout(cell, np.divide, gbufs[o], arena[a]), fresh=True)
-
-    return _unary_fwd(c, rec, a, np.log), bwd
-
-
-@_op("sqrt", may_alias=True, bwd_reads=("out",), planned=True)
-def _sqrt(c, rec, o, a):
-    arena, acc, gbufs = c.arena, c.acc, c.gbufs
-
-    def bwd():
-        acc(a, gbufs[o] / (2.0 * arena[o]), fresh=True)
-
-    return _unary_fwd(c, rec, a, np.sqrt), bwd
-
-
-@_op("tanh", may_alias=True, bwd_reads=("out",), planned=True)
-def _tanh(c, rec, o, a):
-    arena, acc, gbufs = c.arena, c.acc, c.gbufs
-
-    def bwd():
-        acc(a, gbufs[o] * (1.0 - arena[o] ** 2), fresh=True)
-
-    return _unary_fwd(c, rec, a, np.tanh), bwd
-
-
-@_op("sigmoid", may_alias=True, bwd_reads=("out",), planned=True)
-def _sigmoid(c, rec, o, a):
-    arena, acc, gbufs = c.arena, c.acc, c.gbufs
-    buf, cell = c.out_buf(rec), _Cell()
-
-    def fwd():
-        t = _unout(cell, np.negative, arena[a])
-        np.exp(t, out=t)
-        np.add(1.0, t, out=t)
-        np.divide(1.0, t, out=buf)
-
-    def bwd():
-        out = arena[o]
-        acc(a, gbufs[o] * out * (1.0 - out), fresh=True)
-
-    return fwd, bwd
 
 
 @_op("relu", may_alias=True, bwd_reads=("in",), planned=True, bwd_mask=True)
@@ -851,51 +773,6 @@ def _reshape(c, rec, o, a):
         acc(a, gbufs[o].reshape(in_shape))
 
     return fwd, bwd
-
-
-@_op("transpose", may_alias=False, bwd_reads=(), planned=False, view=True)
-def _transpose(c, rec, o, a):
-    arena, acc, gbufs = c.arena, c.acc, c.gbufs
-    n_lead, in_ndim = len(c.lead), rec.parents[0].data.ndim
-    base_axes = [ax % in_ndim for ax in rec.meta["axes"]]
-    axes = _perm(n_lead, *base_axes)
-    inverse = _perm(n_lead, *(int(ax) for ax in np.argsort(base_axes)))
-
-    def fwd():
-        arena[o] = arena[a].transpose(axes)
-
-    def bwd():
-        acc(a, gbufs[o].transpose(inverse))
-
-    return fwd, bwd
-
-
-@_op("matmul", may_alias=False, bwd_reads=("in",), planned=True)
-def _matmul(c, rec, o, a, b):
-    acc, gbufs = c.acc, c.gbufs
-    a_nd, b_nd = (p.data.ndim for p in rec.parents)
-    if c.lead and min(a_nd, b_nd) < 2:
-        raise CaptureError("stacked matmul needs >= 2-D operands")
-    need_a, need_b = (p.requires_grad for p in rec.parents)
-    read_a, read_b = c.readers(rec)
-    cell_a, cell_b = _Cell(), _Cell()
-
-    def bwd():
-        g = gbufs[o]
-        if need_a:
-            if b_nd == 1:
-                value = np.outer(g, read_b()) if g.ndim else g * read_b()
-            else:
-                value = _binout(cell_a, np.matmul, g, _swap_last(read_b()))
-            acc(a, value, fresh=True)
-        if need_b:
-            if a_nd == 1:
-                value = np.outer(read_a(), g) if g.ndim else g * read_a()
-            else:
-                value = _binout(cell_b, np.matmul, _swap_last(read_a()), g)
-            acc(b, value, fresh=True)
-
-    return _binary_fwd(c, rec, np.matmul), bwd
 
 
 @_op("linear", may_alias=False, bwd_reads=("in",), planned=True)
@@ -1025,38 +902,6 @@ def _max_pool2d(c, rec, o, sx):
             gbufs[o], st["arg"], image_shape, kernel, stride, bwd_scratch
         )
         acc(sx, grad_image, fresh=True)
-
-    return fwd, bwd
-
-
-@_op("avg_pool2d", may_alias=False, bwd_reads=(), planned=False)
-def _avg_pool2d(c, rec, o, sx):
-    arena, acc, gbufs = c.arena, c.acc, c.gbufs
-    n, ch, h, w = rec.meta["image_shape"]
-    _, _, oh, ow = rec.meta["out_shape"]
-    kernel, stride = rec.meta["kernel"], rec.meta["stride"]
-    # All lead * n * ch planes form one flat batch: pooling never mixes them.
-    plane_shape = c.lead + (n, ch)
-    planes = math.prod(plane_shape)
-    window = kernel * kernel
-    fill_cols, cols2 = _im2col(
-        (), planes, 1, oh, ow, kernel, stride, rec.out.data.dtype
-    )
-    st: dict = {}
-
-    def fwd():
-        fill_cols(arena[sx].reshape(planes, 1, h, w))
-        mean = st.get("mean")
-        if mean is None:
-            mean = st["mean"] = cols2.mean(axis=1)
-        else:
-            cols2.mean(axis=1, out=mean)
-        arena[o] = mean.reshape(plane_shape + (oh, ow))
-
-    def bwd():
-        grad_cols = np.repeat(gbufs[o].reshape(-1, 1), window, axis=1) / window
-        grad_images = F.col2im(grad_cols, (planes, 1, h, w), kernel, stride, 0)
-        acc(sx, grad_images.reshape(plane_shape + (h, w)), fresh=True)
 
     return fwd, bwd
 
@@ -1601,7 +1446,7 @@ def compile_stacked_step(
     zeros (consuming no randomness) and the model state is restored
     afterwards, so calling this is observably side-effect free.  Raises
     :class:`CaptureError` when the model records ops that cannot be
-    batched (e.g. batch norm, dropout).
+    batched (batch norm).
     """
     snapshot = model.state_dict()
     model.train()

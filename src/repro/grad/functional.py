@@ -1,11 +1,11 @@
-"""Efficient compound operations: convolution, pooling, softmax losses.
+"""Efficient compound operations: linear, convolution, pooling, cross-entropy.
 
-Convolution and average pooling are implemented with im2col/col2im so the
-heavy lifting happens inside a single BLAS ``matmul`` per layer, which
-keeps CPU training of the paper's CNNs practical; max pooling walks a
-tap matrix instead.  The array kernels (:func:`col2im`,
-:func:`max_pool_forward`, :func:`max_pool_backward`) are also what the
-compiled programs of :mod:`repro.grad.capture` run, with kept buffers.
+Convolution is implemented with im2col/col2im so the heavy lifting
+happens inside a single BLAS ``matmul`` per layer, which keeps CPU
+training of the paper's CNNs practical; max pooling walks a tap matrix
+instead.  The array kernels (:func:`col2im`, :func:`max_pool_forward`,
+:func:`max_pool_backward`) are also what the compiled programs of
+:mod:`repro.grad.capture` run, with kept buffers.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from repro.grad.tensor import (
     Tensor,
     _swap_last,
     _unbroadcast,
-    active_tape,
     is_grad_enabled,
 )
 
@@ -307,34 +306,6 @@ def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
     return out._attach((x,), backward, "max_pool2d", meta)
 
 
-def avg_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
-    """Average pooling over windows."""
-    if stride is None:
-        stride = kernel
-    n, c, h, w = x.shape
-    out_h = _out_size(h, kernel, stride, 0)
-    out_w = _out_size(w, kernel, stride, 0)
-    as_batch = x.data.reshape(n * c, 1, h, w)
-    columns = im2col(as_batch, kernel, stride, 0)
-    out = Tensor(columns.mean(axis=1).reshape(n, c, out_h, out_w))
-    window = kernel * kernel
-
-    def backward(grad):
-        if not x.requires_grad:
-            return
-        grad_cols = np.repeat(grad.reshape(-1, 1), window, axis=1) / window
-        grad_images = col2im(grad_cols, (n * c, 1, h, w), kernel, stride, 0)
-        x._accumulate(grad_images.reshape(n, c, h, w), fresh=True)
-
-    meta = {
-        "kernel": kernel,
-        "stride": stride,
-        "image_shape": (n, c, h, w),
-        "out_shape": (n, c, out_h, out_w),
-    }
-    return out._attach((x,), backward, "avg_pool2d", meta)
-
-
 def global_avg_pool2d(x: Tensor) -> Tensor:
     """Average over the full spatial extent, returning ``(N, C)``."""
     n, c, h, w = x.shape
@@ -342,28 +313,8 @@ def global_avg_pool2d(x: Tensor) -> Tensor:
 
 
 # ----------------------------------------------------------------------
-# Softmax / losses
+# Cross-entropy and the linear layer
 # ----------------------------------------------------------------------
-def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable log-softmax along ``axis``."""
-    shifted = logits.data - logits.data.max(axis=axis, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = Tensor(shifted - log_norm)
-    softmax = np.exp(out.data)
-
-    def backward(grad):
-        if logits.requires_grad:
-            logits._accumulate(
-                grad - softmax * grad.sum(axis=axis, keepdims=True), fresh=True
-            )
-
-    return out._attach((logits,), backward)
-
-
-def softmax(logits: Tensor, axis: int = -1) -> Tensor:
-    return log_softmax(logits, axis=axis).exp()
-
-
 def cross_entropy(logits: Tensor, targets: np.ndarray, reduction: str = "mean") -> Tensor:
     """Softmax cross-entropy with integer class targets.
 
@@ -432,26 +383,12 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, reduction: str = "mean") 
     )
 
 
-def mse_loss(pred: Tensor, target, reduction: str = "mean") -> Tensor:
-    """Mean squared error loss."""
-    if not isinstance(target, Tensor):
-        target = Tensor(np.asarray(target, dtype=pred.dtype))
-    diff = pred - target
-    squared = diff * diff
-    if reduction == "none":
-        return squared
-    if reduction == "sum":
-        return squared.sum()
-    if reduction == "mean":
-        return squared.mean()
-    raise ValueError(f"unknown reduction {reduction!r}")
-
-
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """Affine map ``x @ weight.T + bias`` (PyTorch weight layout), one op.
 
-    Each array call is the one ``x.matmul(weight.T) + bias`` would make,
-    on the same operands and layouts, so the bits are that composition's;
+    Each array call is the one a transpose -> matmul -> add composition
+    of autograd ops would make, on the same operands and layouts, so the
+    bits are that composition's;
     the weight gradient is handed over as the transposed view of
     ``x.T @ grad``, F-ordered, just as the composition leaves it.
     """
@@ -476,15 +413,3 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
     return out._attach(parents, backward, "linear")
 
-
-def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout: scales kept activations by ``1/(1-p)``."""
-    if not training or p <= 0.0:
-        return x
-    tape = active_tape()
-    if tape is not None:
-        # The mask is drawn fresh every step; capturing it as a constant
-        # would silently replay one fixed mask forever.
-        tape.invalidate("dropout draws a fresh mask per step")
-    mask = (rng.random(x.shape) >= p).astype(x.dtype) / (1.0 - p)
-    return x * Tensor(mask)

@@ -12,38 +12,21 @@ import math
 import numpy as np
 
 
-def _fan_in_out(shape: tuple[int, ...]) -> tuple[int, int]:
-    if len(shape) == 2:  # Linear: (out, in)
-        fan_out, fan_in = shape
-    elif len(shape) == 4:  # Conv: (out, in, k, k)
-        receptive = shape[2] * shape[3]
-        fan_in = shape[1] * receptive
-        fan_out = shape[0] * receptive
-    else:
+def _fan_in(shape: tuple[int, ...]) -> int:
+    """Inputs per output unit of a linear ``(out, in)`` or conv
+    ``(out, in, k, k)`` weight."""
+    if len(shape) not in (2, 4):
         raise ValueError(f"cannot infer fan for shape {shape}")
-    return fan_in, fan_out
+    return math.prod(shape[1:])
 
 
 def kaiming_uniform(
     shape: tuple[int, ...], rng: np.random.Generator, gain: float = math.sqrt(2.0)
 ) -> np.ndarray:
     """He/Kaiming uniform init, suited to ReLU networks."""
-    fan_in, _ = _fan_in_out(shape)
+    fan_in = _fan_in(shape)
     bound = gain * math.sqrt(3.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape).astype(np.float32)
-
-
-def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Glorot/Xavier uniform init, suited to tanh/sigmoid networks."""
-    fan_in, fan_out = _fan_in_out(shape)
-    bound = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
-
-
-def normal(
-    shape: tuple[int, ...], rng: np.random.Generator, std: float = 0.01
-) -> np.ndarray:
-    return (rng.standard_normal(shape) * std).astype(np.float32)
 
 
 def bias_uniform(fan_in: int, size: int, rng: np.random.Generator) -> np.ndarray:

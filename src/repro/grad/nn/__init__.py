@@ -2,23 +2,18 @@
 
 from repro.grad.nn.module import Module, Parameter
 from repro.grad.nn.layers import (
-    AvgPool2d,
     BatchNorm1d,
     BatchNorm2d,
     Conv2d,
-    Dropout,
     Flatten,
-    GlobalAvgPool2d,
     GroupNorm,
     Identity,
     Linear,
     MaxPool2d,
     ReLU,
     Sequential,
-    Sigmoid,
-    Tanh,
 )
-from repro.grad.nn.losses import CrossEntropyLoss, MSELoss
+from repro.grad.nn.losses import CrossEntropyLoss
 
 __all__ = [
     "Module",
@@ -26,18 +21,12 @@ __all__ = [
     "Linear",
     "Conv2d",
     "MaxPool2d",
-    "AvgPool2d",
-    "GlobalAvgPool2d",
     "BatchNorm1d",
     "BatchNorm2d",
     "GroupNorm",
     "ReLU",
-    "Tanh",
-    "Sigmoid",
     "Flatten",
     "Identity",
-    "Dropout",
     "Sequential",
     "CrossEntropyLoss",
-    "MSELoss",
 ]

@@ -1,4 +1,4 @@
-"""Layers: linear, convolution, pooling, batch normalization, activations.
+"""Layers: linear, convolution, max pooling, batch/group normalization, ReLU.
 
 Batch normalization deserves a note: the paper's Finding 7 is that naively
 averaging BN layers across parties destabilizes federated training, and its
@@ -106,25 +106,6 @@ class MaxPool2d(Module):
 
     def __repr__(self) -> str:
         return f"MaxPool2d(kernel_size={self.kernel_size}, stride={self.stride})"
-
-
-class AvgPool2d(Module):
-    """Average pooling over square windows."""
-
-    def __init__(self, kernel_size: int, stride: int | None = None):
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride if stride is not None else kernel_size
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.avg_pool2d(x, self.kernel_size, self.stride)
-
-
-class GlobalAvgPool2d(Module):
-    """Average over the full spatial extent: ``(N, C, H, W) -> (N, C)``."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.global_avg_pool2d(x)
 
 
 class _BatchNorm(Module):
@@ -264,20 +245,6 @@ class ReLU(Module):
         return "ReLU()"
 
 
-class Tanh(Module):
-    """Hyperbolic-tangent activation."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-
-class Sigmoid(Module):
-    """Logistic sigmoid activation."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
-
-
 class Flatten(Module):
     """Flatten all dimensions after the batch dimension."""
 
@@ -293,23 +260,6 @@ class Identity(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return x
-
-
-class Dropout(Module):
-    """Inverted dropout; a no-op in eval mode."""
-
-    def __init__(self, p: float = 0.5, rng: np.random.Generator | None = None):
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-        self.p = p
-        self._rng = _default_rng(rng)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.dropout(x, self.p, self.training, self._rng)
-
-    def __repr__(self) -> str:
-        return f"Dropout(p={self.p})"
 
 
 class Sequential(Module):

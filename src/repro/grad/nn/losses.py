@@ -22,13 +22,3 @@ class CrossEntropyLoss(Module):
     def __repr__(self) -> str:
         return f"CrossEntropyLoss(reduction={self.reduction!r})"
 
-
-class MSELoss(Module):
-    """Mean squared error loss."""
-
-    def __init__(self, reduction: str = "mean"):
-        super().__init__()
-        self.reduction = reduction
-
-    def forward(self, pred: Tensor, target) -> Tensor:
-        return F.mse_loss(pred, target, reduction=self.reduction)

@@ -12,7 +12,7 @@ is no higher-order differentiation; the paper's experiments do not need it).
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -125,10 +125,6 @@ class Tensor:
     def ones(*shape: int, requires_grad: bool = False, dtype=np.float32) -> "Tensor":
         return Tensor(np.ones(shape, dtype=dtype), requires_grad=requires_grad)
 
-    @staticmethod
-    def from_numpy(array: np.ndarray, requires_grad: bool = False) -> "Tensor":
-        return Tensor(array, requires_grad=requires_grad)
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -173,7 +169,7 @@ class Tensor:
     # Graph machinery
     # ------------------------------------------------------------------
     def _attach(
-        self, parents: Sequence["Tensor"], backward, kind: str | None = None, meta=None
+        self, parents: Sequence["Tensor"], backward, kind: str, meta=None
     ) -> "Tensor":
         """Record ``self`` as the output of an op over ``parents``.
 
@@ -182,8 +178,8 @@ class Tensor:
         No-op when grad mode is off or no parent requires grad.
 
         ``kind``/``meta`` describe the op to an active capture tape (see
-        :mod:`repro.grad.capture`); ops without a ``kind`` invalidate the
-        tape, which falls back to eager execution.
+        :mod:`repro.grad.capture`); a ``kind`` the tape has no kernel for
+        invalidates it, and the step falls back to eager execution.
         """
         if _TAPE is not None:
             _TAPE.record(kind, self, tuple(parents), meta)
@@ -289,15 +285,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self) -> "Tensor":
-        out = Tensor(-self.data)
-
-        def backward(grad):
-            if self.requires_grad:
-                self._accumulate(-grad, fresh=True)
-
-        return out._attach((self,), backward, "neg")
-
     def __sub__(self, other) -> "Tensor":
         other = self._coerce(other)
         out = Tensor(self.data - other.data)
@@ -358,55 +345,6 @@ class Tensor:
     # ------------------------------------------------------------------
     # Unary math
     # ------------------------------------------------------------------
-    def exp(self) -> "Tensor":
-        out = Tensor(np.exp(self.data))
-        out_data = out.data
-
-        def backward(grad):
-            if self.requires_grad:
-                self._accumulate(grad * out_data, fresh=True)
-
-        return out._attach((self,), backward, "exp")
-
-    def log(self) -> "Tensor":
-        out = Tensor(np.log(self.data))
-
-        def backward(grad):
-            if self.requires_grad:
-                self._accumulate(grad / self.data, fresh=True)
-
-        return out._attach((self,), backward, "log")
-
-    def sqrt(self) -> "Tensor":
-        out = Tensor(np.sqrt(self.data))
-        out_data = out.data
-
-        def backward(grad):
-            if self.requires_grad:
-                self._accumulate(grad / (2.0 * out_data), fresh=True)
-
-        return out._attach((self,), backward, "sqrt")
-
-    def tanh(self) -> "Tensor":
-        out = Tensor(np.tanh(self.data))
-        out_data = out.data
-
-        def backward(grad):
-            if self.requires_grad:
-                self._accumulate(grad * (1.0 - out_data**2), fresh=True)
-
-        return out._attach((self,), backward, "tanh")
-
-    def sigmoid(self) -> "Tensor":
-        out = Tensor(1.0 / (1.0 + np.exp(-self.data)))
-        out_data = out.data
-
-        def backward(grad):
-            if self.requires_grad:
-                self._accumulate(grad * out_data * (1.0 - out_data), fresh=True)
-
-        return out._attach((self,), backward, "sigmoid")
-
     def relu(self) -> "Tensor":
         out = Tensor(relu_forward(self.data))
 
@@ -418,26 +356,6 @@ class Tensor:
                 self._accumulate(grad * mask, fresh=True)
 
         return out._attach((self,), backward, "relu")
-
-    def abs(self) -> "Tensor":
-        sign = np.sign(self.data)
-        out = Tensor(np.abs(self.data))
-
-        def backward(grad):
-            if self.requires_grad:
-                self._accumulate(grad * sign, fresh=True)
-
-        return out._attach((self,), backward)
-
-    def clip(self, low: float, high: float) -> "Tensor":
-        mask = (self.data > low) & (self.data < high)
-        out = Tensor(np.clip(self.data, low, high))
-
-        def backward(grad):
-            if self.requires_grad:
-                self._accumulate(grad * mask, fresh=True)
-
-        return out._attach((self,), backward)
 
     # ------------------------------------------------------------------
     # Reductions
@@ -465,26 +383,6 @@ class Tensor:
         centered = self - self.mean(axis=axis, keepdims=True)
         return (centered * centered).mean(axis=axis, keepdims=keepdims)
 
-    def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.max(axis=axis, keepdims=keepdims)
-        out = Tensor(out_data)
-        in_shape = self.data.shape
-
-        def backward(grad):
-            if not self.requires_grad:
-                return
-            g = grad
-            maxes = out_data
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis=axis)
-                maxes = np.expand_dims(maxes, axis=axis)
-            mask = self.data == maxes
-            # Split gradient among ties, matching subgradient convention.
-            counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-            self._accumulate(np.broadcast_to(g, in_shape) * mask / counts)
-
-        return out._attach((self,), backward)
-
     # ------------------------------------------------------------------
     # Shape manipulation
     # ------------------------------------------------------------------
@@ -502,65 +400,6 @@ class Tensor:
                 self._accumulate(grad.reshape(in_shape), fresh=True)
 
         return out._attach((self,), backward, "reshape", {"shape": out.data.shape})
-
-    def transpose(self, *axes: int) -> "Tensor":
-        axes_tuple = axes if axes else tuple(reversed(range(self.data.ndim)))
-        out = Tensor(self.data.transpose(axes_tuple))
-        inverse = np.argsort(axes_tuple)
-
-        def backward(grad):
-            if self.requires_grad:
-                self._accumulate(grad.transpose(inverse), fresh=True)
-
-        return out._attach(
-            (self,), backward, "transpose", {"axes": tuple(int(a) for a in axes_tuple)}
-        )
-
-    @property
-    def T(self) -> "Tensor":
-        return self.transpose()
-
-    def __getitem__(self, index) -> "Tensor":
-        out = Tensor(self.data[index])
-        in_shape = self.data.shape
-        in_dtype = self.data.dtype
-
-        def backward(grad):
-            if self.requires_grad:
-                full = np.zeros(in_shape, dtype=in_dtype)
-                np.add.at(full, index, grad)
-                self._accumulate(full, fresh=True)
-
-        return out._attach((self,), backward)
-
-    # ------------------------------------------------------------------
-    # Linear algebra
-    # ------------------------------------------------------------------
-    def matmul(self, other: "Tensor") -> "Tensor":
-        other = self._coerce(other)
-        out = Tensor(self.data @ other.data)
-
-        def backward(grad):
-            if self.requires_grad:
-                if other.data.ndim == 1:
-                    self._accumulate(
-                        np.outer(grad, other.data) if grad.ndim else grad * other.data,
-                        fresh=True,
-                    )
-                else:
-                    self._accumulate(grad @ _swap_last(other.data), fresh=True)
-            if other.requires_grad:
-                if self.data.ndim == 1:
-                    other._accumulate(
-                        np.outer(self.data, grad) if grad.ndim else grad * self.data,
-                        fresh=True,
-                    )
-                else:
-                    other._accumulate(_swap_last(self.data) @ grad, fresh=True)
-
-        return out._attach((self, other), backward, "matmul")
-
-    __matmul__ = matmul
 
     # ------------------------------------------------------------------
     # Comparison (non-differentiable, returns plain arrays)
@@ -587,19 +426,3 @@ def relu_forward(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     out += 0.0
     return out
 
-
-def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    """Differentiable concatenation along ``axis``."""
-    tensors = list(tensors)
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(grad):
-        for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            if tensor.requires_grad:
-                index = [slice(None)] * grad.ndim
-                index[axis] = slice(start, stop)
-                tensor._accumulate(grad[tuple(index)])
-
-    return out._attach(tuple(tensors), backward)

@@ -34,6 +34,15 @@ class TestArrayDataset:
         with pytest.raises(ValueError):
             ArrayDataset(rng.standard_normal((3, 2)), np.zeros((3, 1), dtype=np.int64))
 
+    def test_negative_labels_rejected(self, rng):
+        # -1 would index the last logit and silently train that class.
+        with pytest.raises(ValueError, match="non-negative"):
+            ArrayDataset(rng.standard_normal((3, 2)), np.array([0, -1, 1]))
+
+    def test_empty_labels_accepted(self):
+        empty = ArrayDataset(np.zeros((0, 2), np.float32), np.zeros(0, np.int64))
+        assert len(empty) == 0 and empty.num_classes == 0
+
     def test_group_alignment_checked(self, rng):
         with pytest.raises(ValueError):
             ArrayDataset(

@@ -5,7 +5,8 @@ computes it the textbook way, verbatim from the first implementation:
 ``np.where`` ReLU with a bool-mask backward, im2col + ``argmax`` + a
 fancy gather for the max pool, zeros + a nested-loop col2im for its
 backward, the linear layer as a ``transpose``/``matmul``/``add``
-composition, and the local optimizers as per-tensor loops
+composition of the first autograd ops and capture builders for them,
+and the local optimizers as per-tensor loops
 (:class:`SGD` / :class:`StackedSGD`, verbatim from before the optimizers
 updated one flat block).  :func:`swap_in` installs them everywhere the
 fast kernels are called, eager and compiled alike, so a whole run can be
@@ -24,7 +25,7 @@ from repro.grad import functional as F
 from repro.grad import tensor as tensor_mod
 from repro.grad.nn.module import Parameter
 from repro.grad.optim import Optimizer
-from repro.grad.tensor import Tensor
+from repro.grad.tensor import Tensor, _swap_last
 
 
 def _out_size(size, kernel, stride, padding):
@@ -116,11 +117,106 @@ def max_pool_backward(grad, arg, image_shape, kernel, stride, scratch=None):
     return grad_images.reshape(image_shape)
 
 
+def tensor_transpose(self, *axes):
+    axes_tuple = axes if axes else tuple(reversed(range(self.data.ndim)))
+    out = Tensor(self.data.transpose(axes_tuple))
+    inverse = np.argsort(axes_tuple)
+
+    def backward(grad):
+        if self.requires_grad:
+            self._accumulate(grad.transpose(inverse), fresh=True)
+
+    return out._attach(
+        (self,), backward, "transpose", {"axes": tuple(int(a) for a in axes_tuple)}
+    )
+
+
+def tensor_matmul(self, other):
+    other = self._coerce(other)
+    out = Tensor(self.data @ other.data)
+
+    def backward(grad):
+        if self.requires_grad:
+            if other.data.ndim == 1:
+                self._accumulate(
+                    np.outer(grad, other.data) if grad.ndim else grad * other.data,
+                    fresh=True,
+                )
+            else:
+                self._accumulate(grad @ _swap_last(other.data), fresh=True)
+        if other.requires_grad:
+            if self.data.ndim == 1:
+                other._accumulate(
+                    np.outer(self.data, grad) if grad.ndim else grad * self.data,
+                    fresh=True,
+                )
+            else:
+                other._accumulate(_swap_last(self.data) @ grad, fresh=True)
+
+    return out._attach((self, other), backward, "matmul")
+
+
 def linear(x, weight, bias=None):
-    out = x.matmul(weight.T)
+    out = tensor_matmul(x, tensor_transpose(weight))
     if bias is not None:
         out = out + bias
     return out
+
+
+def capture_transpose(c, rec, o, a):
+    arena, acc, gbufs = c.arena, c.acc, c.gbufs
+    n_lead, in_ndim = len(c.lead), rec.parents[0].data.ndim
+    base_axes = [ax % in_ndim for ax in rec.meta["axes"]]
+    axes = capture._perm(n_lead, *base_axes)
+    inverse = capture._perm(n_lead, *(int(ax) for ax in np.argsort(base_axes)))
+
+    def fwd():
+        arena[o] = arena[a].transpose(axes)
+
+    def bwd():
+        acc(a, gbufs[o].transpose(inverse))
+
+    return fwd, bwd
+
+
+def capture_matmul(c, rec, o, a, b):
+    acc, gbufs = c.acc, c.gbufs
+    a_nd, b_nd = (p.data.ndim for p in rec.parents)
+    if c.lead and min(a_nd, b_nd) < 2:
+        raise capture.CaptureError("stacked matmul needs >= 2-D operands")
+    need_a, need_b = (p.requires_grad for p in rec.parents)
+    read_a, read_b = c.readers(rec)
+    cell_a, cell_b = capture._Cell(), capture._Cell()
+
+    def bwd():
+        g = gbufs[o]
+        if need_a:
+            if b_nd == 1:
+                value = np.outer(g, read_b()) if g.ndim else g * read_b()
+            else:
+                value = capture._binout(cell_a, np.matmul, g, _swap_last(read_b()))
+            acc(a, value, fresh=True)
+        if need_b:
+            if a_nd == 1:
+                value = np.outer(read_a(), g) if g.ndim else g * read_a()
+            else:
+                value = capture._binout(cell_b, np.matmul, _swap_last(read_a()), g)
+            acc(b, value, fresh=True)
+
+    return capture._binary_fwd(c, rec, np.matmul), bwd
+
+
+#: the op-table rows of the composition's two kinds, as first registered
+CAPTURE_OPS = {
+    "transpose": capture._OpSpec(
+        capture_transpose, may_alias=False, bwd_reads=(), planned=False,
+        view=True, bwd_mask=False,
+    ),
+    "matmul": capture._OpSpec(
+        capture_matmul, may_alias=False, bwd_reads=("in",), planned=True,
+        view=False, bwd_mask=False,
+    ),
+}
 
 
 class SGD(Optimizer):
@@ -313,8 +409,11 @@ class StackedSGD(SGD):
 
 def swap_in(monkeypatch) -> None:
     """Run every ReLU, max pool, col2im, linear layer and local SGD step
-    on the reference kernels."""
+    on the reference kernels (registering the composition's op kinds, so
+    compiled and stacked programs can still capture it)."""
     monkeypatch.setattr(F, "linear", linear)
+    for kind, spec in CAPTURE_OPS.items():
+        monkeypatch.setitem(capture._OPS, kind, spec)
     monkeypatch.setattr(Tensor, "relu", tensor_relu)
     monkeypatch.setattr(tensor_mod, "relu_forward", relu_forward)
     monkeypatch.setattr(capture, "relu_forward", relu_forward)

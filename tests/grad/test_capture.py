@@ -4,7 +4,8 @@ Replay re-runs the recorded program against a preallocated arena; these
 tests pin the contract down to the bit — losses, parameter updates, BN
 running statistics, and inference logits must be indistinguishable from
 the eager path for every registered model — and exercise the fallback
-seams (ragged batches, dropout) where capture must step aside.
+seams (ragged batches, an op kind without a kernel) where capture must
+step aside.
 """
 
 import numpy as np
@@ -185,20 +186,33 @@ class TestFallback:
         assert eager_losses == mixed_losses
         assert_states_equal(eager_state, mixed_state)
 
-    def test_dropout_invalidates_capture(self):
+    def test_unregistered_kind_invalidates_capture(self):
+        class Doubled(nn.Module):
+            """An op recorded under a kind the op table has no row for."""
+
+            def forward(self, x):
+                def backward(grad):
+                    x._accumulate(grad * 2.0, fresh=True)
+
+                return Tensor(x.data * 2.0)._attach((x,), backward, "doubled")
+
         rng = np.random.default_rng(3)
         model = nn.Sequential(
-            nn.Linear(16, 8, rng=rng), nn.ReLU(), nn.Dropout(0.5), nn.Linear(8, 4, rng=rng)
+            nn.Linear(16, 8, rng=rng), nn.ReLU(), Doubled(), nn.Linear(8, 4, rng=rng)
         )
         model.train()
         engine = TrainingEngine(model)
         features, labels = make_batch("mlp", seed=0)
+        eager = F.cross_entropy(model(Tensor(features)), labels).item()
         # The capture attempt itself still returns the eager loss...
-        assert engine.step(features, labels) is not None
+        assert engine.step(features, labels) == eager
         assert engine.captures == 0
-        assert engine.failures
+        assert engine.failures == {
+            ((4, 16), "float32", (4,), "int64"): "op kind 'doubled' has no capture kernel"
+        }
         # ...and every later step declines so training stays eager.
         assert engine.step(features, labels) is None
+        assert engine.fallbacks == 1
 
 
 class TestInferenceReplay:

@@ -1,4 +1,4 @@
-"""Gradient checks for conv/pool/softmax compound ops against finite differences."""
+"""Gradient checks for conv/pool/cross-entropy compound ops against finite differences."""
 
 import numpy as np
 import pytest
@@ -123,21 +123,6 @@ class TestPooling:
         (F.max_pool2d(x, 2) ** 2).sum().backward()
         np.testing.assert_allclose(x.grad, numerical_gradient(loss, x0), rtol=1e-4, atol=1e-7)
 
-    def test_avg_pool_values(self):
-        x = t(np.arange(16.0).reshape(1, 1, 4, 4))
-        out = F.avg_pool2d(x, 2)
-        np.testing.assert_allclose(out.data.reshape(-1), [2.5, 4.5, 10.5, 12.5])
-
-    def test_avg_pool_gradient_numerical(self, rng):
-        x0 = rng.standard_normal((1, 2, 4, 4))
-
-        def loss(arr):
-            return (F.avg_pool2d(t(arr), 2) ** 2).sum().item()
-
-        x = t(x0)
-        (F.avg_pool2d(x, 2) ** 2).sum().backward()
-        np.testing.assert_allclose(x.grad, numerical_gradient(loss, x0), rtol=1e-4, atol=1e-7)
-
     def test_global_avg_pool(self, rng):
         x = t(rng.standard_normal((2, 3, 4, 4)))
         out = F.global_avg_pool2d(x)
@@ -146,28 +131,6 @@ class TestPooling:
 
 
 class TestSoftmaxAndLosses:
-    def test_log_softmax_normalizes(self, rng):
-        logits = t(rng.standard_normal((4, 7)))
-        probs = np.exp(F.log_softmax(logits).data)
-        np.testing.assert_allclose(probs.sum(axis=1), np.ones(4), rtol=1e-6)
-
-    def test_log_softmax_shift_invariant(self, rng):
-        z0 = rng.standard_normal((2, 5))
-        a = F.log_softmax(t(z0)).data
-        b = F.log_softmax(t(z0 + 100.0)).data
-        np.testing.assert_allclose(a, b, rtol=1e-6, atol=1e-8)
-
-    def test_log_softmax_gradient(self, rng):
-        z0 = rng.standard_normal((3, 4))
-
-        def loss(arr):
-            return (F.log_softmax(t(arr)) * Tensor(weights)).sum().item()
-
-        weights = rng.standard_normal((3, 4))
-        z = t(z0)
-        (F.log_softmax(z) * Tensor(weights)).sum().backward()
-        np.testing.assert_allclose(z.grad, numerical_gradient(loss, z0), rtol=1e-4, atol=1e-7)
-
     def test_cross_entropy_uniform_logits(self):
         logits = t(np.zeros((2, 10)))
         loss = F.cross_entropy(logits, np.array([3, 7]))
@@ -205,18 +168,6 @@ class TestSoftmaxAndLosses:
     def test_cross_entropy_unknown_reduction(self, rng):
         with pytest.raises(ValueError):
             F.cross_entropy(t(rng.standard_normal((2, 3))), np.array([0, 1]), reduction="avg")
-
-    def test_mse_loss(self):
-        pred = t([1.0, 2.0])
-        loss = F.mse_loss(pred, np.array([0.0, 0.0]))
-        assert loss.item() == pytest.approx(2.5)
-        loss.backward()
-        np.testing.assert_allclose(pred.grad, [1.0, 2.0])
-
-    def test_softmax_rows_sum_to_one(self, rng):
-        out = F.softmax(t(rng.standard_normal((3, 5))))
-        np.testing.assert_allclose(out.data.sum(axis=1), np.ones(3), rtol=1e-6)
-
 
 class TestFusedCrossEntropy:
     """The fused forward+backward node must match finite differences.
@@ -267,7 +218,8 @@ class TestFusedCrossEntropy:
         targets = np.array([5, 0, 2, 4])
         z = t(z0)
         F.cross_entropy(z, targets).backward()
-        expected = np.exp(F.log_softmax(t(z0)).data)
+        expected = np.exp(z0 - z0.max(axis=1, keepdims=True))
+        expected /= expected.sum(axis=1, keepdims=True)
         expected[np.arange(4), targets] -= 1.0
         np.testing.assert_allclose(z.grad, expected / 4, rtol=1e-6, atol=1e-9)
 
@@ -287,18 +239,3 @@ class TestFusedCrossEntropy:
         per_sample.sum().backward()
         np.testing.assert_array_equal(per_sample.data, before)
 
-
-class TestDropout:
-    def test_eval_mode_identity(self, rng):
-        x = t(rng.standard_normal((10, 10)))
-        out = F.dropout(x, 0.5, training=False, rng=rng)
-        assert out is x
-
-    def test_training_scales_survivors(self):
-        gen = np.random.default_rng(0)
-        x = t(np.ones((1000,)))
-        out = F.dropout(x, 0.5, training=True, rng=gen)
-        kept = out.data[out.data > 0]
-        np.testing.assert_allclose(kept, 2.0)
-        # expectation preserved
-        assert out.data.mean() == pytest.approx(1.0, abs=0.1)

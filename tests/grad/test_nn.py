@@ -220,10 +220,6 @@ class TestConvLayerAndPooling:
         x = Tensor(np.ones((2, 2), dtype=np.float32))
         assert nn.Identity()(x) is x
 
-    def test_dropout_validation(self):
-        with pytest.raises(ValueError):
-            nn.Dropout(1.5)
-
     def test_sequential_indexing(self, gen):
         model = nn.Sequential(nn.Linear(2, 3, rng=gen), nn.ReLU())
         assert isinstance(model[0], nn.Linear)
@@ -238,19 +234,13 @@ class TestLosses:
         loss = criterion(logits, np.array([0, 1]))
         assert loss.item() == pytest.approx(np.log(4), rel=1e-5)
 
-    def test_mse_module(self):
-        criterion = nn.MSELoss()
-        loss = criterion(Tensor(np.array([2.0])), np.array([0.0]))
-        assert loss.item() == pytest.approx(4.0)
-
-
 class TestEndToEndTraining:
     def test_mlp_learns_xor(self, gen):
         from repro.grad.optim import SGD
 
         x = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.float32)
         y = np.array([0, 1, 1, 0])
-        model = nn.Sequential(nn.Linear(2, 16, rng=gen), nn.Tanh(), nn.Linear(16, 2, rng=gen))
+        model = nn.Sequential(nn.Linear(2, 16, rng=gen), nn.ReLU(), nn.Linear(16, 2, rng=gen))
         opt = SGD(model.parameters(), lr=0.5, momentum=0.9)
         for _ in range(300):
             opt.zero_grad()

@@ -2,7 +2,7 @@
 
 Algebraic identities that must hold for arbitrary shapes/values:
 linearity of convolution, adjointness of im2col/col2im, shift invariance
-of log-softmax, gradient symmetry of commutative ops, and round-trips of
+of cross-entropy, gradient symmetry of commutative ops, and round-trips of
 the parameter-vector serialization.
 """
 
@@ -60,20 +60,21 @@ def test_mul_gradient_is_other_operand(data):
     cols=st.integers(2, 8),
     shift=st.floats(-50.0, 50.0, allow_nan=False),
 )
-def test_log_softmax_shift_invariance(seed, rows, cols, shift):
-    logits = np.random.default_rng(seed).standard_normal((rows, cols))
-    base = F.log_softmax(Tensor(logits)).data
-    shifted = F.log_softmax(Tensor(logits + shift)).data
-    np.testing.assert_allclose(base, shifted, rtol=1e-6, atol=1e-8)
-
-
-@settings(max_examples=MAX_EXAMPLES, deadline=None)
-@given(seed=st.integers(0, 10_000), rows=st.integers(1, 6), cols=st.integers(2, 8))
-def test_softmax_is_a_distribution(seed, rows, cols):
-    logits = np.random.default_rng(seed).standard_normal((rows, cols)) * 5
-    probs = F.softmax(Tensor(logits)).data
-    assert (probs >= 0).all()
-    np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=1e-6)
+def test_cross_entropy_shift_invariance(seed, rows, cols, shift):
+    rng = np.random.default_rng(seed)
+    logits = rng.standard_normal((rows, cols))
+    targets = rng.integers(0, cols, size=rows)
+    # A different shift per row: softmax is invariant row by row.
+    shifts = shift * np.arange(1, rows + 1)[:, None] / rows
+    results = []
+    for z in (logits, logits + shifts):
+        leaf = Tensor(z, requires_grad=True)
+        loss = F.cross_entropy(leaf, targets)
+        loss.backward()
+        results.append((loss.data, leaf.grad))
+    (base_loss, base_grad), (shifted_loss, shifted_grad) = results
+    np.testing.assert_allclose(base_loss, shifted_loss, rtol=1e-6, atol=1e-8)
+    np.testing.assert_allclose(base_grad, shifted_grad, rtol=1e-6, atol=1e-8)
 
 
 @settings(max_examples=MAX_EXAMPLES, deadline=None)
@@ -113,8 +114,8 @@ def test_conv2d_linear_in_input(seed, alpha, beta):
 @given(seed=st.integers(0, 10_000))
 def test_max_pool_dominates_avg_pool(seed):
     x = np.random.default_rng(seed).standard_normal((1, 1, 4, 4))
-    mx = F.max_pool2d(Tensor(x), 2).data
-    av = F.avg_pool2d(Tensor(x), 2).data
+    mx = F.max_pool2d(Tensor(x), 4).data.reshape(1, 1)
+    av = F.global_avg_pool2d(Tensor(x)).data
     assert (mx >= av - 1e-12).all()
 
 

@@ -1,9 +1,13 @@
 """Meta-tests on the public API surface: imports, exports, documentation."""
 
 import importlib
+import importlib.util
 import inspect
+from pathlib import Path
 
 import pytest
+
+EXAMPLES = sorted((Path(__file__).resolve().parents[1] / "examples").glob("*.py"))
 
 PUBLIC_MODULES = [
     "repro",
@@ -85,3 +89,13 @@ def test_no_circular_import_order_dependence():
         importlib.import_module("repro")
     finally:
         sys.modules.update(saved)
+
+
+@pytest.mark.parametrize("path", EXAMPLES, ids=lambda path: path.stem)
+def test_example_imports(path):
+    # Under a non-__main__ name the guarded main() does not run, so this
+    # checks only that every name the example imports still exists.
+    spec = importlib.util.spec_from_file_location(f"example_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(module.main)
