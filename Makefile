@@ -52,4 +52,4 @@ bench-smoke:
 # The end-to-end benchmark of BENCHMARK.json: four paper workloads, each
 # in a fresh interpreter, end-to-end metrics plus a per-layer trace.
 bench-e2e:
-	python3 benchmarks/e2e/run.py
+	$(PYTHON) benchmarks/e2e/run.py

@@ -27,12 +27,26 @@ _PAPER_SIZES = {
 }
 
 DATASETS = Registry("dataset")
-DATASETS.register("mnist", synthetic.make_mnist_like, summary="28x28 grayscale digits")
-DATASETS.register("fmnist", synthetic.make_fmnist_like, summary="28x28 grayscale apparel")
-DATASETS.register("cifar10", synthetic.make_cifar10_like, summary="32x32 RGB objects")
-DATASETS.register("svhn", synthetic.make_svhn_like, summary="32x32 RGB house numbers")
+# Image summaries name the stand-ins' default shape; paper_scale changes
+# sample counts only, never the 16x16 geometry.
 DATASETS.register(
-    "femnist", synthetic.make_femnist_like, summary="per-writer digits (real-world skew)"
+    "mnist", synthetic.make_mnist_like, summary="16x16 grayscale digits (MNIST stand-in)"
+)
+DATASETS.register(
+    "fmnist",
+    synthetic.make_fmnist_like,
+    summary="16x16 grayscale apparel (FMNIST stand-in)",
+)
+DATASETS.register(
+    "cifar10", synthetic.make_cifar10_like, summary="16x16 RGB objects (CIFAR-10 stand-in)"
+)
+DATASETS.register(
+    "svhn", synthetic.make_svhn_like, summary="16x16 RGB house numbers (SVHN stand-in)"
+)
+DATASETS.register(
+    "femnist",
+    synthetic.make_femnist_like,
+    summary="16x16 grayscale per-writer digits (real-world skew)",
 )
 DATASETS.register("fcube", synthetic.make_fcube, summary="3-feature synthetic cube")
 DATASETS.register("adult", synthetic.make_adult_like, summary="tabular census income")

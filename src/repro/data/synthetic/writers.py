@@ -10,12 +10,15 @@ We simulate that: digits share the global class prototypes, but every
 writer has a persistent style — a 2D shear, an intensity gain, a blur level
 (stroke thickness) and a brightness offset — applied to all of their
 samples.  Writer identity is stored in ``ArrayDataset.groups``.
+
+The style transform uses :mod:`scipy.ndimage`, imported inside
+:func:`_apply_style` so that ``import repro`` stays numpy + stdlib and
+only generating this dataset loads scipy.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 from repro.data.dataset import ArrayDataset, DatasetInfo
 from repro.data.synthetic.images import _balanced_labels, _smooth_field
@@ -32,6 +35,8 @@ def _writer_style(rng: np.random.Generator) -> dict:
 
 def _apply_style(image: np.ndarray, style: dict) -> np.ndarray:
     """Apply a writer's style to a (C, H, W) image."""
+    from scipy import ndimage
+
     shear = style["shear"]
     matrix = np.array([[1.0, shear], [0.0, 1.0]])
     out = np.empty_like(image)

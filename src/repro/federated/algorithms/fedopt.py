@@ -15,6 +15,8 @@ all of FedOpt's mutable state lives server-side in :meth:`aggregate`.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.grad.nn.module import Module
@@ -39,8 +41,13 @@ class FedOpt(FedAvg):
     ):
         if variant not in ("sgdm", "adam"):
             raise ValueError(f"variant must be 'sgdm' or 'adam', got {variant!r}")
-        if lr is not None and lr <= 0:
-            raise ValueError(f"lr must be positive, got {lr}")
+        if lr is not None and not 0 < lr < math.inf:
+            raise ValueError(f"lr must be positive and finite, got {lr}")
+        for knob, value in (("server_momentum", server_momentum), ("beta2", beta2)):
+            if not 0 <= value < 1:
+                raise ValueError(f"{knob} must be in [0, 1), got {value}")
+        if not 0 < eps < math.inf:
+            raise ValueError(f"eps must be positive and finite, got {eps}")
         self.variant = variant
         # Adam's effective step is ~lr per round regardless of gradient
         # scale, so the FedAvg-compatible step of 1 is far too

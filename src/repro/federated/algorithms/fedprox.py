@@ -11,6 +11,8 @@ property the test suite pins down.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.grad.nn.module import Module
@@ -29,8 +31,8 @@ class FedProx(FedAvg):
     name = "fedprox"
 
     def __init__(self, mu: float = DEFAULT_MU):
-        if mu < 0:
-            raise ValueError(f"mu must be non-negative, got {mu}")
+        if not 0 <= mu < math.inf:
+            raise ValueError(f"mu must be non-negative and finite, got {mu}")
         self.mu = mu
 
     def begin(

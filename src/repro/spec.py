@@ -40,6 +40,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -59,8 +60,9 @@ def _freeze_kwargs(kwargs: dict | None) -> dict:
 def _failed(*checks: tuple[object, str]) -> list[str]:
     """The messages of the ``(in_range, message)`` checks that fail.
 
-    Each check states its valid range as a predicate (``lr > 0``), so a
-    NaN, which compares false to everything, fails it.
+    Each check states its valid range as a predicate (``0 < lr < inf``),
+    so a NaN, which compares false to everything, fails it; a float knob
+    with no natural upper end still bounds itself by ``math.inf``.
     """
     return [message for in_range, message in checks if not in_range]
 
@@ -133,9 +135,21 @@ class AlgorithmSpec:
     kwargs: dict = field(default_factory=dict)
 
     def problems(self) -> list[str]:
+        """An unknown name, or what building the algorithm from its kwargs raises.
+
+        Construction is cheap (no model, no data) and is where each
+        algorithm checks its own knobs, so a misspelt or out-of-range
+        kwarg fails here instead of after a scheduler claims the cell.
+        """
         from repro.federated.algorithms import ALGORITHMS
 
-        return _failed((self.name in ALGORITHMS, ALGORITHMS.unknown(self.name)))
+        if self.name not in ALGORITHMS:
+            return [ALGORITHMS.unknown(self.name)]
+        try:
+            ALGORITHMS.build(self.name, **self.kwargs)
+        except (TypeError, ValueError) as error:
+            return [f"algorithm {self.name!r} kwargs {self.kwargs}: {error}"]
+        return []
 
 
 @dataclass(frozen=True)
@@ -174,7 +188,7 @@ class TrainSpec:
                 f"local_epochs must be positive, got {self.local_epochs}",
             ),
             (self.batch_size > 0, f"batch_size must be positive, got {self.batch_size}"),
-            (self.lr > 0, f"lr must be positive, got {self.lr}"),
+            (0 < self.lr < math.inf, f"lr must be positive and finite, got {self.lr}"),
             (
                 self.optimizer in ("sgd", "adam", "amsgrad"),
                 f"optimizer must be 'sgd', 'adam' or 'amsgrad', got {self.optimizer!r}",
@@ -193,8 +207,8 @@ class TrainSpec:
             ),
             (self.eval_every > 0, f"eval_every must be positive, got {self.eval_every}"),
             (
-                self.dp_noise_multiplier >= 0,
-                "dp_noise_multiplier must be non-negative, "
+                0 <= self.dp_noise_multiplier < math.inf,
+                "dp_noise_multiplier must be non-negative and finite, "
                 f"got {self.dp_noise_multiplier}",
             ),
         )
@@ -252,13 +266,13 @@ class FaultSpec:
                 f"{self.dropout_prob} + {self.crash_prob}",
             ),
             (
-                self.straggler_factor >= 1.0,
-                f"straggler_factor must be >= 1, got {self.straggler_factor}",
+                1.0 <= self.straggler_factor < math.inf,
+                f"straggler_factor must be finite and >= 1, got {self.straggler_factor}",
             ),
             (
-                self.deadline is None or self.deadline >= 1.0,
+                self.deadline is None or 1.0 <= self.deadline < math.inf,
                 "deadline is relative to a fault-free party's round time "
-                f"(1.0) and must be >= 1, got {self.deadline}",
+                f"(1.0) and must be finite and >= 1, got {self.deadline}",
             ),
         )
 
@@ -319,8 +333,9 @@ class PopulationSpec:
                 f"got {self.samples_per_client}",
             ),
             (
-                self.skew_beta is None or self.skew_beta > 0,
-                f"population.skew_beta must be positive, got {self.skew_beta}",
+                self.skew_beta is None or 0 < self.skew_beta < math.inf,
+                "population.skew_beta must be positive and finite, "
+                f"got {self.skew_beta}",
             ),
             (
                 self.aggregation in ("sync", "async"),
@@ -334,8 +349,8 @@ class PopulationSpec:
                 "with fewer clients in flight than it holds",
             ),
             (
-                self.staleness_exponent >= 0,
-                "staleness_exponent must be non-negative, "
+                0 <= self.staleness_exponent < math.inf,
+                "staleness_exponent must be non-negative and finite, "
                 f"got {self.staleness_exponent}",
             ),
         )

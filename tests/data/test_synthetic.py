@@ -1,5 +1,7 @@
 """Tests for the synthetic dataset generators and the registry."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,17 @@ class TestFemnist:
     def test_writer_count_validation(self):
         with pytest.raises(ValueError):
             load_dataset("femnist", n_train=20, n_test=10, num_writers=1)
+
+    def test_bits_pinned(self):
+        # The writer style's scipy calls define these exact arrays.
+        train, test, _ = load_dataset(
+            "femnist", n_train=64, n_test=16, num_writers=4, seed=0
+        )
+        digest = hashlib.sha256()
+        for split in (train, test):
+            for array in (split.features, split.labels, split.groups):
+                digest.update(array.tobytes())
+        assert digest.hexdigest()[:16] == "d2139a2c1027036f"
 
     def test_writers_have_distinct_styles(self):
         # Per-writer mean intensity should vary (gain/offset differ).

@@ -3,11 +3,15 @@
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-EXAMPLES = sorted((Path(__file__).resolve().parents[1] / "examples").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+EXAMPLES = sorted((ROOT / "examples").glob("*.py"))
 
 PUBLIC_MODULES = [
     "repro",
@@ -99,3 +103,18 @@ def test_example_imports(path):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert callable(module.main)
+
+
+def test_import_path_loads_no_scipy():
+    # Every run pays the import path's cost, so it stays numpy + stdlib;
+    # scipy is loaded only when a FEMNIST dataset is generated.
+    script = (
+        "import sys\n"
+        "import repro, repro.cli, repro.experiments.runner\n"
+        "assert 'scipy' not in sys.modules, 'import repro loaded scipy'\n"
+        "from repro.data import load_dataset\n"
+        "load_dataset('femnist', n_train=8, n_test=4, num_writers=2)\n"
+        "assert 'scipy' in sys.modules, 'FEMNIST generation did not load scipy'\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    subprocess.run([sys.executable, "-c", script], env=env, check=True)

@@ -1,5 +1,7 @@
 """Tests for the unified component registry."""
 
+import re
+
 import pytest
 
 from repro.registry import Registry
@@ -73,6 +75,21 @@ class TestLiveRegistries:
 
         assert set(DATASETS.names()) >= {"mnist", "cifar10", "adult", "rcv1"}
         assert all(entry.summary for entry in DATASETS.entries())
+
+    def test_image_summaries_name_the_default_shape(self):
+        from repro.data import DATASETS, load_dataset
+
+        image_names = []
+        for entry in DATASETS.entries():
+            _, _, info = load_dataset(entry.name, n_train=20, n_test=10)
+            if info.modality != "image":
+                continue
+            image_names.append(entry.name)
+            match = re.search(r"(\d+)x(\d+)", entry.summary)
+            assert match, f"{entry.name} summary {entry.summary!r} names no HxW"
+            shape = tuple(int(side) for side in match.groups())
+            assert shape == info.input_shape[1:], (entry.name, entry.summary)
+        assert set(image_names) == {"mnist", "fmnist", "cifar10", "svhn", "femnist"}
 
     def test_models(self):
         from repro.models import MODELS

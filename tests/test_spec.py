@@ -425,11 +425,45 @@ class TestValidate:
                     "staleness_exponent", "stacked_tolerance",
                 )
             ),
+            # +inf passes a one-sided range predicate but trains on NaN weights
+            *(
+                ({name: float("inf")}, f"{name.replace('population_', '')} .*got inf")
+                for name in (
+                    "lr", "dp_noise_multiplier", "straggler_factor", "deadline",
+                    "staleness_exponent", "population_skew_beta",
+                )
+            ),
+            # algorithm kwargs are checked by building the algorithm
+            ({"algorithm": "fedprox", "algorithm_kwargs": {"mue": 0.1}}, "mue"),
+            ({"algorithm": "fedprox", "mu": -1.0}, "mu must be non-negative"),
+            ({"algorithm": "fedprox", "mu": float("nan")}, "mu .*got nan"),
+            ({"algorithm": "fedprox", "mu": float("inf")}, "mu .*got inf"),
+            ({"algorithm": "fedopt", "algorithm_kwargs": {"lr": float("nan")}}, "lr .*got nan"),
+            ({"algorithm": "fedopt", "algorithm_kwargs": {"lr": 0.0}}, "lr must be positive"),
+            ({"algorithm": "fedopt", "algorithm_kwargs": {"server_momentum": float("nan")}},
+             "server_momentum .*got nan"),
+            ({"algorithm": "fedopt", "algorithm_kwargs": {"beta2": 1.0}}, "beta2"),
+            ({"algorithm": "fedopt", "algorithm_kwargs": {"eps": float("inf")}}, "eps .*got inf"),
+            ({"algorithm": "scaffold", "algorithm_kwargs": {"option": 3}}, "option"),
         ],
     )
     def test_invalid_specs_rejected(self, override, fragment):
         with pytest.raises(ValueError, match=fragment):
             make_spec().with_overrides(**override).validate()
+
+    @pytest.mark.parametrize(
+        "algorithm,kwargs",
+        [
+            ("fedprox", {"mu": 0.0}),
+            ("fedprox", {"mu": 1}),
+            ("fedopt", {"variant": "adam", "lr": 0.05}),
+            ("scaffold", {"option": 1}),
+            ("fednova", {"momentum_correction": True}),
+        ],
+    )
+    def test_valid_algorithm_kwargs_accepted(self, algorithm, kwargs):
+        spec = make_spec().with_overrides(algorithm=algorithm, algorithm_kwargs=kwargs)
+        assert spec.validate() is spec
 
     def test_problems_collected_together(self):
         bad = make_spec().with_overrides(dataset="imagenet", codec="zip")
