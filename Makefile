@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-stacked test-async test-concurrent test-capture test-kernels test-bench-harness lint bench bench-smoke bench-e2e
+.PHONY: test test-stacked test-async test-concurrent test-capture test-kernels test-bench-harness lint loc bench bench-smoke bench-e2e
 
 test: lint
 	$(PYTHON) -m pytest -x -q
@@ -39,6 +39,14 @@ test-bench-harness:
 # Uses ruff or pyflakes when installed; otherwise a stdlib AST fallback.
 lint:
 	$(PYTHON) tools/lint.py src tests examples tools benchmarks
+
+# Code lines (non-blank, not a `#` comment) per package of src/repro and
+# in tools; src/repro/*.py are the top-level modules.
+loc:
+	@for dir in $$(find src/repro -mindepth 1 -maxdepth 1 -type d ! -name __pycache__ | sort) tools; do \
+		printf '%6d  %s\n' $$(find $$dir -name '*.py' -exec cat {} + | grep -cEv '^[[:space:]]*(#|$$)') $$dir; \
+	done
+	@printf '%6d  %s\n' $$(cat src/repro/*.py | grep -cEv '^[[:space:]]*(#|$$)') 'src/repro/*.py'
 
 bench:
 	$(PYTHON) -m repro.experiments.bench --output BENCH_core.json

@@ -13,13 +13,12 @@ Bitwise safety
 Replay is bitwise-identical to eager execution because every replay
 kernel runs the *same NumPy calls on arrays of the same memory layout*:
 
-* forward output buffers are ``np.empty_like`` copies of the eager
-  outputs (layout-preserving), filled with the same ufunc/``matmul``/
-  reduction calls via ``out=``;
-* ReLU, the max pool and col2im call the eager kernels themselves with
-  kept buffers; the other composites (conv, cross-entropy) warm theirs
-  on the first replay with the literal eager expression, then reuse them
-  with ``out=``, so reductions see the same strides and bits;
+* replay runs the very op objects of :data:`repro.grad.ops.OPS` that
+  eager autograd runs, with a per-record scratch dict instead of fresh
+  arrays: a kept buffer is the kernel's own first result (same layout),
+  rewritten ``out=`` afterwards, so reductions see the same strides;
+* planned forward outputs are ``np.empty_like`` copies of the eager
+  outputs (layout-preserving), seeded into that dict;
 * gradient accumulation mirrors :meth:`Tensor._accumulate`: the first
   write per step copies (or ``np.copyto``-refreshes) the freshly
   computed value, later writes use ``+=`` in the same order as the eager
@@ -38,15 +37,13 @@ identically-laid-out buffers, so replay stays bitwise identical;
 
 One op table, one compiler
 --------------------------
-Every op kind is one :func:`_op`-decorated builder that returns its
-forward and backward replay closures and declares its planner facts.
-Builders are written over ``lead``, the compiler's leading axes: ``()``
-for a serial :class:`CapturedStep`, ``(K,)`` for a :class:`StackedStep`
-that runs K clients' steps as single ``(K, ...)`` NumPy ops.  They
-index from the right or offset by ``len(lead)``, so a serial program
-issues exactly the single-client NumPy calls (there is no ``K = 1``
-axis: a batched GEMM need not match the 2-D one bit for bit, see
-:func:`stacked_matmul_is_exact`).
+:meth:`_Compiler._bind` binds each record's op object to its slots: it
+reads the parent buffers, writes the output slot, keeps ``ctx`` from
+forward to backward and routes the backward kernel's gradients to the
+program's accumulator.  ``lead``, the compiler's leading axes, is ``()``
+for a serial :class:`CapturedStep` and ``(K,)`` for a
+:class:`StackedStep` that runs K clients' steps as single ``(K, ...)``
+NumPy ops.
 
 Fallback
 --------
@@ -56,14 +53,14 @@ row in the table, so only two things decline: a batch with fewer rows
 than the engine's program (a loader's ragged tail), and a tape the
 compiler rejects with a :class:`CaptureError` (batch norm in a stacked
 program, say), whose reason is memoized per shape.  :meth:`Tape.record`
-still refuses a kind the table lacks, which keeps eager autograd and
-the table in step.
+still refuses a kind the table lacks (an op attached by hand with
+``Tensor._attach``), so such a step runs eagerly.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -71,8 +68,9 @@ from numpy.lib.stride_tricks import as_strided
 from repro.grad import functional as F
 from repro.grad import tensor as tensor_mod
 from repro.grad.nn.module import Parameter
+from repro.grad.ops import OPS, _unbroadcast
 from repro.grad.serialize import column_views
-from repro.grad.tensor import Tensor, _swap_last, _unbroadcast, relu_forward
+from repro.grad.tensor import Tensor
 
 
 class CaptureError(RuntimeError):
@@ -107,7 +105,7 @@ class Tape:
     def record(self, kind, out, parents, meta) -> None:
         if self.failed is not None:
             return
-        if kind not in _OPS:
+        if kind not in OPS:
             self.failed = f"op kind {kind!r} has no capture kernel"
             return
         self.entries.append(("op", _OpRecord(kind, out, parents, meta)))
@@ -123,64 +121,18 @@ class Tape:
             self.buffer_leaves.append((tensor, module, name, tuple(shape)))
 
 
-class _Cell:
-    """Lazily-warmed scratch buffer for one backward product."""
-
-    __slots__ = ("value",)
-
-    def __init__(self):
-        self.value = None
-
-
-def _binout(cell: _Cell, fn, x, y):
-    """``fn(x, y)`` into a reused buffer; first call allocates eagerly.
-
-    ``asarray`` because ufuncs return 0-d results as NumPy scalars,
-    which no later call could write through ``out=``.
-    """
-    if cell.value is None:
-        cell.value = np.asarray(fn(x, y))
-    else:
-        fn(x, y, out=cell.value)
-    return cell.value
-
-
-def _unout(cell: _Cell, fn, x):
-    if cell.value is None:
-        cell.value = np.asarray(fn(x))
-    else:
-        fn(x, out=cell.value)
-    return cell.value
-
-
 # ----------------------------------------------------------------------
 # Program optimizer: arena planner, constant interning
 # ----------------------------------------------------------------------
+@dataclass(frozen=True)
 class ArenaPlanStats:
     """What the program optimizer did to one compiled program."""
 
-    __slots__ = (
-        "peak_bytes",
-        "unplanned_bytes",
-        "slots_before",
-        "slots_after",
-        "constants_interned",
-    )
-
-    def __init__(
-        self,
-        *,
-        peak_bytes,
-        unplanned_bytes,
-        slots_before,
-        slots_after,
-        constants_interned,
-    ):
-        self.peak_bytes = peak_bytes
-        self.unplanned_bytes = unplanned_bytes
-        self.slots_before = slots_before
-        self.slots_after = slots_after
-        self.constants_interned = constants_interned
+    peak_bytes: int
+    unplanned_bytes: int
+    slots_before: int
+    slots_after: int
+    constants_interned: int
 
     @property
     def reduction(self) -> float:
@@ -264,14 +216,14 @@ class _ArenaPlanner:
     kernel scribble over bytes a later reader still needs.
     """
 
-    __slots__ = ("allocs", "blocks", "planned", "_by_slot", "_by_key", "_roots")
+    __slots__ = ("allocs", "blocks", "planned", "_by_key", "_roots")
 
     def __init__(self):
         self.allocs: list[_Alloc] = []
         self.blocks: list[dict] = []
         self.planned = False
-        self._by_slot: dict[int, _Alloc] = {}
-        self._by_key: dict[int, _Alloc] = {}
+        #: slot, or ``("mask", record id)`` for a backward mask -> request
+        self._by_key: dict = {}
         self._roots: dict[int, int] = {}
 
     def _root(self, slot: int) -> int:
@@ -279,14 +231,8 @@ class _ArenaPlanner:
             slot = self._roots[slot]
         return slot
 
-    def define(self, slot, shape, dtype, step, may_alias, strides=None) -> None:
+    def define(self, key, shape, dtype, step, may_alias, strides=None) -> None:
         alloc = _Alloc(shape, dtype, strides, step, may_alias)
-        self.allocs.append(alloc)
-        self._by_slot[slot] = alloc
-
-    def define_keyed(self, key, shape, dtype, step, may_alias) -> None:
-        """A request not bound to a slot (e.g. a relu backward mask)."""
-        alloc = _Alloc(shape, dtype, None, step, may_alias)
         self.allocs.append(alloc)
         self._by_key[key] = alloc
 
@@ -295,7 +241,7 @@ class _ArenaPlanner:
         self._roots[slot] = of_slot
 
     def read(self, slot, step) -> None:
-        alloc = self._by_slot.get(self._root(slot))
+        alloc = self._by_key.get(self._root(slot))
         if alloc is not None and step > alloc.last:
             alloc.last = step
 
@@ -351,11 +297,7 @@ class _ArenaPlanner:
         self.blocks = blocks
         self.planned = True
 
-    def buffer(self, slot) -> np.ndarray | None:
-        alloc = self._by_slot.get(slot)
-        return None if alloc is None else alloc.buffer
-
-    def keyed_buffer(self, key) -> np.ndarray | None:
+    def buffer(self, key) -> np.ndarray | None:
         alloc = self._by_key.get(key)
         return None if alloc is None else alloc.buffer
 
@@ -434,7 +376,7 @@ class CapturedStep:
 
     def replay_step(self, features: np.ndarray, labels: np.ndarray) -> float:
         if self.labels_slot is not None:
-            self.arena[self.labels_slot] = labels
+            np.copyto(self.arena[self.labels_slot], labels)
         out = self.replay_forward(features)
         loss = float(np.asarray(out).item())
         self.gseen[:] = self.gseen_false
@@ -555,409 +497,6 @@ class StackedStep:
         return [
             None if slot is None else gbufs[slot] for slot in self.param_slots
         ]
-
-
-# ----------------------------------------------------------------------
-# Op table: one entry per op kind, written once over the lead axes
-# ----------------------------------------------------------------------
-class _OpSpec(NamedTuple):
-    """Everything the compiler knows about one op kind.
-
-    ``build(c, rec, o, *srcs)`` returns the ``(forward, backward)``
-    replay closures of one tape record for compiler ``c`` (``o`` and
-    ``srcs`` are the output and parent slots); the backward closure is
-    only scheduled when some parent requires grad.  Kernels index from
-    the right (ellipsis, negative axes) or offset by ``len(c.lead)``,
-    so the same builder serves ``lead = ()`` and ``lead = (K,)``.
-
-    The other fields are the planner's contract.  ``may_alias`` asserts
-    the forward kernel never reads any input element after writing the
-    corresponding output element, so the planner may overlay ``out``
-    onto an input buffer whose last reader is this very op (an exact
-    same-shape/dtype in-place write).  ``bwd_reads`` lists which arena
-    buffers the backward kernel still needs at backward time: ``"in"`` =
-    the parent slots, ``"out"`` = the op's own output slot.  ``planned``
-    marks kinds whose forward writes a compile-time ``c.out_buf`` (the
-    only allocations the planner can color: composites bind views of
-    private scratch, ``pow`` rebinds per step).  ``view`` marks ops
-    whose output is a view of the input's storage, and ``bwd_mask``
-    ones whose backward borrows an input-shaped bool ``c.mask_buf``.
-    """
-
-    build: Callable
-    may_alias: bool
-    bwd_reads: tuple
-    planned: bool
-    view: bool
-    bwd_mask: bool
-
-
-_OPS: dict[str, _OpSpec] = {}
-
-
-def _op(kind, *, may_alias, bwd_reads, planned, view=False, bwd_mask=False):
-    """Register the decorated builder as *the* entry for op ``kind``."""
-
-    def register(build):
-        if kind in _OPS:
-            raise ValueError(f"op kind {kind!r} registered twice")
-        _OPS[kind] = _OpSpec(build, may_alias, bwd_reads, planned, view, bwd_mask)
-        return build
-
-    return register
-
-
-def _perm(n_lead: int, *axes: int) -> tuple:
-    """A transpose of the base ``axes`` that leaves the lead axes in place."""
-    return tuple(range(n_lead)) + tuple(n_lead + ax for ax in axes)
-
-
-def _binary_fwd(c, rec, fn):
-    read_a, read_b = c.readers(rec)
-    buf = c.out_buf(rec)
-
-    def fwd():
-        fn(read_a(), read_b(), out=buf)
-
-    return fwd
-
-
-@_op("add", may_alias=True, bwd_reads=(), planned=True)
-def _add(c, rec, o, a, b):
-    acc, gbufs = c.acc, c.gbufs
-    need_a, need_b = (p.requires_grad for p in rec.parents)
-
-    def bwd():
-        g = gbufs[o]
-        if need_a:
-            acc(a, g)
-        if need_b:
-            acc(b, g)
-
-    return _binary_fwd(c, rec, np.add), bwd
-
-
-@_op("sub", may_alias=True, bwd_reads=(), planned=True)
-def _sub(c, rec, o, a, b):
-    acc, gbufs, cell = c.acc, c.gbufs, _Cell()
-    need_a, need_b = (p.requires_grad for p in rec.parents)
-
-    def bwd():
-        g = gbufs[o]
-        if need_a:
-            acc(a, g)
-        if need_b:
-            acc(b, _unout(cell, np.negative, g), fresh=True)
-
-    return _binary_fwd(c, rec, np.subtract), bwd
-
-
-@_op("mul", may_alias=True, bwd_reads=("in",), planned=True)
-def _mul(c, rec, o, a, b):
-    acc, gbufs = c.acc, c.gbufs
-    need_a, need_b = (p.requires_grad for p in rec.parents)
-    read_a, read_b = c.readers(rec)
-    cell_a, cell_b = _Cell(), _Cell()
-
-    def bwd():
-        g = gbufs[o]
-        if need_a:
-            acc(a, _binout(cell_a, np.multiply, g, read_b()), fresh=True)
-        if need_b:
-            acc(b, _binout(cell_b, np.multiply, g, read_a()), fresh=True)
-
-    return _binary_fwd(c, rec, np.multiply), bwd
-
-
-@_op("div", may_alias=True, bwd_reads=("in",), planned=True)
-def _div(c, rec, o, a, b):
-    acc, gbufs, cell = c.acc, c.gbufs, _Cell()
-    need_a, need_b = (p.requires_grad for p in rec.parents)
-    read_a, read_b = c.readers(rec)
-
-    def bwd():
-        g = gbufs[o]
-        if need_a:
-            acc(a, _binout(cell, np.divide, g, read_b()), fresh=True)
-        if need_b:
-            acc(b, -g * read_a() / (read_b() ** 2), fresh=True)
-
-    return _binary_fwd(c, rec, np.divide), bwd
-
-
-@_op("relu", may_alias=True, bwd_reads=("in",), planned=True, bwd_mask=True)
-def _relu(c, rec, o, a):
-    arena, acc, gbufs = c.arena, c.acc, c.gbufs
-    buf, mask, cell = c.out_buf(rec), c.mask_buf(rec), _Cell()
-
-    def fwd():
-        relu_forward(arena[a], out=buf)
-
-    def bwd():
-        # The input buffer is still intact at backward time, so the
-        # mask is derived here and skipped entirely in inference runs.
-        np.greater(arena[a], 0, out=mask)
-        acc(a, _binout(cell, np.multiply, gbufs[o], mask), fresh=True)
-
-    return fwd, bwd
-
-
-@_op("pow", may_alias=False, bwd_reads=("in",), planned=False)
-def _pow(c, rec, o, a):
-    arena, acc, gbufs = c.arena, c.acc, c.gbufs
-    exponent = rec.meta["exponent"]
-
-    def fwd():
-        # `x ** e` has ufunc fast paths `np.power` lacks; rerun the
-        # literal expression so the bits can never differ.
-        arena[o] = arena[a] ** exponent
-
-    def bwd():
-        acc(a, gbufs[o] * exponent * arena[a] ** (exponent - 1), fresh=True)
-
-    return fwd, bwd
-
-
-@_op("sum", may_alias=False, bwd_reads=(), planned=True)
-def _sum(c, rec, o, a):
-    arena, acc, gbufs = c.arena, c.acc, c.gbufs
-    lead, n_lead = c.lead, len(c.lead)
-    axis, keepdims = rec.meta["axis"], rec.meta["keepdims"]
-    in_base = rec.parents[0].data.shape
-    in_shape = lead + in_base
-    buf = c.out_buf(rec)
-    if axis is None and lead:
-        # A full reduce must not cross the client axis: it becomes a
-        # per-client reduce over the flattened base, whose C-order
-        # element sequence matches the eager one slice for slice.
-        flat_in, flat_out = lead + (-1,), buf.reshape(lead)
-        grad_view = lead + (1,) * len(in_base)
-
-        def fwd():
-            arena[a].reshape(flat_in).sum(axis=-1, out=flat_out)
-
-        def bwd():
-            acc(a, np.broadcast_to(gbufs[o].reshape(grad_view), in_shape))
-
-        return fwd, bwd
-
-    def shift(ax):
-        return ax + n_lead if ax >= 0 else ax
-
-    if axis is not None:
-        axis = tuple(map(shift, axis)) if isinstance(axis, tuple) else shift(axis)
-    expand = axis is not None and not keepdims
-
-    def fwd():
-        arena[a].sum(axis=axis, keepdims=keepdims, out=buf)
-
-    def bwd():
-        g = gbufs[o]
-        if expand:
-            g = np.expand_dims(g, axis=axis)
-        acc(a, np.broadcast_to(g, in_shape))
-
-    return fwd, bwd
-
-
-@_op("reshape", may_alias=False, bwd_reads=(), planned=False, view=True)
-def _reshape(c, rec, o, a):
-    arena, acc, gbufs = c.arena, c.acc, c.gbufs
-    shape = c.lead + tuple(rec.meta["shape"])
-    in_shape = c.lead + rec.parents[0].data.shape
-
-    def fwd():
-        arena[o] = arena[a].reshape(shape)
-
-    def bwd():
-        acc(a, gbufs[o].reshape(in_shape))
-
-    return fwd, bwd
-
-
-@_op("linear", may_alias=False, bwd_reads=("in",), planned=True)
-def _linear(c, rec, o, sx, sw, sb=None):
-    acc, gbufs, n_lead = c.acc, c.gbufs, len(c.lead)
-    x_nd = rec.parents[0].data.ndim
-    if c.lead and x_nd < 2:
-        raise CaptureError("stacked linear needs a >= 2-D input")
-    need_x, need_w = rec.parents[0].requires_grad, rec.parents[1].requires_grad
-    need_b = sb is not None and rec.parents[2].requires_grad
-    read_x, read_w, *read_b = c.readers(rec)
-    w_shape = c.shapes[sw]
-    wt_shape = w_shape[:-2] + (w_shape[-1], w_shape[-2])
-    buf, cell_x, cell_w = c.out_buf(rec), _Cell(), _Cell()
-
-    def fwd():
-        np.matmul(read_x(), _swap_last(read_w()), out=buf)
-        if read_b:
-            np.add(buf, read_b[0](), out=buf)
-
-    def bwd():
-        g = gbufs[o]
-        if need_x:
-            acc(sx, _binout(cell_x, np.matmul, g, read_w()), fresh=True)
-        if need_w:
-            if x_nd == 1:
-                gw = np.outer(read_x(), g)
-            else:
-                gw = _binout(cell_w, np.matmul, _swap_last(read_x()), g)
-            if gw.shape != wt_shape:
-                gw = _unbroadcast(gw, wt_shape, n_lead)
-            acc(sw, _swap_last(gw), fresh=True)
-        if need_b:
-            acc(sb, g)
-
-    return fwd, bwd
-
-
-def _im2col(lead, n, ch, oh, ow, kernel, stride, dtype):
-    """``(fill, cols2)`` for one sliding-window geometry.
-
-    ``fill(img)`` copies the windows of a ``lead + (n, ch, H, W)`` image
-    into a reused column scratch; ``cols2`` is that scratch's
-    ``lead + (n*oh*ow, ch*kernel*kernel)`` matrix view.
-    """
-    cols = np.empty(lead + (n, oh, ow, ch, kernel, kernel), dtype=dtype)
-    cols2 = cols.reshape(lead + (n * oh * ow, ch * kernel * kernel))
-    perm = _perm(len(lead), 0, 2, 3, 1, 4, 5)
-
-    def fill(img):
-        np.copyto(cols, F.sliding_windows(img, kernel, stride).transpose(perm))
-
-    return fill, cols2
-
-
-@_op("conv2d", may_alias=False, bwd_reads=("in",), planned=False)
-def _conv2d(c, rec, o, sx, sw, sb=None):
-    arena, acc, gbufs = c.arena, c.acc, c.gbufs
-    lead, n_lead = c.lead, len(c.lead)
-    meta = rec.meta
-    n, ch, h, w = meta["image_shape"]
-    _, oc, oh, ow = meta["out_shape"]
-    kernel, stride, padding = meta["kernel"], meta["stride"], meta["padding"]
-    x_req, w_req = rec.parents[0].requires_grad, rec.parents[1].requires_grad
-    b_req = sb is not None and rec.parents[2].requires_grad
-    read_bias = None if sb is None else c.reader(rec.parents[2], 2)
-    dtype = rec.parents[0].data.dtype
-    flat_weight_shape = (lead if sw in c.stacked else ()) + (oc, ch * kernel * kernel)
-    weight_shape = lead + rec.parents[1].data.shape
-    padded_shape = lead + (n, ch, h + 2 * padding, w + 2 * padding)
-    image_shape = lead + (n, ch, h, w)
-    to_nchw, to_nhwc = _perm(n_lead, 0, 3, 1, 2), _perm(n_lead, 0, 2, 3, 1)
-    fill_cols, cols2 = _im2col(lead, n, ch, oh, ow, kernel, stride, dtype)
-    mm_cell, bias_cell, gw_cell, gc_cell = _Cell(), _Cell(), _Cell(), _Cell()
-    st: dict = {}
-    col2im_scratch: dict = {}
-
-    def fwd():
-        img = arena[sx]
-        if padding > 0:
-            padded = st.get("padded")
-            if padded is None:
-                padded = st["padded"] = np.zeros(padded_shape, dtype=dtype)
-            padded[..., padding : padding + h, padding : padding + w] = img
-            img = padded
-        fill_cols(img)
-        flat_weight = arena[sw].reshape(flat_weight_shape)
-        out_flat = _binout(mm_cell, np.matmul, cols2, _swap_last(flat_weight))
-        if sb is not None:
-            out_flat = _binout(bias_cell, np.add, out_flat, read_bias())
-        arena[o] = out_flat.reshape(lead + (n, oh, ow, oc)).transpose(to_nchw)
-
-    def bwd():
-        grad_flat = gbufs[o].transpose(to_nhwc).reshape(lead + (n * oh * ow, oc))
-        if w_req:
-            gw = _binout(gw_cell, np.matmul, _swap_last(grad_flat), cols2)
-            acc(sw, gw.reshape(weight_shape), fresh=True)
-        if b_req:
-            acc(sb, grad_flat.sum(axis=-2), fresh=True)
-        if x_req:
-            flat_weight = arena[sw].reshape(flat_weight_shape)
-            gc = _binout(gc_cell, np.matmul, grad_flat, flat_weight)
-            grad_image = F.col2im(
-                gc, image_shape, kernel, stride, padding, col2im_scratch
-            )
-            acc(sx, grad_image, fresh=True)
-
-    return fwd, bwd
-
-
-@_op("max_pool2d", may_alias=False, bwd_reads=(), planned=False)
-def _max_pool2d(c, rec, o, sx):
-    arena, acc, gbufs = c.arena, c.acc, c.gbufs
-    kernel, stride = rec.meta["kernel"], rec.meta["stride"]
-    image_shape = c.lead + rec.meta["image_shape"]
-    fwd_scratch: dict = {}
-    bwd_scratch: dict = {}
-    st: dict = {}
-
-    def fwd():
-        arena[o], st["arg"] = F.max_pool_forward(
-            arena[sx], kernel, stride, fwd_scratch
-        )
-
-    def bwd():
-        grad_image = F.max_pool_backward(
-            gbufs[o], st["arg"], image_shape, kernel, stride, bwd_scratch
-        )
-        acc(sx, grad_image, fresh=True)
-
-    return fwd, bwd
-
-
-@_op("cross_entropy", may_alias=False, bwd_reads=(), planned=False)
-def _cross_entropy(c, rec, o, sl):
-    arena, acc, gbufs = c.arena, c.acc, c.gbufs
-    lead = c.lead
-    reduction = rec.meta["reduction"]
-    if c.labels is None or rec.meta["targets"] is not c.labels:
-        raise CaptureError("cross_entropy targets are not the step labels")
-    n = rec.parents[0].data.shape[0]
-    lt = c.labels_slot
-    # Open-mesh indices of every (client, row): `x[grid + (targets,)]`
-    # picks each row's target-class entry.
-    grid = np.ix_(*(np.arange(size) for size in lead + (n,)))
-    scale_shape = lead + ((n, 1) if reduction == "none" else (1, 1))
-    st: dict = {}
-    gl_cell = _Cell()
-
-    def fwd():
-        logits = arena[sl]
-        picked = grid + (arena[lt],)
-        if "max" not in st:
-            st["max"] = logits.max(axis=-1, keepdims=True)
-            st["shifted"] = logits - st["max"]
-            st["exp"] = np.exp(st["shifted"])
-            st["sumexp"] = st["exp"].sum(axis=-1, keepdims=True)
-            st["ln"] = np.log(st["sumexp"][..., 0])
-            st["losses"] = st["ln"] - st["shifted"][picked]
-        else:
-            logits.max(axis=-1, keepdims=True, out=st["max"])
-            np.subtract(logits, st["max"], out=st["shifted"])
-            np.exp(st["shifted"], out=st["exp"])
-            st["exp"].sum(axis=-1, keepdims=True, out=st["sumexp"])
-            np.log(st["sumexp"][..., 0], out=st["ln"])
-            np.subtract(st["ln"], st["shifted"][picked], out=st["losses"])
-        losses = st["losses"]
-        if reduction == "none":
-            arena[o] = losses
-        elif reduction == "sum":
-            arena[o] = losses.sum(axis=-1)
-        else:
-            arena[o] = losses.mean(axis=-1)
-
-    def bwd():
-        g = np.asarray(gbufs[o])
-        scale = (g / n if reduction == "mean" else g).reshape(scale_shape)
-        # exp is rewritten by the next forward replay, so the in-place
-        # softmax matches the eager closure exactly.
-        softmax = np.divide(st["exp"], st["sumexp"], out=st["exp"])
-        gl = _binout(gl_cell, np.multiply, softmax, scale)
-        gl[grid + (arena[lt],)] -= scale[..., 0]
-        acc(sl, gl, fresh=True)
-
-    return fwd, bwd
 
 
 class _Compiler:
@@ -1100,23 +639,77 @@ class _Compiler:
             else:
                 self.arena[slot] = np.array(t.data, copy=True)
 
-    def reader(self, t: Tensor, out_ndim: int):
-        """A zero-arg closure yielding ``t``'s buffer, viewed so its base
-        dims align right against an output of base rank ``out_ndim``.
+    def _bind(self, rec: _OpRecord, scheduled: bool):
+        """The ``(forward, backward)`` replay closures of one record: its
+        op object bound to the record's slots, a scratch dict seeded with
+        the planned buffers, and the program's accumulator.  The backward
+        closure runs only when ``scheduled`` (some parent requires grad)."""
+        op = OPS[rec.kind]
+        if self.lead and rec.parents[0].data.ndim < op.stacked_rank:
+            raise CaptureError(
+                f"stacked {rec.kind} needs a >= {op.stacked_rank}-D input"
+            )
+        arena, gbufs, acc, lead = self.arena, self.gbufs, self.acc, self.lead
+        o, srcs = self.slot(rec.out), [self.slot(p) for p in rec.parents]
+        need = [p.requires_grad for p in rec.parents]
+        meta = self._bind_meta(rec)
+        scratch: dict = {}
+        if op.planned:
+            scratch["out"] = arena[o] = self._buffer(o, rec.out.data)
+        if op.bwd_mask and scheduled:
+            scratch["mask"] = self._buffer(("mask", id(rec)), rec.parents[0].data)
+        # A stacked operand of lower base rank is seen as (K, 1, ..., base)
+        # before any broadcasting op: naive right-alignment would smear
+        # the client axis across a data dimension.
+        out_ndim = rec.out.data.ndim
+        views = [
+            lead + (1,) * (out_ndim - p.data.ndim) + p.data.shape
+            if slot in self.stacked and p.data.ndim < out_ndim
+            else None
+            for p, slot in zip(rec.parents, srcs)
+        ]
+        if any(views):
+            pairs = list(zip(srcs, views))
 
-        A stacked operand of lower base rank must be seen as ``(K, 1,
-        ..., base)`` before any broadcasting op — naive right-alignment
-        would smear the client axis across a data dimension.
+            def read():
+                return [
+                    arena[s] if v is None else arena[s].reshape(v) for s, v in pairs
+                ]
+
+        else:
+
+            def read():
+                return [arena[s] for s in srcs]
+
+        forward, backward, ctx = op.forward, op.backward, [None]
+
+        def fwd():
+            arena[o], ctx[0] = forward(read(), meta, lead, scratch)
+
+        def bwd():
+            grads = backward(gbufs[o], read(), ctx[0], meta, need, lead, scratch)
+            for slot, item in zip(srcs, grads):
+                if item is not None:
+                    acc(slot, item[0], item[1])
+
+        return fwd, bwd
+
+    def _bind_meta(self, rec: _OpRecord):
+        """``rec.meta`` with its arrays bound to the program's labels.
+
+        An array argument is step data, not a constant of the op; the only
+        one a program can feed is the step's labels (cross-entropy's
+        targets), read from the labels buffer each replay refills.
         """
-        slot, arena = self.slot(t), self.arena
-        pad = out_ndim - t.data.ndim
-        if pad <= 0 or slot not in self.stacked:
-            return lambda: arena[slot]
-        view_shape = self.lead + (1,) * pad + t.data.shape
-        return lambda: arena[slot].reshape(view_shape)
-
-    def readers(self, rec: _OpRecord) -> list:
-        return [self.reader(p, rec.out.data.ndim) for p in rec.parents]
+        meta = rec.meta
+        for key, value in (rec.meta or {}).items():
+            if isinstance(value, np.ndarray):
+                if self.labels is None or value is not self.labels:
+                    raise CaptureError(
+                        f"{rec.kind} {key} are not the step labels"
+                    )
+                meta = {**meta, key: self.arena[self.labels_slot]}
+        return meta
 
     def _make_acc(self):
         shapes, dtypes, gbufs = self.shapes, self.dtypes, self.gbufs
@@ -1134,12 +727,13 @@ class _Compiler:
             if seen[slot]:
                 gbufs[slot] += value
             else:
-                # ``fresh`` marks values the kernel owns outright (a private
-                # cell or a per-step allocation, never a view of another
-                # slot's gradient): those are bound directly, skipping a
-                # full copy pass — same arithmetic, one less memory sweep.
-                # Later ``+=`` hits mutate the cell, which the owning kernel
-                # fully rewrites on its next execution anyway.
+                # ``fresh`` marks values no live gradient shares (a kept
+                # scratch buffer, a per-step allocation, or a reshape of a
+                # gradient never read again this step): those are bound
+                # directly, skipping a full copy pass — same arithmetic,
+                # one less memory sweep.  Later ``+=`` hits mutate that
+                # storage, which its owner fully rewrites on its next
+                # execution anyway.
                 if (
                     fresh
                     and value.dtype == dtypes[slot]
@@ -1165,11 +759,11 @@ class _Compiler:
     def compile(self, with_backward: bool):
         lead = self.lead
         if self.labels is not None:
+            # Owned in every program: ops read the step labels from it.
             self.labels_slot = self._new_slot(
                 self.labels.shape, self.labels.dtype, stacked=True
             )
-            if lead:
-                self._own(self.labels_slot)
+            self._own(self.labels_slot)
 
         # Slot assignment precedes kernel construction so the planner can
         # see the whole program (including the backward schedule) before
@@ -1210,14 +804,10 @@ class _Compiler:
 
         forward_ops: list = []
         backward: dict[int, object] = {}
+        scheduled = {id(rec) for rec in sched}
         for kind, entry in self.tape.entries:
             if kind == "op":
-                fwd, backward[id(entry)] = _OPS[entry.kind].build(
-                    self,
-                    entry,
-                    self.slot(entry.out),
-                    *(self.slot(p) for p in entry.parents),
-                )
+                fwd, backward[id(entry)] = self._bind(entry, id(entry) in scheduled)
                 forward_ops.append(fwd)
             else:
                 forward_ops.append(self._bn_op(entry))
@@ -1250,13 +840,10 @@ class _Compiler:
 
     # -- optimizer passes ------------------------------------------------
     def _schedule_backward(self) -> list:
-        """The backward records in execution order.
-
-        The order replicates the eager reverse-topological pass exactly,
-        so replayed gradient accumulation matches it bit for bit.
-        """
+        """The backward records in execution order: the eager pass's own
+        order, so replayed gradient accumulation matches it bit for bit."""
         sched: list = []
-        for node in reversed(self._toposort()):
+        for node in reversed(tensor_mod._toposort(self.output)):
             if node._backward is None:
                 continue
             rec = self._recmap.get(id(node))
@@ -1275,16 +862,13 @@ class _Compiler:
                 for p in rec.parents:
                     planner.read(self.slot(p), step)
                 o = self.slot(rec.out)
-                spec = _OPS[rec.kind]
+                spec = OPS[rec.kind]
                 if spec.view:
                     planner.view(o, self.slot(rec.parents[0]))
-                else:
-                    managed = self._managed_spec(rec)
-                    if managed is not None:
-                        shape, dtype, strides = managed
-                        planner.define(
-                            o, shape, dtype, step, spec.may_alias, strides=strides
-                        )
+                elif spec.planned:
+                    carve = self._carve_spec(rec.out.data)
+                    if carve is not None:
+                        planner.define(o, *carve[:2], step, spec.may_alias, carve[2])
             else:
                 _, mean_t, var_t, _ = entry
                 sm = self.slots.get(id(mean_t))
@@ -1295,17 +879,16 @@ class _Compiler:
                     planner.read(sv, step)
             step += 1
         for rec in sched:
-            spec = _OPS[rec.kind]
+            spec = OPS[rec.kind]
             if "out" in spec.bwd_reads:
                 planner.read(self.slot(rec.out), step)
             if "in" in spec.bwd_reads:
                 for p in rec.parents:
                     planner.read(self.slot(p), step)
-            if spec.bwd_mask:
-                # The bool mask lives only inside the backward kernel.
-                planner.define_keyed(
-                    id(rec), self._mask_shape(rec), bool, step, may_alias=False
-                )
+            mask = spec.bwd_mask and self._carve_spec(rec.parents[0].data)
+            if mask:
+                # The mask lives only inside the backward kernel.
+                planner.define(("mask", id(rec)), *mask[:2], step, False, mask[2])
             step += 1
         # The program output is handed to the caller after replay (the
         # loss read, inference logits, stacked per-client losses), so its
@@ -1314,60 +897,39 @@ class _Compiler:
         planner.plan()
         self._planner = planner
 
-    def _managed_spec(self, rec: _OpRecord):
-        """(shape, dtype, strides) of a colorable output buffer, or None.
+    def _carve_spec(self, template: np.ndarray):
+        """(shape, dtype, strides) of a block view laid out like the
+        buffer :meth:`_buffer` would allocate for ``template``, or None.
 
-        The carved block view must be byte-for-byte the layout
-        :meth:`out_buf` would otherwise allocate.  Stacked buffers are
-        always fresh C-contiguous ``lead + base`` arrays; serial ones
-        copy the eager layout: C-contiguous outputs reshape straight out
-        of the block (strides None), dense permuted layouts (e.g. the
-        NCHW view of a conv output flowing through relu) are re-strided
-        to the probed ``np.empty_like`` strides, and anything non-dense
-        stays unmanaged.
+        Stacked buffers are always fresh C-contiguous ``lead + base``
+        arrays; serial ones copy the eager layout: C-contiguous arrays
+        reshape straight out of the block (strides None), dense permuted
+        layouts (e.g. the NCHW view of a conv output flowing through relu)
+        are re-strided to the probed ``np.empty_like`` strides, and
+        anything non-dense stays unmanaged.
         """
-        if not _OPS[rec.kind].planned:
-            return None
-        out = rec.out.data
-        if self.lead or out.flags["C_CONTIGUOUS"]:
-            return self.lead + out.shape, out.dtype, None
-        strides = _dense_layout(np.empty_like(out))
+        if self.lead or template.flags["C_CONTIGUOUS"]:
+            return self.lead + template.shape, template.dtype, None
+        strides = _dense_layout(np.empty_like(template))
         if strides is False:
             return None
-        return out.shape, out.dtype, strides
+        return template.shape, template.dtype, strides
 
-    def _mask_shape(self, rec: _OpRecord) -> tuple:
-        return self.lead + rec.parents[0].data.shape
-
-    def out_buf(self, rec: _OpRecord) -> np.ndarray:
-        """The compile-time buffer ``rec``'s forward kernel writes, bound
-        to its output slot: the planner's block view, else a dedicated
+    def _buffer(self, key, template: np.ndarray) -> np.ndarray:
+        """A compile-time buffer laid out like ``template`` plus the lead
+        axes: the planner's block view under ``key``, else a dedicated
         allocation."""
         planner = self._planner
-        buf = None if planner is None else planner.buffer(self.slot(rec.out))
+        buf = None if planner is None else planner.buffer(key)
         if buf is None:
-            out = rec.out.data
             if self.lead:
-                buf = np.empty(self.lead + out.shape, out.dtype)
+                buf = np.empty(self.lead + template.shape, template.dtype)
             else:
-                buf = np.empty_like(out)
-            if planner is None and self._managed_spec(rec) is not None:
+                buf = np.empty_like(template)
+            if planner is None and self._carve_spec(template) is not None:
                 self._raw_slots += 1
                 self._raw_bytes += buf.nbytes
-        self.arena[self.slot(rec.out)] = buf
         return buf
-
-    def mask_buf(self, rec: _OpRecord) -> np.ndarray:
-        planner = self._planner
-        if planner is not None:
-            buf = planner.keyed_buffer(id(rec))
-            if buf is not None:
-                return buf
-        mask = np.empty(self._mask_shape(rec), dtype=bool)
-        if planner is None:
-            self._raw_slots += 1
-            self._raw_bytes += mask.nbytes
-        return mask
 
     def _plan_stats(self) -> ArenaPlanStats:
         planner = self._planner
@@ -1386,26 +948,6 @@ class _Compiler:
             slots_after=len(planner.blocks),
             constants_interned=self._interned,
         )
-
-    def _toposort(self) -> list[Tensor]:
-        # Replicates Tensor.backward's DFS exactly, so the replayed
-        # accumulation order matches the eager one bit for bit.
-        ordered: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self.output, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                ordered.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in seen:
-                    stack.append((parent, False))
-        return ordered
 
     def _bn_op(self, entry):
         module, mean_t, var_t, count = entry

@@ -14,6 +14,7 @@ from typing import Iterator
 
 import numpy as np
 
+from repro.grad.ops import reset_im2col_workspace
 from repro.grad.tensor import Tensor
 
 
@@ -108,10 +109,8 @@ class Module:
         return self.train(False)
 
     def zero_grad(self) -> None:
-        # Step boundary: recycle pooled im2col buffers (see functional).
-        from repro.grad import functional
-
-        functional.reset_im2col_workspace()
+        # Step boundary: recycle pooled im2col buffers (see ops).
+        reset_im2col_workspace()
         for param in self.parameters():
             param.grad = None
 

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.grad.functional import reset_im2col_workspace
+from repro.grad.ops import reset_im2col_workspace
 from repro.grad.nn.module import Parameter
 from repro.grad.serialize import column_ranges, column_views
 

@@ -1,9 +1,11 @@
 """The :class:`Tensor` class: a NumPy array with reverse-mode autodiff.
 
-Every differentiable operation produces a new ``Tensor`` whose ``_backward``
-closure knows how to push the output gradient to the operation's inputs.
-Calling :meth:`Tensor.backward` on a scalar loss topologically sorts the
-recorded graph and runs those closures in reverse order.
+Every differentiable operation runs one op object of
+:data:`repro.grad.ops.OPS` through :func:`_apply`, which produces a new
+``Tensor`` whose ``_backward`` closure feeds the op's backward kernel's
+gradients to the operation's inputs.  Calling :meth:`Tensor.backward` on
+a scalar loss topologically sorts the recorded graph and runs those
+closures in reverse order.
 
 Gradients are accumulated into ``Tensor.grad`` as plain NumPy arrays (there
 is no higher-order differentiation; the paper's experiments do not need it).
@@ -15,6 +17,8 @@ import contextlib
 from typing import Callable, Sequence
 
 import numpy as np
+
+from repro.grad.ops import OPS, _unbroadcast
 
 _GRAD_ENABLED = True
 
@@ -52,30 +56,6 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = previous
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...], lead: int = 0) -> np.ndarray:
-    """Sum ``grad`` down to ``shape``, undoing NumPy broadcasting.
-
-    Broadcasting may have (a) prepended dimensions and (b) stretched
-    size-1 dimensions; both must be summed out so the gradient matches
-    the original operand's shape.  The first ``lead`` axes (the client
-    axis of a stacked program) are never broadcast: prepended
-    dimensions sit right after them.
-    """
-    if grad.shape == shape:
-        return grad
-    # Sum out prepended dimensions.
-    extra_dims = grad.ndim - len(shape)
-    if extra_dims > 0:
-        grad = grad.sum(axis=tuple(range(lead, lead + extra_dims)))
-    # Sum over dimensions that were stretched from size 1.
-    stretched = tuple(
-        i for i in range(lead, len(shape)) if shape[i] == 1 and grad.shape[i] != 1
-    )
-    if stretched:
-        grad = grad.sum(axis=stretched, keepdims=True)
-    return grad.reshape(shape)
 
 
 def _as_array(value, dtype=None) -> np.ndarray:
@@ -197,7 +177,8 @@ class Tensor:
         is adopted directly instead of being copied (the dtype must match
         and the array must be writable — broadcast views are not).
         """
-        value = _unbroadcast(np.asarray(grad), self.data.shape)
+        array, shape = np.asarray(grad), self.data.shape
+        value = array if array.shape == shape else _unbroadcast(array, shape)
         if self.grad is None:
             if (
                 (fresh or value is not grad)
@@ -233,24 +214,7 @@ class Tensor:
                 raise RuntimeError("grad must be provided for non-scalar outputs")
             grad = np.ones_like(self.data)
         self._accumulate(np.asarray(grad, dtype=self.data.dtype))
-
-        ordered: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                ordered.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in seen:
-                    stack.append((parent, False))
-
-        for node in reversed(ordered):
+        for node in reversed(_toposort(self)):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
                 # Free intermediate gradients/graph references eagerly;
@@ -263,7 +227,7 @@ class Tensor:
         self.grad = None
 
     # ------------------------------------------------------------------
-    # Elementwise arithmetic
+    # Ops (each one entry of the op table)
     # ------------------------------------------------------------------
     def _coerce(self, other) -> "Tensor":
         if isinstance(other, Tensor):
@@ -271,60 +235,23 @@ class Tensor:
         return Tensor(np.asarray(other, dtype=self.data.dtype))
 
     def __add__(self, other) -> "Tensor":
-        other = self._coerce(other)
-        out = Tensor(self.data + other.data)
-
-        def backward(grad):
-            # The same grad object goes to both parents: never adopt it.
-            if self.requires_grad:
-                self._accumulate(grad)
-            if other.requires_grad:
-                other._accumulate(grad)
-
-        return out._attach((self, other), backward, "add")
+        return _apply("add", (self, self._coerce(other)))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Tensor":
-        other = self._coerce(other)
-        out = Tensor(self.data - other.data)
-
-        def backward(grad):
-            if self.requires_grad:
-                self._accumulate(grad)
-            if other.requires_grad:
-                other._accumulate(-grad, fresh=True)
-
-        return out._attach((self, other), backward, "sub")
+        return _apply("sub", (self, self._coerce(other)))
 
     def __rsub__(self, other) -> "Tensor":
         return self._coerce(other).__sub__(self)
 
     def __mul__(self, other) -> "Tensor":
-        other = self._coerce(other)
-        out = Tensor(self.data * other.data)
-
-        def backward(grad):
-            if self.requires_grad:
-                self._accumulate(grad * other.data, fresh=True)
-            if other.requires_grad:
-                other._accumulate(grad * self.data, fresh=True)
-
-        return out._attach((self, other), backward, "mul")
+        return _apply("mul", (self, self._coerce(other)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
-        other = self._coerce(other)
-        out = Tensor(self.data / other.data)
-
-        def backward(grad):
-            if self.requires_grad:
-                self._accumulate(grad / other.data, fresh=True)
-            if other.requires_grad:
-                other._accumulate(-grad * self.data / (other.data**2), fresh=True)
-
-        return out._attach((self, other), backward, "div")
+        return _apply("div", (self, self._coerce(other)))
 
     def __rtruediv__(self, other) -> "Tensor":
         return self._coerce(other).__truediv__(self)
@@ -332,47 +259,13 @@ class Tensor:
     def __pow__(self, exponent: float) -> "Tensor":
         if isinstance(exponent, Tensor):
             raise TypeError("tensor exponents are not supported")
-        out = Tensor(self.data**exponent)
+        return _apply("pow", (self,), {"exponent": exponent})
 
-        def backward(grad):
-            if self.requires_grad:
-                self._accumulate(
-                    grad * exponent * self.data ** (exponent - 1), fresh=True
-                )
-
-        return out._attach((self,), backward, "pow", {"exponent": exponent})
-
-    # ------------------------------------------------------------------
-    # Unary math
-    # ------------------------------------------------------------------
     def relu(self) -> "Tensor":
-        out = Tensor(relu_forward(self.data))
+        return _apply("relu", (self,))
 
-        def backward(grad):
-            if self.requires_grad:
-                # A 1.0/0.0 mask: grad * (x > 0)'s products and layout,
-                # without a bool->float cast inside the multiply.
-                mask = (self.data > 0).astype(grad.dtype)
-                self._accumulate(grad * mask, fresh=True)
-
-        return out._attach((self,), backward, "relu")
-
-    # ------------------------------------------------------------------
-    # Reductions
-    # ------------------------------------------------------------------
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out = Tensor(self.data.sum(axis=axis, keepdims=keepdims))
-        in_shape = self.data.shape
-
-        def backward(grad):
-            if not self.requires_grad:
-                return
-            g = grad
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis=axis)
-            self._accumulate(np.broadcast_to(g, in_shape))
-
-        return out._attach((self,), backward, "sum", {"axis": axis, "keepdims": keepdims})
+        return _apply("sum", (self,), {"axis": axis, "keepdims": keepdims})
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         count = self.data.size if axis is None else _axis_size(self.data.shape, axis)
@@ -383,23 +276,10 @@ class Tensor:
         centered = self - self.mean(axis=axis, keepdims=True)
         return (centered * centered).mean(axis=axis, keepdims=keepdims)
 
-    # ------------------------------------------------------------------
-    # Shape manipulation
-    # ------------------------------------------------------------------
     def reshape(self, *shape: int) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out = Tensor(self.data.reshape(shape))
-        in_shape = self.data.shape
-
-        def backward(grad):
-            # The reshaped view is exclusively ours by now (its owner's
-            # grad slot is freed right after this closure runs), so it is
-            # safe to adopt.
-            if self.requires_grad:
-                self._accumulate(grad.reshape(in_shape), fresh=True)
-
-        return out._attach((self,), backward, "reshape", {"shape": out.data.shape})
+        return _apply("reshape", (self,), {"shape": shape})
 
     # ------------------------------------------------------------------
     # Comparison (non-differentiable, returns plain arrays)
@@ -414,15 +294,57 @@ def _axis_size(shape: tuple[int, ...], axis) -> int:
     return int(np.prod([shape[a] for a in axis]))
 
 
-def _swap_last(array: np.ndarray) -> np.ndarray:
-    return np.swapaxes(array, -1, -2)
+def _toposort(root: Tensor) -> list[Tensor]:
+    """The graph under ``root`` in the post-order of an iterative DFS.
+
+    Reversed, it is the order :meth:`Tensor.backward` runs the backward
+    closures in; the capture compiler schedules replay from this same
+    list, so replayed accumulation matches eager bit for bit.  (Tensors
+    hash by identity: ``Tensor`` defines no ``__eq__``.)
+    """
+    ordered: list[Tensor] = []
+    seen: set[Tensor] = set()
+    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            ordered.append(node)
+            continue
+        if node in seen:
+            continue
+        seen.add(node)
+        stack.append((node, True))
+        for parent in node._parents:
+            if parent not in seen:
+                stack.append((parent, False))
+    return ordered
 
 
-def relu_forward(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``np.where(x > 0, x, 0.0)`` bit for bit, in ``x``'s memory order,
-    ~10x cheaper: ``fmax`` maps NaN to 0, and ``+= 0.0`` flushes the
-    ``-0.0`` that ``fmax(-0.0, 0.0)`` may return."""
-    out = np.fmax(x, 0.0, out=out)
-    out += 0.0
+def _apply(kind: str, parents: tuple, meta=None) -> Tensor:
+    """Run op ``kind`` of the op table on ``parents`` eagerly.
+
+    The forward kernel runs with no lead axes and no kept buffers; the
+    output's backward closure feeds the backward kernel's gradients to
+    the parents' ``_accumulate``.  This is :meth:`Tensor._attach` with
+    ``need`` computed once and no closure made when nothing needs it:
+    it runs for every op of every eager step.
+    """
+    op = OPS[kind]
+    ins = [p.data for p in parents]
+    data, ctx = op.forward(ins, meta, (), None)
+    out = Tensor(data)
+    if _TAPE is not None:
+        _TAPE.record(kind, out, parents, meta)
+    need = [p.requires_grad for p in parents] if _GRAD_ENABLED else ()
+    if True in need:
+
+        def backward(grad):
+            grads = op.backward(grad, ins, ctx, meta, need, (), None)
+            for parent, item in zip(parents, grads):
+                if item is not None:
+                    parent._accumulate(item[0], item[1])
+
+        out.requires_grad = True
+        out._parents = parents
+        out._backward = backward
     return out
-

@@ -39,8 +39,10 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -125,6 +127,22 @@ class ModelSpec:
         )
 
 
+def _numeric_params(algorithm: str) -> dict[str, str]:
+    """``{parameter: "int" | "float"}`` of the algorithm's constructor."""
+    from repro.federated.algorithms import ALGORITHMS
+
+    if algorithm not in ALGORITHMS:
+        return {}
+    params = inspect.signature(ALGORITHMS.get(algorithm)).parameters.values()
+    # The algorithm modules postpone annotations, so each is a string.
+    kinds = {param.name: str(param.annotation) for param in params}
+    return {
+        name: kind.replace(" | None", "")
+        for name, kind in kinds.items()
+        if kind.replace(" | None", "") in ("int", "float")
+    }
+
+
 @dataclass(frozen=True)
 class AlgorithmSpec:
     """Which federated optimization algorithm, with its knobs."""
@@ -133,6 +151,22 @@ class AlgorithmSpec:
     #: algorithm-specific settings (``mu`` for fedprox, ``option`` for
     #: scaffold, ``server_momentum``/``variant`` for fedopt)
     kwargs: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        # Equal settings must share one run id: a number is stored as the
+        # type its constructor parameter declares (``mu=1`` as 1.0,
+        # ``option=2.0`` as 2).  A float with a fraction stays a float
+        # for an int parameter, so validation still rejects it.
+        kinds = _numeric_params(self.name) if self.kwargs else {}
+        kwargs = dict(self.kwargs)
+        for key, value in kwargs.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                continue
+            if kinds.get(key) == "float":
+                kwargs[key] = float(value)
+            elif kinds.get(key) == "int" and float(value).is_integer():
+                kwargs[key] = int(value)
+        object.__setattr__(self, "kwargs", kwargs)
 
     def problems(self) -> list[str]:
         """An unknown name, or what building the algorithm from its kwargs raises.
@@ -451,6 +485,13 @@ assert len(OVERRIDE_PATHS) == 1 + sum(
     len(dataclasses.fields(section_cls)) for section_cls in SECTIONS.values()
 ), "ambiguous flat override name: add an _ALIASES entry"
 _FIELD_PATHS = frozenset(OVERRIDE_PATHS.values())
+#: (section, field) of every int knob (``int`` or ``int | None``)
+_INT_FIELDS = {(None, "seed")} | {
+    (section, f.name)
+    for section, section_cls in SECTIONS.items()
+    for f in dataclasses.fields(section_cls)
+    if f.type in ("int", "int | None")
+}
 
 
 def overridable_names() -> tuple[str, ...]:
@@ -696,6 +737,14 @@ class RunSpec:
         """
         population = self.population
         problems = [p for name in SECTIONS for p in getattr(self, name).problems()]
+        # A float (or a bool) passes an int knob's range check, then fails
+        # or silently truncates deep inside a run.
+        for name, (section, attr) in OVERRIDE_PATHS.items():
+            value = getattr(self if section is None else getattr(self, section), attr)
+            if (section, attr) in _INT_FIELDS and value is not None and (
+                isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            ):
+                problems.append(f"{name} must be an integer, got {value!r}")
         problems += _failed(
             (
                 population.size is None or self.train.sampler != "stratified",

@@ -5,27 +5,31 @@ computes it the textbook way, verbatim from the first implementation:
 ``np.where`` ReLU with a bool-mask backward, im2col + ``argmax`` + a
 fancy gather for the max pool, zeros + a nested-loop col2im for its
 backward, the linear layer as a ``transpose``/``matmul``/``add``
-composition of the first autograd ops and capture builders for them,
-and the local optimizers as per-tensor loops
-(:class:`SGD` / :class:`StackedSGD`, verbatim from before the optimizers
-updated one flat block).  :func:`swap_in` installs them everywhere the
-fast kernels are called, eager and compiled alike, so a whole run can be
-repeated on them.
+composition of the first autograd ops, and the local optimizers as
+per-tensor loops (:class:`SGD` / :class:`StackedSGD`, verbatim from
+before the optimizers updated one flat block).  :data:`RELU` and
+:data:`LINEAR` are op objects over those kernels.  :func:`swap_in`
+installs them in the op table and in place of the kernels the op objects
+call, so eager, compiled and stacked runs alike can be repeated on them.
 """
 
 import math
+from collections import Counter
 from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from repro.federated import executor, trainer
-from repro.grad import capture
-from repro.grad import functional as F
-from repro.grad import tensor as tensor_mod
+from repro.grad import ops
 from repro.grad.nn.module import Parameter
+from repro.grad.ops import _unbroadcast
 from repro.grad.optim import Optimizer
-from repro.grad.tensor import Tensor, _swap_last
+from repro.grad.tensor import Tensor
+
+
+def _swap_last(array):
+    return np.swapaxes(array, -1, -2)
 
 
 def _out_size(size, kernel, stride, padding):
@@ -163,60 +167,52 @@ def linear(x, weight, bias=None):
     return out
 
 
-def capture_transpose(c, rec, o, a):
-    arena, acc, gbufs = c.arena, c.acc, c.gbufs
-    n_lead, in_ndim = len(c.lead), rec.parents[0].data.ndim
-    base_axes = [ax % in_ndim for ax in rec.meta["axes"]]
-    axes = capture._perm(n_lead, *base_axes)
-    inverse = capture._perm(n_lead, *(int(ax) for ax in np.argsort(base_axes)))
+class Relu(ops.Op):
+    """ReLU as :func:`tensor_relu` computes it: ``np.where`` values and a
+    bool-mask backward."""
 
-    def fwd():
-        arena[o] = arena[a].transpose(axes)
+    def forward(self, ins, meta, lead, scratch):
+        return relu_forward(ins[0], None if scratch is None else scratch["out"]), None
 
-    def bwd():
-        acc(a, gbufs[o].transpose(inverse))
-
-    return fwd, bwd
+    def backward(self, grad, ins, ctx, meta, need, lead, scratch):
+        mask = ins[0] > 0
+        return [(grad * mask, True)]
 
 
-def capture_matmul(c, rec, o, a, b):
-    acc, gbufs = c.acc, c.gbufs
-    a_nd, b_nd = (p.data.ndim for p in rec.parents)
-    if c.lead and min(a_nd, b_nd) < 2:
-        raise capture.CaptureError("stacked matmul needs >= 2-D operands")
-    need_a, need_b = (p.requires_grad for p in rec.parents)
-    read_a, read_b = c.readers(rec)
-    cell_a, cell_b = capture._Cell(), capture._Cell()
+class Linear(ops.Op):
+    """The array calls of :func:`linear`'s composition, one op: transpose
+    the weight, ``matmul``, add the bias into a fresh array; backward,
+    ``tensor_matmul``'s products and the transpose's inverse."""
 
-    def bwd():
-        g = gbufs[o]
-        if need_a:
-            if b_nd == 1:
-                value = np.outer(g, read_b()) if g.ndim else g * read_b()
+    def forward(self, ins, meta, lead, scratch):
+        x, weight, *bias = ins
+        out = x @ _swap_last(weight)
+        if bias:
+            out = out + bias[0]
+        return out, None
+
+    def backward(self, grad, ins, ctx, meta, need, lead, scratch):
+        x, weight, *bias = ins
+        weight_t = _swap_last(weight)
+        grads = [None] * len(ins)
+        if need[0]:
+            grads[0] = (grad @ _swap_last(weight_t), True)
+        if need[1]:
+            if x.ndim == 1:
+                grad_t = np.outer(x, grad) if grad.ndim else grad * x
             else:
-                value = capture._binout(cell_a, np.matmul, g, _swap_last(read_b()))
-            acc(a, value, fresh=True)
-        if need_b:
-            if a_nd == 1:
-                value = np.outer(read_a(), g) if g.ndim else g * read_a()
-            else:
-                value = capture._binout(cell_b, np.matmul, _swap_last(read_a()), g)
-            acc(b, value, fresh=True)
-
-    return capture._binary_fwd(c, rec, np.matmul), bwd
+                grad_t = _swap_last(x) @ grad
+            grad_t = _unbroadcast(grad_t, weight_t.shape, len(lead))
+            grads[1] = (_swap_last(grad_t), True)
+        if bias and need[2]:
+            grads[2] = (grad, False)
+        return grads
 
 
-#: the op-table rows of the composition's two kinds, as first registered
-CAPTURE_OPS = {
-    "transpose": capture._OpSpec(
-        capture_transpose, may_alias=False, bwd_reads=(), planned=False,
-        view=True, bwd_mask=False,
-    ),
-    "matmul": capture._OpSpec(
-        capture_matmul, may_alias=False, bwd_reads=("in",), planned=True,
-        view=False, bwd_mask=False,
-    ),
-}
+RELU = Relu("relu", may_alias=True, bwd_reads=("in",), planned=True)
+LINEAR = Linear(
+    "linear", may_alias=False, bwd_reads=("in",), planned=False, stacked_rank=2
+)
 
 
 class SGD(Optimizer):
@@ -407,18 +403,27 @@ class StackedSGD(SGD):
             np.copyto(stack, update)
 
 
-def swap_in(monkeypatch) -> None:
+def swap_in(monkeypatch) -> Counter:
     """Run every ReLU, max pool, col2im, linear layer and local SGD step
-    on the reference kernels (registering the composition's op kinds, so
-    compiled and stacked programs can still capture it)."""
-    monkeypatch.setattr(F, "linear", linear)
-    for kind, spec in CAPTURE_OPS.items():
-        monkeypatch.setitem(capture._OPS, kind, spec)
-    monkeypatch.setattr(Tensor, "relu", tensor_relu)
-    monkeypatch.setattr(tensor_mod, "relu_forward", relu_forward)
-    monkeypatch.setattr(capture, "relu_forward", relu_forward)
-    monkeypatch.setattr(F, "col2im", col2im)
-    monkeypatch.setattr(F, "max_pool_forward", max_pool_forward)
-    monkeypatch.setattr(F, "max_pool_backward", max_pool_backward)
+    on the reference kernels; returns a counter of the calls each got."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for op in (RELU, LINEAR):
+        monkeypatch.setattr(op, "forward", counted(op.kind, op.forward))
+        monkeypatch.setitem(ops.OPS, op.kind, op)
+    for kernel in (col2im, max_pool_forward, max_pool_backward):
+        monkeypatch.setattr(ops, kernel.__name__, counted(kernel.__name__, kernel))
+    for optimizer in (SGD, StackedSGD):
+        monkeypatch.setattr(
+            optimizer, "step", counted(optimizer.__name__, optimizer.step)
+        )
     monkeypatch.setattr(trainer, "SGD", SGD)
     monkeypatch.setattr(executor, "StackedSGD", StackedSGD)
+    return calls

@@ -5,7 +5,7 @@ import pytest
 
 from repro.grad import Tensor
 from repro.grad import functional as F
-from repro.grad.functional import col2im, im2col
+from repro.grad.ops import col2im, im2col
 
 from tests.conftest import numerical_gradient
 

@@ -27,16 +27,17 @@ from hypothesis import assume, given, settings, strategies as st
 from repro.data import ArrayDataset
 from repro.experiments.scheduler import _openblas_threads
 from repro.federated.evaluation import EVAL_BATCH_SIZE, evaluate
-from repro.grad import functional as F
+from repro.grad import functional as F, ops
 from repro.grad.capture import (
     compile_stacked_step,
     stacked_matmul_is_exact,
     training_engine,
 )
 from repro.grad.nn.module import Parameter
+from repro.grad.ops import relu_forward
 from repro.grad.optim import SGD, StackedSGD
 from repro.grad.serialize import column_views
-from repro.grad.tensor import Tensor, relu_forward
+from repro.grad.tensor import Tensor
 from repro.models.cnn import PaperCNN
 from repro.models.mlp import TabularMLP
 from tests.grad import kernel_reference as ref
@@ -124,13 +125,13 @@ def test_relu_matches_where(drawn):
 )
 def test_max_pool_matches_im2col_argmax(drawn, kernel, stride):
     x, rng = drawn
-    out, arg = F.max_pool_forward(x, kernel, stride)
+    out, arg = ops.max_pool_forward(x, kernel, stride)
     want_out, want_arg = ref.max_pool_forward(x, kernel, stride)
     assert_same(out, want_out)
     np.testing.assert_array_equal(arg, want_arg)
     grad = draw_values(rng, out.shape, out.dtype, 0.3)
     assert_same(
-        F.max_pool_backward(grad, arg, x.shape, kernel, stride),
+        ops.max_pool_backward(grad, arg, x.shape, kernel, stride),
         ref.max_pool_backward(grad, want_arg, x.shape, kernel, stride),
         nan_payload=stride >= kernel,
     )
@@ -153,11 +154,11 @@ def test_col2im_matches_nested_loop(drawn, kernel, stride, padding):
         rng, (*lead, n * out_h * out_w, c * kernel * kernel), x.dtype, 0.3
     )
     want = ref.col2im(columns, x.shape, kernel, stride, padding)
-    got = F.col2im(columns, x.shape, kernel, stride, padding)
+    got = ops.col2im(columns, x.shape, kernel, stride, padding)
     assert_same(got, want, nan_payload=False)
     scratch: dict = {}
     for _ in range(2):  # the second call reuses the kept buffers
-        got = F.col2im(columns, x.shape, kernel, stride, padding, scratch)
+        got = ops.col2im(columns, x.shape, kernel, stride, padding, scratch)
         assert_same(got, want, nan_payload=False)
 
 

@@ -1,14 +1,18 @@
-"""One differential per registered capture op kind.
+"""One differential per registered op kind.
 
-Every entry of ``repro.grad.capture._OPS`` is one builder that serves
-serial and stacked programs alike, so each kind gets (at least) one row
-below: a tiny module that exercises it, run eagerly, as a compiled
-program with and without the arena planner, and as each slice of a
-stacked program at ``K = 1`` and ``K = 3`` — compared on the loss and
-every parameter gradient over two consecutive steps.  The case list must
-cover every table key, so an op cannot be registered untested, and the
-registered models must reach every key, so none stays registered unused.
+Every entry of ``repro.grad.ops.OPS`` is one op object that eager
+autograd and serial and stacked programs all run, so each kind gets (at
+least) one row below: a tiny module that exercises it, run eagerly, as a
+compiled program with and without the arena planner, and as each slice
+of a stacked program at ``K = 1`` and ``K = 3`` — compared on the loss
+and every parameter gradient over two consecutive steps; and each kind's
+kernels are counted on all three paths, so none of them can run a copy.
+The case list must cover every table key, so an op cannot be registered
+untested, and the registered models must reach every key, so none stays
+registered unused.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,7 +20,7 @@ import pytest
 from repro.data.dataset import DatasetInfo
 from repro.grad import capture
 from repro.grad import functional as F
-from repro.grad import nn
+from repro.grad import nn, ops
 from repro.grad import tensor as tensor_mod
 from repro.grad.capture import stacked_matmul_is_exact
 from repro.grad.nn.module import Parameter
@@ -213,7 +217,7 @@ CASES = [
 
 def test_cases_cover_every_registered_kind():
     covered = set().union(*(case.kinds for case in CASES))
-    assert covered == set(capture._OPS)
+    assert covered == set(ops.OPS)
 
 
 #: the smallest input each registered model builds for
@@ -255,15 +259,15 @@ def test_every_registered_kind_is_reached_by_a_model():
                 tensor_mod._set_tape(previous)
             assert tape.failed is None, (name, kwargs, training, tape.failed)
             reached |= {rec.kind for kind, rec in tape.entries if kind == "op"}
-    assert reached == set(capture._OPS)
+    assert reached == set(ops.OPS)
 
 
 def test_registering_without_planner_facts_is_a_type_error():
     with pytest.raises(TypeError):
-        capture._op("ghost", bwd_reads=(), planned=False)
+        ops._op("ghost", bwd_reads=(), planned=False)
     with pytest.raises(ValueError):
-        capture._op("add", may_alias=True, bwd_reads=(), planned=True)(None)
-    assert "ghost" not in capture._OPS
+        ops._op("add", may_alias=True, bwd_reads=(), planned=True)(None)
+    assert "ghost" not in ops.OPS
 
 
 def draw_inputs(case, seed=1):
@@ -378,3 +382,49 @@ def test_eager_compiled_and_stacked_agree(case):
                         f"stacked K={stack} optimize={optimize} "
                         f"step {step} client {k}",
                     )
+
+
+@pytest.mark.parametrize("kind", sorted(ops.OPS))
+def test_every_path_runs_the_one_op_object(kind, monkeypatch):
+    """Eager, compiled and stacked (``K = 3``) steps of the kind's first
+    case all run the table's object for ``kind``: its forward and backward
+    kernels are the only definition of the op."""
+    case = next(case for case in CASES if kind in case.kinds)
+    op, hits, path = ops.OPS[kind], Counter(), ["trace"]
+    for name in ("forward", "backward"):
+
+        def counted(*args, kernel=getattr(op, name), name=name):
+            hits[path[0], name] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(op, name, counted)
+    model = Probe(case.body, case.shapes)
+    model.train()
+    inputs = draw_inputs(case)[0]
+    params, features, labels = inputs[0]
+
+    path[0] = "eager"
+    eager_step(case, model, params, features, labels)
+
+    path[0] = "trace"
+    tape, x, loss = trace(case, model, features, labels)
+    program = capture._Compiler(tape, x, loss, labels).compile(with_backward=True)
+    path[0] = "compiled"
+    program.replay_step(features, labels)
+
+    path[0] = "trace"
+    tape, x, loss = trace(case, model, features, labels)
+    program = capture._Compiler(
+        tape, x, loss, labels, stack=MAX_STACK, params=model.parameters()
+    ).compile(with_backward=True)
+    for k, (params, features, labels) in enumerate(inputs):
+        for index, value in enumerate(params):
+            program.param_stack(index)[k] = value
+        program.features[k] = features
+        program.labels[k] = labels
+    path[0] = "stacked"
+    program.step()
+
+    for where in ("eager", "compiled", "stacked"):
+        for name in ("forward", "backward"):
+            assert hits[where, name] > 0, (where, name)

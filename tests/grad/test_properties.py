@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.grad import Tensor, functional as F
-from repro.grad.functional import col2im, im2col
+from repro.grad.ops import col2im, im2col
 from repro.grad.serialize import parameters_to_vector, vector_to_parameters
 from repro.grad.nn.module import Parameter
 

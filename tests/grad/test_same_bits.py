@@ -5,8 +5,9 @@ on the host that measured it.  This gate runs four 2-round SMOKE cells
 twice in one process — as shipped, and with every ReLU, max pool, col2im,
 linear layer and local SGD / StackedSGD step swapped for
 ``kernel_reference`` — and requires equal ``History.to_dict()`` and final
-global weights.  resnet8 is the cell where layout matters: its BN/residual
-reductions see the memory order ReLU hands them.
+global weights, and that the swapped run really called the references.
+resnet8 is the cell where layout matters: its BN/residual reductions see
+the memory order ReLU hands them.
 """
 
 import numpy as np
@@ -29,6 +30,18 @@ CELLS = {
     "mlp-adult-stacked": (
         "adult", {"partition": "iid", "executor": "stacked", "n_train": 640}
     ),
+}
+
+#: the reference kernels each cell must call once they are swapped in
+REFERENCES = {
+    "cnn-mnist": {
+        "relu", "linear", "max_pool_forward", "max_pool_backward", "col2im", "SGD",
+    },
+    "resnet8-cifar10": {"relu", "linear", "col2im", "SGD"},
+    "cnn-mnist-compiled": {
+        "relu", "linear", "max_pool_forward", "max_pool_backward", "col2im", "SGD",
+    },
+    "mlp-adult-stacked": {"relu", "linear", "StackedSGD"},
 }
 
 #: the program call each cell must exercise, or None
@@ -74,8 +87,9 @@ def test_shipped_kernels_give_the_reference_bits(name, monkeypatch):
     with monkeypatch.context() as patch:
         shipped = run_cell(name, patch)
     with monkeypatch.context() as patch:
-        kernel_reference.swap_in(patch)
+        calls = kernel_reference.swap_in(patch)
         reference = run_cell(name, patch)
+    assert {kernel for kernel, count in calls.items() if count} >= REFERENCES[name]
     assert shipped[0] == reference[0]
     assert shipped[1].keys() == reference[1].keys()
     for key, value in shipped[1].items():

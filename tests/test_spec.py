@@ -186,6 +186,23 @@ class TestRunId:
             if knob_path(name)[0] != "exec":
                 assert knob_spec(name).run_id() != base, name
 
+    @pytest.mark.parametrize(
+        "algorithm,first,second",
+        [
+            ("scaffold", {"option": 2}, {"option": 2.0}),
+            ("fedprox", {"mu": 1}, {"mu": 1.0}),
+        ],
+    )
+    def test_equal_algorithm_kwargs_share_it(self, algorithm, first, second):
+        """A number is stored as its constructor parameter's type, so the
+        same setting written as an int or a float is one cell."""
+        specs = [
+            RunSpec.build("adult", "iid", algorithm, algorithm_kwargs=kwargs)
+            for kwargs in (first, second)
+        ]
+        assert specs[0].run_id() == specs[1].run_id()
+        assert specs[0] == specs[1]
+
     def test_exec_fields_do_not_change_it(self):
         base = knob_spec().run_id()
         exec_knobs = [name for name in KNOBS if knob_path(name)[0] == "exec"]
@@ -445,6 +462,13 @@ class TestValidate:
             ({"algorithm": "fedopt", "algorithm_kwargs": {"beta2": 1.0}}, "beta2"),
             ({"algorithm": "fedopt", "algorithm_kwargs": {"eps": float("inf")}}, "eps .*got inf"),
             ({"algorithm": "scaffold", "algorithm_kwargs": {"option": 3}}, "option"),
+            # an int knob takes an int: a float or a bool passes its range
+            # check, then fails or truncates inside the run
+            ({"num_rounds": 2.5}, "num_rounds must be an integer, got 2.5"),
+            ({"codec_bits": 8.5}, "codec_bits must be an integer, got 8.5"),
+            ({"batch_size": True}, "batch_size must be an integer, got True"),
+            ({"samples_per_client": 64.0}, "samples_per_client must be an integer"),
+            ({"stack_size": 4.0}, "stack_size must be an integer, got 4.0"),
         ],
     )
     def test_invalid_specs_rejected(self, override, fragment):
