@@ -19,8 +19,8 @@ test-async:
 test-concurrent:
 	$(PYTHON) -m pytest -x -q -m concurrent
 
-# Just the capture-engine optimizer: arena planner, constant interning,
-# optimized-vs-eager bitwise differentials, and the build cache.
+# Just compiled replay: the compiled-vs-eager bitwise differentials and
+# the build cache.
 test-capture:
 	$(PYTHON) -m pytest -x -q -m capture
 

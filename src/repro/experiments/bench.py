@@ -149,7 +149,7 @@ def bench_compiled_step(
 
     Times ``steps`` full SGD steps both ways on the paper MLP and CNN,
     and records tracemalloc peak bytes / allocation counts for a single
-    step — the replay path's whole point is reusing one buffer arena
+    step — the replay path's whole point is reusing its kept buffers
     instead of re-allocating the graph every step.
     """
     rows = []
@@ -303,48 +303,6 @@ def bench_stacked_replay(
                     ),
                 }
             )
-    return rows
-
-
-def bench_arena_plan(seed: int = 0, stack: int = 16) -> list[dict]:
-    """Arena-planner statistics for the bench programs (no timing).
-
-    Compiles each program with the optimizer on and off and reports the
-    planner's own accounting (see
-    :class:`~repro.grad.capture.ArenaPlanStats`): peak planned arena
-    bytes vs the unplanned one-buffer-per-op arena, slot counts, and
-    constants interned.  ``reduction`` is the headline number — the
-    fraction of managed arena bytes the liveness coloring removed.
-    """
-    from repro.grad.capture import CaptureError, stacked_engine
-
-    def train_stats(name):
-        model, features, labels = _step_fixture(name, seed=seed)
-        model.train()
-        engine = training_engine(model)
-        engine.step(features, labels)
-        (program,) = engine.programs.values()
-        return program.stats
-
-    def stacked_stats(name):
-        model, features, labels = _step_fixture(name, seed=seed)
-        try:
-            program = stacked_engine(model).program(
-                stack, np.zeros_like(features), np.zeros(labels.shape, np.int64)
-            )
-        except CaptureError:
-            return None
-        return program.stats
-
-    rows = []
-    for name in ("mlp", "cnn"):
-        for label, stats in (
-            (f"{name}-train", train_stats(name)),
-            (f"{name}-stacked-k{stack}", stacked_stats(name)),
-        ):
-            if stats is None:
-                continue
-            rows.append({"program": label, **stats.to_dict()})
     return rows
 
 
@@ -586,9 +544,6 @@ def run_benchmarks(
             steps=3 if smoke else 10,
             stack_sizes=(1, 4) if smoke else BENCH_STACK_SIZES,
         ),
-        # Deterministic planner accounting, not a timing: identical in
-        # smoke and full runs.
-        "arena_plan": bench_arena_plan(seed=seed),
         "eval_fastpath": bench_eval_fastpath(
             repeats=repeats if smoke else max(repeats, 3),
             seed=seed,

@@ -4,7 +4,7 @@ Every local SGD step traces an identical ``Tensor`` closure graph: the
 same ops in the same order over the same shapes, differing only in the
 batch contents and the parameter values.  This module records that trace
 once — into a :class:`CapturedStep` — and *replays* it on later steps
-against a preallocated buffer arena, skipping per-step Python closure
+into buffers kept from its first replay, skipping per-step Python closure
 construction, graph bookkeeping, and most ``np.zeros``/``astype(copy=True)``
 allocations.
 
@@ -15,25 +15,22 @@ kernel runs the *same NumPy calls on arrays of the same memory layout*:
 
 * replay runs the very op objects of :data:`repro.grad.ops.OPS` that
   eager autograd runs, with a per-record scratch dict instead of fresh
-  arrays: a kept buffer is the kernel's own first result (same layout),
-  rewritten ``out=`` afterwards, so reductions see the same strides;
-* planned forward outputs are ``np.empty_like`` copies of the eager
-  outputs (layout-preserving), seeded into that dict;
+  arrays;
 * gradient accumulation mirrors :meth:`Tensor._accumulate`: the first
   write per step copies (or ``np.copyto``-refreshes) the freshly
   computed value, later writes use ``+=`` in the same order as the eager
   reverse-topological pass, which is replicated verbatim at compile
   time.
 
-Program optimizer
------------------
-Between compile and first replay an optimizer pass (on by default)
-plans the buffer arena: liveness analysis plus interval-graph coloring
-lets compile-time output buffers share storage once their last reader
-has run, and identical small constants are interned across programs.
-Optimized programs run the same kernels in the same order on
-identically-laid-out buffers, so replay stays bitwise identical;
-``optimize=False`` reproduces the unplanned programs exactly.
+Kept buffers
+------------
+A record's scratch dict is its only storage.  The first replay fills it
+with each kernel's own fresh results, so every kept buffer has exactly
+the layout eager execution gives (reductions see the same strides); later
+replays write into them ``out=``.  Nothing is planned or shared between
+records, so no kernel can overwrite bytes another record still reads.
+Constants are write-locked snapshots, so a kernel that wrote one would
+fail loudly.
 
 One op table, one compiler
 --------------------------
@@ -63,7 +60,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from repro.grad import functional as F
 from repro.grad import tensor as tensor_mod
@@ -121,217 +117,29 @@ class Tape:
             self.buffer_leaves.append((tensor, module, name, tuple(shape)))
 
 
-# ----------------------------------------------------------------------
-# Program optimizer: arena planner, constant interning
-# ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class ArenaPlanStats:
-    """What the program optimizer did to one compiled program."""
+class ProgramStats:
+    """What one compiled program holds."""
 
+    #: bytes of the distinct buffers the program keeps between replays:
+    #: its own arena slots, its gradient buffers and every record's kept
+    #: scratch (the first replay allocates the scratch)
     peak_bytes: int
-    unplanned_bytes: int
-    slots_before: int
-    slots_after: int
-    constants_interned: int
-
-    @property
-    def reduction(self) -> float:
-        """Fraction of colorable arena bytes removed by slot sharing."""
-        if not self.unplanned_bytes:
-            return 0.0
-        return 1.0 - self.peak_bytes / self.unplanned_bytes
-
-    def to_dict(self) -> dict:
-        return {
-            "peak_bytes": int(self.peak_bytes),
-            "unplanned_bytes": int(self.unplanned_bytes),
-            "reduction": round(self.reduction, 4),
-            "slots_before": int(self.slots_before),
-            "slots_after": int(self.slots_after),
-            "constants_interned": int(self.constants_interned),
-        }
 
 
-def _dense_layout(template: np.ndarray):
-    """``template``'s strides when it covers its buffer densely, else None.
-
-    ``np.empty_like`` reproduces permuted-contiguous layouts (e.g. the
-    NCHW view of a conv output); such a buffer occupies exactly
-    ``nbytes`` of gapless memory, so a carved block can be re-strided to
-    an identical layout.  Anything with gaps or negative strides stays
-    on a dedicated buffer.
-    """
-    if template.flags["C_CONTIGUOUS"]:
-        return None  # plain reshape covers it
-    expected = template.itemsize
-    for axis in sorted(range(template.ndim), key=lambda i: template.strides[i]):
-        if template.shape[axis] == 1:
-            continue
-        if template.shape[axis] == 0 or template.strides[axis] != expected:
-            return False
-        expected *= template.shape[axis]
-    return template.strides
-
-
-class _Alloc:
-    """One colorable buffer request with its live interval [birth, last].
-
-    ``strides`` is None for a C-contiguous request, or the exact dense
-    strides the carved view must reproduce.
-    """
-
-    __slots__ = (
-        "shape",
-        "dtype",
-        "strides",
-        "nbytes",
-        "birth",
-        "last",
-        "may_alias",
-        "buffer",
-    )
-
-    def __init__(self, shape, dtype, strides, birth, may_alias):
-        self.shape = tuple(shape)
-        self.dtype = np.dtype(dtype)
-        self.strides = None if strides is None else tuple(strides)
-        self.nbytes = int(np.prod(self.shape, dtype=np.int64)) * self.dtype.itemsize
-        self.birth = birth
-        self.last = birth
-        self.may_alias = may_alias
-        self.buffer = None
-
-
-class _ArenaPlanner:
-    """Interval-graph slot coloring over one program's buffer requests.
-
-    Liveness events are collected in program order (forward ops, then
-    the scheduled backward ops, then the final read of the program
-    output); :meth:`plan` then packs every request into the smallest set
-    of byte blocks such that no two requests with overlapping live
-    ranges share a block.  A request may land on a block whose current
-    tenant dies exactly at the request's birth step only when the
-    producing kernel declared ``may_alias`` and the overlay is an exact
-    same-shape/dtype in-place write — any other overlap would let a
-    kernel scribble over bytes a later reader still needs.
-    """
-
-    __slots__ = ("allocs", "blocks", "planned", "_by_key", "_roots")
-
-    def __init__(self):
-        self.allocs: list[_Alloc] = []
-        self.blocks: list[dict] = []
-        self.planned = False
-        #: slot, or ``("mask", record id)`` for a backward mask -> request
-        self._by_key: dict = {}
-        self._roots: dict[int, int] = {}
-
-    def _root(self, slot: int) -> int:
-        while slot in self._roots:
-            slot = self._roots[slot]
-        return slot
-
-    def define(self, key, shape, dtype, step, may_alias, strides=None) -> None:
-        alloc = _Alloc(shape, dtype, strides, step, may_alias)
-        self.allocs.append(alloc)
-        self._by_key[key] = alloc
-
-    def view(self, slot, of_slot) -> None:
-        """Reads of ``slot`` are reads of ``of_slot``'s storage."""
-        self._roots[slot] = of_slot
-
-    def read(self, slot, step) -> None:
-        alloc = self._by_key.get(self._root(slot))
-        if alloc is not None and step > alloc.last:
-            alloc.last = step
-
-    def plan(self) -> None:
-        # Requests were appended in program order, so a single pass sees
-        # each one after all earlier births; best fit by capacity keeps
-        # the big activation blocks available for later reuse.
-        blocks: list[dict] = []
-        for alloc in self.allocs:
-            best = None
-            for block in blocks:
-                if block["size"] < alloc.nbytes:
-                    continue
-                top = block["top"]
-                free = block["last"] < alloc.birth or (
-                    alloc.may_alias
-                    and block["last"] == alloc.birth
-                    and top.last == alloc.birth
-                    and top.shape == alloc.shape
-                    and top.dtype == alloc.dtype
-                    and top.strides == alloc.strides
-                )
-                if free and (best is None or block["size"] < best["size"]):
-                    best = block
-            if best is None:
-                blocks.append(
-                    {
-                        "size": alloc.nbytes,
-                        "last": alloc.last,
-                        "top": alloc,
-                        "tenants": [alloc],
-                    }
-                )
-            else:
-                best["last"] = max(best["last"], alloc.last)
-                best["top"] = alloc
-                best["tenants"].append(alloc)
-        for block in blocks:
-            # All tenants carve from offset 0 of one aligned byte block:
-            # the views have exactly the shape/strides/dtype a dedicated
-            # ``np.empty``/``np.empty_like`` would have, so kernels
-            # cannot tell the difference.
-            base = np.empty((block["size"],), dtype=np.uint8)
-            block["base"] = base
-            for tenant in block["tenants"]:
-                flat = base[: tenant.nbytes].view(tenant.dtype)
-                if tenant.strides is None:
-                    tenant.buffer = flat.reshape(tenant.shape)
-                else:
-                    tenant.buffer = as_strided(
-                        flat, shape=tenant.shape, strides=tenant.strides
-                    )
-        self.blocks = blocks
-        self.planned = True
-
-    def buffer(self, key) -> np.ndarray | None:
-        alloc = self._by_key.get(key)
-        return None if alloc is None else alloc.buffer
-
-    @property
-    def dedicated_bytes(self) -> int:
-        return sum(alloc.nbytes for alloc in self.allocs)
-
-    @property
-    def planned_bytes(self) -> int:
-        return sum(block["size"] for block in self.blocks)
-
-
-_CONSTANT_POOL: dict[tuple, np.ndarray] = {}
-_CONSTANT_POOL_MAX_NBYTES = 4096
-
-
-def _intern_constant(value: np.ndarray) -> tuple[np.ndarray, bool]:
-    """A shared read-only snapshot of ``value`` (small constants only).
-
-    Captured programs never write constant slots, so identical eps/scale
-    arrays can back every program that needs them; the write lock turns
-    any future violation of that invariant into a loud error instead of
-    silent cross-program corruption.  Returns ``(array, was_shared)``.
-    """
-    arr = np.array(value, copy=True)
-    if arr.nbytes > _CONSTANT_POOL_MAX_NBYTES:
-        return arr, False
-    key = (arr.dtype.str, arr.shape, arr.tobytes())
-    cached = _CONSTANT_POOL.get(key)
-    if cached is not None:
-        return cached, True
-    arr.setflags(write=False)
-    _CONSTANT_POOL[key] = arr
-    return arr, False
+def _program_stats(program, borrowed=()) -> ProgramStats:
+    """``program``'s held bytes; ``borrowed`` arena slots are the caller's
+    arrays.  A view counts with its base, once."""
+    arrays = [a for slot, a in enumerate(program.arena) if slot not in borrowed]
+    arrays += program.gbufs
+    arrays += [a for scratch in program.scratch for a in scratch.values()]
+    bases = {}
+    for array in arrays:
+        while isinstance(array, np.ndarray) and isinstance(array.base, np.ndarray):
+            array = array.base
+        if isinstance(array, np.ndarray):
+            bases[id(array)] = array.nbytes
+    return ProgramStats(peak_bytes=sum(bases.values()))
 
 
 class CapturedStep:
@@ -352,12 +160,17 @@ class CapturedStep:
         "gseen_false",
         "seed",
         "acc",
-        "stats",
+        "scratch",
     )
 
     def __init__(self, **fields):
         for name, value in fields.items():
             setattr(self, name, value)
+
+    @property
+    def stats(self) -> ProgramStats:
+        borrowed = {slot for slot, *_ in self.param_refresh + self.buffer_refresh}
+        return _program_stats(self, borrowed | {self.input_slot})
 
     def replay_forward(self, features: np.ndarray) -> np.ndarray:
         arena = self.arena
@@ -452,12 +265,16 @@ class StackedStep:
         "seed",
         "acc",
         "stack",
-        "stats",
+        "scratch",
     )
 
     def __init__(self, **fields):
         for name, value in fields.items():
             setattr(self, name, value)
+
+    @property
+    def stats(self) -> ProgramStats:
+        return _program_stats(self)
 
     @property
     def features(self) -> np.ndarray:
@@ -508,9 +325,10 @@ class _Compiler:
     constants stay unstacked and broadcast (NumPy's right-alignment
     handles them untouched).  What differs with ``stack`` is decided
     here, at compile time: parameter/input/label slots are rebound from
-    the live objects (serial) or owned by the program (stacked), output
-    buffers copy the eager layout or are fresh ``lead + base`` arrays,
-    and module buffers (batch norm) are rejected when stacked.
+    the live objects (serial) or owned by the program (stacked), and
+    module buffers (batch norm) are rejected when stacked.  Op outputs
+    need no decision: each is its kernel's own result, kept in the
+    record's scratch.
     """
 
     def __init__(
@@ -519,7 +337,6 @@ class _Compiler:
         input_tensor: Tensor,
         output: Tensor,
         labels,
-        optimize: bool = True,
         stack: int | None = None,
         params=None,
     ):
@@ -527,17 +344,12 @@ class _Compiler:
         self.input_tensor = input_tensor
         self.output = output
         self.labels = labels
-        self.optimize = optimize
         self.stack = stack
         self.lead = () if stack is None else (stack,)
         #: slots carrying the lead axes (none in a serial program)
         self.stacked: set[int] = set()
         self._param_index = {id(p): i for i, p in enumerate(params or ())}
         self.param_slots: list[int | None] = [None] * len(self._param_index)
-        self._planner: _ArenaPlanner | None = None
-        self._interned = 0
-        self._raw_slots = 0
-        self._raw_bytes = 0
         self.slots: dict[int, int] = {}
         self.arena: list = []
         self.shapes: list = []
@@ -548,6 +360,8 @@ class _Compiler:
         self.param_binds: list = []
         self.input_slot: int | None = None
         self.labels_slot: int | None = None
+        #: one kept-buffer dict per bound record
+        self.scratch: list[dict] = []
         self._buffer_leaf_map = {
             id(t): (module, name, shape)
             for t, module, name, shape in tape.buffer_leaves
@@ -631,19 +445,15 @@ class _Compiler:
                     "stacked replay cannot bind a gradient-bearing non-parameter leaf"
                 )
             # Constant (coerced scalar, eps, 1/count, ...): snapshot once,
-            # shared by all clients.
-            if self.optimize:
-                value, shared = _intern_constant(t.data)
-                self._interned += 1 if shared else 0
-                self.arena[slot] = value
-            else:
-                self.arena[slot] = np.array(t.data, copy=True)
+            # shared by all clients; no kernel may write it.
+            value = np.array(t.data, copy=True)
+            value.setflags(write=False)
+            self.arena[slot] = value
 
-    def _bind(self, rec: _OpRecord, scheduled: bool):
+    def _bind(self, rec: _OpRecord):
         """The ``(forward, backward)`` replay closures of one record: its
-        op object bound to the record's slots, a scratch dict seeded with
-        the planned buffers, and the program's accumulator.  The backward
-        closure runs only when ``scheduled`` (some parent requires grad)."""
+        op object bound to the record's slots, the record's own scratch
+        dict, and the program's accumulator."""
         op = OPS[rec.kind]
         if self.lead and rec.parents[0].data.ndim < op.stacked_rank:
             raise CaptureError(
@@ -654,10 +464,7 @@ class _Compiler:
         need = [p.requires_grad for p in rec.parents]
         meta = self._bind_meta(rec)
         scratch: dict = {}
-        if op.planned:
-            scratch["out"] = arena[o] = self._buffer(o, rec.out.data)
-        if op.bwd_mask and scheduled:
-            scratch["mask"] = self._buffer(("mask", id(rec)), rec.parents[0].data)
+        self.scratch.append(scratch)
         # A stacked operand of lower base rank is seen as (K, 1, ..., base)
         # before any broadcasting op: naive right-alignment would smear
         # the client axis across a data dimension.
@@ -765,9 +572,8 @@ class _Compiler:
             )
             self._own(self.labels_slot)
 
-        # Slot assignment precedes kernel construction so the planner can
-        # see the whole program (including the backward schedule) before
-        # any kernel closes over a concrete buffer.
+        # Every slot exists, and every stacked refusal is raised, before
+        # any record binds.
         for kind, entry in self.tape.entries:
             if kind == "op":
                 for parent in entry.parents:
@@ -799,15 +605,11 @@ class _Compiler:
             )
             sched = self._schedule_backward()
 
-        if self.optimize:
-            self._plan_arena(sched)
-
         forward_ops: list = []
         backward: dict[int, object] = {}
-        scheduled = {id(rec) for rec in sched}
         for kind, entry in self.tape.entries:
             if kind == "op":
-                fwd, backward[id(entry)] = self._bind(entry, id(entry) in scheduled)
+                fwd, backward[id(entry)] = self._bind(entry)
                 forward_ops.append(fwd)
             else:
                 forward_ops.append(self._bn_op(entry))
@@ -825,7 +627,7 @@ class _Compiler:
             gseen_false=[False] * len(self.arena),
             seed=seed,
             acc=self.acc,
-            stats=self._plan_stats(),
+            scratch=self.scratch,
         )
         if lead:
             return StackedStep(
@@ -838,7 +640,6 @@ class _Compiler:
             **fields,
         )
 
-    # -- optimizer passes ------------------------------------------------
     def _schedule_backward(self) -> list:
         """The backward records in execution order: the eager pass's own
         order, so replayed gradient accumulation matches it bit for bit."""
@@ -851,103 +652,6 @@ class _Compiler:
                 raise CaptureError("graph node missing from the tape")
             sched.append(rec)
         return sched
-
-    def _plan_arena(self, sched: list) -> None:
-        """Collect liveness events in program order and color the arena."""
-        planner = _ArenaPlanner()
-        step = 0
-        for kind, entry in self.tape.entries:
-            if kind == "op":
-                rec = entry
-                for p in rec.parents:
-                    planner.read(self.slot(p), step)
-                o = self.slot(rec.out)
-                spec = OPS[rec.kind]
-                if spec.view:
-                    planner.view(o, self.slot(rec.parents[0]))
-                elif spec.planned:
-                    carve = self._carve_spec(rec.out.data)
-                    if carve is not None:
-                        planner.define(o, *carve[:2], step, spec.may_alias, carve[2])
-            else:
-                _, mean_t, var_t, _ = entry
-                sm = self.slots.get(id(mean_t))
-                sv = self.slots.get(id(var_t))
-                if sm is not None:
-                    planner.read(sm, step)
-                if sv is not None:
-                    planner.read(sv, step)
-            step += 1
-        for rec in sched:
-            spec = OPS[rec.kind]
-            if "out" in spec.bwd_reads:
-                planner.read(self.slot(rec.out), step)
-            if "in" in spec.bwd_reads:
-                for p in rec.parents:
-                    planner.read(self.slot(p), step)
-            mask = spec.bwd_mask and self._carve_spec(rec.parents[0].data)
-            if mask:
-                # The mask lives only inside the backward kernel.
-                planner.define(("mask", id(rec)), *mask[:2], step, False, mask[2])
-            step += 1
-        # The program output is handed to the caller after replay (the
-        # loss read, inference logits, stacked per-client losses), so its
-        # storage must survive the whole program.
-        planner.read(self.slot(self.output), step)
-        planner.plan()
-        self._planner = planner
-
-    def _carve_spec(self, template: np.ndarray):
-        """(shape, dtype, strides) of a block view laid out like the
-        buffer :meth:`_buffer` would allocate for ``template``, or None.
-
-        Stacked buffers are always fresh C-contiguous ``lead + base``
-        arrays; serial ones copy the eager layout: C-contiguous arrays
-        reshape straight out of the block (strides None), dense permuted
-        layouts (e.g. the NCHW view of a conv output flowing through relu)
-        are re-strided to the probed ``np.empty_like`` strides, and
-        anything non-dense stays unmanaged.
-        """
-        if self.lead or template.flags["C_CONTIGUOUS"]:
-            return self.lead + template.shape, template.dtype, None
-        strides = _dense_layout(np.empty_like(template))
-        if strides is False:
-            return None
-        return template.shape, template.dtype, strides
-
-    def _buffer(self, key, template: np.ndarray) -> np.ndarray:
-        """A compile-time buffer laid out like ``template`` plus the lead
-        axes: the planner's block view under ``key``, else a dedicated
-        allocation."""
-        planner = self._planner
-        buf = None if planner is None else planner.buffer(key)
-        if buf is None:
-            if self.lead:
-                buf = np.empty(self.lead + template.shape, template.dtype)
-            else:
-                buf = np.empty_like(template)
-            if planner is None and self._carve_spec(template) is not None:
-                self._raw_slots += 1
-                self._raw_bytes += buf.nbytes
-        return buf
-
-    def _plan_stats(self) -> ArenaPlanStats:
-        planner = self._planner
-        if planner is None:
-            return ArenaPlanStats(
-                peak_bytes=self._raw_bytes,
-                unplanned_bytes=self._raw_bytes,
-                slots_before=self._raw_slots,
-                slots_after=self._raw_slots,
-                constants_interned=self._interned,
-            )
-        return ArenaPlanStats(
-            peak_bytes=planner.planned_bytes,
-            unplanned_bytes=planner.dedicated_bytes,
-            slots_before=len(planner.allocs),
-            slots_after=len(planner.blocks),
-            constants_interned=self._interned,
-        )
 
     def _bn_op(self, entry):
         module, mean_t, var_t, count = entry
@@ -978,9 +682,7 @@ class _Compiler:
         return run
 
 
-def compile_stacked_step(
-    model, stack: int, features, labels, optimize: bool = True
-) -> StackedStep:
+def compile_stacked_step(model, stack: int, features, labels) -> StackedStep:
     """Compile a K-client batched SGD training step for ``model``.
 
     ``features``/``labels`` are shape/dtype templates for *one* client's
@@ -1010,7 +712,6 @@ def compile_stacked_step(
             x,
             loss,
             synth_y,
-            optimize=optimize,
             stack=stack,
             params=model.parameters(),
         ).compile(with_backward=True)
@@ -1028,9 +729,8 @@ class StackedEngine:
     immediately on later requests, so executors can probe cheaply.
     """
 
-    def __init__(self, model, optimize: bool = True):
+    def __init__(self, model):
         self.model = model
-        self.optimize = optimize
         self.programs: dict = {}
         self.failures: dict = {}
 
@@ -1049,9 +749,7 @@ class StackedEngine:
         if reason is not None:
             raise CaptureError(reason)
         try:
-            program = compile_stacked_step(
-                self.model, stack, features, labels, optimize=self.optimize
-            )
+            program = compile_stacked_step(self.model, stack, features, labels)
         except CaptureError as error:
             self.failures[key] = str(error)
             raise
@@ -1075,9 +773,8 @@ class _Engine:
     rejected.
     """
 
-    def __init__(self, model, optimize: bool = True):
+    def __init__(self, model):
         self.model = model
-        self.optimize = optimize
         self.programs: dict = {}
         self.failures: dict = {}
         self.captures = 0
@@ -1101,9 +798,9 @@ class _Engine:
             self.failures[key] = tape.failed
             return
         try:
-            program = _Compiler(
-                tape, x, output, labels, optimize=self.optimize
-            ).compile(with_backward=labels is not None)
+            program = _Compiler(tape, x, output, labels).compile(
+                with_backward=labels is not None
+            )
         except CaptureError as error:
             self.failures[key] = str(error)
             return
@@ -1200,7 +897,8 @@ class InferenceEngine(_Engine):
         return out.data
 
 
-def _engine_cache(model) -> dict:
+def _cached_engine(model, key, make):
+    """The engine cached on ``model`` under ``key``, made on first use."""
     cache = getattr(model, "_capture_engines", None)
     if cache is None:
         # A plain attribute: Module.__setattr__ keeps it out of the
@@ -1208,42 +906,22 @@ def _engine_cache(model) -> dict:
         # or a checkpoint (the model object itself is never pickled).
         cache = {}
         model._capture_engines = cache
-    return cache
-
-
-def training_engine(model, optimize: bool = True) -> TrainingEngine:
-    """The model's cached :class:`TrainingEngine` (created on first use).
-
-    ``optimize=False`` compiles programs without the arena planner and
-    constant interning (the planner's test reference); optimized
-    and raw engines are cached independently.
-    """
-    cache = _engine_cache(model)
-    key = "train" if optimize else "train-raw"
     engine = cache.get(key)
     if engine is None:
-        engine = TrainingEngine(model, optimize=optimize)
-        cache[key] = engine
+        engine = cache[key] = make(model)
     return engine
 
 
-def inference_engine(model, optimize: bool = True) -> InferenceEngine:
+def training_engine(model) -> TrainingEngine:
+    """The model's cached :class:`TrainingEngine` (created on first use)."""
+    return _cached_engine(model, "train", TrainingEngine)
+
+
+def inference_engine(model) -> InferenceEngine:
     """The model's cached :class:`InferenceEngine` (created on first use)."""
-    cache = _engine_cache(model)
-    key = "eval" if optimize else "eval-raw"
-    engine = cache.get(key)
-    if engine is None:
-        engine = InferenceEngine(model, optimize=optimize)
-        cache[key] = engine
-    return engine
+    return _cached_engine(model, "eval", InferenceEngine)
 
 
-def stacked_engine(model, optimize: bool = True) -> StackedEngine:
+def stacked_engine(model) -> StackedEngine:
     """The model's cached :class:`StackedEngine` (created on first use)."""
-    cache = _engine_cache(model)
-    key = "stacked" if optimize else "stacked-raw"
-    engine = cache.get(key)
-    if engine is None:
-        engine = StackedEngine(model, optimize=optimize)
-        cache[key] = engine
-    return engine
+    return _cached_engine(model, "stacked", StackedEngine)

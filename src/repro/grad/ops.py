@@ -1,9 +1,8 @@
 """The op table: one object per op kind, for eager autograd and replay.
 
 Every op the library emits is one registered :class:`Op` in :data:`OPS`:
-a forward and a backward kernel over plain arrays, plus the facts the
-arena planner of :mod:`repro.grad.capture` needs.  Two bindings run the
-same object.  Eager autograd (:func:`repro.grad.tensor._apply`) calls it
+a forward and a backward kernel over plain arrays.  Two bindings run
+the same object.  Eager autograd (:func:`repro.grad.tensor._apply`) calls it
 on tensor payloads with ``lead = ()`` and ``scratch = None`` and hands
 the gradients to ``Tensor._accumulate``.  The capture compiler binds it
 to arena slots with ``lead = ()`` (a serial program) or ``(K,)`` (a
@@ -32,9 +31,9 @@ Buffers
 -------
 ``scratch=None`` allocates fresh arrays.  A dict keeps them: each kernel
 asks :func:`_into` / :func:`_scratch` for a named buffer, allocated on
-the first call and rewritten in place after that.  The compiler seeds
-``scratch["out"]`` and ``scratch["mask"]`` with planned buffers, so one
-mechanism serves arena planning and private scratch alike.  The one
+the first call and rewritten in place after that.  A compiled record's
+dict starts empty, so every kept buffer, outputs included, is allocated
+by the kernel that writes it, in the layout eager gives.  The one
 exception is eager im2col, which keeps its column buffers in a pool of
 its own (:func:`_column_buffer`).
 
@@ -50,33 +49,14 @@ import numpy as np
 
 
 class Op:
-    """One op kind: its two kernels and the planner's facts about them.
+    """One op kind: its two kernels.
 
-    ``may_alias`` asserts the forward kernel never reads an input element
-    after writing the corresponding output element, so the planner may
-    overlay ``out`` onto an input buffer whose last reader is this very
-    op (an exact same-shape/dtype in-place write).  ``bwd_reads`` lists
-    which arena buffers the backward kernel still needs at backward time:
-    ``"in"`` = the parents' slots, ``"out"`` = the op's own output slot.
-    ``planned`` marks kinds whose forward writes ``scratch["out"]`` (the
-    only allocations the planner can color: the others return views of
-    private scratch or fresh arrays).  ``view`` marks ops whose output is
-    a view of the input's storage, ``bwd_mask`` ones whose backward
-    writes ``scratch["mask"]``, an array like the first input (also a
-    colorable allocation), and ``stacked_rank`` the least base rank the
-    first input needs in a stacked program.
+    ``stacked_rank`` is the least base rank the first input needs in a
+    stacked program.
     """
 
-    def __init__(
-        self, kind, *, may_alias, bwd_reads, planned, view=False, bwd_mask=False,
-        stacked_rank=0,
-    ):
+    def __init__(self, kind, *, stacked_rank=0):
         self.kind = kind
-        self.may_alias = may_alias
-        self.bwd_reads = bwd_reads
-        self.planned = planned
-        self.view = view
-        self.bwd_mask = bwd_mask
         self.stacked_rank = stacked_rank
 
     def forward(self, ins, meta, lead, scratch):
@@ -90,18 +70,14 @@ class Op:
 OPS: dict[str, Op] = {}
 
 
-def _op(kind, *, may_alias, bwd_reads, planned, view=False, bwd_mask=False,
-        stacked_rank=0):
+def _op(kind, *, stacked_rank=0):
     """Register an instance of the decorated :class:`Op` subclass as *the*
     entry for ``kind``."""
 
     def register(cls):
         if kind in OPS:
             raise ValueError(f"op kind {kind!r} registered twice")
-        OPS[kind] = cls(
-            kind, may_alias=may_alias, bwd_reads=bwd_reads, planned=planned,
-            view=view, bwd_mask=bwd_mask, stacked_rank=stacked_rank,
-        )
+        OPS[kind] = cls(kind, stacked_rank=stacked_rank)
         return cls
 
     return register
@@ -180,6 +156,13 @@ def relu_forward(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     out = np.fmax(x, 0.0, out=out)
     out += 0.0
     return out
+
+
+def relu_mask(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1.0 where ``x > 0``, else 0.0, in ``x``'s dtype and memory order."""
+    if out is None:
+        return (x > 0).astype(x.dtype)
+    return np.greater(x, 0, out=out)
 
 
 #: Max pooled buffers per (shape, kernel, stride, padding) key; beyond
@@ -377,7 +360,7 @@ def max_pool_backward(grad, arg, image_shape, kernel, stride, scratch=None):
 # ----------------------------------------------------------------------
 # The op kinds
 # ----------------------------------------------------------------------
-@_op("add", may_alias=True, bwd_reads=(), planned=True)
+@_op("add")
 class _Add(Op):
     def forward(self, ins, meta, lead, scratch):
         return _into(scratch, "out", np.add, *ins), None
@@ -387,7 +370,7 @@ class _Add(Op):
         return [(grad, False) if need[0] else None, (grad, False) if need[1] else None]
 
 
-@_op("sub", may_alias=True, bwd_reads=(), planned=True)
+@_op("sub")
 class _Sub(Op):
     def forward(self, ins, meta, lead, scratch):
         return _into(scratch, "out", np.subtract, *ins), None
@@ -399,7 +382,7 @@ class _Sub(Op):
         ]
 
 
-@_op("mul", may_alias=True, bwd_reads=("in",), planned=True)
+@_op("mul")
 class _Mul(Op):
     def forward(self, ins, meta, lead, scratch):
         return _into(scratch, "out", np.multiply, *ins), None
@@ -412,7 +395,7 @@ class _Mul(Op):
         ]
 
 
-@_op("div", may_alias=True, bwd_reads=("in",), planned=True)
+@_op("div")
 class _Div(Op):
     def forward(self, ins, meta, lead, scratch):
         return _into(scratch, "out", np.divide, *ins), None
@@ -425,7 +408,7 @@ class _Div(Op):
         ]
 
 
-@_op("pow", may_alias=False, bwd_reads=("in",), planned=False)
+@_op("pow")
 class _Pow(Op):
     def forward(self, ins, meta, lead, scratch):
         # `x ** e` has ufunc fast paths `np.power` lacks.
@@ -436,7 +419,7 @@ class _Pow(Op):
         return [(grad * exponent * ins[0] ** (exponent - 1), True)]
 
 
-@_op("relu", may_alias=True, bwd_reads=("in",), planned=True, bwd_mask=True)
+@_op("relu")
 class _Relu(Op):
     def forward(self, ins, meta, lead, scratch):
         return _into(scratch, "out", relu_forward, ins[0]), None
@@ -447,11 +430,7 @@ class _Relu(Op):
         # in x's layout: grad * (x > 0)'s products and layout, without the
         # bool->float cast that sends the multiply down NumPy's buffered
         # loop (several times slower where grad and x differ in layout).
-        (x,) = ins
-        if scratch is None:
-            mask = (x > 0).astype(x.dtype)
-        else:
-            mask = np.greater(x, 0, out=scratch["mask"])
+        mask = _into(scratch, "mask", relu_mask, ins[0])
         return [(_into(scratch, "grad", np.multiply, grad, mask), True)]
 
 
@@ -464,7 +443,7 @@ def _lead_axis(axis, lead):
     return axis + len(lead) if axis >= 0 else axis
 
 
-@_op("sum", may_alias=False, bwd_reads=(), planned=True)
+@_op("sum")
 class _Sum(Op):
     def forward(self, ins, meta, lead, scratch):
         (x,) = ins
@@ -473,9 +452,9 @@ class _Sum(Op):
             # A full reduce must not cross the client axis: it becomes a
             # per-client reduce over the flattened base, whose C-order
             # element sequence matches the serial one slice for slice.
-            # (Only a compiled program has lead axes, and it always plans
-            # this op's output buffer.)
-            out = scratch["out"]
+            # (Only a compiled program has lead axes, so scratch is a dict.)
+            ones = (1,) * (x.ndim - len(lead)) if keepdims else ()
+            out = _scratch(scratch, "out", lead + ones, x.dtype)
             x.reshape(lead + (-1,)).sum(axis=-1, out=out.reshape(lead))
             return out, None
         # ``np.add.reduce`` is what ``x.sum`` runs, minus the wrapper.
@@ -492,7 +471,7 @@ class _Sum(Op):
         return [(np.broadcast_to(grad, x.shape), False)]
 
 
-@_op("reshape", may_alias=False, bwd_reads=(), planned=False, view=True)
+@_op("reshape")
 class _Reshape(Op):
     def forward(self, ins, meta, lead, scratch):
         return ins[0].reshape(lead + meta["shape"]), None
@@ -503,7 +482,7 @@ class _Reshape(Op):
         return [(grad.reshape(ins[0].shape), True)]
 
 
-@_op("linear", may_alias=False, bwd_reads=("in",), planned=True, stacked_rank=2)
+@_op("linear", stacked_rank=2)
 class _Linear(Op):
     """Affine map ``x @ weight.T + bias`` (PyTorch weight layout).
 
@@ -539,7 +518,7 @@ class _Linear(Op):
         return grads
 
 
-@_op("conv2d", may_alias=False, bwd_reads=("in",), planned=False)
+@_op("conv2d")
 class _Conv2d(Op):
     """Cross-correlation as im2col + one GEMM; ``ctx`` is the columns."""
 
@@ -588,7 +567,7 @@ class _Conv2d(Op):
         return grads
 
 
-@_op("max_pool2d", may_alias=False, bwd_reads=(), planned=False)
+@_op("max_pool2d")
 class _MaxPool2d(Op):
     """``ctx`` is the argmax tap of every window."""
 
@@ -596,7 +575,7 @@ class _MaxPool2d(Op):
         return max_pool_forward(ins[0], meta["kernel"], meta["stride"], scratch)
 
     def backward(self, grad, ins, arg, meta, need, lead, scratch):
-        # Only the input's shape is read: its buffer may be reused by now.
+        # Only the input's shape is read.
         image = max_pool_backward(
             grad, arg, ins[0].shape, meta["kernel"], meta["stride"], scratch
         )
@@ -613,7 +592,7 @@ def _target_index(scratch, lead, n):
     return scratch["index"]
 
 
-@_op("cross_entropy", may_alias=False, bwd_reads=(), planned=False)
+@_op("cross_entropy")
 class _CrossEntropy(Op):
     """Softmax cross-entropy over the last axis, fused into one node.
 

@@ -53,7 +53,7 @@ class SGD(Optimizer):
     Parameters
     ----------
     params:
-        Parameters to optimize.
+        Parameters to update.
     lr:
         Learning rate (the paper uses 0.01, or 0.1 for rcv1).
     momentum:

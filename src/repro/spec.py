@@ -157,6 +157,8 @@ class AlgorithmSpec:
         # type its constructor parameter declares (``mu=1`` as 1.0,
         # ``option=2.0`` as 2).  A float with a fraction stays a float
         # for an int parameter, so validation still rejects it.
+        if not (isinstance(self.name, str) and isinstance(self.kwargs, dict)):
+            return  # validate() reports the types
         kinds = _numeric_params(self.name) if self.kwargs else {}
         kwargs = dict(self.kwargs)
         for key, value in kwargs.items():
@@ -485,13 +487,48 @@ assert len(OVERRIDE_PATHS) == 1 + sum(
     len(dataclasses.fields(section_cls)) for section_cls in SECTIONS.values()
 ), "ambiguous flat override name: add an _ALIASES entry"
 _FIELD_PATHS = frozenset(OVERRIDE_PATHS.values())
-#: (section, field) of every int knob (``int`` or ``int | None``)
-_INT_FIELDS = {(None, "seed")} | {
-    (section, f.name)
+#: (section, field) -> the knob's annotation (``"int"``, ``"float | None"``, ...)
+_ANNOTATIONS = {(None, "seed"): "int"} | {
+    (section, f.name): f.type
     for section, section_cls in SECTIONS.items()
     for f in dataclasses.fields(section_cls)
-    if f.type in ("int", "int | None")
 }
+#: annotation base type -> (the type a value must have, its name in messages)
+_TYPES = {
+    "int": (numbers.Integral, "an integer"),
+    "float": (numbers.Real, "a number"),
+    "str": (str, "a string"),
+    "bool": (bool, "a bool"),
+    "dict": (dict, "a dict"),
+}
+
+
+def _type_problem(name: str, annotation: str, value) -> str | None:
+    """Why ``value`` does not fit the knob's ``annotation``, or None."""
+    kind, _, optional = annotation.partition(" | ")
+    if value is None and optional:
+        return None
+    required, noun = _TYPES[kind]
+    # A bool is an Integral, but as a count or a rate it passes the range
+    # check, then fails or silently truncates deep inside a run.
+    if isinstance(value, required) and (kind == "bool" or not isinstance(value, bool)):
+        return None
+    return f"{name} must be {noun}{' or None' if optional else ''}, got {value!r}"
+
+
+def _with_defaults(section, names):
+    """``section`` with the ``names`` fields back at their defaults, or
+    None when one of them has no default."""
+    defaults = {}
+    for f in dataclasses.fields(section):
+        if f.name in names:
+            if f.default is not dataclasses.MISSING:
+                defaults[f.name] = f.default
+            elif f.default_factory is not dataclasses.MISSING:
+                defaults[f.name] = f.default_factory()
+            else:
+                return None
+    return dataclasses.replace(section, **defaults) if defaults else section
 
 
 def overridable_names() -> tuple[str, ...]:
@@ -727,32 +764,43 @@ class RunSpec:
     # -- validation ------------------------------------------------------
 
     def validate(self) -> "RunSpec":
-        """Every section's ``problems()``, then the cross-section rules.
+        """Each knob's type, every section's ``problems()``, then the
+        cross-section rules.
 
         Returns ``self`` so call sites can chain
-        ``RunSpec.from_dict(...).validate()``.  Each knob's range and
-        name check lives on its section; only rules tying two sections
-        together live here.  Every problem is reported at once, under
-        one ``invalid RunSpec:`` header.
+        ``RunSpec.from_dict(...).validate()``.  A knob is checked against
+        its field annotation first; one that fails is held at its default
+        for the range checks, so a ``None`` or a string cannot reach a
+        comparison (a section with an ill-typed required field skips its
+        range checks).  Each knob's range and name check lives on its
+        section; only rules tying two sections together live here.  Every
+        problem is reported at once, under one ``invalid RunSpec:`` header.
         """
-        population = self.population
-        problems = [p for name in SECTIONS for p in getattr(self, name).problems()]
-        # A float (or a bool) passes an int knob's range check, then fails
-        # or silently truncates deep inside a run.
+        problems = []
+        ill_typed: dict[str | None, set] = {}
         for name, (section, attr) in OVERRIDE_PATHS.items():
             value = getattr(self if section is None else getattr(self, section), attr)
-            if (section, attr) in _INT_FIELDS and value is not None and (
-                isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            ):
-                problems.append(f"{name} must be an integer, got {value!r}")
+            problem = _type_problem(name, _ANNOTATIONS[section, attr], value)
+            if problem is not None:
+                problems.append(problem)
+                ill_typed.setdefault(section, set()).add(attr)
+        checked = {
+            name: _with_defaults(getattr(self, name), ill_typed.get(name, ()))
+            for name in SECTIONS
+        }
+        problems += [
+            p for section in checked.values() if section is not None
+            for p in section.problems()
+        ]
+        population = checked["population"]
         problems += _failed(
             (
-                population.size is None or self.train.sampler != "stratified",
+                population.size is None or checked["train"].sampler != "stratified",
                 "sampler='stratified' needs every party's label counts, which a "
                 "virtual population (population.size) never materializes",
             ),
             (
-                not population.on_event_engine or self.exec.checkpoint_every <= 0,
+                not population.on_event_engine or checked["exec"].checkpoint_every <= 0,
                 "checkpoint_every is not supported for async/population runs: "
                 "AsyncFederation writes no checkpoints — the event loop replays "
                 "deterministically from the spec seed instead",

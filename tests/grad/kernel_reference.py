@@ -172,7 +172,7 @@ class Relu(ops.Op):
     bool-mask backward."""
 
     def forward(self, ins, meta, lead, scratch):
-        return relu_forward(ins[0], None if scratch is None else scratch["out"]), None
+        return ops._into(scratch, "out", relu_forward, ins[0]), None
 
     def backward(self, grad, ins, ctx, meta, need, lead, scratch):
         mask = ins[0] > 0
@@ -209,10 +209,8 @@ class Linear(ops.Op):
         return grads
 
 
-RELU = Relu("relu", may_alias=True, bwd_reads=("in",), planned=True)
-LINEAR = Linear(
-    "linear", may_alias=False, bwd_reads=("in",), planned=False, stacked_rank=2
-)
+RELU = Relu("relu")
+LINEAR = Linear("linear", stacked_rank=2)
 
 
 class SGD(Optimizer):

@@ -1,7 +1,7 @@
 """Step capture & replay: the compiled engine must be bitwise-eager.
 
-Replay re-runs the recorded program against a preallocated arena; these
-tests pin the contract down to the bit — losses, parameter updates, BN
+Replay re-runs the recorded program into the buffers its first replay
+kept; these tests pin the contract down to the bit — losses, parameter updates, BN
 running statistics, and inference logits must be indistinguishable from
 the eager path for every registered model — and exercise the fallback
 seams (ragged batches, an op kind without a kernel) where capture must

@@ -3,8 +3,7 @@
 Every entry of ``repro.grad.ops.OPS`` is one op object that eager
 autograd and serial and stacked programs all run, so each kind gets (at
 least) one row below: a tiny module that exercises it, run eagerly, as a
-compiled program with and without the arena planner, and as each slice
-of a stacked program at ``K = 1`` and ``K = 3`` — compared on the loss
+compiled program, and as each slice of a stacked program at ``K = 1`` and ``K = 3`` — compared on the loss
 and every parameter gradient over two consecutive steps; and each kind's
 kernels are counted on all three paths, so none of them can run a copy.
 The case list must cover every table key, so an op cannot be registered
@@ -262,12 +261,11 @@ def test_every_registered_kind_is_reached_by_a_model():
     assert reached == set(ops.OPS)
 
 
-def test_registering_without_planner_facts_is_a_type_error():
-    with pytest.raises(TypeError):
-        ops._op("ghost", bwd_reads=(), planned=False)
+def test_registering_a_kind_twice_is_a_value_error():
+    add = ops.OPS["add"]
     with pytest.raises(ValueError):
-        ops._op("add", may_alias=True, bwd_reads=(), planned=True)(None)
-    assert "ghost" not in ops.OPS
+        ops._op("add")(ops.Op)
+    assert ops.OPS["add"] is add
 
 
 def draw_inputs(case, seed=1):
@@ -341,47 +339,40 @@ def test_eager_compiled_and_stacked_agree(case):
         [eager_step(case, model, *client) for client in step] for step in inputs
     ]
 
-    for optimize in (True, False):
-        tape, x, loss = trace(case, model, features0, labels0)
-        program = capture._Compiler(
-            tape, x, loss, labels0, optimize=optimize
-        ).compile(with_backward=True)
-        # Client-major, so each client's two steps replay back to back.
-        for k in range(MAX_STACK):
-            for step in range(STEPS):
-                params, features, labels = inputs[step][k]
-                load_params(model, params)
-                got_loss = np.float32(program.replay_step(features, labels))
-                got = got_loss, [p.grad.copy() for p in model.parameters()]
-                assert_step_equal(
-                    got, reference[step][k], True,
-                    f"compiled optimize={optimize} step {step} client {k}",
-                )
+    tape, x, loss = trace(case, model, features0, labels0)
+    program = capture._Compiler(tape, x, loss, labels0).compile(with_backward=True)
+    # Client-major, so each client's two steps replay back to back.
+    for k in range(MAX_STACK):
+        for step in range(STEPS):
+            params, features, labels = inputs[step][k]
+            load_params(model, params)
+            got_loss = np.float32(program.replay_step(features, labels))
+            got = got_loss, [p.grad.copy() for p in model.parameters()]
+            assert_step_equal(
+                got, reference[step][k], True, f"compiled step {step} client {k}"
+            )
 
     for stack in (1, MAX_STACK):
-        for optimize in (True, False):
-            tape, x, loss = trace(case, model, features0, labels0)
-            program = capture._Compiler(
-                tape, x, loss, labels0,
-                optimize=optimize, stack=stack, params=model.parameters(),
-            ).compile(with_backward=True)
-            for step in range(STEPS):
-                for k in range(stack):
-                    params, features, labels = inputs[step][k]
-                    for index, value in enumerate(params):
-                        program.param_stack(index)[k] = value
-                    program.features[k] = features
-                    program.labels[k] = labels
-                losses = program.step()
-                grads = program.grads()
-                assert losses.shape == (stack,)
-                for k in range(stack):
-                    got = np.float32(losses[k]), [grad[k] for grad in grads]
-                    assert_step_equal(
-                        got, reference[step][k], EXACT,
-                        f"stacked K={stack} optimize={optimize} "
-                        f"step {step} client {k}",
-                    )
+        tape, x, loss = trace(case, model, features0, labels0)
+        program = capture._Compiler(
+            tape, x, loss, labels0, stack=stack, params=model.parameters()
+        ).compile(with_backward=True)
+        for step in range(STEPS):
+            for k in range(stack):
+                params, features, labels = inputs[step][k]
+                for index, value in enumerate(params):
+                    program.param_stack(index)[k] = value
+                program.features[k] = features
+                program.labels[k] = labels
+            losses = program.step()
+            grads = program.grads()
+            assert losses.shape == (stack,)
+            for k in range(stack):
+                got = np.float32(losses[k]), [grad[k] for grad in grads]
+                assert_step_equal(
+                    got, reference[step][k], EXACT,
+                    f"stacked K={stack} step {step} client {k}",
+                )
 
 
 @pytest.mark.parametrize("kind", sorted(ops.OPS))

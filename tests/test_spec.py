@@ -469,11 +469,28 @@ class TestValidate:
             ({"batch_size": True}, "batch_size must be an integer, got True"),
             ({"samples_per_client": 64.0}, "samples_per_client must be an integer"),
             ({"stack_size": 4.0}, "stack_size must be an integer, got 4.0"),
+            # a knob is type-checked before any range check compares it
+            ({"num_rounds": None}, "num_rounds must be an integer, got None"),
+            ({"lr": None}, "lr must be a number, got None"),
+            ({"lr": "0.1"}, "lr must be a number, got '0.1'"),
         ],
     )
     def test_invalid_specs_rejected(self, override, fragment):
         with pytest.raises(ValueError, match=fragment):
             make_spec().with_overrides(**override).validate()
+
+    @pytest.mark.parametrize(
+        "section,key,fragment",
+        [
+            ("algorithm", "kwargs", "algorithm_kwargs must be a dict, got None"),
+            ("algorithm", "name", "algorithm must be a string, got None"),
+        ],
+    )
+    def test_null_in_a_spec_file_rejected(self, section, key, fragment):
+        data = make_spec().to_dict()
+        data[section][key] = None
+        with pytest.raises(ValueError, match=fragment):
+            RunSpec.from_dict(data).validate()
 
     @pytest.mark.parametrize(
         "algorithm,kwargs",
