@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-stacked test-async test-concurrent test-capture test-kernels test-bench-harness lint loc bench bench-smoke bench-e2e
+.PHONY: test test-stacked test-async test-concurrent test-capture test-kernels test-bench-harness lint loc bench bench-smoke bench-e2e ab-step
 
 test: lint
 	$(PYTHON) -m pytest -x -q
@@ -61,3 +61,10 @@ bench-smoke:
 # in a fresh interpreter, end-to-end metrics plus a per-layer trace.
 bench-e2e:
 	$(PYTHON) benchmarks/e2e/run.py
+
+# In-process A/B of the eager training step against git revision REF
+# (adult MLP and paper CNN, alternated blocks at 1 BLAS thread, CPU time;
+# not part of `make test`):  make ab-step REF=HEAD~1
+ab-step:
+	$(if $(REF),,$(error usage: make ab-step REF=<git revision>))
+	$(PYTHON) tools/ab_step.py --ref $(REF)

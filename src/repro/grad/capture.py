@@ -50,8 +50,9 @@ row in the table, so only two things decline: a batch with fewer rows
 than the engine's program (a loader's ragged tail), and a tape the
 compiler rejects with a :class:`CaptureError` (batch norm in a stacked
 program, say), whose reason is memoized per shape.  :meth:`Tape.record`
-still refuses a kind the table lacks (an op attached by hand with
-``Tensor._attach``), so such a step runs eagerly.
+still refuses a kind the table lacks (an :class:`~repro.grad.ops.Op`
+object outside the table run by hand through ``tensor._apply``), so such
+a step runs eagerly.
 """
 
 from __future__ import annotations
@@ -645,7 +646,7 @@ class _Compiler:
         order, so replayed gradient accumulation matches it bit for bit."""
         sched: list = []
         for node in reversed(tensor_mod._toposort(self.output)):
-            if node._backward is None:
+            if node._record is None:
                 continue
             rec = self._recmap.get(id(node))
             if rec is None:

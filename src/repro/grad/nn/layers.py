@@ -271,8 +271,10 @@ class Sequential(Module):
             setattr(self, str(index), module)
 
     def forward(self, x: Tensor) -> Tensor:
+        # ``forward`` directly: ``Module.__call__`` adds nothing but a
+        # frame, and a tabular step runs seven of these.
         for module in self._modules.values():
-            x = module(x)
+            x = module.forward(x)
         return x
 
     def __getitem__(self, index: int) -> Module:

@@ -2,9 +2,11 @@
 
 Every op the library emits is one registered :class:`Op` in :data:`OPS`:
 a forward and a backward kernel over plain arrays.  Two bindings run
-the same object.  Eager autograd (:func:`repro.grad.tensor._apply`) calls it
-on tensor payloads with ``lead = ()`` and ``scratch = None`` and hands
-the gradients to ``Tensor._accumulate``.  The capture compiler binds it
+the same object.  Eager autograd (:func:`repro.grad.tensor._apply`) calls
+its forward on tensor payloads with ``lead = ()`` and ``scratch = None``
+and records ``(op, ins, ctx, meta, need)`` on the output; backward calls
+``op.backward`` from that record and hands the gradients to
+``Tensor._accumulate``.  The capture compiler binds it
 to arena slots with ``lead = ()`` (a serial program) or ``(K,)`` (a
 stacked one) and a per-record ``scratch`` dict, and hands the gradients
 to the program's accumulator.  So eager, compiled and stacked runs make
@@ -35,7 +37,10 @@ the first call and rewritten in place after that.  A compiled record's
 dict starts empty, so every kept buffer, outputs included, is allocated
 by the kernel that writes it, in the layout eager gives.  The one
 exception is eager im2col, which keeps its column buffers in a pool of
-its own (:func:`_column_buffer`).
+its own (:func:`_column_buffer`).  The ``linear`` and ``relu`` kernels
+and ``cross_entropy``'s backward, which every MLP step runs, make their
+NumPy calls directly when ``scratch is None``: on a small batch one
+``_into`` frame per call is a measurable share of an eager step.
 
 Adding a kind means one :func:`_op`-registered class here, one row in
 ``tests/grad/test_op_table.py`` and one model that emits it.
@@ -422,7 +427,10 @@ class _Pow(Op):
 @_op("relu")
 class _Relu(Op):
     def forward(self, ins, meta, lead, scratch):
-        return _into(scratch, "out", relu_forward, ins[0]), None
+        (x,) = ins
+        if scratch is None:
+            return relu_forward(x), None
+        return _into(scratch, "out", relu_forward, x), None
 
     def backward(self, grad, ins, ctx, meta, need, lead, scratch):
         # The input is still intact at backward time, so the mask is
@@ -430,7 +438,10 @@ class _Relu(Op):
         # in x's layout: grad * (x > 0)'s products and layout, without the
         # bool->float cast that sends the multiply down NumPy's buffered
         # loop (several times slower where grad and x differ in layout).
-        mask = _into(scratch, "mask", relu_mask, ins[0])
+        (x,) = ins
+        if scratch is None:
+            return [(np.multiply(grad, relu_mask(x)), True)]
+        mask = _into(scratch, "mask", relu_mask, x)
         return [(_into(scratch, "grad", np.multiply, grad, mask), True)]
 
 
@@ -493,28 +504,47 @@ class _Linear(Op):
     """
 
     def forward(self, ins, meta, lead, scratch):
-        x, w, *bias = ins
-        out = _into(scratch, "out", np.matmul, x, w.swapaxes(-1, -2))
-        if bias:
-            np.add(out, bias[0], out=out)
+        x, w = ins[0], ins[1]
+        wt = w.swapaxes(-1, -2)
+        if scratch is None:
+            out = np.matmul(x, wt)
+        else:
+            out = _into(scratch, "out", np.matmul, x, wt)
+        if len(ins) == 3:
+            np.add(out, ins[2], out=out)
         return out, None
 
     def backward(self, grad, ins, ctx, meta, need, lead, scratch):
-        x, w, *bias = ins
+        x, w = ins[0], ins[1]
         grads = [None] * len(ins)
         if need[0]:
-            grads[0] = (_into(scratch, "gx", np.matmul, grad, w), True)
+            if scratch is None:
+                grads[0] = (np.matmul(grad, w), True)
+            else:
+                grads[0] = (_into(scratch, "gx", np.matmul, grad, w), True)
         if need[1]:
             if x.ndim == 1:
                 grad_t = np.outer(x, grad)
+            elif scratch is None:
+                grad_t = np.matmul(x.swapaxes(-1, -2), grad)
             else:
                 grad_t = _into(scratch, "gw", np.matmul, x.swapaxes(-1, -2), grad)
             wt_shape = w.shape[:-2] + (w.shape[-1], w.shape[-2])
             if grad_t.shape != wt_shape:
                 grad_t = _unbroadcast(grad_t, wt_shape, len(lead))
             grads[1] = (grad_t.swapaxes(-1, -2), True)
-        if bias and need[2]:
-            grads[2] = (grad, False)
+        if len(ins) == 3 and need[2]:
+            # The sum over every axis between the lead axes and the bias's
+            # one: what unbroadcasting ``grad`` to the bias would run.  With
+            # no such axis ``grad`` is the bias's gradient as it stands (an
+            # empty reduce would add +0.0 to it and flip a -0.0).
+            axes = tuple(range(len(lead), grad.ndim - 1))
+            if not axes:
+                grads[2] = (grad, False)
+            elif scratch is None:
+                grads[2] = (np.add.reduce(grad, axes), True)
+            else:
+                grads[2] = (_into(scratch, "gb", np.add.reduce, grad, axes), True)
         return grads
 
 
@@ -582,11 +612,23 @@ class _MaxPool2d(Op):
         return [(image, True)]
 
 
+#: eager cross-entropy's row indices, one read-only ``(arange(n),)`` per
+#: batch size
+_ROW_INDEX: dict[int, tuple] = {}
+
+
 def _target_index(scratch, lead, n):
     """Open-mesh indices of every (client, row): ``x[index + (targets,)]``
     picks each row's target-class entry."""
     if scratch is None:
-        return np.ix_(*map(np.arange, lead + (n,))) if lead else (np.arange(n),)
+        if lead:
+            return np.ix_(*map(np.arange, lead + (n,)))
+        index = _ROW_INDEX.get(n)
+        if index is None:
+            rows = np.arange(n)
+            rows.flags.writeable = False
+            index = _ROW_INDEX[n] = (rows,)
+        return index
     if "index" not in scratch:
         scratch["index"] = _target_index(None, lead, n)
     return scratch["index"]
@@ -613,10 +655,12 @@ class _CrossEntropy(Op):
         log_sum = _into(scratch, "log_sum", np.log, sumexp[..., 0])
         # -log p_target = log-sum-exp - shifted logit at the target class.
         losses = _into(scratch, "losses", np.subtract, log_sum, shifted[index])
+        # The ufunc calls ``losses.sum`` / ``losses.mean`` make, minus the
+        # wrappers (a true divide by the count rounds as mean's does).
         if meta["reduction"] == "sum":
-            losses = losses.sum(axis=-1)
+            losses = np.add.reduce(losses, -1)
         elif meta["reduction"] == "mean":
-            losses = losses.mean(axis=-1)
+            losses = np.true_divide(np.add.reduce(losses, -1), losses.shape[-1])
         return losses, (exp, sumexp)
 
     def backward(self, grad, ins, ctx, meta, need, lead, scratch):
@@ -630,7 +674,10 @@ class _CrossEntropy(Op):
             lead + ((n, 1) if reduction == "none" else (1, 1))
         )
         softmax = np.divide(exp, sumexp, out=exp)
-        grad_logits = _into(scratch, "grad", np.multiply, softmax, scale)
+        if scratch is None:
+            grad_logits = np.multiply(softmax, scale)
+        else:
+            grad_logits = _into(scratch, "grad", np.multiply, softmax, scale)
         index = _target_index(scratch, lead, n) + (meta["targets"],)
         grad_logits[index] -= scale[..., 0]
         return [(grad_logits, True)]

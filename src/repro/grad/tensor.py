@@ -1,11 +1,13 @@
 """The :class:`Tensor` class: a NumPy array with reverse-mode autodiff.
 
 Every differentiable operation runs one op object of
-:data:`repro.grad.ops.OPS` through :func:`_apply`, which produces a new
-``Tensor`` whose ``_backward`` closure feeds the op's backward kernel's
-gradients to the operation's inputs.  Calling :meth:`Tensor.backward` on
-a scalar loss topologically sorts the recorded graph and runs those
-closures in reverse order.
+:data:`repro.grad.ops.OPS` through :func:`_apply`.  Its output records
+the backward as data, ``(op, ins, ctx, meta, need)``: the op object, the
+input arrays, whatever its forward kernel kept for backward, its
+arguments and which inputs need gradients.  No closure is made per op.
+Calling :meth:`Tensor.backward` on a scalar loss orders the recorded
+nodes by :func:`_toposort` and calls each record's ``op.backward`` in
+reverse order, handing its gradients to the inputs' ``_accumulate``.
 
 Gradients are accumulated into ``Tensor.grad`` as plain NumPy arrays (there
 is no higher-order differentiation; the paper's experiments do not need it).
@@ -14,7 +16,6 @@ is no higher-order differentiation; the paper's experiments do not need it).
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -80,7 +81,7 @@ class Tensor:
         :meth:`backward`.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "_consumed")
+    __slots__ = ("data", "grad", "requires_grad", "_record", "_parents", "_consumed")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_array(data)
@@ -90,7 +91,9 @@ class Tensor:
             )
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._backward: Callable[[np.ndarray], None] | None = None
+        #: ``(op, ins, ctx, meta, need)`` of the op that made this tensor,
+        #: while its backward is pending; see :func:`_apply`
+        self._record: tuple | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._consumed = False
 
@@ -148,48 +151,29 @@ class Tensor:
     # ------------------------------------------------------------------
     # Graph machinery
     # ------------------------------------------------------------------
-    def _attach(
-        self, parents: Sequence["Tensor"], backward, kind: str, meta=None
-    ) -> "Tensor":
-        """Record ``self`` as the output of an op over ``parents``.
-
-        ``backward`` receives the output gradient and is responsible for
-        calling ``parent._accumulate(...)`` on each differentiable parent.
-        No-op when grad mode is off or no parent requires grad.
-
-        ``kind``/``meta`` describe the op to an active capture tape (see
-        :mod:`repro.grad.capture`); a ``kind`` the tape has no kernel for
-        invalidates it, and the step falls back to eager execution.
-        """
-        if _TAPE is not None:
-            _TAPE.record(kind, self, tuple(parents), meta)
-        if _GRAD_ENABLED and any(p.requires_grad for p in parents):
-            self.requires_grad = True
-            self._parents = tuple(parents)
-            self._backward = backward
-        return self
-
     def _accumulate(self, grad: np.ndarray, fresh: bool = False) -> None:
         """Add ``grad`` into this tensor's ``.grad`` buffer.
 
         ``fresh=True`` promises the caller hands over a newly-allocated
         array it will never touch again; on first accumulation that array
         is adopted directly instead of being copied (the dtype must match
-        and the array must be writable — broadcast views are not).
+        and the array must be writable — broadcast views are not).  A
+        gradient of another shape is summed down to this one first, and
+        that sum is adopted like a fresh array.
         """
-        array, shape = np.asarray(grad), self.data.shape
-        value = array if array.shape == shape else _unbroadcast(array, shape)
-        if self.grad is None:
-            if (
-                (fresh or value is not grad)
-                and value.dtype == self.data.dtype
-                and value.flags.writeable
-            ):
-                self.grad = value
-            else:
-                self.grad = value.astype(self.data.dtype, copy=True)
-        else:
+        array = grad if grad.__class__ is np.ndarray else np.asarray(grad)
+        data = self.data
+        value = array if array.shape == data.shape else _unbroadcast(array, data.shape)
+        if self.grad is not None:
             self.grad += value
+        elif (
+            (fresh or value is not grad)
+            and value.dtype == data.dtype
+            and value.flags.writeable
+        ):
+            self.grad = value
+        else:
+            self.grad = value.astype(data.dtype, copy=True)
 
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Backpropagate from this tensor through the recorded graph.
@@ -212,16 +196,26 @@ class Tensor:
         if grad is None:
             if self.data.size != 1:
                 raise RuntimeError("grad must be provided for non-scalar outputs")
-            grad = np.ones_like(self.data)
-        self._accumulate(np.asarray(grad, dtype=self.data.dtype))
+            seed = np.empty_like(self.data)  # np.ones_like minus its wrapper
+            seed.fill(1)
+            self._accumulate(seed, fresh=True)
+        else:
+            self._accumulate(np.asarray(grad, dtype=self.data.dtype))
         for node in reversed(_toposort(self)):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-                # Free intermediate gradients/graph references eagerly;
-                # leaves (no parents) keep their grads for the optimizer.
-                node._backward = None
-                node._parents = ()
-                node.grad = None if node is not self else node.grad
+            record = node._record
+            if record is None or node.grad is None:
+                continue
+            op, ins, ctx, meta, need = record
+            grads = op.backward(node.grad, ins, ctx, meta, need, (), None)
+            for parent, item in zip(node._parents, grads):
+                if item is not None:
+                    parent._accumulate(item[0], item[1])
+            # Free intermediate gradients/graph references eagerly;
+            # leaves (no parents) keep their grads for the optimizer.
+            node._record = None
+            node._parents = ()
+            if node is not self:
+                node.grad = None
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -295,56 +289,77 @@ def _axis_size(shape: tuple[int, ...], axis) -> int:
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
-    """The graph under ``root`` in the post-order of an iterative DFS.
+    """The op outputs under ``root`` in the post-order of an iterative DFS.
 
     Reversed, it is the order :meth:`Tensor.backward` runs the backward
-    closures in; the capture compiler schedules replay from this same
-    list, so replayed accumulation matches eager bit for bit.  (Tensors
-    hash by identity: ``Tensor`` defines no ``__eq__``.)
+    records in; the capture compiler schedules replay from this same
+    list, so replayed accumulation matches eager bit for bit.  Leaves
+    (tensors with no parents) are never pushed: they run no backward, and
+    leaving them out moves no other node.  The order is the DFS's, not
+    creation order: on graphs where a tensor feeds several ops (batch
+    norm, residual blocks) the two differ, and so would the order in
+    which that tensor's gradients are summed.  (Tensors hash by
+    identity: ``Tensor`` defines no ``__eq__``.)
     """
     ordered: list[Tensor] = []
     seen: set[Tensor] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    # An expanded node goes back on the stack beneath _DONE: it is emitted
+    # when the marker pops, after everything pushed above it.
+    stack: list = [root]
     while stack:
-        node, processed = stack.pop()
-        if processed:
-            ordered.append(node)
+        node = stack.pop()
+        if node is _DONE:
+            ordered.append(stack.pop())
             continue
         if node in seen:
             continue
         seen.add(node)
-        stack.append((node, True))
+        stack.append(node)
+        stack.append(_DONE)
         for parent in node._parents:
-            if parent not in seen:
-                stack.append((parent, False))
+            if parent._parents and parent not in seen:
+                stack.append(parent)
     return ordered
 
 
-def _apply(kind: str, parents: tuple, meta=None) -> Tensor:
-    """Run op ``kind`` of the op table on ``parents`` eagerly.
+#: the marker above a node on :func:`_toposort`'s stack that is due out
+_DONE = object()
 
-    The forward kernel runs with no lead axes and no kept buffers; the
-    output's backward closure feeds the backward kernel's gradients to
-    the parents' ``_accumulate``.  This is :meth:`Tensor._attach` with
-    ``need`` computed once and no closure made when nothing needs it:
-    it runs for every op of every eager step.
+
+def _apply(op, parents: tuple, meta=None) -> Tensor:
+    """Run ``op`` (a kind of the op table, or an :class:`~repro.grad.ops.Op`)
+    on ``parents`` eagerly.
+
+    The forward kernel runs with no lead axes and no kept buffers.  When
+    grad mode is on and a parent requires grad, the output records its
+    backward as data (see the module docstring), which
+    :meth:`Tensor.backward` runs.  This runs for every op of every eager
+    step, so the output is built slot by slot rather than through
+    ``Tensor.__init__``: a kernel's ndarray result needs none of its checks.
     """
-    op = OPS[kind]
-    ins = [p.data for p in parents]
+    if op.__class__ is str:
+        op = OPS[op]
+    ins = []
+    need = []
+    for p in parents:
+        ins.append(p.data)
+        need.append(p.requires_grad)
     data, ctx = op.forward(ins, meta, (), None)
-    out = Tensor(data)
-    if _TAPE is not None:
-        _TAPE.record(kind, out, parents, meta)
-    need = [p.requires_grad for p in parents] if _GRAD_ENABLED else ()
-    if True in need:
-
-        def backward(grad):
-            grads = op.backward(grad, ins, ctx, meta, need, (), None)
-            for parent, item in zip(parents, grads):
-                if item is not None:
-                    parent._accumulate(item[0], item[1])
-
+    if data.__class__ is not np.ndarray or data.dtype.char == "e":
+        # NumPy scalars from full reductions; float16 is widened.
+        data = _as_array(data)
+    out = object.__new__(Tensor)
+    out.data = data
+    out.grad = None
+    out._consumed = False
+    if _GRAD_ENABLED and True in need:
         out.requires_grad = True
         out._parents = parents
-        out._backward = backward
+        out._record = (op, ins, ctx, meta, need)
+    else:
+        out.requires_grad = False
+        out._parents = ()
+        out._record = None
+    if _TAPE is not None:
+        _TAPE.record(op.kind, out, parents, meta)
     return out

@@ -544,14 +544,31 @@ def _section_to_dict(section) -> dict:
     return out
 
 
-def _section_from_dict(cls, data: dict):
-    names = {f.name for f in dataclasses.fields(cls)}
+def _section_from_dict(name: str, cls, data):
+    """Section ``name`` of a spec dict as ``cls``; a value that is not an
+    object, an unknown field or a missing required one is a ``ValueError``
+    naming the section.  Field values are left for ``validate()``."""
+    if not isinstance(data, dict):
+        raise ValueError(
+            f"RunSpec section {name!r} must be an object, got {data!r}"
+        )
+    fields = dataclasses.fields(cls)
+    names = {f.name for f in fields}
     unknown = set(data) - names
     if unknown:
         raise ValueError(
             f"unknown {cls.__name__} fields {sorted(unknown)}; "
             f"known: {sorted(names)}"
         )
+    missing = [
+        f.name
+        for f in fields
+        if f.name not in data
+        and f.default is dataclasses.MISSING
+        and f.default_factory is dataclasses.MISSING
+    ]
+    if missing:
+        raise ValueError(f"RunSpec section {name!r} lacks required fields {missing}")
     return cls(**data)
 
 
@@ -665,7 +682,8 @@ class RunSpec:
         file cannot silently no-op.
         """
         data = dict(data)
-        seed = int(data.pop("seed", 0))
+        # As written: validate() reports a seed that is not an int.
+        seed = data.pop("seed", 0)
         unknown = set(data) - set(SECTIONS)
         if unknown:
             raise ValueError(
@@ -673,7 +691,7 @@ class RunSpec:
                 f"known: {sorted([*SECTIONS, 'seed'])}"
             )
         kwargs = {
-            name: _section_from_dict(section_cls, data.get(name, {}))
+            name: _section_from_dict(name, section_cls, data.get(name, {}))
             for name, section_cls in SECTIONS.items()
         }
         return cls(seed=seed, **kwargs)

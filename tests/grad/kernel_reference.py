@@ -5,10 +5,14 @@ computes it the textbook way, verbatim from the first implementation:
 ``np.where`` ReLU with a bool-mask backward, im2col + ``argmax`` + a
 fancy gather for the max pool, zeros + a nested-loop col2im for its
 backward, the linear layer as a ``transpose``/``matmul``/``add``
-composition of the first autograd ops, and the local optimizers as
-per-tensor loops (:class:`SGD` / :class:`StackedSGD`, verbatim from
-before the optimizers updated one flat block).  :data:`RELU` and
-:data:`LINEAR` are op objects over those kernels.  :func:`swap_in`
+composition of the first autograd ops (:data:`TRANSPOSE` and
+:data:`MATMUL`, op objects outside the op table that only run eagerly),
+and the local optimizers as per-tensor loops (:class:`SGD` /
+:class:`StackedSGD`, verbatim from before the optimizers updated one
+flat block).  :data:`RELU` and :data:`LINEAR` are op objects over those
+kernels.  :func:`backward` walks a graph in the first ``_toposort``'s
+order, leaves included, which fixes the order multi-consumer gradients
+are summed in.  :func:`swap_in`
 installs them in the op table and in place of the kernels the op objects
 call, so eager, compiled and stacked runs alike can be repeated on them.
 """
@@ -25,7 +29,7 @@ from repro.grad import ops
 from repro.grad.nn.module import Parameter
 from repro.grad.ops import _unbroadcast
 from repro.grad.optim import Optimizer
-from repro.grad.tensor import Tensor
+from repro.grad.tensor import _apply
 
 
 def _swap_last(array):
@@ -45,14 +49,7 @@ def relu_forward(x, out=None):
 
 
 def tensor_relu(self):
-    mask = self.data > 0
-    out = Tensor(np.where(mask, self.data, 0.0))
-
-    def backward(grad):
-        if self.requires_grad:
-            self._accumulate(grad * mask, fresh=True)
-
-    return out._attach((self,), backward, "relu")
+    return _apply(RELU, (self,))
 
 
 def im2col(images, kernel, stride=1, padding=0):
@@ -121,43 +118,46 @@ def max_pool_backward(grad, arg, image_shape, kernel, stride, scratch=None):
     return grad_images.reshape(image_shape)
 
 
+class Transpose(ops.Op):
+    """The first ``Tensor.transpose``: a view, and its inverse backward."""
+
+    def forward(self, ins, meta, lead, scratch):
+        return ins[0].transpose(meta["axes"]), None
+
+    def backward(self, grad, ins, ctx, meta, need, lead, scratch):
+        inverse = np.argsort(meta["axes"])
+        return [(grad.transpose(inverse), True)]
+
+
+class Matmul(ops.Op):
+    """The first ``Tensor.__matmul__``: ``@`` and its two products."""
+
+    def forward(self, ins, meta, lead, scratch):
+        return ins[0] @ ins[1], None
+
+    def backward(self, grad, ins, ctx, meta, need, lead, scratch):
+        a, b = ins
+        grads = [None, None]
+        if need[0]:
+            if b.ndim == 1:
+                grads[0] = (np.outer(grad, b) if grad.ndim else grad * b, True)
+            else:
+                grads[0] = (grad @ _swap_last(b), True)
+        if need[1]:
+            if a.ndim == 1:
+                grads[1] = (np.outer(a, grad) if grad.ndim else grad * a, True)
+            else:
+                grads[1] = (_swap_last(a) @ grad, True)
+        return grads
+
+
 def tensor_transpose(self, *axes):
     axes_tuple = axes if axes else tuple(reversed(range(self.data.ndim)))
-    out = Tensor(self.data.transpose(axes_tuple))
-    inverse = np.argsort(axes_tuple)
-
-    def backward(grad):
-        if self.requires_grad:
-            self._accumulate(grad.transpose(inverse), fresh=True)
-
-    return out._attach(
-        (self,), backward, "transpose", {"axes": tuple(int(a) for a in axes_tuple)}
-    )
+    return _apply(TRANSPOSE, (self,), {"axes": tuple(int(a) for a in axes_tuple)})
 
 
 def tensor_matmul(self, other):
-    other = self._coerce(other)
-    out = Tensor(self.data @ other.data)
-
-    def backward(grad):
-        if self.requires_grad:
-            if other.data.ndim == 1:
-                self._accumulate(
-                    np.outer(grad, other.data) if grad.ndim else grad * other.data,
-                    fresh=True,
-                )
-            else:
-                self._accumulate(grad @ _swap_last(other.data), fresh=True)
-        if other.requires_grad:
-            if self.data.ndim == 1:
-                other._accumulate(
-                    np.outer(self.data, grad) if grad.ndim else grad * self.data,
-                    fresh=True,
-                )
-            else:
-                other._accumulate(_swap_last(self.data) @ grad, fresh=True)
-
-    return out._attach((self, other), backward, "matmul")
+    return _apply(MATMUL, (self, self._coerce(other)))
 
 
 def linear(x, weight, bias=None):
@@ -211,6 +211,47 @@ class Linear(ops.Op):
 
 RELU = Relu("relu")
 LINEAR = Linear("linear", stacked_rank=2)
+#: not in the op table: only :func:`linear`'s eager composition runs them
+TRANSPOSE = Transpose("transpose")
+MATMUL = Matmul("matmul")
+
+
+def toposort(root):
+    """The graph under ``root``, leaves included, in the post-order of an
+    iterative DFS: the first ``tensor._toposort``."""
+    ordered = []
+    seen = set()
+    stack = [(root, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            ordered.append(node)
+            continue
+        if node in seen:
+            continue
+        seen.add(node)
+        stack.append((node, True))
+        for parent in node._parents:
+            if parent not in seen:
+                stack.append((parent, False))
+    return ordered
+
+
+def backward(loss):
+    """``loss.backward()`` walking :func:`toposort`'s order: each node's
+    backward record runs once its gradient is complete, and a tensor that
+    feeds several ops sums their gradients in that order."""
+    loss._accumulate(np.ones_like(loss.data))
+    for node in reversed(toposort(loss)):
+        if node._record is not None and node.grad is not None:
+            op, ins, ctx, meta, need = node._record
+            grads = op.backward(node.grad, ins, ctx, meta, need, (), None)
+            for parent, item in zip(node._parents, grads):
+                if item is not None:
+                    parent._accumulate(*item)
+            node._record = None
+            node._parents = ()
+            node.grad = None if node is not loss else node.grad
 
 
 class SGD(Optimizer):

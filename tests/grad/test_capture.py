@@ -15,8 +15,9 @@ from repro.data.registry import DatasetInfo
 from repro.grad import functional as F
 from repro.grad import nn
 from repro.grad.capture import InferenceEngine, TrainingEngine
+from repro.grad.ops import Op
 from repro.grad.optim import SGD
-from repro.grad.tensor import Tensor
+from repro.grad.tensor import Tensor, _apply
 from repro.models import MODEL_NAMES, build_model
 
 #: (input_shape, modality) fixtures small enough to step every model.
@@ -187,14 +188,18 @@ class TestFallback:
         assert_states_equal(eager_state, mixed_state)
 
     def test_unregistered_kind_invalidates_capture(self):
+        class DoubledOp(Op):
+            def forward(self, ins, meta, lead, scratch):
+                return ins[0] * 2.0, None
+
+            def backward(self, grad, ins, ctx, meta, need, lead, scratch):
+                return [(grad * 2.0, True)]
+
         class Doubled(nn.Module):
             """An op recorded under a kind the op table has no row for."""
 
             def forward(self, x):
-                def backward(grad):
-                    x._accumulate(grad * 2.0, fresh=True)
-
-                return Tensor(x.data * 2.0)._attach((x,), backward, "doubled")
+                return _apply(DoubledOp("doubled"), (x,))
 
         rng = np.random.default_rng(3)
         model = nn.Sequential(

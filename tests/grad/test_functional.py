@@ -239,3 +239,10 @@ class TestFusedCrossEntropy:
         per_sample.sum().backward()
         np.testing.assert_array_equal(per_sample.data, before)
 
+
+
+def test_linear_bias_must_be_1d():
+    x = Tensor(np.zeros((2, 3)))
+    weight = Tensor(np.zeros((4, 3)), requires_grad=True)
+    with pytest.raises(ValueError, match=r"bias must be 1-D, got shape \(1, 4\)"):
+        F.linear(x, weight, Tensor(np.zeros((1, 4)), requires_grad=True))

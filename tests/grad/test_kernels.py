@@ -25,6 +25,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.data import ArrayDataset
+from repro.data.dataset import DatasetInfo
 from repro.experiments.scheduler import _openblas_threads
 from repro.federated.evaluation import EVAL_BATCH_SIZE, evaluate
 from repro.grad import functional as F, ops
@@ -38,6 +39,7 @@ from repro.grad.ops import relu_forward
 from repro.grad.optim import SGD, StackedSGD
 from repro.grad.serialize import column_views
 from repro.grad.tensor import Tensor
+from repro.models import build_model
 from repro.models.cnn import PaperCNN
 from repro.models.mlp import TabularMLP
 from tests.grad import kernel_reference as ref
@@ -110,7 +112,7 @@ def test_relu_matches_where(drawn):
     for relu in (Tensor.relu, ref.tensor_relu):
         t = Tensor(x, requires_grad=True)
         out = relu(t)
-        out._backward(grad)
+        out.backward(grad)  # runs the output's one backward record
         results.append((out.data, t.grad))
     (got_out, got_grad), (want_out, want_grad) = results
     assert_same(got_out, want_out)
@@ -189,6 +191,45 @@ def test_linear_matches_matmul_add(drawn):
         results.append([out.data] + [t.grad for t in leaves])
     for got, want in zip(*results):
         assert_same(got, want)
+
+
+@pytest.mark.parametrize("model_name", ["resnet8", "mlp"])
+def test_backward_sums_gradients_in_toposort_order(model_name):
+    """Three SGD steps, each backward once as shipped and once by the
+    reference walk in the first ``_toposort``'s order: equal parameter
+    gradients in bits.  resnet8's batch-norm and residual tensors feed
+    three or four ops each, so a walk in any other order (reversed
+    creation order, say) sums their gradients differently within these
+    steps; the MLP is a chain, the case every order agrees on."""
+    info = DatasetInfo("order", "image", 10, (3, 8, 8), 8, 8)
+    if model_name == "mlp":
+        info = DatasetInfo("order", "tabular", 2, (6,), 8, 8)
+    rng = np.random.default_rng(11)
+    batches = [
+        (
+            rng.standard_normal((4, *info.input_shape)).astype(np.float32),
+            rng.integers(0, info.num_classes, 4),
+        )
+        for _ in range(3)
+    ]
+    grads = {}
+    for walk in ("shipped", "reference"):
+        model = build_model(model_name, info, seed=2)
+        model.train()
+        optimizer = SGD(model.parameters(), lr=0.1, momentum=0.9)
+        grads[walk] = []
+        for features, labels in batches:
+            optimizer.zero_grad()
+            loss = F.cross_entropy(model(Tensor(features)), labels)
+            if walk == "shipped":
+                loss.backward()
+            else:
+                ref.backward(loss)
+            grads[walk].append([p.grad.copy(order="K") for p in model.parameters()])
+            optimizer.step()
+    for got_step, want_step in zip(grads["shipped"], grads["reference"]):
+        for got, want in zip(got_step, want_step):
+            assert_same(got, want)
 
 
 # ----------------------------------------------------------------------

@@ -258,3 +258,65 @@ class TestGradMode:
         z = y + y
         z.sum().backward()
         np.testing.assert_allclose(x.grad, [8.0])
+
+
+def _f32(*shape):
+    return np.arange(np.prod(shape), dtype=np.float32).reshape(shape) - 2.5
+
+
+class TestAccumulate:
+    """``Tensor._accumulate`` adopts a handed-over gradient only when it
+    is fresh, writable, of the tensor's dtype and shape; anything else is
+    copied (or summed down), so no gradient buffer aliases an array its
+    caller still holds."""
+
+    @pytest.mark.parametrize(
+        "grads,want,adopted",
+        [
+            # a fresh, writable array of matching shape and dtype is kept
+            pytest.param([(_f32(2, 3), True)], _f32(2, 3), 0, id="fresh-adopted"),
+            # a broadcast view is read-only: copied even when "fresh"
+            pytest.param(
+                [(np.broadcast_to(_f32(3), (2, 3)), True)],
+                np.broadcast_to(_f32(3), (2, 3)),
+                None,
+                id="broadcast-view-copied",
+            ),
+            pytest.param(
+                [(_f32(2, 3).astype(np.float64), True)],
+                _f32(2, 3),
+                None,
+                id="dtype-mismatch-copied",
+            ),
+            pytest.param(
+                [(_f32(2, 3), False)], _f32(2, 3), None, id="not-fresh-copied"
+            ),
+            # the sum over the broadcast axis is new, so it is kept
+            pytest.param(
+                [(_f32(4, 2, 3), False)],
+                _f32(4, 2, 3).sum(axis=0),
+                None,
+                id="shape-mismatch-unbroadcast",
+            ),
+            # the second gradient is added into the first one's buffer
+            pytest.param(
+                [(_f32(2, 3), True), (_f32(2, 3) * 3, False)],
+                _f32(2, 3) * 4,
+                0,
+                id="second-adds-in-place",
+            ),
+        ],
+    )
+    def test_adoption_rules(self, grads, want, adopted):
+        tensor = Tensor(np.zeros((2, 3), np.float32), requires_grad=True)
+        before = [np.array(grad, copy=True) for grad, _ in grads]
+        for grad, fresh in grads:
+            tensor._accumulate(grad, fresh=fresh)
+        assert tensor.grad.dtype == np.float32 and tensor.grad.flags.writeable
+        np.testing.assert_array_equal(tensor.grad, want)
+        for index, ((grad, _), kept) in enumerate(zip(grads, before)):
+            if index == adopted:
+                assert tensor.grad is grad
+            else:
+                assert not np.shares_memory(tensor.grad, grad)
+                np.testing.assert_array_equal(grad, kept)

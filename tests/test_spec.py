@@ -493,6 +493,27 @@ class TestValidate:
             RunSpec.from_dict(data).validate()
 
     @pytest.mark.parametrize(
+        "key,value,fragment",
+        [
+            # a seed is read as written, never coerced to another run's id
+            ("seed", 1.5, "seed must be an integer, got 1.5"),
+            ("seed", True, "seed must be an integer, got True"),
+            ("seed", "7", "seed must be an integer, got '7'"),
+            ("seed", None, "seed must be an integer, got None"),
+            # a section is an object holding at least its required fields
+            ("data", None, "section 'data' must be an object, got None"),
+            ("train", [], r"section 'train' must be an object, got \[\]"),
+            ("comm", 3, "section 'comm' must be an object, got 3"),
+            ("data", {}, r"section 'data' lacks required fields \['name'\]"),
+        ],
+    )
+    def test_malformed_spec_file_rejected(self, key, value, fragment):
+        data = make_spec().to_dict()
+        data[key] = value
+        with pytest.raises(ValueError, match=fragment):
+            RunSpec.from_dict(data).validate()
+
+    @pytest.mark.parametrize(
         "algorithm,kwargs",
         [
             ("fedprox", {"mu": 0.0}),
