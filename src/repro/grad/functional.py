@@ -79,13 +79,5 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, reduction: str = "mean") 
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Affine map ``x @ weight.T + bias`` (PyTorch weight layout), one op.
-
-    ``bias`` is 1-D, ``(out_features,)``: the op's backward sums its
-    gradient over every axis but the last.
-    """
-    if bias is None:
-        return _apply("linear", (x, weight))
-    if bias.data.ndim > 1:
-        raise ValueError(f"bias must be 1-D, got shape {bias.data.shape}")
-    return _apply("linear", (x, weight, bias))
+    """Affine map ``x @ weight.T + bias`` (PyTorch weight layout), one op."""
+    return _apply("linear", (x, weight) if bias is None else (x, weight, bias))

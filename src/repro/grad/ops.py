@@ -37,10 +37,7 @@ the first call and rewritten in place after that.  A compiled record's
 dict starts empty, so every kept buffer, outputs included, is allocated
 by the kernel that writes it, in the layout eager gives.  The one
 exception is eager im2col, which keeps its column buffers in a pool of
-its own (:func:`_column_buffer`).  The ``linear`` and ``relu`` kernels
-and ``cross_entropy``'s backward, which every MLP step runs, make their
-NumPy calls directly when ``scratch is None``: on a small batch one
-``_into`` frame per call is a measurable share of an eager step.
+its own (:func:`_column_buffer`).
 
 Adding a kind means one :func:`_op`-registered class here, one row in
 ``tests/grad/test_op_table.py`` and one model that emits it.
@@ -427,10 +424,7 @@ class _Pow(Op):
 @_op("relu")
 class _Relu(Op):
     def forward(self, ins, meta, lead, scratch):
-        (x,) = ins
-        if scratch is None:
-            return relu_forward(x), None
-        return _into(scratch, "out", relu_forward, x), None
+        return _into(scratch, "out", relu_forward, ins[0]), None
 
     def backward(self, grad, ins, ctx, meta, need, lead, scratch):
         # The input is still intact at backward time, so the mask is
@@ -438,10 +432,7 @@ class _Relu(Op):
         # in x's layout: grad * (x > 0)'s products and layout, without the
         # bool->float cast that sends the multiply down NumPy's buffered
         # loop (several times slower where grad and x differ in layout).
-        (x,) = ins
-        if scratch is None:
-            return [(np.multiply(grad, relu_mask(x)), True)]
-        mask = _into(scratch, "mask", relu_mask, x)
+        mask = _into(scratch, "mask", relu_mask, ins[0])
         return [(_into(scratch, "grad", np.multiply, grad, mask), True)]
 
 
@@ -504,12 +495,7 @@ class _Linear(Op):
     """
 
     def forward(self, ins, meta, lead, scratch):
-        x, w = ins[0], ins[1]
-        wt = w.swapaxes(-1, -2)
-        if scratch is None:
-            out = np.matmul(x, wt)
-        else:
-            out = _into(scratch, "out", np.matmul, x, wt)
+        out = _into(scratch, "out", np.matmul, ins[0], ins[1].swapaxes(-1, -2))
         if len(ins) == 3:
             np.add(out, ins[2], out=out)
         return out, None
@@ -518,15 +504,10 @@ class _Linear(Op):
         x, w = ins[0], ins[1]
         grads = [None] * len(ins)
         if need[0]:
-            if scratch is None:
-                grads[0] = (np.matmul(grad, w), True)
-            else:
-                grads[0] = (_into(scratch, "gx", np.matmul, grad, w), True)
+            grads[0] = (_into(scratch, "gx", np.matmul, grad, w), True)
         if need[1]:
             if x.ndim == 1:
                 grad_t = np.outer(x, grad)
-            elif scratch is None:
-                grad_t = np.matmul(x.swapaxes(-1, -2), grad)
             else:
                 grad_t = _into(scratch, "gw", np.matmul, x.swapaxes(-1, -2), grad)
             wt_shape = w.shape[:-2] + (w.shape[-1], w.shape[-2])
@@ -534,17 +515,17 @@ class _Linear(Op):
                 grad_t = _unbroadcast(grad_t, wt_shape, len(lead))
             grads[1] = (grad_t.swapaxes(-1, -2), True)
         if len(ins) == 3 and need[2]:
-            # The sum over every axis between the lead axes and the bias's
-            # one: what unbroadcasting ``grad`` to the bias would run.  With
-            # no such axis ``grad`` is the bias's gradient as it stands (an
-            # empty reduce would add +0.0 to it and flip a -0.0).
-            axes = tuple(range(len(lead), grad.ndim - 1))
-            if not axes:
-                grads[2] = (grad, False)
-            elif scratch is None:
-                grads[2] = (np.add.reduce(grad, axes), True)
-            else:
+            # A 1-D bias's gradient is the sum over every axis but the
+            # last: what unbroadcasting ``grad`` to it would run.  Any other
+            # bias (of another rank, or a stacked program's (K, 1, ..., out)
+            # view) and a 1-D input's bias, whose gradient is ``grad`` as
+            # it stands (an empty reduce would add +0.0 and flip a -0.0),
+            # get ``grad`` for the accumulator to unbroadcast.
+            if ins[2].ndim == 1 and grad.ndim > 1:
+                axes = tuple(range(grad.ndim - 1))
                 grads[2] = (_into(scratch, "gb", np.add.reduce, grad, axes), True)
+            else:
+                grads[2] = (grad, False)
         return grads
 
 
@@ -656,11 +637,15 @@ class _CrossEntropy(Op):
         # -log p_target = log-sum-exp - shifted logit at the target class.
         losses = _into(scratch, "losses", np.subtract, log_sum, shifted[index])
         # The ufunc calls ``losses.sum`` / ``losses.mean`` make, minus the
-        # wrappers (a true divide by the count rounds as mean's does).
+        # wrappers.  The divide runs in the losses' dtype on every NumPy
+        # (a float32 scalar over an int promotes to float64 before NumPy 2):
+        # correctly rounded, so the bits of mean's float64 divide-and-round.
         if meta["reduction"] == "sum":
             losses = np.add.reduce(losses, -1)
         elif meta["reduction"] == "mean":
-            losses = np.true_divide(np.add.reduce(losses, -1), losses.shape[-1])
+            losses = np.true_divide(
+                np.add.reduce(losses, -1), losses.shape[-1], dtype=losses.dtype
+            )
         return losses, (exp, sumexp)
 
     def backward(self, grad, ins, ctx, meta, need, lead, scratch):
@@ -674,10 +659,7 @@ class _CrossEntropy(Op):
             lead + ((n, 1) if reduction == "none" else (1, 1))
         )
         softmax = np.divide(exp, sumexp, out=exp)
-        if scratch is None:
-            grad_logits = np.multiply(softmax, scale)
-        else:
-            grad_logits = _into(scratch, "grad", np.multiply, softmax, scale)
+        grad_logits = _into(scratch, "grad", np.multiply, softmax, scale)
         index = _target_index(scratch, lead, n) + (meta["targets"],)
         grad_logits[index] -= scale[..., 0]
         return [(grad_logits, True)]

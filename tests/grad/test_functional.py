@@ -241,8 +241,23 @@ class TestFusedCrossEntropy:
 
 
 
-def test_linear_bias_must_be_1d():
-    x = Tensor(np.zeros((2, 3)))
-    weight = Tensor(np.zeros((4, 3)), requires_grad=True)
-    with pytest.raises(ValueError, match=r"bias must be 1-D, got shape \(1, 4\)"):
-        F.linear(x, weight, Tensor(np.zeros((1, 4)), requires_grad=True))
+@pytest.mark.parametrize(
+    "bias_shape, expected",
+    [
+        ((4,), lambda g: g.sum(axis=0)),
+        ((1, 4), lambda g: g.sum(axis=0, keepdims=True)),
+        ((2, 4), lambda g: g),
+    ],
+    ids=["1-d", "row", "full"],
+)
+def test_linear_bias_gradient_takes_the_bias_shape(bias_shape, expected):
+    # A bias of any broadcastable shape gets the output gradient summed
+    # down to its own shape, as ``x @ weight.T + bias`` unbroadcasts it.
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.standard_normal((2, 3)))
+    weight = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    bias = Tensor(rng.standard_normal(bias_shape), requires_grad=True)
+    grad = rng.standard_normal((2, 4))
+    F.linear(x, weight, bias).backward(grad)
+    np.testing.assert_array_equal(bias.grad, expected(grad))
+    assert bias.grad.shape == bias_shape

@@ -3,7 +3,7 @@
 
 Usage (from the repository root)::
 
-    python tools/ab_step.py --ref HEAD~1 [--blocks 30]
+    python tools/ab_step.py --ref HEAD~1
     make ab-step REF=HEAD~1
 
 Separate runs on a shared host are too noisy for a change of a few
@@ -45,6 +45,8 @@ ROOT = Path(__file__).resolve().parents[1]
 #: (label, dataset, model, steps per timed block) of each timed step
 MODELS = (("adult-mlp", "adult", "mlp", 200), ("mnist-cnn", "mnist", "cnn", 10))
 BATCH = 32
+#: timed blocks per side
+BLOCKS = 30
 
 
 def extract(ref: str, into: Path) -> Path:
@@ -132,17 +134,14 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--ref", required=True, help="git revision to compare against")
-    parser.add_argument("--blocks", type=int, default=30, help="timed blocks per side")
     args = parser.parse_args(argv)
-    if args.blocks < 2:
-        parser.error("need --blocks >= 2")
 
     with tempfile.TemporaryDirectory(prefix="ab_step_") as tmp:
         sides = {
             "ref": import_tree(extract(args.ref, Path(tmp))),
             "this": import_tree(ROOT / "src"),
         }
-        print(f"ref {args.ref} vs this tree: {args.blocks} blocks per side, "
+        print(f"ref {args.ref} vs this tree: {BLOCKS} blocks per side, "
               f"batch {BATCH}, 1 BLAS thread, CPU time")
         for label, dataset, model_name, block_steps in MODELS:
             steps, losses = {}, {}
@@ -153,7 +152,7 @@ def main(argv=None) -> int:
                 print(f"{label}: losses differ: {losses}")
                 return 1
             times: dict[str, list[float]] = {"ref": [], "this": []}
-            for block in range(args.blocks):
+            for block in range(BLOCKS):
                 order = ("ref", "this") if block % 2 == 0 else ("this", "ref")
                 for name in order:
                     times[name].append(
