@@ -10,36 +10,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.experiments import run_federated_experiment
-from repro.experiments.scale import ScalePreset
+from repro.experiments.sweeps import sweep
 
-from conftest import emit, format_curves, run_once
+from conftest import TINY, emit, format_curves, run_once
 
 BATCHES = (8, 16, 32, 64)
+#: algorithm -> the overrides that select it
+ALGORITHMS = {
+    "fedavg": {"algorithm": "fedavg"},
+    "fedprox": {"algorithm": "fedprox", "mu": 0.01},
+}
+POINTS = {
+    f"{algorithm} B={batch}": {"batch_size": batch, **overrides}
+    for algorithm, overrides in ALGORITHMS.items()
+    for batch in BATCHES
+}
 
 
 def run_sweep():
-    curves = {}
-    for algorithm in ("fedavg", "fedprox"):
-        for batch in BATCHES:
-            preset = ScalePreset(
-                name="fig10",
-                n_train=600,
-                n_test=300,
-                num_rounds=8,
-                local_epochs=3,
-                batch_size=batch,
-            )
-            outcome = run_federated_experiment(
-                "cifar10",
-                "dir(0.5)",
-                algorithm,
-                preset=preset,
-                seed=5,
-                algorithm_kwargs={"mu": 0.01} if algorithm == "fedprox" else None,
-            )
-            curves[f"{algorithm} B={batch}"] = outcome.history.accuracies
-    return curves
+    return sweep(POINTS, "cifar10", "dir(0.5)", preset=TINY, seed=5).curves
 
 
 def test_fig10_batch_size(benchmark, capsys):

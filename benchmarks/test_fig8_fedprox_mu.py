@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.experiments import run_federated_experiment
 from repro.experiments.scale import ScalePreset
+from repro.experiments.sweeps import sweep
 
 from conftest import emit, format_curves, run_once
 
@@ -18,25 +18,11 @@ PRESET = ScalePreset(
     name="fig8", n_train=600, n_test=300, num_rounds=10, local_epochs=3, batch_size=32
 )
 MUS = (0.0, 0.001, 0.01, 0.1, 1.0)
+POINTS = {f"mu={mu}": {"algorithm": "fedprox", "mu": mu} for mu in MUS} | {"fedavg": {}}
 
 
 def run_sweep() -> dict[str, np.ndarray]:
-    curves: dict[str, np.ndarray] = {}
-    for mu in MUS:
-        outcome = run_federated_experiment(
-            "cifar10",
-            "dir(0.5)",
-            "fedprox",
-            preset=PRESET,
-            seed=5,
-            algorithm_kwargs={"mu": mu},
-        )
-        curves[f"mu={mu}"] = outcome.history.accuracies
-    outcome = run_federated_experiment(
-        "cifar10", "dir(0.5)", "fedavg", preset=PRESET, seed=5
-    )
-    curves["fedavg"] = outcome.history.accuracies
-    return curves
+    return sweep(POINTS, "cifar10", "dir(0.5)", "fedavg", preset=PRESET, seed=5).curves
 
 
 def test_fig8_fedprox_mu(benchmark, capsys):

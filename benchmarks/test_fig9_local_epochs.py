@@ -9,40 +9,37 @@ final accuracy (spread across E values is non-trivial) under label skew.
 
 from __future__ import annotations
 
-from repro.experiments import run_federated_experiment
 from repro.experiments.scale import ScalePreset
+from repro.experiments.sweeps import sweep
 
 from conftest import emit, run_once
 
 EPOCHS = (2, 4, 8)
 PARTITIONS = ("#C=2", "dir(0.5)")
-ALGORITHMS = ("fedavg", "fedprox")
+#: algorithm -> the overrides that select it
+ALGORITHMS = {
+    "fedavg": {"algorithm": "fedavg"},
+    "fedprox": {"algorithm": "fedprox", "mu": 0.01},
+}
+PRESET = ScalePreset(
+    name="fig9", n_train=600, n_test=300, num_rounds=8, local_epochs=EPOCHS[0],
+    batch_size=32,
+)
+POINTS = {
+    (partition, algorithm, epochs): {
+        "partition": partition, "local_epochs": epochs, **overrides
+    }
+    for partition in PARTITIONS
+    for algorithm, overrides in ALGORITHMS.items()
+    for epochs in EPOCHS
+}
 
 
 def run_sweep() -> dict[tuple[str, str, int], float]:
-    results = {}
-    for partition in PARTITIONS:
-        for algorithm in ALGORITHMS:
-            for epochs in EPOCHS:
-                preset = ScalePreset(
-                    name="fig9",
-                    n_train=600,
-                    n_test=300,
-                    num_rounds=8,
-                    local_epochs=epochs,
-                    batch_size=32,
-                )
-                outcome = run_federated_experiment(
-                    "cifar10",
-                    partition,
-                    algorithm,
-                    preset=preset,
-                    seed=5,
-                    eval_every=preset.num_rounds,
-                    algorithm_kwargs={"mu": 0.01} if algorithm == "fedprox" else None,
-                )
-                results[(partition, algorithm, epochs)] = outcome.final_accuracy
-    return results
+    return sweep(
+        POINTS, "cifar10", PARTITIONS[0], preset=PRESET, seed=5,
+        eval_every=PRESET.num_rounds,
+    ).finals()
 
 
 def test_fig9_local_epochs(benchmark, capsys):

@@ -8,35 +8,32 @@ round and the accuracy reached per megabyte communicated.
 
 from __future__ import annotations
 
-from repro.experiments import run_federated_experiment
 from repro.experiments.scale import ScalePreset
+from repro.experiments.sweeps import sweep
 
 from conftest import emit, run_once
 
 PRESET = ScalePreset(
     name="sec52", n_train=600, n_test=300, num_rounds=8, local_epochs=3, batch_size=32
 )
-ALGORITHMS = ("fedavg", "fedprox", "scaffold", "fednova")
+POINTS = {
+    "fedavg": {},
+    "fedprox": {"algorithm": "fedprox", "mu": 0.01},
+    "scaffold": {"algorithm": "scaffold"},
+    "fednova": {"algorithm": "fednova"},
+}
 
 
 def run_accounting():
-    rows = {}
-    for algorithm in ALGORITHMS:
-        outcome = run_federated_experiment(
-            "mnist",
-            "dir(0.5)",
-            algorithm,
-            preset=PRESET,
-            seed=13,
-            algorithm_kwargs={"mu": 0.01} if algorithm == "fedprox" else None,
-        )
-        history = outcome.history
-        rows[algorithm] = {
+    result = sweep(POINTS, "mnist", "dir(0.5)", preset=PRESET, seed=13)
+    return {
+        algorithm: {
             "per_round_mb": history.records[0].bytes_communicated / 1e6,
             "total_mb": history.cumulative_communication()[-1] / 1e6,
             "final_acc": history.final_accuracy,
         }
-    return rows
+        for algorithm, history in result.histories.items()
+    }
 
 
 def test_sec52_communication(benchmark, capsys):

@@ -178,11 +178,6 @@ def _add_experiment_args(parser: argparse.ArgumentParser) -> None:
         help="clients per batched replay stack for --executor=stacked",
     )
     parser.add_argument(
-        "--stacked-tolerance", type=float,
-        help="max drift the stacked executor's serial-vs-stacked check "
-        "accepts (0 = bitwise)",
-    )
-    parser.add_argument(
         "--party-sampler", dest="sampler", choices=("uniform", "stratified"),
         help="party sampling policy under partial participation",
     )

@@ -4,7 +4,9 @@
   cell at configurable scale;
 - :func:`run_trials` — the paper's 3-trial mean/std protocol;
 - :func:`run_matrix` — the one way to run a set of cells (what
-  ``run_trials``, the sweeps and ``run_table3`` all call);
+  ``run_trials``, :func:`sweep` and ``run_table3`` all call);
+- :func:`sweep` — fix a cell, vary it point by point (Figures 8-10, the
+  Section 5.2 codec and dropout studies, the sync-vs-async trade-off);
 - :func:`recommend_algorithm` — the Figure 6 decision tree;
 - :mod:`repro.experiments.scale` — the reduced-scale presets the
   benchmarks run at, with the paper-scale settings alongside.
@@ -23,8 +25,6 @@ from repro.experiments.leaderboard import Leaderboard
 from repro.experiments.centralized import centralized_reference, train_centralized
 from repro.experiments.scheduler import CellEvent, MatrixReport, run_cells, run_matrix
 from repro.experiments.sweeps import SweepResult, sweep
-from repro.experiments.comm import CommSweepResult, communication_sweep
-from repro.experiments.faults import DropoutSweepResult, dropout_sweep
 from repro.experiments import scale
 
 __all__ = [
@@ -45,9 +45,5 @@ __all__ = [
     "run_matrix",
     "CellEvent",
     "MatrixReport",
-    "communication_sweep",
-    "CommSweepResult",
-    "dropout_sweep",
-    "DropoutSweepResult",
     "scale",
 ]

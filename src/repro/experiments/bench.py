@@ -11,8 +11,8 @@ end to end by ``benchmarks/e2e``: ``server.run_round_s`` on the
 A second family measures the communication layer in :mod:`repro.comm`:
 per-codec encode/decode throughput on a model-sized vector.  (Bytes on
 the wire per codec and accuracy under dropout are experiments, not
-timings: :func:`~repro.experiments.comm.communication_sweep` and
-:func:`~repro.experiments.faults.dropout_sweep`.)
+timings: a :func:`~repro.experiments.sweeps.sweep` over codec or
+``dropout_prob`` points.)
 
 Run as ``python -m repro.experiments.bench`` (or ``make bench`` /
 ``repro-bench``); results land in ``BENCH_core.json`` together with

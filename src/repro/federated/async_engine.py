@@ -77,6 +77,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.federated.aggregation import subtract_states, weighted_average_states
 from repro.federated.config import FederatedConfig
 from repro.federated.faults import NO_FAULT
 from repro.federated.history import History, RoundRecord
@@ -303,27 +304,20 @@ class AsyncFederation(Federation):
     def _aggregate_delta(self, entries: list[_InFlight], staleness: list[int]) -> dict:
         """Staleness-weighted delta average (the mixed-version path)."""
         exponent = self.config.staleness_exponent
-        weights = np.array(
-            [
-                entry.result.num_samples * (1.0 + stale) ** -exponent
-                for entry, stale in zip(entries, staleness)
-            ],
-            dtype=np.float64,
-        )
-        weights = weights / weights.sum()
+        keys = self.algorithm.all_keys
+        deltas = [
+            subtract_states(entry.result.state, entry.group.reference, keys)
+            for entry in entries
+        ]
+        weights = [
+            entry.result.num_samples * (1.0 + stale) ** -exponent
+            for entry, stale in zip(entries, staleness)
+        ]
+        update = weighted_average_states(deltas, weights)
         new_state: dict[str, np.ndarray] = {}
-        for key in self.algorithm.all_keys:
-            base = np.asarray(self.global_state[key], dtype=np.float64)
-            update = np.zeros_like(base)
-            for weight, entry in zip(weights, entries):
-                delta = np.asarray(
-                    entry.result.state[key], dtype=np.float64
-                ) - np.asarray(entry.group.reference[key], dtype=np.float64)
-                update += weight * delta
-            merged = base + update
-            new_state[key] = merged.astype(
-                np.asarray(self.global_state[key]).dtype
-            )
+        for key in keys:
+            base = np.asarray(self.global_state[key])
+            new_state[key] = (base.astype(np.float64) + update[key]).astype(base.dtype)
         return new_state
 
     def _flush(self) -> RoundRecord:

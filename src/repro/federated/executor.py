@@ -289,8 +289,7 @@ class StackedDriftError(RuntimeError):
 
     Raised by :class:`StackedExecutor`'s automated drift check.  On hosts
     whose BLAS reassociates batched-GEMM reductions exactness is
-    impossible; pass ``--stacked-tolerance`` (``exec.stacked_tolerance``)
-    to accept a bounded per-element deviation instead.
+    impossible; run those with ``--executor serial``.
     """
 
 
@@ -321,26 +320,23 @@ class StackedExecutor(ClientExecutor):
     Determinism: per-client generator draws (the per-epoch shuffles, any
     codec draws) happen in the exact serial order, and all stacked
     kernels are per-slice bitwise mirrors of the serial compiled step, so
-    with ``tolerance == 0.0`` results are required to be bit-identical to
-    :class:`SerialExecutor` — verified once per run by re-running the
-    first stacked group through ``local_update`` itself
-    (:class:`StackedDriftError` on violation).  Parties that do not fit
-    the stacking contract (ragged batches, armed crash faults, non-SGD
-    optimizer, DP noise, an algorithm with its own ``local_update``,
-    parties whose training terms disagree, models the stacked compile
-    rejects) go through the per-party path, per party or per group.
+    results are required to be bit-identical to :class:`SerialExecutor` —
+    verified once per run by re-running the first stacked group through
+    ``local_update`` itself (:class:`StackedDriftError` on violation).
+    Parties that do not fit the stacking contract (ragged batches, armed
+    crash faults, non-SGD optimizer, DP noise, an algorithm with its own
+    ``local_update``, parties whose training terms disagree, models the
+    stacked compile rejects) go through the per-party path, per party or
+    per group.
     """
 
-    def __init__(self, stack_size: int = 16, tolerance: float = 0.0):
+    def __init__(self, stack_size: int = 16):
         if stack_size < 2:
             raise ValueError(
                 f"StackedExecutor needs stack_size >= 2, got {stack_size}; "
                 "use SerialExecutor for single-client execution"
             )
-        if tolerance < 0:
-            raise ValueError(f"tolerance must be non-negative, got {tolerance}")
         self.stack_size = stack_size
-        self.tolerance = tolerance
         self._drift_checked = False
 
     def _run_groups(self, participants, work):
@@ -546,11 +542,9 @@ class StackedExecutor(ClientExecutor):
     def _check_drift(self, group, snapshots, outcomes, work) -> None:
         """Re-run the group through ``local_update`` and compare.
 
-        Once per run, on the first stacked group.  ``tolerance == 0.0``
-        demands bitwise identity; a positive tolerance bounds the max-abs
-        per-element deviation instead.
+        Once per run, on the first stacked group; any difference in bits
+        is a :class:`StackedDriftError`.
         """
-        tolerance = self.tolerance
         for party, snapshot, stacked in zip(group, snapshots, outcomes):
             client = self.clients[party]
             post_rng = client.rng.bit_generator.state
@@ -564,41 +558,16 @@ class StackedExecutor(ClientExecutor):
                     f"stacked replay ran {stacked.num_steps} steps for party "
                     f"{party} where serial ran {serial.num_steps}"
                 )
-            drift = 0.0
             for key, reference in serial.state.items():
-                reference = np.asarray(reference)
-                mine = np.asarray(stacked.state[key])
-                if np.array_equal(reference, mine):
-                    continue
-                if tolerance == 0.0:
+                if not np.array_equal(reference, stacked.state[key]):
                     raise StackedDriftError(
                         f"stacked replay diverged from serial on party "
-                        f"{party} key {key!r} with tolerance 0.0; "
-                        "this host's batched GEMM is not bitwise exact — "
-                        "pass --stacked-tolerance to accept bounded drift"
+                        f"{party} key {key!r}; this host's batched GEMM is "
+                        "not bitwise exact — run with --executor serial"
                     )
-                drift = max(
-                    drift,
-                    float(
-                        np.max(
-                            np.abs(
-                                reference.astype(np.float64)
-                                - mine.astype(np.float64)
-                            )
-                        )
-                    ),
-                )
-            if drift > tolerance:
-                raise StackedDriftError(
-                    f"stacked replay drifted {drift:.3e} from serial on "
-                    f"party {party}, above tolerance {tolerance:.3e}"
-                )
 
     def __repr__(self) -> str:
-        return (
-            f"StackedExecutor(stack_size={self.stack_size}, "
-            f"tolerance={self.tolerance})"
-        )
+        return f"StackedExecutor(stack_size={self.stack_size})"
 
 
 #: backend name -> factory taking the run's :class:`FederatedConfig`; the
@@ -611,9 +580,7 @@ EXECUTORS.register(
 )
 EXECUTORS.register(
     "stacked",
-    lambda config: StackedExecutor(
-        stack_size=config.stack_size, tolerance=config.stacked_tolerance
-    ),
+    lambda config: StackedExecutor(stack_size=config.stack_size),
     summary="batch `stack_size` shape-compatible parties into one replay",
 )
 

@@ -405,9 +405,6 @@ class ExecSpec:
     executor: str = "serial"
     #: clients per stack for ``executor="stacked"``
     stack_size: int = 16
-    #: max drift the stacked executor's serial-vs-stacked check accepts
-    #: (0.0 = bitwise, the contract on hosts with slice-exact kernels)
-    stacked_tolerance: float = 0.0
     #: save a run checkpoint to ``checkpoint_path`` every k rounds (0 = never)
     checkpoint_every: int = 0
     checkpoint_path: str | None = None
@@ -421,11 +418,6 @@ class ExecSpec:
         return _failed(
             (self.executor in EXECUTORS, EXECUTORS.unknown(self.executor)),
             (self.stack_size >= 2, f"stack_size must be >= 2, got {self.stack_size}"),
-            (
-                self.stacked_tolerance >= 0,
-                "stacked_tolerance must be non-negative, "
-                f"got {self.stacked_tolerance}",
-            ),
             (
                 self.checkpoint_every >= 0,
                 f"checkpoint_every must be non-negative, got {self.checkpoint_every}",

@@ -194,8 +194,6 @@ class TestNewCommands:
         ]
         with pytest.raises(ValueError, match="invalid RunSpec:\n.*stack_size"):
             main([*argv, "--stack-size", "1"])
-        with pytest.raises(ValueError, match="invalid RunSpec:\n.*stacked_tolerance"):
-            main([*argv, "--stacked-tolerance", "-1"])
         with pytest.raises(SystemExit):  # choices= come from EXECUTORS
             main([*argv, "--executor", "parallel"])
         with pytest.raises(ValueError, match="invalid RunSpec:\n.*stratified"):

@@ -1,8 +1,7 @@
 """One contract for every way to run a set of cells.
 
-``run_trials``, ``sweep``, ``async_tradeoff``, ``communication_sweep``,
-``dropout_sweep`` and ``run_table3`` are all *enumerate specs ->
-run_matrix -> read records*, so they share one behaviour: the same
+``run_trials``, ``sweep`` and ``run_table3`` are all *enumerate specs
+-> run_matrix -> read records*, so they share one behaviour: the same
 result with or without a store and at any ``jobs``, zero cells on a
 re-invoke, validation before any compute, and a run-time failure that
 costs exactly the failed cell.  The only binding that trains a cell is
@@ -17,17 +16,11 @@ from typing import Callable
 import numpy as np
 import pytest
 
-from repro.experiments import (
-    communication_sweep,
-    dropout_sweep,
-    run_trials,
-    sweep,
-)
+from repro.experiments import run_trials, sweep
 from repro.experiments import scheduler as scheduler_module
 from repro.experiments.scale import ScalePreset
 from repro.experiments.scheduler import fork_available, run_matrix
 from repro.experiments.store import ResultStore
-from repro.experiments.sweeps import async_tradeoff
 from repro.experiments.table3 import run_table3
 from repro.spec import RunSpec
 
@@ -52,31 +45,42 @@ class Entry:
     invalid: dict
     #: overrides that repeat a point (None: the signature cannot say it)
     duplicate: dict | None
-    takes_jobs: bool = True
-
     def run(self, **overrides):
         return self.function(**{**self.defaults, **overrides})
 
 
-def _history_arrays(histories: dict) -> list:
-    out = []
-    for history in histories.values():
+def _sweep_arrays(result) -> list:
+    out = [np.asarray(list(result.histories))]
+    for history in result.histories.values():
         out += [
             history.accuracies,
             history.losses,
             history.dropped_counts,
             history.cumulative_communication(),
+            history.virtual_times,
+            [history.mean_staleness()],
         ]
     return out
 
 
-def _async_arrays(result: dict) -> list:
-    out = [result["sync"]]
-    for point in result["async"].values():
-        out += [point["accuracies"], point["mean_staleness"], point["virtual_time"]]
-    return out
+def sweep_entry(points: dict, invalid: dict, **fixed) -> Entry:
+    """A ``sweep`` row; ``invalid`` and a repeat of the first point are
+    added to ``points`` for the failure and duplicate checks."""
+    first = next(iter(points.values()))
+    return Entry(
+        sweep,
+        dict(**CELL, points=points, preset=TINY, seed=3, **fixed),
+        cells=len(points),
+        arrays=_sweep_arrays,
+        invalid=dict(points={**points, "invalid": invalid}),
+        duplicate=dict(points={**points, "again": first}),
+    )
 
 
+ASYNC = {"aggregation": "async", "staleness_exponent": 0.5}
+
+# Every sweep-shaped study runs through ``sweep``; its rows are named for
+# the study they reproduce.
 ENTRIES = {
     "run_trials": Entry(
         run_trials,
@@ -86,44 +90,34 @@ ENTRIES = {
         invalid=dict(lr=-1.0),
         duplicate=None,  # trial seeds are distinct by construction
     ),
-    "sweep": Entry(
-        sweep,
-        dict(**CELL, parameter="lr", values=[0.1, 0.01], preset=TINY, seed=3),
-        cells=2,
-        arrays=lambda result: [np.asarray(list(result.curves)), *result.curves.values()],
-        invalid=dict(values=[0.1, -1.0]),
-        duplicate=dict(values=[0.1, 0.01, 0.1]),
+    "sweep": sweep_entry(
+        {lr: {"lr": lr} for lr in (0.1, 0.01)}, invalid={"lr": -1.0}
     ),
-    "async_tradeoff": Entry(
-        async_tradeoff,
-        dict(**CELL, buffer_sizes=(1, 2), sample_per_round=4, preset=TINY, seed=3),
-        cells=3,  # the sync baseline + one per buffer size
-        arrays=_async_arrays,
-        invalid=dict(buffer_sizes=(1, 0)),
-        duplicate=dict(buffer_sizes=(1, 2, 1)),
+    # Fig. 8's shape: a point switches the algorithm (mu on FedAvg is
+    # rejected by validate()).
+    "algorithm_switch": sweep_entry(
+        {"mu=0": {"algorithm": "fedprox", "mu": 0.0}, "fedavg": {}},
+        invalid={"mu": 0.1},
     ),
-    "communication_sweep": Entry(
-        communication_sweep,
-        dict(
-            **CELL, codecs=("identity", {"codec": "topk", "codec_k": 0.1}),
-            preset=TINY, seed=3,
-        ),
-        cells=2,
-        arrays=lambda result: _history_arrays(result.histories),
-        invalid=dict(codecs=("identity", {"codec": "qsgd", "codec_bits": 99})),
-        duplicate=dict(
-            codecs=("identity", {"codec": "topk", "codec_k": 0.1}, "identity")
-        ),
-        takes_jobs=False,
+    # Section 5.2's codec ladder: points set two knobs at once.
+    "communication_sweep": sweep_entry(
+        {"identity": {"codec": "identity"}, "qsgd(4b)": {"codec": "qsgd", "codec_bits": 4}},
+        invalid={"codec": "qsgd", "codec_bits": 99},
     ),
-    "dropout_sweep": Entry(
-        dropout_sweep,
-        dict(**CELL, dropout_probs=(0.0, 0.4), preset=TINY, seed=3),
-        cells=2,
-        arrays=lambda result: _history_arrays(result.histories),
-        invalid=dict(dropout_probs=(0.0, 1.5)),
-        duplicate=dict(dropout_probs=(0.0, 0.4, 0.0)),
-        takes_jobs=False,
+    "dropout_sweep": sweep_entry(
+        {"p=0": {"dropout_prob": 0.0}, "p=0.4": {"dropout_prob": 0.4}},
+        invalid={"dropout_prob": 1.5},
+    ),
+    # Sync barrier vs buffered async at one cohort: buffer 1 < cohort 4
+    # flushes mixed-staleness deltas.
+    "async_tradeoff": sweep_entry(
+        {
+            "sync": {"sample_fraction": 0.4},
+            1: {**ASYNC, "buffer_size": 1},
+            2: {**ASYNC, "buffer_size": 2},
+        },
+        invalid={**ASYNC, "buffer_size": 0},
+        sample_per_round=4,
     ),
     "run_table3": Entry(
         run_table3,
@@ -199,7 +193,7 @@ class TestContract:
 
     @pytest.mark.concurrent
     @pytest.mark.skipif(not fork_available(), reason="requires fork")
-    @over(lambda entry: entry.takes_jobs)
+    @entries
     def test_jobs_change_nothing(self, entry, tmp_path):
         inline, pooled = ResultStore(tmp_path / "1"), ResultStore(tmp_path / "2")
         assert_same(
@@ -244,7 +238,9 @@ class TestContract:
         result = entry.run(store=store, **entry.duplicate)
         assert len(calls) == len(set(calls)) == entry.cells
         assert len(store) == entry.cells
-        assert_same(entry, result, entry.run(store=store))
+        # A sweep keeps the repeated label, so compare like with like.
+        assert_same(entry, result, entry.run(store=store, **entry.duplicate))
+        assert len(calls) == entry.cells
 
 
 class TestRunMatrix:

@@ -185,8 +185,12 @@ class TestContentAddressing:
         assert store.history(spec).accuracies.tolist() == [0.22]
         report = run_cells([spec], store=store)
         assert (report.cached, report.ran) == ([spec.run_id()], [])
-        # Re-parsing the embedded spec is the one door that is strict.
-        with pytest.raises(ValueError, match=r"unknown ExecSpec fields \['num_workers'\]"):
+        # Re-parsing the embedded spec is the one door that is strict; it
+        # also names ``stacked_tolerance``, deleted since.
+        with pytest.raises(
+            ValueError,
+            match=r"unknown ExecSpec fields \['num_workers', 'stacked_tolerance'\]",
+        ):
             store.specs()
 
     def test_get_falls_back_to_embedded_run_id(self, outcome, tmp_path):

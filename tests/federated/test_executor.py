@@ -148,7 +148,7 @@ def backend(request):
     if request.param != "serial" and not stacked_matmul_is_exact():
         pytest.skip(
             "bitwise contract needs slice-exact batched kernels; "
-            "test_stacked.py covers the tolerance mode"
+            "other hosts run --executor serial"
         )
     return request.param
 

@@ -1,11 +1,10 @@
 """Stacked executor: serial-vs-stacked equivalence, fallbacks, drift check.
 
 The stacked executor's contract is bitwise identity to the serial path
-(``tolerance == 0.0``) on hosts whose batched kernels run each client
-slice through the same code path as the 2-D ops — which
-``stacked_matmul_is_exact()`` probes.  Where the probe fails, the matrix
-runs in the documented tolerance mode instead, so the equivalence suite
-is meaningful on every host.
+on hosts whose batched kernels run each client slice through the same
+code path as the 2-D ops — which ``stacked_matmul_is_exact()`` probes.
+Where the probe fails the drift check raises on the first stacked group
+(run those hosts with ``--executor serial``), so the module skips there.
 """
 
 import dataclasses
@@ -37,14 +36,15 @@ from repro.grad.optim import StackedSGD
 from repro.models.cnn import PaperCNN
 from repro.partition import HomogeneousPartitioner
 
-pytestmark = pytest.mark.stacked
+pytestmark = [
+    pytest.mark.stacked,
+    pytest.mark.skipif(
+        not stacked_matmul_is_exact(),
+        reason="this host's batched GEMM is not slice-exact",
+    ),
+]
 
 ALGORITHMS = ("fedavg", "fedprox", "scaffold", "fednova")
-
-#: bitwise when the host's batched kernels are slice-exact, else the
-#: documented tolerance mode (loose bound; per-step drift is ~1e-7)
-EXACT = stacked_matmul_is_exact()
-TOLERANCE = 0.0 if EXACT else 1e-4
 
 
 def image_split(seed=5, n=256, side=16, classes=4):
@@ -95,7 +95,6 @@ def make_server(
         seed=seed,
         executor=executor,
         stack_size=4,
-        stacked_tolerance=TOLERANCE,
     )
     defaults.update(config_kwargs)
     config = FederatedConfig(**defaults)
@@ -114,14 +113,9 @@ def make_server(
 
 def assert_states_match(serial, stacked):
     for key in serial.global_state:
-        left = serial.global_state[key]
-        right = stacked.global_state[key]
-        if EXACT:
-            np.testing.assert_array_equal(left, right, err_msg=key)
-        else:
-            np.testing.assert_allclose(
-                left, right, atol=TOLERANCE, rtol=0, err_msg=key
-            )
+        np.testing.assert_array_equal(
+            serial.global_state[key], stacked.global_state[key], err_msg=key
+        )
     for left, right in zip(serial.clients, stacked.clients):
         assert left.rng.bit_generator.state == right.rng.bit_generator.state
 
@@ -371,11 +365,10 @@ class TestCheckpointResume:
 
 
 class TestDriftCheck:
-    @pytest.mark.skipif(not EXACT, reason="this host's batched GEMM is not slice-exact")
     def test_block_updates_pass_the_bitwise_check(self, monkeypatch):
         # StackedSGD steps the program's (K, P) parameter block in one pass;
         # the first group's rerun through serial SGD must still match it
-        # bit for bit (tolerance 0.0 raises on any difference).
+        # bit for bit (the check raises on any difference).
         blocks = set()
         original = StackedSGD.step
 
@@ -392,7 +385,7 @@ class TestDriftCheck:
             "_check_drift",
             lambda self, *args: checks.append(check(self, *args)),
         )
-        server = make_server("fedprox", executor="stacked", stacked_tolerance=0.0)
+        server = make_server("fedprox", executor="stacked")
         with server:
             server.fit(1)
         assert checks == [None]
@@ -412,34 +405,17 @@ class TestDriftCheck:
 
     def test_divergence_raises(self, monkeypatch):
         self._perturbing(monkeypatch, 1e-3)
-        server = make_server(executor="stacked", stacked_tolerance=0.0)
+        server = make_server(executor="stacked")
         with server:
-            with pytest.raises(StackedDriftError):
-                server.fit(1)
-
-    def test_tolerance_bounds_drift(self, monkeypatch):
-        self._perturbing(monkeypatch, 1e-3)
-        # Well above the injected drift: accepted ...
-        server = make_server(executor="stacked", stacked_tolerance=1.0)
-        with server:
-            server.fit(1)
-        # ... but a tolerance below it still trips the check.
-        self._perturbing(monkeypatch, 1e-3)
-        server = make_server(executor="stacked", stacked_tolerance=1e-6)
-        with server:
-            with pytest.raises(StackedDriftError):
+            with pytest.raises(StackedDriftError, match="--executor serial"):
                 server.fit(1)
 
 
 class TestConstruction:
     def test_make_executor_stacked(self):
-        config = FederatedConfig(
-            executor="stacked", stack_size=8, stacked_tolerance=0.5
-        )
-        executor = make_executor(config)
+        executor = make_executor(FederatedConfig(executor="stacked", stack_size=8))
         assert isinstance(executor, StackedExecutor)
         assert executor.stack_size == 8
-        assert executor.tolerance == 0.5
 
     def test_config_cannot_be_mutated_after_validation(self):
         config = FederatedConfig()
@@ -450,14 +426,10 @@ class TestConstruction:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError, match="stack_size"):
             StackedExecutor(stack_size=1)
-        with pytest.raises(ValueError, match="tolerance"):
-            StackedExecutor(tolerance=-0.1)
 
     def test_config_validates_stacked_fields(self):
         with pytest.raises(ValueError, match="stack_size"):
             FederatedConfig(stack_size=1)
-        with pytest.raises(ValueError, match="stacked_tolerance"):
-            FederatedConfig(stacked_tolerance=-1.0)
 
     def test_repr(self):
         assert "stack_size=4" in repr(StackedExecutor(stack_size=4))

@@ -22,7 +22,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.data import ArrayDataset
 from repro.data.dataset import DatasetInfo
@@ -180,6 +180,17 @@ def linear_inputs(draw):
 
 @settings(max_examples=MAX_EXAMPLES, deadline=None)
 @given(drawn=linear_inputs())
+# NaNs from ``x @ w.T`` and the bias meet in the output's add: the shipped
+# kernel adds the bias in place, the reference into a fresh array, and
+# NumPy keeps another operand's NaN (-nan shipped, +nan reference).
+@example(
+    drawn=(
+        np.array([0.23, -0.44, 1.0, 1.0, 1.0, 1.34, np.nan]),
+        np.array([[-1.46, -0.0, -0.14, 0.62, -0.0, -np.nan, -0.10]]),
+        np.array([-np.nan]),
+        np.array([-0.74]),
+    )
+)
 def test_linear_matches_matmul_add(drawn):
     x, weight, bias, grad = drawn
     arrays = (x, weight) if bias is None else (x, weight, bias)
@@ -189,7 +200,10 @@ def test_linear_matches_matmul_add(drawn):
         out = linear(*leaves)
         out.backward(grad)
         results.append([out.data] + [t.grad for t in leaves])
-    for got, want in zip(*results):
+    (out, *grads), (want_out, *want_grads) = results
+    # The output is a sum, which promises only its non-NaN bits.
+    assert_same(out, want_out, nan_payload=False)
+    for got, want in zip(grads, want_grads):
         assert_same(got, want)
 
 

@@ -34,8 +34,8 @@ IMAGE = (2, 6, 6)
 STEPS = 2
 MAX_STACK = 3
 
-#: bitwise when the host's batched kernels are slice-exact, else the
-#: documented tolerance mode
+#: bitwise when the host's batched kernels are slice-exact, else within
+#: float rounding
 EXACT = stacked_matmul_is_exact()
 
 

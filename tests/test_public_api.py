@@ -35,7 +35,6 @@ PUBLIC_MODULES = [
     "repro.comm.channel",
     "repro.metrics",
     "repro.experiments",
-    "repro.experiments.comm",
     "repro.experiments.table3",
     "repro.experiments.leaderboard",
     "repro.experiments.store",

@@ -15,6 +15,7 @@ from repro.spec import (
     SECTIONS,
     AlgorithmSpec,
     DataSpec,
+    ExecSpec,
     PartitionSpec,
     RunSpec,
     TrainSpec,
@@ -68,7 +69,6 @@ KNOBS = {
     "staleness_exponent": (0.5, "--staleness-exponent", {}),
     "executor": ("stacked", "--executor", {}),
     "stack_size": (8, "--stack-size", {}),
-    "stacked_tolerance": (1e-6, "--stacked-tolerance", {}),
     "checkpoint_every": (2, "--checkpoint-every", {"checkpoint_path": "run.ckpt"}),
     "checkpoint_path": ("run.ckpt", "--checkpoint-path", {}),
     "compile": (True, "--compile", {}),
@@ -151,13 +151,15 @@ class TestRoundTrip:
             RunSpec.from_dict(data)
 
     def test_deleted_exec_knobs_fail_strictly(self):
-        # Spec files written before the fork pool was deleted carry these;
-        # there is no compatibility shim, only the ordinary strict errors.
+        # Spec files written before the fork pool (or the stacked drift
+        # tolerance) was deleted carry these; there is no compatibility
+        # shim, only the ordinary strict errors.
         data = make_spec().to_dict()
-        with pytest.raises(
-            ValueError, match=r"unknown ExecSpec fields \['num_workers'\]; known: \["
-        ):
-            RunSpec.from_dict({**data, "exec": {**data["exec"], "num_workers": 0}})
+        for name, value in (("num_workers", 0), ("stacked_tolerance", 0.0)):
+            with pytest.raises(
+                ValueError, match=rf"unknown ExecSpec fields \['{name}'\]; known: \["
+            ):
+                RunSpec.from_dict({**data, "exec": {**data["exec"], name: value}})
         stale = RunSpec.from_dict({**data, "exec": {**data["exec"], "executor": "auto"}})
         with pytest.raises(
             ValueError,
@@ -206,7 +208,7 @@ class TestRunId:
     def test_exec_fields_do_not_change_it(self):
         base = knob_spec().run_id()
         exec_knobs = [name for name in KNOBS if knob_path(name)[0] == "exec"]
-        assert len(exec_knobs) >= 6
+        assert exec_knobs == [f.name for f in dataclasses.fields(ExecSpec)]
         for name in exec_knobs:
             assert knob_spec(name).run_id() == base, name
 
@@ -439,9 +441,11 @@ class TestValidate:
                     "lr", "sample_fraction", "dp_noise_multiplier", "codec_k",
                     "dropout_prob", "straggler_prob", "straggler_factor",
                     "crash_prob", "deadline", "population_skew_beta",
-                    "staleness_exponent", "stacked_tolerance",
+                    "staleness_exponent",
                 )
             ),
+            # and the exec section's one numeric knob, by its type check
+            ({"stack_size": float("nan")}, "stack_size must be an integer, got nan"),
             # +inf passes a one-sided range predicate but trains on NaN weights
             *(
                 ({name: float("inf")}, f"{name.replace('population_', '')} .*got inf")
