@@ -167,23 +167,34 @@ class TestSweepSpecs:
             sweep_specs({0.1: {"dropout": 0.1}}, "adult", "iid", preset=TINY)
 
     @pytest.mark.parametrize(
-        "point, direct",
+        "base, point, direct",
         [
-            ({"algorithm": "fedavg"}, {"algorithm": "fedavg"}),
-            ({"mu": 0.0}, {"algorithm_kwargs": {"mu": 0.0}}),
-            ({"algorithm_kwargs": {"mu": 1.0}}, {"algorithm_kwargs": {"mu": 1.0}}),
-            ({"local_epochs": 8}, {"local_epochs": 8}),
-            ({"partition": "#C=1"}, {"partition": "#C=1"}),
+            ("fedprox", {"algorithm": "fedavg"}, {"algorithm": "fedavg"}),
+            # Fig. 8's shape: a FedAvg base, a point that switches to FedProx.
             (
+                "fedavg",
+                {"algorithm": "fedprox", "mu": 0.01},
+                {"algorithm": "fedprox", "algorithm_kwargs": {"mu": 0.01}},
+            ),
+            ("fedprox", {"mu": 0.0}, {"algorithm_kwargs": {"mu": 0.0}}),
+            (
+                "fedprox",
+                {"algorithm_kwargs": {"mu": 1.0}},
+                {"algorithm_kwargs": {"mu": 1.0}},
+            ),
+            ("fedavg", {"local_epochs": 8}, {"local_epochs": 8}),
+            ("fedprox", {"partition": "#C=1"}, {"partition": "#C=1"}),
+            (
+                "fedprox",
                 {"partition": "iid", "algorithm": "scaffold", "local_epochs": 4},
                 {"partition": "iid", "algorithm": "scaffold", "local_epochs": 4},
             ),
         ],
     )
-    def test_point_enumerates_the_direct_build(self, point, direct):
+    def test_point_enumerates_the_direct_build(self, base, point, direct):
         # The figure benches moved from one direct build per cell to
         # points on a shared base; their run_ids (store keys) must not move.
-        cell = dict(dataset="cifar10", partition="dir(0.5)", algorithm="fedprox")
+        cell = dict(dataset="cifar10", partition="dir(0.5)", algorithm=base)
         [spec] = sweep_specs({"p": point}, **cell, preset=TINY, seed=5).values()
         expected = RunSpec.build(**{**cell, **direct}, preset=TINY, seed=5)
         assert spec.run_id() == expected.run_id()

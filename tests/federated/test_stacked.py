@@ -4,7 +4,8 @@ The stacked executor's contract is bitwise identity to the serial path
 on hosts whose batched kernels run each client slice through the same
 code path as the 2-D ops — which ``stacked_matmul_is_exact()`` probes.
 Where the probe fails the drift check raises on the first stacked group
-(run those hosts with ``--executor serial``), so the module skips there.
+(run those hosts with ``--executor serial``), so the tests that stack a
+group skip there; construction and fallback tests run everywhere.
 """
 
 import dataclasses
@@ -36,13 +37,13 @@ from repro.grad.optim import StackedSGD
 from repro.models.cnn import PaperCNN
 from repro.partition import HomogeneousPartitioner
 
-pytestmark = [
-    pytest.mark.stacked,
-    pytest.mark.skipif(
-        not stacked_matmul_is_exact(),
-        reason="this host's batched GEMM is not slice-exact",
-    ),
-]
+pytestmark = pytest.mark.stacked
+
+#: for tests that stack a group, which the drift check rejects off such hosts
+slice_exact = pytest.mark.skipif(
+    not stacked_matmul_is_exact(),
+    reason="this host's batched GEMM is not slice-exact",
+)
 
 ALGORITHMS = ("fedavg", "fedprox", "scaffold", "fednova")
 
@@ -130,6 +131,7 @@ def run_pair(**kwargs):
     return serial, stacked
 
 
+@slice_exact
 class TestEquivalenceMatrix:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_mlp(self, algorithm):
@@ -169,6 +171,7 @@ def spy_on_train_stack(monkeypatch):
 class TestOneRoundTemplate:
     """A stacked party runs the algorithm's ``begin`` / ``finish`` once."""
 
+    @slice_exact
     def test_hooks_run_once_per_stacked_party(self, monkeypatch):
         calls = Counter()
 
@@ -310,6 +313,7 @@ class TestFallbacks:
             )
 
 
+@slice_exact
 class TestCodecsAndFaults:
     def test_qsgd_codec_equivalence(self):
         serial, stacked = run_pair(
@@ -341,6 +345,7 @@ class TestCodecsAndFaults:
         assert_states_match(serial, stacked)
 
 
+@slice_exact
 class TestCheckpointResume:
     def test_resume_is_bitwise(self, tmp_path):
         path = str(tmp_path / "stacked.ckpt")
@@ -365,6 +370,7 @@ class TestCheckpointResume:
 
 
 class TestDriftCheck:
+    @slice_exact
     def test_block_updates_pass_the_bitwise_check(self, monkeypatch):
         # StackedSGD steps the program's (K, P) parameter block in one pass;
         # the first group's rerun through serial SGD must still match it
