@@ -8,8 +8,10 @@ round and the accuracy reached per megabyte communicated.
 
 from __future__ import annotations
 
+from repro.comm import FLOAT_BYTES
 from repro.experiments.scale import ScalePreset
 from repro.experiments.sweeps import sweep
+from repro.federated import FedNova
 
 from conftest import emit, run_once
 
@@ -28,6 +30,8 @@ def run_accounting():
     result = sweep(POINTS, "mnist", "dir(0.5)", preset=PRESET, seed=13)
     return {
         algorithm: {
+            "per_round_bytes": history.records[0].bytes_communicated,
+            "completers": len(history.records[0].participants),
             "per_round_mb": history.records[0].bytes_communicated / 1e6,
             "total_mb": history.cumulative_communication()[-1] / 1e6,
             "final_acc": history.final_accuracy,
@@ -47,9 +51,13 @@ def test_sec52_communication(benchmark, capsys):
         )
     emit("sec52_communication", "\n".join(lines), capsys)
 
-    # FedProx and FedNova cost exactly what FedAvg costs.
-    assert rows["fedprox"]["per_round_mb"] == rows["fedavg"]["per_round_mb"]
-    assert rows["fednova"]["per_round_mb"] == rows["fedavg"]["per_round_mb"]
+    # FedProx costs exactly what FedAvg costs; FedNova's upload also
+    # carries each completing party's step count tau_i.
+    assert rows["fedprox"]["per_round_bytes"] == rows["fedavg"]["per_round_bytes"]
+    tau_bytes = FLOAT_BYTES * FedNova().uplink_metadata_floats()
+    assert rows["fednova"]["per_round_bytes"] - rows["fedavg"]["per_round_bytes"] == (
+        tau_bytes * rows["fednova"]["completers"]
+    )
     # SCAFFOLD roughly doubles the traffic (exactly double for models
     # without buffers; slightly less than 2x when buffers exist).
     ratio = rows["scaffold"]["per_round_mb"] / rows["fedavg"]["per_round_mb"]

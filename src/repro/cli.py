@@ -88,7 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     recommend.add_argument("--partition", required=True)
 
-    commands.add_parser("datasets", help="list available datasets")
     commands.add_parser(
         "list", help="list every registered component (datasets, partitions, "
         "models, algorithms, codecs)"
@@ -105,7 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     table3.add_argument("--preset", default="smoke", choices=sorted(PRESETS))
     table3.add_argument("-n", "--num-trials", type=int, default=1)
     table3.add_argument("--init-seed", type=int, default=0)
-    table3.add_argument("--save", default=None, help="write leaderboard JSON here")
     table3.add_argument(
         "--store", default=None, metavar="DIR",
         help="ResultStore directory: completed cells are read back, fresh "
@@ -380,12 +378,6 @@ def cmd_recommend(args) -> int:
     return 0
 
 
-def cmd_datasets(args) -> int:
-    for name in DATASET_NAMES:
-        print(name)
-    return 0
-
-
 def cmd_list(args) -> int:
     """Print every registered component straight from the registries."""
     from repro.comm.codecs import CODECS
@@ -423,9 +415,6 @@ def cmd_table3(args) -> int:
     )
     print()
     print(board.render())
-    if args.save:
-        board.save(args.save)
-        print(f"\nsaved leaderboard to {args.save}")
     return 0
 
 
@@ -436,7 +425,6 @@ def main(argv=None) -> int:
         "trials": cmd_trials,
         "partition-report": cmd_partition_report,
         "recommend": cmd_recommend,
-        "datasets": cmd_datasets,
         "list": cmd_list,
         "table3": cmd_table3,
     }[args.command]

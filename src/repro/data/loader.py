@@ -5,6 +5,19 @@ from __future__ import annotations
 import numpy as np
 
 
+def epoch_order(n: int, rng: np.random.Generator | None) -> np.ndarray:
+    """One epoch's sample order: ``0 .. n-1``, shuffled by ``rng`` if given.
+
+    The one draw of a party's epoch: the serial :class:`DataLoader` and
+    the stacked executor, which draws a round's epochs up front, both
+    call it, so the two consume a party's generator identically.
+    """
+    order = np.arange(n)
+    if rng is not None:
+        rng.shuffle(order)
+    return order
+
+
 class DataLoader:
     """Iterate a dataset in mini-batches of ``(features, labels)`` arrays.
 
@@ -39,9 +52,7 @@ class DataLoader:
 
     def __iter__(self):
         n = len(self.dataset)
-        order = np.arange(n)
-        if self.shuffle:
-            self.rng.shuffle(order)
+        order = epoch_order(n, self.rng if self.shuffle else None)
         features = self.dataset.features
         labels = self.dataset.labels
         stop = (n // self.batch_size) * self.batch_size if self.drop_last else n

@@ -8,11 +8,14 @@ steps).  This is the number the allocation-cutting work in
 end to end by ``benchmarks/e2e``: ``server.run_round_s`` on the
 ``cell_cnn`` and ``rounds_mlp`` workloads.)
 
-A second family measures the communication layer in :mod:`repro.comm`:
-per-codec encode/decode throughput on a model-sized vector.  (Bytes on
-the wire per codec and accuracy under dropout are experiments, not
-timings: a :func:`~repro.experiments.sweeps.sweep` over codec or
-``dropout_prob`` points.)
+The other sections time the compiled and stacked training steps, the
+two-pass vs fused evaluation of the bench CNN, per-codec encode/decode
+throughput of :mod:`repro.comm` on a model-sized vector, and the async
+engine's wall time and peak RSS as its population grows.  (Bytes on the
+wire per codec, accuracy under dropout and the async buffer-size
+trade-off are experiments, not timings: a
+:func:`~repro.experiments.sweeps.sweep` over codec, ``dropout_prob`` or
+``buffer_size`` points.)
 
 Run as ``python -m repro.experiments.bench`` (or ``make bench`` /
 ``repro-bench``); results land in ``BENCH_core.json`` together with
@@ -35,8 +38,6 @@ from repro.experiments.scheduler import fork_available
 from repro.federated import (
     FederatedConfig,
     evaluate,
-    evaluate_accuracy,
-    evaluate_loss,
     make_clients,
 )
 from repro.federated.trainer import run_local_training
@@ -313,7 +314,7 @@ def bench_eval_fastpath(repeats: int = 3, seed: int = 0, n_test: int = 512) -> d
 
     def two_pass():
         # The pre-fusion server cost: separate accuracy and loss passes.
-        return evaluate_accuracy(model, test), evaluate_loss(model, test)
+        return evaluate(model, test).accuracy, evaluate(model, test).loss
 
     def fused():
         return evaluate(model, test)
@@ -435,25 +436,18 @@ def bench_async_engine(
     num_rounds: int = 2,
     populations: tuple[int, ...] = BENCH_POPULATION_SIZES,
 ) -> dict:
-    """Flat-memory scaling and the buffer-size trade-off of the async engine.
+    """Flat-memory scaling of the async engine.
 
-    Two tables:
-
-    - ``scaling`` — wall time and peak RSS of a full async run at a fixed
-      cohort while the population grows 1k -> 100k -> 1M.  Each point runs
-      in a fresh subprocess so its peak RSS reflects that run alone;
-      the flat-memory claim is RSS staying put while the population grows
-      three orders of magnitude.
-    - ``buffer_sweep`` — wall time, virtual time, mean staleness and final
-      accuracy as the FedBuff buffer ``M`` shrinks from the cohort (exact
-      barrier) downward at a fixed population.
+    ``scaling`` holds the wall time and peak RSS of a full async run at a
+    fixed cohort while the population grows 1k -> 100k -> 1M.  Each point
+    runs in a fresh subprocess so its peak RSS reflects that run alone;
+    the flat-memory claim is RSS staying put while the population grows
+    three orders of magnitude.  (The buffer-size trade-off is an
+    experiment, not a timing: a :func:`~repro.experiments.sweeps.sweep`
+    over ``buffer_size`` points.)
     """
     import subprocess
     import sys
-
-    from repro.spec import RunSpec
-    from repro.experiments.runner import run_spec
-    from repro.experiments.scale import SMOKE
 
     if smoke:
         populations = tuple(p for p in populations if p <= 100_000)
@@ -477,32 +471,7 @@ def bench_async_engine(
             }
         )
 
-    buffer_sweep = []
-    sweep_cohort = 8
-    buffers = (2, 8) if smoke else (2, 4, 8)
-    for buffer in buffers:
-        spec = RunSpec.build(
-            "mnist", "iid", "fedavg", preset=SMOKE, population=10_000,
-            sample_per_round=sweep_cohort, aggregation="async",
-            buffer_size=buffer, staleness_exponent=0.5,
-            num_rounds=2 if smoke else 4, seed=seed,
-        )
-        start = time.perf_counter()
-        outcome = run_spec(spec)
-        wall = time.perf_counter() - start
-        history = outcome.history
-        buffer_sweep.append(
-            {
-                "buffer_size": buffer,
-                "cohort": sweep_cohort,
-                "is_barrier": buffer == sweep_cohort,
-                "wall_seconds": round(wall, 3),
-                "virtual_time": round(float(history.virtual_times[-1]), 3),
-                "mean_staleness": round(history.mean_staleness(), 3),
-                "final_accuracy": round(history.final_accuracy, 4),
-            }
-        )
-    return {"scaling": scaling, "buffer_sweep": buffer_sweep}
+    return {"scaling": scaling}
 
 
 def run_benchmarks(

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.data import load_dataset
 from repro.data.loader import DataLoader
-from repro.federated.evaluation import evaluate_accuracy
+from repro.federated.evaluation import evaluate
 from repro.grad import Tensor, functional as F
 from repro.grad.nn.module import Module
 from repro.grad.optim import SGD
@@ -69,7 +69,7 @@ def train_centralized(
             optimizer.step()
             losses.append(loss.item())
         result.losses.append(float(np.mean(losses)))
-        result.accuracies.append(evaluate_accuracy(model, test_dataset))
+        result.accuracies.append(evaluate(model, test_dataset).accuracy)
     return result
 
 

@@ -4,14 +4,16 @@ The paper: "We also maintain a leaderboard along with our code to rank
 state-of-the-art federated learning algorithms on different non-IID
 settings."  This module is that leaderboard — accumulate
 :class:`~repro.experiments.runner.TrialSummary` entries, rank per
-(dataset, partition) setting, count wins per algorithm (the paper's
-"number of times that performs best" rows), and persist to JSON.
+(dataset, partition) setting, and count wins per algorithm (the paper's
+"number of times that performs best" rows).  It keeps no record of its
+own: the runs in a :class:`~repro.experiments.store.ResultStore` are the
+record, and :meth:`ResultStore.leaderboard
+<repro.experiments.store.ResultStore.leaderboard>` rebuilds the board
+from them.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
 from collections import defaultdict
 
 from repro.experiments.runner import TrialSummary
@@ -90,41 +92,3 @@ class Leaderboard:
             "wins: " + ", ".join(f"{a}={wins.get(a, 0)}" for a in algorithms)
         )
         return "\n".join(lines)
-
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        return {
-            "entries": [
-                {
-                    "dataset": summary.dataset,
-                    "partition": summary.partition,
-                    "algorithm": summary.algorithm,
-                    "accuracies": list(summary.accuracies),
-                }
-                for entries in self._entries.values()
-                for summary in entries.values()
-            ]
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Leaderboard":
-        board = cls()
-        for entry in data.get("entries", []):
-            board.add(
-                TrialSummary(
-                    dataset=entry["dataset"],
-                    partition=entry["partition"],
-                    algorithm=entry["algorithm"],
-                    accuracies=[float(a) for a in entry["accuracies"]],
-                )
-            )
-        return board
-
-    def save(self, path) -> None:
-        pathlib.Path(path).write_text(json.dumps(self.to_dict(), indent=2))
-
-    @classmethod
-    def load(cls, path) -> "Leaderboard":
-        return cls.from_dict(json.loads(pathlib.Path(path).read_text()))

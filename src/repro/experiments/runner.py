@@ -196,8 +196,6 @@ def run_federated_experiment(
     dataset: str,
     partition: str | Partitioner,
     algorithm: str,
-    *,
-    resume: str | None = None,
     **knobs,
 ) -> ExperimentOutcome:
     """Run one federated experiment cell (keyword door to :func:`run_spec`).
@@ -206,12 +204,11 @@ def run_federated_experiment(
     are :meth:`RunSpec.build <repro.spec.RunSpec.build>` keywords —
     ``preset``, ``num_parties`` and any flat override name
     (:func:`repro.spec.overridable_names`); a misspelt one raises
-    ``KeyError`` listing them.  ``resume`` is the path of a checkpoint to
-    continue from.  ``run_federated_experiment(**kw)`` and
+    ``KeyError`` listing them.  ``run_federated_experiment(**kw)`` and
     ``run_spec(RunSpec.build(**kw))`` produce bitwise-identical histories.
     """
     spec = RunSpec.build(dataset, partition, algorithm, **knobs)
-    return run_spec(spec, resume=resume)
+    return run_spec(spec)
 
 
 def run_trials(

@@ -31,8 +31,6 @@ from repro.federated.algorithms import (
 from repro.federated.evaluation import (
     EvalResult,
     evaluate,
-    evaluate_accuracy,
-    evaluate_loss,
     evaluate_per_party,
 )
 from repro.federated.executor import (
@@ -74,8 +72,6 @@ __all__ = [
     "ALGORITHM_NAMES",
     "EvalResult",
     "evaluate",
-    "evaluate_accuracy",
-    "evaluate_loss",
     "evaluate_per_party",
     "ClientExecutor",
     "SerialExecutor",

@@ -13,10 +13,12 @@ module is the *arrival policy* between its two halves, simulated on a
 - a discrete-event scheduler over a heap of ``(virtual_time, seq,
   event)`` — no wall-clock reads anywhere, so the same spec seed yields
   the same event order, history and final model in any process;
-- latency comes from the existing :class:`~repro.federated.systems.
-  SystemModel` (per-party compute speed and bandwidth) and
+- latency is :meth:`SystemModel.party_duration
+  <repro.federated.systems.SystemModel.party_duration>` (per-party
+  compute speed and bandwidth; the one party clock the synchronous
+  replay takes its round maximum of) under the
   :class:`~repro.federated.faults.FaultModel` (straggler slowdowns,
-  dropouts, mid-training crashes), both already pure seeded draws;
+  dropouts, mid-training crashes), a pure seeded draw;
 - client *compute* happens at dispatch (one ``Federation._dispatch``
   per group, so serial and stacked execution plug in underneath
   unchanged); only the *upload* travels, arriving as an event;
@@ -257,14 +259,6 @@ class AsyncFederation(Federation):
         for party in participants:
             self.population.checkout(party)
 
-    def _party_duration(self, party: int, steps: int, up_bytes: int,
-                        down_bytes: int, slowdown: float) -> float:
-        """Seconds from dispatch to upload arrival for one client."""
-        compute = steps * self.system.step_time / self.system._speed(party)
-        compute *= slowdown
-        transfer = (down_bytes + up_bytes) / self.system._bandwidth(party)
-        return compute + transfer + self.system.server_overhead
-
     def _dispatch_group(self, fraction: float) -> None:
         """Sample ``fraction`` of the population, run the group's local
         rounds against the current model version (persistent per-party
@@ -293,8 +287,8 @@ class AsyncFederation(Federation):
                 # steps it survived, then is lost (no upload in flight).
                 event = ClientFailure(party, slot, execution.failed[party])
                 steps, up_bytes = fault.crash_after_steps or 0, 0
-            duration = self._party_duration(
-                party, steps, up_bytes, down_per_client, fault.slowdown
+            duration = self.system.party_duration(
+                party, steps, down_per_client, up_bytes, fault.slowdown
             )
             heapq.heappush(self._events, (self._clock + duration, slot, event))
 

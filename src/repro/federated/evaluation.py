@@ -3,9 +3,10 @@
 :func:`evaluate` is the fused fast path: one forward pass per batch
 yields *both* accuracy and mean cross-entropy (the server previously paid
 two full passes per round for them), optionally replayed through a
-captured inference program (see :mod:`repro.grad.capture`).  The
-historical :func:`evaluate_accuracy` / :func:`evaluate_loss` entry points
-are thin wrappers over it and return bitwise-identical values.
+captured inference program (see :mod:`repro.grad.capture`).  It is the
+one way to score a model on a dataset: read ``.accuracy`` or ``.loss``
+off its :class:`EvalResult`.  :func:`evaluate_per_party` scores one
+model on every party's data instead.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ class EvalResult:
 
 def _cross_entropy_sum(logits: np.ndarray, targets: np.ndarray) -> float:
     # Mirrors F.cross_entropy(..., reduction="sum") on the same logits
-    # bit for bit, so the fused path reproduces evaluate_loss exactly.
+    # bit for bit, so the fused pass's loss is the autograd loss exactly.
     rows = np.arange(logits.shape[0])
     shifted = logits - logits.max(axis=1, keepdims=True)
     sumexp = np.exp(shifted).sum(axis=1, keepdims=True)
@@ -83,13 +84,6 @@ def evaluate(
             model.train()
 
 
-def evaluate_accuracy(
-    model: Module, dataset, batch_size: int = EVAL_BATCH_SIZE
-) -> float:
-    """Top-1 accuracy of ``model`` on ``dataset`` (eval mode, no grad)."""
-    return evaluate(model, dataset, batch_size).accuracy
-
-
 def evaluate_per_party(
     model: Module, clients, batch_size: int = EVAL_BATCH_SIZE, compiled: bool = False
 ) -> "np.ndarray":
@@ -116,9 +110,3 @@ def evaluate_per_party(
             model.train()
     return np.array(accuracies)
 
-
-def evaluate_loss(
-    model: Module, dataset, batch_size: int = EVAL_BATCH_SIZE
-) -> float:
-    """Mean cross-entropy of ``model`` on ``dataset``."""
-    return evaluate(model, dataset, batch_size).loss

@@ -66,6 +66,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from repro.comm.channel import RESIDUAL_KEY, CommChannel
+from repro.data.loader import epoch_order
 from repro.federated.algorithms.base import FedAlgorithm
 from repro.federated.faults import InjectedCrash, PartyFault
 from repro.federated.trainer import MOMENTUM, LocalTrainingResult
@@ -493,18 +494,13 @@ class StackedExecutor(ClientExecutor):
         samples = first_client.num_samples
         steps_per_epoch = samples // batch
         # All shuffle orders are drawn up front, per client in epoch
-        # order — exactly the sequence the serial DataLoader consumes
+        # order through the serial DataLoader's own ``epoch_order``
         # (training itself draws nothing), so each private generator ends
         # the phase in its serial post-training state.
         orders = []
         data = []
         for client in clients:
-            client_orders = []
-            for _ in range(epochs):
-                order = np.arange(samples)
-                client.rng.shuffle(order)
-                client_orders.append(order)
-            orders.append(client_orders)
+            orders.append([epoch_order(samples, client.rng) for _ in range(epochs)])
             data.append((client.dataset.features, client.dataset.labels))
         feature_buf = program.features
         label_buf = program.labels

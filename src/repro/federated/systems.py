@@ -11,6 +11,13 @@ as in Figure 1).  This model replays a recorded :class:`History` under
 configurable per-party compute speeds and bandwidths, which is how the
 communication overheads of Section 3.3 (SCAFFOLD's doubled payload)
 become visible as time: an algorithm can win per-round and lose per-hour.
+
+There is one party clock, :meth:`SystemModel.party_duration`: the event
+engine (:mod:`repro.federated.async_engine`) schedules every upload at
+it, and :meth:`SystemModel.replay` takes its maximum per round, so the
+replay of a synchronous run is bitwise the barrier engine's
+``virtual_times`` — except under mid-training crashes, which the replay
+leaves uncharged and the engine charges for the steps they survived.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.federated.history import History
+from repro.federated.history import History, RoundRecord
 
 
 @dataclass(frozen=True)
@@ -70,79 +77,75 @@ class SystemModel:
             return self.default_bandwidth
         return self.bandwidths[party % len(self.bandwidths)]
 
-    def round_duration(
+    def party_duration(
         self,
-        participants: list[int],
-        steps: list[int],
-        round_bytes: int,
-        bytes_down: int = 0,
-        bytes_up: int = 0,
-        client_bytes_up: list[int] | None = None,
-        slowdowns: list[float] | None = None,
+        party: int,
+        steps: int,
+        down_bytes: float,
+        up_bytes: float,
+        slowdown: float,
     ) -> float:
+        """Seconds from one party's dispatch to its upload landing.
+
+        Its compute (``steps`` at its speed, times its straggler
+        ``slowdown``), then its download and upload at its bandwidth, then
+        the server overhead, in that float order.  The event engine
+        schedules every arrival at this cost and :meth:`round_duration` is
+        its maximum over a round's parties, so the replay of a barrier
+        round is bitwise the engine's clock.
+        """
+        compute = steps * self.step_time / self._speed(party)
+        compute *= slowdown
+        transfer = (down_bytes + up_bytes) / self._bandwidth(party)
+        return compute + transfer + self.server_overhead
+
+    def round_duration(self, record: RoundRecord) -> float:
         """Seconds one synchronous round takes under this model.
 
-        When the per-direction fields PR 2 introduced are available
-        (``bytes_down``/``bytes_up`` non-zero), each party is charged the
-        shared per-client downlink plus *its own* measured uplink
+        The round waits for its slowest completer.  With the per-direction
+        fields recorded, each is charged the per-client broadcast (the
+        round's downlink over the parties it was sent to: ``sampled``, or
+        the participants on legacy records) plus *its own* measured uplink
         (``client_bytes_up``, falling back to an even uplink split) —
-        which is what makes SCAFFOLD's doubled uplink and per-client
-        codec payload variation visible in wall-clock replay.  Legacy
-        records without the breakdown keep the old even split of
-        ``round_bytes``.  ``slowdowns`` are the fault model's per-party
-        compute multipliers: a straggler that completed is charged its
-        slowed elapsed time.  Timed-out or dropped parties never appear
-        in ``participants`` and so never extend the round.
+        which is what makes SCAFFOLD's doubled uplink and per-client codec
+        payload variation visible in wall-clock replay.  Records without
+        the breakdown keep the even split of ``bytes_communicated``.
+        ``slowdowns`` are the fault model's per-party compute multipliers:
+        a straggler that completed is charged its slowed elapsed time.
+        Dropped and timed-out parties never appear in ``participants``,
+        and neither do crashed ones: the replay charges a crash nothing,
+        where the event engine holds its slot for the steps it survived.
         """
+        participants = record.participants
         if not participants:
             return self.server_overhead
-        if len(steps) != len(participants):
-            raise ValueError(
-                f"{len(steps)} step counts for {len(participants)} participants"
-            )
         n = len(participants)
-        if slowdowns is not None and len(slowdowns) not in (0, n):
+        if len(record.client_steps) != n:
             raise ValueError(
-                f"{len(slowdowns)} slowdowns for {n} participants"
+                f"{len(record.client_steps)} step counts for {n} participants"
             )
-        if client_bytes_up is not None and len(client_bytes_up) not in (0, n):
-            raise ValueError(
-                f"{len(client_bytes_up)} uplink byte counts for {n} participants"
+        for name, values in (
+            ("slowdowns", record.slowdowns),
+            ("uplink byte counts", record.client_bytes_up),
+        ):
+            if len(values) not in (0, n):
+                raise ValueError(f"{len(values)} {name} for {n} participants")
+        if record.bytes_down > 0 or record.bytes_up > 0:
+            down = record.bytes_down // len(record.sampled or participants)
+            ups = record.client_bytes_up or [record.bytes_up / n] * n
+        else:
+            down, ups = record.bytes_communicated / n, [0] * n
+        slowdowns = record.slowdowns or [1.0] * n
+        return max(
+            self.party_duration(party, steps, down, up, slowdown)
+            for party, steps, up, slowdown in zip(
+                participants, record.client_steps, ups, slowdowns
             )
-        directional = bytes_down > 0 or bytes_up > 0
-        down_per_party = bytes_down / n if directional else round_bytes / n
-        slowest = 0.0
-        for index, (party, party_steps) in enumerate(zip(participants, steps)):
-            compute = party_steps * self.step_time / self._speed(party)
-            if slowdowns:
-                compute *= slowdowns[index]
-            if directional:
-                if client_bytes_up:
-                    up = client_bytes_up[index]
-                else:
-                    up = bytes_up / n
-                party_bytes = down_per_party + up
-            else:
-                party_bytes = down_per_party
-            transfer = party_bytes / self._bandwidth(party)
-            slowest = max(slowest, compute + transfer)
-        return slowest + self.server_overhead
+        )
 
     def replay(self, history: History) -> np.ndarray:
         """Cumulative wall-clock seconds at the end of each round."""
-        durations = [
-            self.round_duration(
-                record.participants,
-                record.client_steps,
-                record.bytes_communicated,
-                bytes_down=record.bytes_down,
-                bytes_up=record.bytes_up,
-                client_bytes_up=record.client_bytes_up,
-                slowdowns=record.slowdowns,
-            )
-            for record in history.records
-        ]
-        return np.cumsum(durations)
+        return np.cumsum([self.round_duration(r) for r in history.records])
 
     def time_to_accuracy(self, history: History, target: float) -> float:
         """Seconds until the global model first reaches ``target`` accuracy.

@@ -20,21 +20,16 @@ def state_distance(
     b: dict[str, np.ndarray],
     keys: Sequence[str] | None = None,
 ) -> float:
-    """Euclidean distance between two state dicts over ``keys``."""
+    """Euclidean distance between two state dicts over ``keys``.
+
+    Between a global model and a party's locally trained one it is the
+    size of the local update ``||w^t - w_i^t||`` (drift magnitude).
+    """
     if keys is None:
         keys = sorted(set(a) & set(b))
     va = state_dict_to_vector(a, keys)
     vb = state_dict_to_vector(b, keys)
     return float(np.linalg.norm(va - vb))
-
-
-def update_norm(
-    before: dict[str, np.ndarray],
-    after: dict[str, np.ndarray],
-    keys: Sequence[str] | None = None,
-) -> float:
-    """Size of a local update ``||w^t - w_i^t||`` (drift magnitude)."""
-    return state_distance(before, after, keys)
 
 
 def pairwise_weight_divergence(

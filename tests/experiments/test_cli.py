@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments.store import ResultStore
 
 
 class TestParser:
@@ -47,12 +48,6 @@ class TestParser:
 
 
 class TestCommands:
-    def test_datasets(self, capsys):
-        assert main(["datasets"]) == 0
-        out = capsys.readouterr().out
-        assert "mnist" in out
-        assert "covtype" in out
-
     def test_recommend(self, capsys):
         assert main(["recommend", "--partition", "gau(0.1)"]) == 0
         assert capsys.readouterr().out.strip() == "scaffold"
@@ -255,20 +250,28 @@ class TestNewCommands:
         assert capsys.readouterr().out == first
         assert len(list(tmp_path.glob("*.json"))) == 2
 
-    def test_table3_save(self, capsys, tmp_path):
-        target = tmp_path / "board.json"
+    def test_table3_store_is_the_board_record(self, capsys, tmp_path):
         code = main(
             [
                 "table3",
                 "--datasets", "adult",
                 "--partitions", "iid",
-                "--algs", "fedavg",
+                "--algs", "fedavg", "fedprox",
                 "--preset", "smoke",
-                "--save", str(target),
+                "--store", str(tmp_path),
             ]
         )
         assert code == 0
-        assert target.exists()
+        printed = capsys.readouterr().out.split("\n\n", 1)[1]
+        # The store labels a partition by its partitioner ("homogeneous"),
+        # the matrix by the spec string ("iid"); everything else is equal.
+        store = ResultStore(tmp_path)
+        for record in store.records():
+            spec_label = record["spec"]["partition"]["strategy"]
+            printed = printed.replace(
+                f" {spec_label:16s} |", f" {record['partition']:16s} |"
+            )
+        assert printed == store.leaderboard().render() + "\n"
 
 
 @pytest.mark.concurrent

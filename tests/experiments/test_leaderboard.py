@@ -64,11 +64,3 @@ class TestLeaderboard:
         # scaffold has no iid entry.
         lines = [l for l in board.render().splitlines() if "iid" in l]
         assert "-" in lines[0]
-
-    def test_roundtrip_json(self, board, tmp_path):
-        path = tmp_path / "board.json"
-        board.save(path)
-        loaded = Leaderboard.load(path)
-        assert loaded.settings == board.settings
-        assert loaded.best("mnist", "#C=1") == "fedprox"
-        assert loaded.win_counts() == board.win_counts()

@@ -147,7 +147,9 @@ ENTRIES = {
         ),
         cells=4,
         arrays=lambda board: [
-            entry["accuracies"] for entry in board.to_dict()["entries"]
+            summary.accuracies
+            for entries in board._entries.values()
+            for summary in entries.values()
         ],
         invalid=dict(preset=dataclasses.replace(TINY, batch_size=0)),
         duplicate=dict(algorithms=("fedavg", "fedprox", "fedavg")),

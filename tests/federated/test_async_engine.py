@@ -148,6 +148,41 @@ class TestBarrierEqualsSync:
             np.testing.assert_equal(b.state, a.state)
 
 
+#: fault mixes without crashes (the replay leaves a crash uncharged, the
+#: engine charges the steps it survived); all but ``stragglers`` drop
+#: parties, so a completer's downlink is not the round's over its count
+CLOCK_FAULTS = {
+    "dropout": dict(dropout_prob=0.3),
+    "stragglers": dict(straggler_prob=0.5, straggler_factor=3.0),
+    "dropout+stragglers-partial": dict(
+        dropout_prob=0.2, straggler_prob=0.4, straggler_factor=2.0,
+        sample_fraction=0.5,
+    ),
+    "dropout+stragglers-deadline": dict(
+        dropout_prob=0.2, straggler_prob=0.4, straggler_factor=4.0, deadline=2.0
+    ),
+}
+
+
+class TestOnePartyClock:
+    """``SystemModel.replay`` of a sync run is the barrier engine's clock."""
+
+    @pytest.mark.parametrize("faults", CLOCK_FAULTS)
+    def test_replay_equals_barrier_virtual_times(self, faults):
+        from repro.experiments.runner import run_federated_experiment
+        from repro.experiments.scale import SMOKE
+
+        def history(**knobs):
+            return run_federated_experiment(
+                "adult", "iid", "fedavg", preset=SMOKE, seed=5, num_rounds=4,
+                **CLOCK_FAULTS[faults], **knobs,
+            ).history
+
+        sync, barrier = history(), history(aggregation="async")
+        assert any(record.dropped or record.slowdowns for record in sync.records)
+        assert np.array_equal(SystemModel().replay(sync), barrier.virtual_times)
+
+
 class TestBufferedAsync:
     def engine(self, **config_kwargs):
         defaults = dict(

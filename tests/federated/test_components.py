@@ -20,7 +20,7 @@ from repro.federated.aggregation import (
     subtract_states,
     weighted_average_states,
 )
-from repro.federated.evaluation import evaluate_accuracy, evaluate_loss
+from repro.federated.evaluation import evaluate
 from repro.federated.sampling import sample_clients
 from repro.grad import nn
 from repro.partition import HomogeneousPartitioner
@@ -309,25 +309,25 @@ class TestEvaluation:
         model = nn.Linear(3, 3, rng=rng)
         model.weight.data = np.eye(3, dtype=np.float32) * 10
         model.bias.data = np.zeros(3, dtype=np.float32)
-        assert evaluate_accuracy(model, ds) == 1.0
+        assert evaluate(model, ds).accuracy == 1.0
 
     def test_empty_dataset_rejected(self, rng):
         from repro.grad import nn
 
         ds = small_dataset().subset(np.array([], dtype=int))
         with pytest.raises(ValueError):
-            evaluate_accuracy(nn.Linear(3, 4, rng=rng), ds)
+            evaluate(nn.Linear(3, 4, rng=rng), ds)
 
     def test_restores_training_mode(self, rng):
         from repro.grad import nn
 
         model = nn.Sequential(nn.Linear(3, 4, rng=rng))
         model.train()
-        evaluate_accuracy(model, small_dataset())
+        evaluate(model, small_dataset())
         assert model.training
 
     def test_loss_positive(self, rng):
         from repro.grad import nn
 
-        loss = evaluate_loss(nn.Linear(3, 4, rng=rng), small_dataset())
+        loss = evaluate(nn.Linear(3, 4, rng=rng), small_dataset()).loss
         assert loss > 0

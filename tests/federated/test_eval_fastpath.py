@@ -16,8 +16,6 @@ from repro.data.loader import DataLoader
 from repro.federated.evaluation import (
     EvalResult,
     evaluate,
-    evaluate_accuracy,
-    evaluate_loss,
     evaluate_per_party,
 )
 from repro.grad import functional as F
@@ -83,8 +81,12 @@ class TestFusedPass:
         model = make_model()
         dataset = make_dataset()
         result = evaluate(model, dataset, batch_size=16)
-        assert evaluate_accuracy(model, dataset, batch_size=16) == result.accuracy
-        assert evaluate_loss(model, dataset, batch_size=16) == result.loss
+        again = evaluate(model, dataset, batch_size=16)
+        assert again.accuracy == result.accuracy
+        assert again.loss == result.loss
+        party = SimpleNamespace(dataset=dataset)
+        per_party = evaluate_per_party(model, [party], batch_size=16)
+        assert per_party.tolist() == [result.accuracy]
 
     def test_exactly_one_forward_per_batch(self):
         model = make_model()

@@ -19,6 +19,11 @@ def record(round_index, accuracy, participants, steps, nbytes, **extra):
     )
 
 
+def charge(model, participants, steps, nbytes, **extra):
+    """``model``'s charge for one round with these fields."""
+    return model.round_duration(record(0, None, participants, steps, nbytes, **extra))
+
+
 def history(*records):
     h = History()
     for r in records:
@@ -46,19 +51,19 @@ class TestValidation:
     def test_steps_participants_alignment(self):
         model = SystemModel()
         with pytest.raises(ValueError):
-            model.round_duration([0, 1], [5], 100)
+            charge(model, [0, 1], [5], 100)
 
 
 class TestRoundDuration:
     def test_homogeneous_round(self):
         model = SystemModel(step_time=0.1, default_bandwidth=1000.0)
         # 2 parties, 10 steps each, 2000 bytes total => 1000 bytes each.
-        duration = model.round_duration([0, 1], [10, 10], 2000)
+        duration = charge(model, [0, 1], [10, 10], 2000)
         assert duration == pytest.approx(10 * 0.1 + 1.0)
 
     def test_waits_for_slowest_party(self):
         model = SystemModel(step_time=0.1, compute_speeds=(1.0, 0.25))
-        duration = model.round_duration([0, 1], [10, 10], 0)
+        duration = charge(model, [0, 1], [10, 10], 0)
         # party 1 runs at quarter speed: 10 * 0.1 / 0.25 = 4 seconds.
         assert duration == pytest.approx(4.0)
 
@@ -66,15 +71,15 @@ class TestRoundDuration:
         fast = SystemModel(step_time=1e-9, default_bandwidth=1e6)
         slow = SystemModel(step_time=1e-9, default_bandwidth=1e3)
         nbytes = 10_000
-        assert slow.round_duration([0], [1], nbytes) > fast.round_duration([0], [1], nbytes)
+        assert charge(slow, [0], [1], nbytes) > charge(fast, [0], [1], nbytes)
 
     def test_server_overhead_added(self):
         model = SystemModel(step_time=0.1, server_overhead=5.0)
-        assert model.round_duration([0], [1], 0) == pytest.approx(5.1)
+        assert charge(model, [0], [1], 0) == pytest.approx(5.1)
 
     def test_empty_round(self):
         model = SystemModel(server_overhead=2.0)
-        assert model.round_duration([], [], 0) == 2.0
+        assert charge(model, [], [], 0) == 2.0
 
 
 class TestDirectionalCharging:
@@ -89,43 +94,52 @@ class TestDirectionalCharging:
         model = SystemModel(step_time=1e-12, default_bandwidth=100.0)
         # When the breakdown is present, the aggregate (here deliberately
         # inconsistent) must be ignored in favour of down/up fields.
-        duration = model.round_duration(
-            [0, 1], [1, 1], 1000, bytes_down=200, bytes_up=0
+        duration = charge(
+            model, [0, 1], [1, 1], 1000, bytes_down=200, bytes_up=0
         )
         assert duration == pytest.approx(100 / 100.0)
 
     def test_per_client_uplink_charged_to_its_party(self):
         model = SystemModel(step_time=1e-12, default_bandwidth=100.0)
-        uneven = model.round_duration(
-            [0, 1], [1, 1], 400,
+        uneven = charge(
+            model, [0, 1], [1, 1], 400,
             bytes_down=200, bytes_up=200, client_bytes_up=[190, 10],
         )
         # The slowest party carries 100 (down) + 190 (its uplink).
         assert uneven == pytest.approx(290 / 100.0)
-        even = model.round_duration(
-            [0, 1], [1, 1], 400, bytes_down=200, bytes_up=200
+        even = charge(
+            model, [0, 1], [1, 1], 400, bytes_down=200, bytes_up=200
         )
         assert even == pytest.approx(200 / 100.0)
 
+    def test_completer_pays_one_broadcast_when_parties_drop(self):
+        # The broadcast went to all four sampled parties; the two that
+        # dropped do not hand their downlink to the two completers.
+        model = SystemModel(step_time=1e-12, default_bandwidth=100.0)
+        duration = charge(
+            model, [0, 2], [1, 1], 400, bytes_down=400, sampled=[0, 1, 2, 3]
+        )
+        assert duration == pytest.approx(100 / 100.0)
+
     def test_legacy_records_keep_even_split(self):
         model = SystemModel(step_time=1e-12, default_bandwidth=100.0)
-        legacy = model.round_duration([0, 1], [1, 1], 400)
+        legacy = charge(model, [0, 1], [1, 1], 400)
         assert legacy == pytest.approx(200 / 100.0)
 
     def test_straggler_slowdown_charged(self):
         model = SystemModel(step_time=0.1)
-        slowed = model.round_duration(
-            [0, 1], [10, 10], 0, slowdowns=[1.0, 3.0]
+        slowed = charge(
+            model, [0, 1], [10, 10], 0, slowdowns=[1.0, 3.0]
         )
         assert slowed == pytest.approx(3.0)
 
     def test_mismatched_lengths_rejected(self):
         model = SystemModel()
         with pytest.raises(ValueError):
-            model.round_duration([0, 1], [1, 1], 0, slowdowns=[1.0])
+            charge(model, [0, 1], [1, 1], 0, slowdowns=[1.0])
         with pytest.raises(ValueError):
-            model.round_duration(
-                [0, 1], [1, 1], 0, bytes_down=10, client_bytes_up=[5]
+            charge(
+                model, [0, 1], [1, 1], 0, bytes_down=10, client_bytes_up=[5]
             )
 
     def test_replay_scaffold_history(self):
@@ -141,21 +155,11 @@ class TestDirectionalCharging:
         rec = outcome.history.records[0]
         assert rec.client_bytes_up and sum(rec.client_bytes_up) == rec.bytes_up
         model = SystemModel(step_time=1e-12, default_bandwidth=1e3)
-        duration = model.round_duration(
-            rec.participants,
-            rec.client_steps,
-            rec.bytes_communicated,
-            bytes_down=rec.bytes_down,
-            bytes_up=rec.bytes_up,
-            client_bytes_up=rec.client_bytes_up,
-        )
+        duration = model.round_duration(rec)
         n = len(rec.participants)
         expected = (rec.bytes_down / n + max(rec.client_bytes_up)) / 1e3
         assert duration == pytest.approx(expected)
-        # and replay() must route the record's fields the same way
-        np.testing.assert_allclose(
-            model.replay(outcome.history)[0], duration
-        )
+        assert model.replay(outcome.history)[0] == duration
 
 
 class TestReplay:

@@ -1,14 +1,10 @@
-"""Tests for model-space divergence metrics."""
+"""Tests for model-space divergence metrics and top-1 accuracy."""
 
 import numpy as np
 import pytest
 
-from repro.metrics import (
-    pairwise_weight_divergence,
-    state_distance,
-    top1_accuracy,
-    update_norm,
-)
+from repro.federated import evaluate
+from repro.metrics import pairwise_weight_divergence, state_distance
 
 
 class TestStateDistance:
@@ -32,10 +28,11 @@ class TestStateDistance:
         b = {"w": np.ones(2)}
         assert state_distance(a, b) == pytest.approx(np.sqrt(2))
 
-    def test_update_norm_alias(self):
-        a = {"w": np.zeros(3)}
-        b = {"w": np.full(3, 2.0)}
-        assert update_norm(a, b) == pytest.approx(np.sqrt(12))
+    def test_update_norm(self):
+        # the drift magnitude ||w^t - w_i^t|| of a local update
+        before = {"w": np.zeros(3)}
+        after = {"w": np.full(3, 2.0)}
+        assert state_distance(before, after) == pytest.approx(np.sqrt(12))
 
 
 class TestPairwiseDivergence:
@@ -67,5 +64,5 @@ class TestTop1Accuracy:
             (np.arange(20) % 3).astype(np.int64),
         )
         model = nn.Linear(4, 3, rng=rng)
-        acc = top1_accuracy(model, ds)
+        acc = evaluate(model, ds).accuracy
         assert 0.0 <= acc <= 1.0
