@@ -250,7 +250,9 @@ class TestNewCommands:
         assert capsys.readouterr().out == first
         assert len(list(tmp_path.glob("*.json"))) == 2
 
-    def test_table3_store_is_the_board_record(self, capsys, tmp_path):
+    def test_table3_save(self, capsys, tmp_path):
+        """``table3 --store DIR`` saves the board: the printed table is
+        ``ResultStore(DIR).leaderboard().render()``."""
         code = main(
             [
                 "table3",

@@ -1,23 +1,32 @@
 """Tests for the leaderboard (per-setting algorithm ranking)."""
 
+import json
+
 import pytest
 
 from repro.experiments.leaderboard import Leaderboard
 from repro.experiments.runner import TrialSummary
+from repro.experiments.store import ResultStore
 
 
 def summary(dataset, partition, algorithm, accs):
     return TrialSummary(dataset, partition, algorithm, accuracies=list(accs))
 
 
+TRIALS = [
+    ("mnist", "#C=1", "fedavg", [0.30, 0.32]),
+    ("mnist", "#C=1", "fedprox", [0.40, 0.42]),
+    ("mnist", "#C=1", "scaffold", [0.10, 0.12]),
+    ("mnist", "iid", "fedavg", [0.99]),
+    ("mnist", "iid", "fedprox", [0.98]),
+]
+
+
 @pytest.fixture
 def board():
     b = Leaderboard()
-    b.add(summary("mnist", "#C=1", "fedavg", [0.30, 0.32]))
-    b.add(summary("mnist", "#C=1", "fedprox", [0.40, 0.42]))
-    b.add(summary("mnist", "#C=1", "scaffold", [0.10, 0.12]))
-    b.add(summary("mnist", "iid", "fedavg", [0.99]))
-    b.add(summary("mnist", "iid", "fedprox", [0.98]))
+    for trial in TRIALS:
+        b.add(summary(*trial))
     return b
 
 
@@ -64,3 +73,22 @@ class TestLeaderboard:
         # scaffold has no iid entry.
         lines = [l for l in board.render().splitlines() if "iid" in l]
         assert "-" in lines[0]
+
+    def test_roundtrip_json(self, board, tmp_path):
+        # The board's record is the result store: one JSON run per trial,
+        # which ResultStore.leaderboard() folds back into the same board.
+        for index, (dataset, partition, algorithm, accs) in enumerate(TRIALS):
+            for seed, accuracy in enumerate(accs):
+                record = {
+                    "dataset": dataset,
+                    "partition": partition,
+                    "algorithm": algorithm,
+                    "final_accuracy": accuracy,
+                }
+                path = tmp_path / f"run{index}_{seed}.json"
+                path.write_text(json.dumps(record))
+        loaded = ResultStore(tmp_path).leaderboard()
+        assert loaded.settings == board.settings
+        assert loaded.best("mnist", "#C=1") == "fedprox"
+        assert loaded.win_counts() == board.win_counts()
+        assert loaded.render() == board.render()
